@@ -9,7 +9,7 @@ is a pure index-and-float affair:
 * :class:`CompiledScenario` — the virtual-link multigraph flattened into
   CSR adjacency: a per-machine offset array plus parallel ``array('l')``
   / ``array('d')`` columns (``link_id``, ``destination``, window start /
-  end, latency) in exactly the order
+  end, latency, run end) in exactly the order
   :meth:`~repro.core.network.Network.outgoing` yields edges, so the
   compiled search relaxes edges — and therefore probes, books, and
   tie-breaks — in the reference order.
@@ -25,10 +25,23 @@ as staticcheck R7 purity entry points; the memo layers
 on object identity via weak references, so a scenario or state being
 dropped releases its compiled columns with it.
 
+The windows of one :class:`~repro.core.link.PhysicalLink` are one
+contiguous *run* of edges (consecutive link ids, kept adjacent by the
+CSR order), and the kernel walks each run as a unit.  Along a run the
+receiver, the duration and both residency bounds are constant, and the
+window start strictly increases (the physical link keeps its windows
+sorted and disjoint; every window is non-empty), so an edge's prune
+floor ``max(Lst, label) + duration`` never decreases while the
+receiver's label never rises.  The first pruned edge of a run therefore
+ends the run, and so does an ``already_at_destination`` rejection or a
+``window_closed`` rejection caused by the residency bounds — those two
+only when tracing is off, since each rejected edge emits its own events.
+
 The kernel is **behaviorally invisible**: it performs the same float
 computations in the same order and reconstructs the result dicts in the
 reference insertion order, so schedules — and traces, down to individual
-rejection events — are byte-identical to the reference path.  Edges that
+rejection events and the ``dijkstra`` event's relaxation and prune
+counts — are byte-identical to the reference path.  Edges that
 :meth:`~repro.core.state.NetworkState.earliest_transfer` would reject
 before touching an interval set (the receiver already holds the item,
 the window is closed, or even an uncontended start misses it) are
@@ -43,6 +56,8 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
@@ -63,7 +78,8 @@ class CompiledScenario:
     parallel column; ``offsets[m + 1]`` bounds the slice.  The edge order
     within a machine equals :meth:`Network.outgoing` order (``link_id``
     ascending), which the reference search iterates — identical order is
-    what makes the compiled search tie-break identically.
+    what makes the compiled search tie-break identically.  It also keeps
+    the windows of each physical link adjacent, as one run of edges.
 
     Attributes:
         machine_count: number of machines (``len(offsets) - 1``).
@@ -73,6 +89,8 @@ class CompiledScenario:
         window_starts: window start (``Lst``) per edge.
         window_ends: window end (``Let``) per edge.
         latencies: link latency per edge.
+        run_ends: per edge, the index one past the last edge of the same
+            physical link's run.
     """
 
     __slots__ = (
@@ -83,6 +101,7 @@ class CompiledScenario:
         "window_starts",
         "window_ends",
         "latencies",
+        "run_ends",
     )
 
     def __init__(
@@ -94,6 +113,7 @@ class CompiledScenario:
         window_starts: "array[float]",
         window_ends: "array[float]",
         latencies: "array[float]",
+        run_ends: "array[int]",
     ) -> None:
         self.machine_count = machine_count
         self.offsets = offsets
@@ -102,6 +122,7 @@ class CompiledScenario:
         self.window_starts = window_starts
         self.window_ends = window_ends
         self.latencies = latencies
+        self.run_ends = run_ends
 
     @property
     def edge_count(self) -> int:
@@ -121,13 +142,20 @@ def compile_network(network: Network) -> CompiledScenario:
     window_starts = array("d")
     window_ends = array("d")
     latencies = array("d")
+    run_ends = array("l")
     for machine in range(network.machine_count):
-        for link in network.outgoing(machine):
-            link_ids.append(link.link_id)
-            destinations.append(link.destination)
-            window_starts.append(link.start)
-            window_ends.append(link.end)
-            latencies.append(link.latency)
+        for _, windows in groupby(
+            network.outgoing(machine), key=attrgetter("physical_id")
+        ):
+            run = tuple(windows)
+            run_end = len(link_ids) + len(run)
+            for link in run:
+                link_ids.append(link.link_id)
+                destinations.append(link.destination)
+                window_starts.append(link.start)
+                window_ends.append(link.end)
+                latencies.append(link.latency)
+                run_ends.append(run_end)
         offsets.append(len(link_ids))
     return CompiledScenario(
         machine_count=network.machine_count,
@@ -137,6 +165,7 @@ def compile_network(network: Network) -> CompiledScenario:
         window_starts=window_starts,
         window_ends=window_ends,
         latencies=latencies,
+        run_ends=run_ends,
     )
 
 
@@ -235,11 +264,28 @@ def compute_tree_compiled(
     ``discovered`` byte per machine (instead of ``dict.get`` probes —
     and instead of sentinel-float comparisons, which would reintroduce
     the exact-equality hazards rule R2 exists to catch); finalization is
-    a byte array plus a counter.  Everything observable — seed order,
-    heap contents, per-edge probe order, tracer events, result dict
-    insertion order — replicates the reference path exactly, including
-    the events of the probes it rejects inline (see the module
-    docstring).
+    a byte array plus a counter.
+
+    A popped machine's edges are walked one physical-link run at a time
+    (see the module docstring).  The receiver, its ``finalized`` byte,
+    its label, its residency bound, whether it holds the item, and the
+    duration are read once per run; a finalized receiver skips the whole
+    run.  The walk leaves a run early at three exits:
+
+    * the first pruned edge — every later edge is pruned too, so when
+      tracing the rest of the run is added to ``pruned`` in one step;
+    * an ``already_at_destination`` rejection, and
+    * a ``window_closed`` rejection with ``Lst`` at or past the
+      residency bound ``min(sender release, receiver release)`` — both
+      hold for every later edge, but each rejected edge emits its own
+      ``transfer_attempt`` / ``transfer_rejected`` pair, so these two
+      exits are taken only when tracing is off.
+
+    A ``window_closed`` caused by the edge's own cutoff, and every
+    ``no_link_slot``, rejects only that edge.  Everything observable —
+    seed order, heap contents, per-edge probe order, tracer events, the
+    ``dijkstra`` event's counts, result dict insertion order — replicates
+    the reference path exactly.
     """
     network = state.scenario.network
     compiled = compiled_for(network)
@@ -273,6 +319,7 @@ def compute_tree_compiled(
     destinations = compiled.destinations
     window_starts = compiled.window_starts
     window_ends = compiled.window_ends
+    run_ends = compiled.run_ends
     release_row = state.release_row(item_id)
     cutoffs = state.link_cutoffs()
     earliest_transfer = state.earliest_transfer
@@ -296,57 +343,82 @@ def compute_tree_compiled(
             if not pending_targets:
                 break
         sender_release = release_row[machine]
-        for edge in range(offsets[machine], offsets[machine + 1]):
-            receiver = destinations[edge]
+        run_start = offsets[machine]
+        row_end = offsets[machine + 1]
+        while run_start < row_end:
+            run_end = run_ends[run_start]
+            receiver = destinations[run_start]
             if finalized[receiver]:
+                run_start = run_end
                 continue
             receiver_label = (
                 labels_list[receiver] if discovered[receiver] else infinity
             )
-            duration = durations[edge]
-            window_start = window_starts[edge]
-            start_floor = window_start if window_start > label else label
-            finish_floor = start_floor + duration
-            if finish_floor >= receiver_label:
+            duration = durations[run_start]
+            receiver_release = release_row[receiver]
+            release_end = (
+                sender_release
+                if sender_release < receiver_release
+                else receiver_release
+            )
+            receiver_holds = receiver in held
+            for edge in range(run_start, run_end):
+                window_start = window_starts[edge]
+                start_floor = window_start if window_start > label else label
+                finish_floor = start_floor + duration
+                if finish_floor >= receiver_label:
+                    if tracing:
+                        pruned += run_end - edge
+                    break
                 if tracing:
-                    pruned += 1
-                continue
-            if tracing:
-                relaxations += 1
-            link_id = link_ids[edge]
-            # earliest_transfer's early rejections, inline and in its
-            # order; the last is the first test of IntervalSet.first_fit.
-            if receiver in held:
-                rejected = REASON_ALREADY_AT_DESTINATION
-            else:
-                window_end = min(
-                    window_ends[edge],
-                    sender_release,
-                    release_row[receiver],
-                    cutoffs[link_id],
-                )
-                if window_end <= window_start:
+                    relaxations += 1
+                link_id = link_ids[edge]
+                # earliest_transfer's early rejections, inline and in its
+                # order; the last is the first test of
+                # IntervalSet.first_fit.  The first two hold for the rest
+                # of the run.
+                if receiver_holds:
+                    if not tracing:
+                        break
+                    rejected = REASON_ALREADY_AT_DESTINATION
+                elif window_start >= release_end:
+                    if not tracing:
+                        break
                     rejected = REASON_WINDOW_CLOSED
-                elif finish_floor > window_end:
-                    rejected = REASON_NO_LINK_SLOT
                 else:
-                    rejected = ""
-            if rejected:
-                if tracing:
-                    tracer.on_transfer_attempt(item_id, link_id)
-                    tracer.on_transfer_rejected(item_id, link_id, rejected)
-                continue
-            plan = earliest_transfer(item_id, links[link_id], label, duration)
-            if plan is None:
-                continue
-            plan_end = plan.end
-            if plan_end < receiver_label:
-                labels_list[receiver] = plan_end
-                if not discovered[receiver]:
-                    discovered[receiver] = 1
-                    order.append(receiver)
-                parents[receiver] = (machine, link_id, plan.start, plan_end)
-                heapq.heappush(heap, (plan_end, receiver))
+                    window_end = min(
+                        window_ends[edge], release_end, cutoffs[link_id]
+                    )
+                    if window_end <= window_start:
+                        rejected = REASON_WINDOW_CLOSED
+                    elif finish_floor > window_end:
+                        rejected = REASON_NO_LINK_SLOT
+                    else:
+                        rejected = ""
+                if rejected:
+                    if tracing:
+                        tracer.on_transfer_attempt(item_id, link_id)
+                        tracer.on_transfer_rejected(
+                            item_id, link_id, rejected
+                        )
+                    continue
+                plan = earliest_transfer(
+                    item_id, links[link_id], label, duration
+                )
+                if plan is None:
+                    continue
+                plan_end = plan.end
+                if plan_end < receiver_label:
+                    receiver_label = plan_end
+                    labels_list[receiver] = plan_end
+                    if not discovered[receiver]:
+                        discovered[receiver] = 1
+                        order.append(receiver)
+                    parents[receiver] = (
+                        machine, link_id, plan.start, plan_end
+                    )
+                    heapq.heappush(heap, (plan_end, receiver))
+            run_start = run_end
 
     # Rebuild the labels dict in the reference insertion order — seeds
     # first, then non-seeds by first discovery — dropping unfinalized

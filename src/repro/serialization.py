@@ -59,9 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports
 FORMAT_VERSION = 1
 
 
-def _require(document: Dict[str, Any], key: str) -> Any:
+def _require(
+    document: Dict[str, Any], key: str, where: str = "serialized document"
+) -> Any:
     if key not in document:
-        raise ModelError(f"serialized document is missing key {key!r}")
+        raise ModelError(f"{where} is missing key {key!r}")
     return document[key]
 
 
@@ -132,7 +134,9 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
     """Rebuild a scenario from :func:`scenario_to_dict` output.
 
     Raises:
-        ModelError: on missing keys or a wrong document kind.
+        ModelError: on missing keys, a wrong document kind, or a
+            physical link whose windows are malformed, inverted, unsorted
+            or overlapping.
     """
     if _require(document, "kind") != "scenario":
         raise ModelError(
@@ -147,17 +151,8 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         for entry in _require(document, "machines")
     )
     links = tuple(
-        PhysicalLink(
-            physical_id=entry["physical_id"],
-            source=entry["source"],
-            destination=entry["destination"],
-            bandwidth=entry["bandwidth"],
-            latency=entry["latency"],
-            windows=tuple(
-                Interval(start, end) for start, end in entry["windows"]
-            ),
-        )
-        for entry in _require(document, "physical_links")
+        _physical_link_from_dict(index, entry)
+        for index, entry in enumerate(_require(document, "physical_links"))
     )
     items = tuple(
         DataItem(
@@ -195,6 +190,34 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         gc_delay=_require(document, "gc_delay"),
         horizon=_require(document, "horizon"),
         name=document.get("name", "scenario"),
+    )
+
+
+def _physical_link_from_dict(index: int, entry: Dict[str, Any]) -> PhysicalLink:
+    """One ``physical_links`` entry of a scenario document.
+
+    Raises:
+        ModelError: naming the entry, when a key is missing or a window is
+            not a ``[start, end]`` pair with ``start <= end``; unsorted or
+            overlapping windows are rejected by :class:`PhysicalLink`.
+    """
+    where = f"physical link entry {index}"
+    windows = []
+    for window in _require(entry, "windows", where):
+        try:
+            start, end = window
+            windows.append(Interval(start, end))
+        except (TypeError, ValueError) as error:
+            raise ModelError(
+                f"{where} has a malformed window {window!r}: {error}"
+            ) from error
+    return PhysicalLink(
+        physical_id=_require(entry, "physical_id", where),
+        source=_require(entry, "source", where),
+        destination=_require(entry, "destination", where),
+        bandwidth=_require(entry, "bandwidth", where),
+        latency=_require(entry, "latency", where),
+        windows=tuple(windows),
     )
 
 

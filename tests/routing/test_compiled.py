@@ -67,6 +67,45 @@ class TestCompileNetwork:
                 assert compiled.window_ends[edge] == link.end
                 assert compiled.latencies[edge] == link.latency
 
+    def test_run_ends_group_each_physical_links_windows(self):
+        network = _windowed_network()
+        compiled = compile_network(network)
+        # Machine 0: physical 0 (one window, edge 0) and physical 1 (two
+        # windows, edges 1-2) join the same pair but form two runs; the
+        # one-window links of machines 1 and 2 are runs of one.
+        assert list(compiled.run_ends) == [1, 3, 3, 4, 5]
+        physical = [
+            network.virtual_links[link_id].physical_id
+            for link_id in compiled.link_ids
+        ]
+        assert physical == [0, 1, 1, 2, 3]
+
+    def test_each_physical_link_is_one_run(self, tiny_scenarios):
+        for scenario in tiny_scenarios:
+            network = scenario.network
+            compiled = compile_network(network)
+            runs = {}
+            for machine in range(network.machine_count):
+                edge = compiled.offsets[machine]
+                while edge < compiled.offsets[machine + 1]:
+                    run_end = compiled.run_ends[edge]
+                    assert edge < run_end <= compiled.offsets[machine + 1]
+                    assert set(compiled.run_ends[edge:run_end]) == {run_end}
+                    links = [
+                        network.virtual_links[link_id]
+                        for link_id in compiled.link_ids[edge:run_end]
+                    ]
+                    (physical_id,) = {link.physical_id for link in links}
+                    assert physical_id not in runs
+                    runs[physical_id] = [link.start for link in links]
+                    edge = run_end
+            # Every run holds all of its facility's windows, in order.
+            assert runs == {
+                plink.physical_id: [window.start for window in plink.windows]
+                for plink in network.physical_links
+                if plink.windows
+            }
+
     def test_compiled_for_memoizes_per_network(self):
         first = _windowed_network()
         second = _windowed_network()

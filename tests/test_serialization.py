@@ -81,6 +81,33 @@ class TestScenarioRoundTrip:
         with pytest.raises(ModelError):
             scenario_from_dict(document)
 
+    def test_inverted_window_rejected(self, tiny_scenarios):
+        document = scenario_to_dict(tiny_scenarios[0])
+        document["physical_links"][2]["windows"] = [[10.0, 5.0]]
+        with pytest.raises(ModelError, match="physical link entry 2"):
+            scenario_from_dict(document)
+
+    def test_malformed_window_rejected(self, tiny_scenarios):
+        document = scenario_to_dict(tiny_scenarios[0])
+        document["physical_links"][0]["windows"] = [[1.0, 2.0, 3.0]]
+        with pytest.raises(ModelError, match="physical link entry 0"):
+            scenario_from_dict(document)
+
+    def test_link_without_latency_rejected(self, tiny_scenarios):
+        document = scenario_to_dict(tiny_scenarios[0])
+        del document["physical_links"][1]["latency"]
+        with pytest.raises(
+            ModelError, match="physical link entry 1 is missing key 'latency'"
+        ):
+            scenario_from_dict(document)
+
+    def test_unsorted_windows_rejected(self, tiny_scenarios):
+        document = scenario_to_dict(tiny_scenarios[0])
+        entry = document["physical_links"][0]
+        entry["windows"] = [[20.0, 30.0], [0.0, 10.0]]
+        with pytest.raises(ModelError, match="unsorted"):
+            scenario_from_dict(document)
+
 
 class TestSuiteRoundTrip:
     def test_save_and_load_suite(self, tiny_scenarios, tmp_path):

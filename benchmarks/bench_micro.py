@@ -21,6 +21,8 @@ from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
+from tests.routing.reference_kernel import reference_tree
+
 
 @pytest.fixture(scope="module")
 def reduced_scenario():
@@ -62,13 +64,11 @@ def test_timeline_reserve_and_query(benchmark):
 
 
 def test_dijkstra_reference_kernel(benchmark, reduced_scenario):
-    """The object-walking loop, for comparison against the CSR kernel
-    timed by :func:`test_dijkstra_single_item` (compiled is the default)."""
+    """The object-walking test oracle, for comparison against the CSR
+    kernel timed by :func:`test_dijkstra_single_item`."""
     state = NetworkState(reduced_scenario)
     item_id = reduced_scenario.requested_item_ids()[0]
-    tree = benchmark(
-        compute_shortest_path_tree, state, item_id, use_compiled=False
-    )
+    tree = benchmark(reference_tree, state, item_id, None, 0.0)
     assert tree.seed_machines()
 
 

@@ -33,7 +33,6 @@ class PriorityTierScheduler:
             (default ``"full_one"``, the paper's strongest).
         criterion: criterion name or instance used inside each tier.
         weights: E-U weights or raw ``log10`` ratio for the inner criterion.
-        use_tree_cache: forwarded to the inner heuristic.
     """
 
     name = "priority_tier"
@@ -44,15 +43,10 @@ class PriorityTierScheduler:
         heuristic: str = "full_one",
         criterion: Union[str, CostCriterion] = "C4",
         weights: Union[float, EUWeights] = 0.0,
-        use_tree_cache: bool = True,
     ) -> None:
         self._inner = make_heuristic(
-            heuristic,
-            criterion=criterion,
-            weights=weights,
-            use_tree_cache=use_tree_cache,
+            heuristic, criterion=criterion, weights=weights
         )
-        self._use_tree_cache = use_tree_cache
 
     def label(self) -> str:
         """Run label used in schedule names and reports."""
@@ -63,7 +57,7 @@ class PriorityTierScheduler:
         started = time.perf_counter()
         stats = EngineStats()
         state = NetworkState(scenario, schedule_name=self.label())
-        cache = TreeCache(state, stats, enabled=self._use_tree_cache)
+        cache = TreeCache(state, stats)
         for priority in range(scenario.weighting.highest_priority, -1, -1):
             self._inner.drain(
                 state, cache, stats, priorities=frozenset({priority})

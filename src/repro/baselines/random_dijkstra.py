@@ -27,19 +27,17 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
     Args:
         seed: seed of the private RNG; runs with the same seed and scenario
             are identical.
-        use_tree_cache: as for the heuristics.
     """
 
     name = "random_dijkstra"
     figure_label = "random_Dijkstra"
 
-    def __init__(self, seed: int = 0, use_tree_cache: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         # The criterion is never consulted; Cost4 with neutral weights only
         # satisfies the base-class constructor.
         super().__init__(
             criterion=Cost4(),
             weights=EUWeights(1.0, 1.0),
-            use_tree_cache=use_tree_cache,
         )
         self._seed = seed
         self._rng = random.Random(seed)

@@ -108,10 +108,9 @@ class DynamicDriver:
             gracefully to churn; any of the three works).
         criterion: criterion name or instance for the inner heuristic.
         weights: E-U weights or raw ``log10`` ratio.
-        use_tree_cache: forwarded to the engine (each pass still gets a
-            fresh cache — plans from an earlier "now" are never reused).
-        use_compiled: forwarded to the engine's routing layer (array
-            kernel vs reference object loop; identical schedules).
+
+    Each pass gets a fresh tree cache: plans from an earlier "now" are
+    never reused.
     """
 
     def __init__(
@@ -119,15 +118,10 @@ class DynamicDriver:
         heuristic: str = "partial",
         criterion: Union[str, CostCriterion] = "C4",
         weights: Union[float, EUWeights] = 2.0,
-        use_tree_cache: bool = True,
-        use_compiled: bool = True,
     ) -> None:
         self._inner = make_heuristic(
-            heuristic, criterion=criterion, weights=weights,
-            use_tree_cache=use_tree_cache, use_compiled=use_compiled,
+            heuristic, criterion=criterion, weights=weights
         )
-        self._use_tree_cache = use_tree_cache
-        self._use_compiled = use_compiled
 
     def label(self) -> str:
         """Run label, e.g. ``"dynamic(partial/C4)"``."""
@@ -246,13 +240,7 @@ class DynamicDriver:
         def request_filter(request) -> bool:
             return request.request_id in visible
 
-        cache = TreeCache(
-            state,
-            stats,
-            enabled=self._use_tree_cache,
-            not_before=now,
-            use_compiled=self._use_compiled,
-        )
+        cache = TreeCache(state, stats, not_before=now)
         before = stats.hops_booked
         self._inner.drain(state, cache, stats, request_filter=request_filter)
         if logger.isEnabledFor(logging.DEBUG):

@@ -86,9 +86,10 @@ logger = logging.getLogger(__name__)
 #: (``tree_cache_reasons``).
 #: Version 6: cached records may carry an embedded simulated-time
 #: ``timeline`` document.
-#: Version 7: embedded metrics may carry the compiled-kernel counter
-#: (``dijkstra_compiled``) and the ``bandwidth_degraded`` cache reason.
-CACHE_FORMAT_VERSION = 7
+#: Version 7: embedded metrics may carry the ``bandwidth_degraded`` cache
+#: reason.
+#: Version 8: embedded metrics drop the removed compiled-kernel counter.
+CACHE_FORMAT_VERSION = 8
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

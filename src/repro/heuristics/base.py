@@ -175,8 +175,6 @@ class TreeCache:
         not_before: wall-clock lower bound forwarded to the routing layer;
             a cache instance is bound to one value (dynamic drivers create
             a fresh cache per re-scheduling pass).
-        use_compiled: forwarded to the routing layer — run the
-            array-backed kernel (default) or the reference object loop.
     """
 
     def __init__(
@@ -185,13 +183,11 @@ class TreeCache:
         stats: EngineStats,
         enabled: bool = True,
         not_before: float = 0.0,
-        use_compiled: bool = True,
     ) -> None:
         self._state = state
         self._stats = stats
         self._enabled = enabled
         self._not_before = not_before
-        self._use_compiled = use_compiled
         self._epoch = state.epoch
         self._trees: Dict[int, CacheEntry] = {}
 
@@ -261,7 +257,6 @@ class TreeCache:
                 item_id,
                 targets,
                 not_before=self._not_before,
-                use_compiled=self._use_compiled,
             )
             self._stats.dijkstra_runs += 1
             entry = self._snapshot(item_id, tree)
@@ -372,9 +367,6 @@ class StagingHeuristic(abc.ABC):
             criteria such as C3).
         use_tree_cache: disable to force a Dijkstra run per item per
             iteration, exactly as the paper describes (slower, same result).
-        use_compiled: disable to run the reference object-walking routing
-            kernel instead of the array-backed compiled one (slower, same
-            result — pinned by the compiled differential suite).
 
     Raises:
         ConfigurationError: when the criterion cannot drive this heuristic
@@ -392,7 +384,6 @@ class StagingHeuristic(abc.ABC):
         criterion: CostCriterion,
         weights: EUWeights,
         use_tree_cache: bool = True,
-        use_compiled: bool = True,
     ) -> None:
         if not criterion.supports_all_destinations and self._requires_group_cost():
             raise ConfigurationError(
@@ -402,7 +393,6 @@ class StagingHeuristic(abc.ABC):
         self._criterion = criterion
         self._weights = weights
         self._use_tree_cache = use_tree_cache
-        self._use_compiled = use_compiled
 
     @property
     def criterion(self) -> CostCriterion:
@@ -423,12 +413,7 @@ class StagingHeuristic(abc.ABC):
         started = time.perf_counter()
         stats = EngineStats()
         state = NetworkState(scenario, schedule_name=self.label())
-        cache = TreeCache(
-            state,
-            stats,
-            enabled=self._use_tree_cache,
-            use_compiled=self._use_compiled,
-        )
+        cache = TreeCache(state, stats, enabled=self._use_tree_cache)
         self.drain(state, cache, stats)
         stats.elapsed_seconds = time.perf_counter() - started
         tracer = state.tracer

@@ -38,7 +38,6 @@ def make_heuristic(
     criterion: Union[str, CostCriterion] = "C4",
     weights: Union[float, EUWeights] = 0.0,
     use_tree_cache: bool = True,
-    use_compiled: bool = True,
 ) -> StagingHeuristic:
     """Build a configured heuristic by name.
 
@@ -48,8 +47,6 @@ def make_heuristic(
         weights: an :class:`EUWeights` pair or a raw ``log10(W_E/W_U)``.
         use_tree_cache: forwarded to the heuristic (see
             :class:`~repro.heuristics.base.StagingHeuristic`).
-        use_compiled: forwarded to the heuristic — run the array-backed
-            routing kernel (default) or the reference object loop.
 
     Raises:
         ConfigurationError: for unknown names or invalid pairings
@@ -66,7 +63,6 @@ def make_heuristic(
         criterion=criterion,
         weights=as_weights(weights),
         use_tree_cache=use_tree_cache,
-        use_compiled=use_compiled,
     )
 
 

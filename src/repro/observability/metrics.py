@@ -36,7 +36,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "requests_reopened",
     "links_disabled",
     "dijkstra_searches",
-    "dijkstra_compiled",
     "edge_relaxations",
     "edges_pruned",
     "tree_cache_hits",
@@ -305,12 +304,9 @@ class MetricsCollector(Tracer):
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
         metrics = self._metrics
         metrics.bump("dijkstra_searches")
-        if compiled:
-            metrics.bump("dijkstra_compiled")
         metrics.bump("edge_relaxations", relaxations)
         metrics.bump("edges_pruned", pruned)
 

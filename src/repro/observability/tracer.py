@@ -224,16 +224,8 @@ class Tracer:
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
-        """One adapted-Dijkstra search finished (with search effort).
-
-        ``compiled`` reports which kernel ran: the array-backed
-        :mod:`repro.routing.compiled` path or the reference
-        object-walking loop.  The two are byte-identical in every other
-        observable, so this flag is the only way a trace reveals the
-        kernel choice.
-        """
+        """One adapted-Dijkstra search finished (with search effort)."""
 
     # -- engine -----------------------------------------------------------
 
@@ -473,7 +465,6 @@ class _EventTracer(Tracer):
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
         self._event(
             "dijkstra",
@@ -482,7 +473,6 @@ class _EventTracer(Tracer):
             pruned=pruned,
             finalized=finalized,
             seeds=seeds,
-            compiled=compiled,
         )
 
     def on_tree_cache(self, item_id: int, hit: bool, reason: str) -> None:

@@ -1,10 +1,11 @@
 """Array-compiled scenario kernel for the §4.2 shortest-path search.
 
-:func:`~repro.routing.dijkstra.compute_shortest_path_tree`'s reference
-inner loop walks :class:`~repro.core.link.VirtualLink` objects and reads
-their attributes Python-object by Python-object on every edge relaxation.
-This module compiles the scenario once into flat columns so the hot loop
-is a pure index-and-float affair:
+This is the only search behind
+:func:`~repro.routing.dijkstra.compute_shortest_path_tree`.  A loop over
+:class:`~repro.core.link.VirtualLink` objects would read their attributes
+Python-object by Python-object on every edge relaxation; this module
+compiles the scenario once into flat columns so the hot loop is a pure
+index-and-float affair:
 
 * :class:`CompiledScenario` — the virtual-link multigraph flattened into
   CSR adjacency: a per-machine offset array plus parallel ``array('l')``
@@ -38,18 +39,19 @@ ends the run, and so does an ``already_at_destination`` rejection or a
 only when tracing is off, since each rejected edge emits its own events.
 
 The kernel is **behaviorally invisible**: it performs the same float
-computations in the same order and reconstructs the result dicts in the
-reference insertion order, so schedules — and traces, down to individual
-rejection events and the ``dijkstra`` event's relaxation and prune
-counts — are byte-identical to the reference path.  Edges that
+computations in the same order as the object-walking reference search
+the test suite keeps as its differential oracle
+(``tests/routing/reference_kernel.py``), and reconstructs the result
+dicts in the reference insertion order.  Schedules and traces — down to
+individual rejection events and the ``dijkstra`` event's relaxation and
+prune counts — are byte-identical to that oracle's.  Edges that
 :meth:`~repro.core.state.NetworkState.earliest_transfer` would reject
 before touching an interval set (the receiver already holds the item,
 the window is closed, or even an uncontended start misses it) are
 rejected inline, over the flat columns, with the same expressions and
 the same ``transfer_attempt`` / ``transfer_rejected`` events; every
 other edge calls ``earliest_transfer`` with the reference arguments in
-the reference sequence.  The only observable difference is the
-``compiled`` flag on the ``on_dijkstra`` tracer event.
+the reference sequence.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def compute_tree_compiled(
     targets: Optional[Set[int]],
     not_before: float,
 ) -> ShortestPathTree:
-    """Array-backed replica of the reference ``_compute_tree`` kernel.
+    """The §4.2 earliest-arrival search over the compiled columns.
 
     Labels live in a dense list indexed by machine id with a parallel
     ``discovered`` byte per machine (instead of ``dict.get`` probes —
@@ -285,7 +287,8 @@ def compute_tree_compiled(
     ``no_link_slot``, rejects only that edge.  Everything observable —
     seed order, heap contents, per-edge probe order, tracer events, the
     ``dijkstra`` event's counts, result dict insertion order — replicates
-    the reference path exactly.
+    the object-walking reference search the test suite keeps as its
+    oracle.
     """
     network = state.scenario.network
     compiled = compiled_for(network)
@@ -439,12 +442,7 @@ def compute_tree_compiled(
         }
     if tracing:
         tracer.on_dijkstra(
-            item_id,
-            relaxations,
-            pruned,
-            finalized_count,
-            len(seeds),
-            compiled=True,
+            item_id, relaxations, pruned, finalized_count, len(seeds)
         )
     return make_tree(
         item_id=item_id, seeds=seeds, labels=labels, parents=parents

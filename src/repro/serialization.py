@@ -134,9 +134,9 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
     """Rebuild a scenario from :func:`scenario_to_dict` output.
 
     Raises:
-        ModelError: on missing keys, a wrong document kind, or a
-            physical link whose windows are malformed, inverted, unsorted
-            or overlapping.
+        ModelError: on missing keys (naming the entry that lacks one), a
+            wrong document kind, or a physical link whose windows are
+            malformed, inverted, unsorted or overlapping.
     """
     if _require(document, "kind") != "scenario":
         raise ModelError(
@@ -144,40 +144,23 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         )
     machines = tuple(
         Machine(
-            index=entry["index"],
-            capacity=entry["capacity"],
+            index=_require(entry, "index", f"machine entry {index}"),
+            capacity=_require(entry, "capacity", f"machine entry {index}"),
             name=entry.get("name", ""),
         )
-        for entry in _require(document, "machines")
+        for index, entry in enumerate(_require(document, "machines"))
     )
     links = tuple(
         _physical_link_from_dict(index, entry)
         for index, entry in enumerate(_require(document, "physical_links"))
     )
     items = tuple(
-        DataItem(
-            item_id=entry["item_id"],
-            name=entry["name"],
-            size=entry["size"],
-            sources=tuple(
-                SourceLocation(
-                    machine=src["machine"],
-                    available_from=src["available_from"],
-                )
-                for src in entry["sources"]
-            ),
-        )
-        for entry in _require(document, "items")
+        _item_from_dict(index, entry)
+        for index, entry in enumerate(_require(document, "items"))
     )
     requests = tuple(
-        Request(
-            request_id=entry["request_id"],
-            item_id=entry["item_id"],
-            destination=entry["destination"],
-            priority=entry["priority"],
-            deadline=entry["deadline"],
-        )
-        for entry in _require(document, "requests")
+        _request_from_dict(index, entry)
+        for index, entry in enumerate(_require(document, "requests"))
     )
     weighting_doc = _require(document, "weighting")
     return Scenario(
@@ -185,11 +168,51 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         items=items,
         requests=requests,
         weighting=PriorityWeighting(
-            weighting_doc["weights"], name=weighting_doc.get("name", "")
+            _require(weighting_doc, "weights", "weighting"),
+            name=weighting_doc.get("name", ""),
         ),
         gc_delay=_require(document, "gc_delay"),
         horizon=_require(document, "horizon"),
         name=document.get("name", "scenario"),
+    )
+
+
+def _item_from_dict(index: int, entry: Dict[str, Any]) -> DataItem:
+    """One ``items`` entry of a scenario document.
+
+    Raises:
+        ModelError: naming the entry (and source), when a key is missing.
+    """
+    where = f"item entry {index}"
+    return DataItem(
+        item_id=_require(entry, "item_id", where),
+        name=_require(entry, "name", where),
+        size=_require(entry, "size", where),
+        sources=tuple(
+            SourceLocation(
+                machine=_require(src, "machine", f"{where} source {j}"),
+                available_from=_require(
+                    src, "available_from", f"{where} source {j}"
+                ),
+            )
+            for j, src in enumerate(_require(entry, "sources", where))
+        ),
+    )
+
+
+def _request_from_dict(index: int, entry: Dict[str, Any]) -> Request:
+    """One ``requests`` entry of a scenario document.
+
+    Raises:
+        ModelError: naming the entry, when a key is missing.
+    """
+    where = f"request entry {index}"
+    return Request(
+        request_id=_require(entry, "request_id", where),
+        item_id=_require(entry, "item_id", where),
+        destination=_require(entry, "destination", where),
+        priority=_require(entry, "priority", where),
+        deadline=_require(entry, "deadline", where),
     )
 
 

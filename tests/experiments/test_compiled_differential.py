@@ -5,19 +5,21 @@ virtual-link multigraph into CSR arrays and amortizes transfer-duration
 arithmetic, but it is a *pure* optimization: for any scenario, heuristic,
 fault intensity, worker count, and cache-replay state, the produced
 schedule — and therefore the :class:`~repro.experiments.runner.RunRecord`
-— must be byte-identical to the reference object-graph loop
-(``use_compiled=False``).
+— must be byte-identical to the reference object-graph loop, which the
+tests keep as an oracle (:mod:`tests.routing.reference_kernel`) and
+switch in with ``use_reference_kernel()``.  Reference runs are serial
+and in-process, so the switch covers every search they make.
 
 Unlike the tree-cache differential, ``dijkstra_runs`` is **kept** in the
 comparison: the compiled kernel changes how each search executes, never
-how many searches run.  Only wall timing and the ``dijkstra_compiled``
-observability counter may differ.
+how many searches run.  Only wall timing may differ.
 
 The parallel worker count honours ``REPRO_WORKERS`` (default 4) so CI
 can run a cheap ``workers=2`` smoke pass of this module.
 """
 
 import os
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +37,7 @@ from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import neutral_fields
+from tests.routing.reference_kernel import use_reference_kernel
 
 PARALLEL_WORKERS = int(os.environ.get("REPRO_WORKERS", "4"))
 
@@ -71,10 +74,8 @@ def _fault_plan(scenario, intensity, seed):
 def _reference_record(scenario, heuristic, criterion, plan):
     """One run of the reference object-graph kernel."""
     eu = as_weights(0.0)
-    scheduler = make_heuristic(
-        heuristic, criterion=criterion, weights=eu, use_compiled=False
-    )
-    with use_faults(plan):
+    scheduler = make_heuristic(heuristic, criterion=criterion, weights=eu)
+    with use_faults(plan), use_reference_kernel():
         result = scheduler.run(scenario)
     label = "-" if scheduler.criterion.eu_independent else eu.label()
     return record_result(
@@ -115,7 +116,7 @@ def test_compiled_equals_reference_at_any_parallelism(
         )
         for scenario, plan in zip(scenarios, plans)
     ]
-    # Executor cells run the compiled kernel (the default).
+    # Executor cells run the compiled kernel.
     cells = [
         SweepCell(
             scenario=scenario,
@@ -163,32 +164,27 @@ def test_compiled_equals_reference_under_cache_replay(tmp_path):
     assert [_neutralized(r) for r in replayed] == reference
 
 
+def _event_stream(scenario, reference):
+    """The partial/C4 run's trace events, wall timing dropped."""
+    scheduler = make_heuristic(
+        "partial", criterion="C4", weights=as_weights(0.0)
+    )
+    tracer = RecordingTracer()
+    kernel = use_reference_kernel() if reference else nullcontext()
+    with use_tracer(tracer), kernel:
+        scheduler.run(scenario)
+    return [(event.name, neutral_fields(event)) for event in tracer.events]
+
+
 def test_compiled_trace_parity():
-    """Both kernels emit identical event streams, kernel marker aside.
+    """Both kernels emit identical event streams, field for field.
 
     The trace is a stronger oracle than the final record: it pins the
     order of searches, transfers, and reservations, not just the summed
     outcome.
     """
     scenario = _GENERATOR.generate_suite(1, base_seed=41)[0]
-    streams = []
-    for use_compiled in (False, True):
-        scheduler = make_heuristic(
-            "partial", criterion="C4", weights=as_weights(0.0),
-            use_compiled=use_compiled,
-        )
-        tracer = RecordingTracer()
-        with use_tracer(tracer):
-            scheduler.run(scenario)
-        streams.append(tracer.events)
-    reference, compiled = streams
-    assert len(reference) == len(compiled)
-    saw_dijkstra = False
-    for left, right in zip(reference, compiled):
-        assert left.name == right.name
-        assert neutral_fields(left) == neutral_fields(right)
-        if left.name == "dijkstra":
-            saw_dijkstra = True
-            assert dict(left.fields)["compiled"] is False
-            assert dict(right.fields)["compiled"] is True
-    assert saw_dijkstra
+    reference = _event_stream(scenario, reference=True)
+    compiled = _event_stream(scenario, reference=False)
+    assert compiled == reference
+    assert any(name == "dijkstra" for name, _ in compiled)

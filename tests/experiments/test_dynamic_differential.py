@@ -5,11 +5,12 @@ inline, reading state that only the dynamic driver mutates between
 passes: the live link-cutoff list (``disable_link_from``) and the item's
 held-copy set (copy losses, re-deliveries).  For any scenario, fault
 draw and heuristic, a :class:`~repro.dynamic.driver.DynamicDriver` run
-with ``use_compiled`` on must therefore produce a byte-identical
-schedule and a byte-identical :class:`RecordingTracer` event stream —
-every ``transfer_attempt`` / ``transfer_rejected`` pair and its reason
-included — to the reference kernel.  Only the ``compiled`` flag of the
-``dijkstra`` event and wall timings may differ.
+must therefore produce a byte-identical schedule and a byte-identical
+:class:`RecordingTracer` event stream — every ``transfer_attempt`` /
+``transfer_rejected`` pair and its reason included — to the same run
+under ``use_reference_kernel()``, which routes every search through the
+object-walking oracle (:mod:`tests.routing.reference_kernel`).  Only
+wall timings may differ.
 
 Each run combines link outages, outage windows and bandwidth
 degradations from a static plan installed with ``use_faults``, copy
@@ -18,6 +19,7 @@ losses, and cancellations and late arrivals from
 """
 
 import json
+from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import dynamic_fault_events, neutral_fields
+from tests.routing.reference_kernel import use_reference_kernel
 
 _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
 
@@ -44,13 +47,12 @@ _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
 SEED_WITH_EVERY_FAULT = 0
 
 
-def _run(scenario, events, plan, heuristic, use_compiled):
+def _run(scenario, events, plan, heuristic, reference):
     """One dynamic run: its schedule as canonical JSON, and its events."""
     tracer = RecordingTracer()
-    driver = DynamicDriver(
-        heuristic, "C4", 2.0, use_compiled=use_compiled
-    )
-    with use_faults(plan), use_tracer(tracer):
+    driver = DynamicDriver(heuristic, "C4", 2.0)
+    kernel = use_reference_kernel() if reference else nullcontext()
+    with use_faults(plan), use_tracer(tracer), kernel:
         result = driver.run(scenario, events)
     schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
     stream = [(event.name, neutral_fields(event)) for event in tracer.events]
@@ -61,8 +63,8 @@ def _both(seed, heuristic, intensity):
     scenario = _GENERATOR.generate(seed)
     events, plan = dynamic_fault_events(scenario, seed, intensity)
     return [
-        _run(scenario, events, plan, heuristic, use_compiled)
-        for use_compiled in (False, True)
+        _run(scenario, events, plan, heuristic, reference)
+        for reference in (True, False)
     ]
 
 

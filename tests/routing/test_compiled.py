@@ -4,14 +4,20 @@ The differential suite (``tests/experiments/test_compiled_differential``)
 pins whole-schedule equivalence; these tests pin the compiled artifacts
 themselves — CSR layout, memo identity, duration-table values, and
 epoch-keyed invalidation — so a regression is reported at the layer that
-broke rather than as a distant schedule mismatch.
+broke rather than as a distant schedule mismatch.  Tree-level equality
+is checked against the reference loop the tests keep as their oracle
+(:mod:`tests.routing.reference_kernel`), and a guard test checks that
+``use_reference_kernel()`` really reroutes a heuristic's searches to it.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro.core.intervals import Interval
 from repro.core.state import NetworkState
 from repro.errors import SchedulingError
+from repro.heuristics.registry import make_heuristic
 from repro.routing.compiled import (
     compile_durations,
     compile_network,
@@ -19,7 +25,6 @@ from repro.routing.compiled import (
     compute_tree_compiled,
     durations_for,
 )
-from repro.routing.dijkstra import _compute_tree, compute_shortest_path_tree
 
 from tests.helpers import (
     line_network,
@@ -27,6 +32,11 @@ from tests.helpers import (
     make_link,
     make_network,
     make_scenario,
+)
+from tests.routing import reference_kernel
+from tests.routing.reference_kernel import (
+    reference_tree,
+    use_reference_kernel,
 )
 
 
@@ -177,23 +187,21 @@ class TestKernelEquivalence:
         )
 
     @staticmethod
-    def _assert_trees_equal(compiled_tree, reference_tree):
+    def _assert_trees_equal(compiled_tree, oracle_tree):
         # White-box on purpose: byte-identity includes the dicts'
         # insertion order, which no public accessor exposes.
-        assert compiled_tree.item_id == reference_tree.item_id
-        assert compiled_tree._seeds == reference_tree._seeds
-        assert compiled_tree._labels == reference_tree._labels
-        assert compiled_tree._parents == reference_tree._parents
-        assert list(compiled_tree._labels) == list(reference_tree._labels)
-        assert list(compiled_tree._parents) == list(
-            reference_tree._parents
-        )
+        assert compiled_tree.item_id == oracle_tree.item_id
+        assert compiled_tree._seeds == oracle_tree._seeds
+        assert compiled_tree._labels == oracle_tree._labels
+        assert compiled_tree._parents == oracle_tree._parents
+        assert list(compiled_tree._labels) == list(oracle_tree._labels)
+        assert list(compiled_tree._parents) == list(oracle_tree._parents)
 
     def test_full_search(self):
         for scenario in self._scenarios():
             self._assert_trees_equal(
                 compute_tree_compiled(NetworkState(scenario), 0, None, 0.0),
-                _compute_tree(NetworkState(scenario), 0, None, 0.0),
+                reference_tree(NetworkState(scenario), 0, None, 0.0),
             )
 
     def test_targeted_early_exit(self):
@@ -203,7 +211,7 @@ class TestKernelEquivalence:
                     compute_tree_compiled(
                         NetworkState(scenario), 0, set(targets), 0.0
                     ),
-                    _compute_tree(
+                    reference_tree(
                         NetworkState(scenario), 0, set(targets), 0.0
                     ),
                 )
@@ -215,7 +223,7 @@ class TestKernelEquivalence:
                     compute_tree_compiled(
                         NetworkState(scenario), 0, None, now
                     ),
-                    _compute_tree(NetworkState(scenario), 0, None, now),
+                    reference_tree(NetworkState(scenario), 0, None, now),
                 )
 
     def test_degraded_state(self):
@@ -226,18 +234,25 @@ class TestKernelEquivalence:
             state.degrade_physical_link(1, 0.25)
         self._assert_trees_equal(
             compute_tree_compiled(compiled_state, 0, None, 0.0),
-            _compute_tree(reference_state, 0, None, 0.0),
+            reference_tree(reference_state, 0, None, 0.0),
         )
 
-    def test_escape_hatch_selects_kernel(self):
-        scenario = next(iter(self._scenarios()))
-        compiled_tree = compute_shortest_path_tree(
-            NetworkState(scenario), 0, use_compiled=True
-        )
-        reference_tree = compute_shortest_path_tree(
-            NetworkState(scenario), 0, use_compiled=False
-        )
-        self._assert_trees_equal(compiled_tree, reference_tree)
+    def test_reference_switch_reroutes_every_search(self, tiny_scenarios):
+        """Inside ``use_reference_kernel()`` every search of a heuristic
+        run goes through the oracle; otherwise the differentials would
+        compare the compiled kernel with itself and still pass."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return reference_tree(*args)
+
+        heuristic = make_heuristic("partial", criterion="C4")
+        with mock.patch.object(reference_kernel, "reference_tree", counting):
+            with use_reference_kernel():
+                result = heuristic.run(tiny_scenarios[0])
+        assert result.stats.dijkstra_runs > 0
+        assert len(calls) == result.stats.dijkstra_runs
 
 
 class TestDegradeValidation:

@@ -8,8 +8,10 @@ a single virtual link's cutoff must *not* end the run: a later window of
 the same facility may still carry the transfer.  The dynamic driver
 always cuts a whole facility at once, so these tests cut one virtual
 link in the middle of a run by hand and compare the compiled kernel with
-the reference loop, untraced (trees) and traced (whole event streams,
-including the ``dijkstra`` event's ``relaxations`` and ``pruned``).
+the reference loop kept as the tests' oracle
+(:func:`tests.routing.reference_kernel.reference_tree`), untraced (trees)
+and traced (whole event streams, including the ``dijkstra`` event's
+``relaxations`` and ``pruned``).
 """
 
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from repro.core.intervals import Interval
 from repro.core.state import NetworkState
 from repro.observability.tracer import RecordingTracer
 from repro.routing.compiled import compute_tree_compiled
-from repro.routing.dijkstra import _compute_tree
 
 from tests.helpers import (
     make_item,
@@ -28,6 +29,7 @@ from tests.helpers import (
     make_scenario,
     neutral_fields,
 )
+from tests.routing.reference_kernel import reference_tree
 
 
 def _run_scenario():
@@ -84,17 +86,17 @@ def _run_scenario():
     )
 
 
-def _search(scenario, use_compiled, tracing, not_before, cuts):
+def _search(scenario, compiled, tracing, not_before, cuts):
     """One search over a fresh state with ``cuts`` applied.
 
     Returns the tree and, when tracing, the recorded event stream (with
-    the kernel marker and wall timing dropped).
+    wall timing dropped).
     """
     tracer = RecordingTracer() if tracing else None
     state = NetworkState(scenario, tracer=tracer)
     for link_id, at_time in cuts:
         state.disable_link_from(link_id, at_time)
-    kernel = compute_tree_compiled if use_compiled else _compute_tree
+    kernel = compute_tree_compiled if compiled else reference_tree
     tree = kernel(state, 0, None, not_before)
     events = (
         [(event.name, neutral_fields(event)) for event in tracer.events]
@@ -119,11 +121,11 @@ def _assert_kernels_agree(scenario, not_before, cuts):
         compiled_tree, compiled_events = _search(
             scenario, True, tracing, not_before, cuts
         )
-        reference_tree, reference_events = _search(
+        oracle_tree, oracle_events = _search(
             scenario, False, tracing, not_before, cuts
         )
-        assert _tree_key(compiled_tree) == _tree_key(reference_tree)
-        assert compiled_events == reference_events
+        assert _tree_key(compiled_tree) == _tree_key(oracle_tree)
+        assert compiled_events == oracle_events
 
 
 def _mid_run_cut(scenario):

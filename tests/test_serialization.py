@@ -101,6 +101,42 @@ class TestScenarioRoundTrip:
         ):
             scenario_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            (("machines", 0), "index", "machine entry 0"),
+            (("machines", 1), "capacity", "machine entry 1"),
+            (("items", 0), "item_id", "item entry 0"),
+            (("items", 0), "name", "item entry 0"),
+            (("items", 1), "size", "item entry 1"),
+            (("items", 1), "sources", "item entry 1"),
+            (("items", 0, "sources", 0), "machine", "item entry 0 source 0"),
+            (
+                ("items", 1, "sources", 0),
+                "available_from",
+                "item entry 1 source 0",
+            ),
+            (("requests", 0), "request_id", "request entry 0"),
+            (("requests", 0), "item_id", "request entry 0"),
+            (("requests", 1), "destination", "request entry 1"),
+            (("requests", 1), "priority", "request entry 1"),
+            (("requests", 2), "deadline", "request entry 2"),
+            (("weighting",), "weights", "weighting"),
+        ],
+    )
+    def test_entry_missing_key_rejected(
+        self, tiny_scenarios, path, key, where
+    ):
+        document = scenario_to_dict(tiny_scenarios[0])
+        entry = document
+        for step in path:
+            entry = entry[step]
+        del entry[key]
+        with pytest.raises(
+            ModelError, match=f"{where} is missing key '{key}'"
+        ):
+            scenario_from_dict(document)
+
     def test_unsorted_windows_rejected(self, tiny_scenarios):
         document = scenario_to_dict(tiny_scenarios[0])
         entry = document["physical_links"][0]

@@ -9,9 +9,9 @@ a schedule is being built.  It tracks:
 * per data item — the set of machines currently holding a copy, when each
   copy became available, and when it will be garbage-collected;
 * which requests have been satisfied so far;
-* monotonically increasing *revision counters* per link, per machine, and
-  per item, which the heuristics use to decide whether a cached
-  shortest-path tree is still valid;
+* a monotonically increasing *revision counter* per item, which the
+  heuristics use to decide whether a cached shortest-path tree is still
+  valid;
 * an append-only *mutation journal* of availability-removing changes
   (bookings and outage cutoffs) plus a global *capacity epoch* for
   availability-adding ones, which the
@@ -207,8 +207,6 @@ class NetworkState:
         self._link_cutoff: List[float] = (
             [float("inf")] * len(network.virtual_links)
         )
-        self._link_revision: List[int] = [0] * len(network.virtual_links)
-        self._machine_revision: List[int] = [0] * network.machine_count
         self._item_revision: List[int] = [0] * len(scenario.items)
         self._epoch: int = next(NetworkState._epoch_source)
         self._capacity_epoch: int = 0
@@ -263,14 +261,14 @@ class NetworkState:
                     self._busy[link.link_id].add(clipped)
                     masked += 1
         if self._tracer.enabled:
-            self._tracer.on_faults_applied(masked, degraded)
+            self._tracer.emit("faults_applied", masked, degraded)
 
     def clone(self) -> "NetworkState":
         """An independent deep copy (used by exhaustive search).
 
         The clone shares the immutable scenario but owns private busy sets,
         timelines, copy tables, and a full copy of the schedule built so
-        far.  Revision counters reset to zero (they only order events
+        far.  Item revision counters reset to zero (they only order events
         within one state's lifetime, and a fresh tree cache accompanies a
         fresh state); the clone receives a fresh :attr:`epoch` token, so a
         :class:`~repro.heuristics.base.TreeCache` bound to the parent
@@ -294,8 +292,6 @@ class NetworkState:
         clone._copies = [dict(copies) for copies in self._copies]
         clone._satisfied = dict(self._satisfied)
         clone._link_cutoff = list(self._link_cutoff)
-        clone._link_revision = [0] * len(self._link_revision)
-        clone._machine_revision = [0] * len(self._machine_revision)
         clone._item_revision = [0] * len(self._item_revision)
         clone._epoch = next(NetworkState._epoch_source)
         clone._capacity_epoch = 0
@@ -403,14 +399,6 @@ class NetworkState:
     def machine_timeline(self, machine: int) -> CapacityTimeline:
         """The machine's free-capacity timeline (live object — do not mutate)."""
         return self._timelines[machine]
-
-    def link_revision(self, link_id: int) -> int:
-        """Revision counter of a virtual link (bumped on every booking)."""
-        return self._link_revision[link_id]
-
-    def machine_revision(self, machine: int) -> int:
-        """Revision counter of a machine's storage timeline."""
-        return self._machine_revision[machine]
 
     def item_revision(self, item_id: int) -> int:
         """Revision counter of an item's copy set."""
@@ -538,7 +526,7 @@ class NetworkState:
             exists on this link.
         """
         if self._tracer.enabled:
-            self._tracer.on_transfer_attempt(item_id, link.link_id)
+            self._tracer.emit("transfer_attempt", item_id, link.link_id)
         if self.holds(item_id, link.destination):
             return self._reject(
                 item_id, link.link_id, REASON_ALREADY_AT_DESTINATION
@@ -601,7 +589,7 @@ class NetworkState:
     ) -> Optional[TransferPlan]:
         """Emit an infeasible probe's rejection event; answer ``None``."""
         if self._tracer.enabled:
-            self._tracer.on_transfer_rejected(item_id, link_id, reason)
+            self._tracer.emit("transfer_rejected", item_id, link_id, reason)
         return None
 
     # -- mutation ---------------------------------------------------------------
@@ -611,7 +599,7 @@ class NetworkState:
     ) -> None:
         """Emit a booking-failure event and raise the diagnostic."""
         if self._tracer.enabled:
-            self._tracer.on_booking_failed(item_id, link_id, reason)
+            self._tracer.emit("booking_failed", item_id, link_id, reason)
         raise InfeasibleTransferError(message)
 
     def book_transfer(self, plan: TransferPlan) -> BookingResult:
@@ -697,7 +685,8 @@ class NetworkState:
         self._busy[link.link_id].add(busy_interval)
         timeline.reserve(item.size, residency)
         if self._tracer.enabled:
-            self._tracer.on_storage_reserved(
+            self._tracer.emit(
+                "storage_reserved",
                 plan.item_id,
                 link.destination,
                 item.size,
@@ -711,8 +700,6 @@ class NetworkState:
             hops=sender_copy.hops + 1,
         )
         self._copies[plan.item_id][link.destination] = copy
-        self._link_revision[link.link_id] += 1
-        self._machine_revision[link.destination] += 1
         self._item_revision[plan.item_id] += 1
         self._journal.append(
             MutationRecord(
@@ -732,7 +719,8 @@ class NetworkState:
             end=plan.end,
         )
         if self._tracer.enabled:
-            self._tracer.on_transfer_booked(
+            self._tracer.emit(
+                "transfer_booked",
                 plan.item_id,
                 link.link_id,
                 plan.start,
@@ -774,14 +762,13 @@ class NetworkState:
                 f"{self._link_cutoff[link_id]}; cannot loosen to {at_time}"
             )
         self._link_cutoff[link_id] = at_time
-        self._link_revision[link_id] += 1
         self._journal.append(
             MutationRecord(
                 kind=MUTATION_CUTOFF, link_id=link_id, cutoff=at_time
             )
         )
         if self._tracer.enabled:
-            self._tracer.on_link_disabled(link_id, at_time)
+            self._tracer.emit("link_disabled", link_id, at_time)
 
     def degrade_physical_link(self, physical_id: int, factor: float) -> None:
         """Scale a physical link's delivered bandwidth by ``factor``.
@@ -792,8 +779,7 @@ class NetworkState:
         permanent and may only tighten — replacing an existing factor
         with a larger one would shorten durations and is rejected.  Bumps
         the :attr:`degradation_epoch` (callers holding cached duration
-        tables or trees must recompute) and the revision counter of every
-        affected virtual link.
+        tables or trees must recompute).
 
         Raises:
             ValueError: if ``factor`` is outside ``(0, 1]``.
@@ -823,17 +809,17 @@ class NetworkState:
         degraded = 0
         for link in network.virtual_links:
             if link.physical_id == physical_id:
-                self._link_revision[link.link_id] += 1
                 degraded += 1
         if self._tracer.enabled:
-            self._tracer.on_faults_applied(0, degraded)
+            self._tracer.emit("faults_applied", 0, degraded)
 
     def remove_copy(self, item_id: int, machine: int, at_time: float) -> None:
         """Delete a resident copy at ``at_time`` (a dynamic loss event).
 
         The copy's remaining storage reservation ``[at_time, release)`` is
         returned to the machine and the copy disappears from the item's
-        location table; revision counters bump so cached trees recompute.
+        location table; the item revision and the capacity epoch bump so
+        cached trees recompute.
         Used only by :mod:`repro.dynamic` — the static model never loses
         copies.
 
@@ -862,14 +848,13 @@ class NetworkState:
                     item.size, Interval(at_time, copy.release)
                 )
             del self._copies[item_id][machine]
-            self._machine_revision[machine] += 1
             self._item_revision[item_id] += 1
             # Freed storage can improve paths through machines outside any
             # cached footprint — bump the global capacity epoch instead of
             # journalling a footprint-checkable record.
             self._capacity_epoch += 1
             if self._tracer.enabled:
-                self._tracer.on_copy_removed(item_id, machine, at_time)
+                self._tracer.emit("copy_removed", item_id, machine, at_time)
 
     def reopen_request(self, request_id: int) -> None:
         """Mark a previously satisfied request as unsatisfied again.
@@ -890,7 +875,7 @@ class NetworkState:
         request = self._scenario.request(request_id)
         self._item_revision[request.item_id] += 1
         if self._tracer.enabled:
-            self._tracer.on_request_reopened(request_id)
+            self._tracer.emit("request_reopened", request_id)
 
     def _record_deliveries(
         self, item_id: int, copy: CopyRecord
@@ -909,7 +894,10 @@ class NetworkState:
             hops=copy.hops,
         )
         if self._tracer.enabled:
-            self._tracer.on_request_satisfied(
-                request_id, copy.available_from, copy.hops
+            self._tracer.emit(
+                "request_satisfied",
+                request_id,
+                copy.available_from,
+                copy.hops,
             )
         return (request_id,)

@@ -188,7 +188,8 @@ class DynamicDriver:
                     revealed.discard(event.request_id)
                     cancelled.append(event.request_id)
                     if state.tracer.enabled:
-                        state.tracer.on_request_cancelled(
+                        state.tracer.emit(
+                            "request_cancelled",
                             event.request_id, event.time
                         )
                 else:

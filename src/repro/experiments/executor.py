@@ -491,7 +491,7 @@ class RunCache:
             )
             tracer = current_tracer()
             if tracer.enabled:
-                tracer.on_cache_quarantined(str(quarantine))
+                tracer.emit("cache_quarantined", str(quarantine))
             return None
 
     def store(self, key: str, cell: SweepCell, record: RunRecord) -> None:
@@ -847,7 +847,9 @@ class SweepExecutor:
         )
         tracer = current_tracer()
         if tracer.enabled:
-            tracer.on_cell_retry(index, attempt, type(error).__name__)
+            tracer.emit(
+                "cell_retry", index, attempt, type(error).__name__
+            )
 
     def _note_cell_metrics(self, records: Sequence[RunRecord]) -> None:
         """Fold finished records into the metric sinks.
@@ -870,7 +872,8 @@ class SweepExecutor:
             return
         for index, record in enumerate(records):
             if tracer.enabled:
-                tracer.on_cell(
+                tracer.emit(
+                    "cell",
                     index,
                     record.scheduler,
                     record.cache_hit,
@@ -896,7 +899,8 @@ class SweepExecutor:
                 )
             if self._collector is None:
                 continue
-            self._collector.on_cell(
+            self._collector.emit(
+                "cell",
                 index,
                 record.scheduler,
                 record.cache_hit,

@@ -241,10 +241,10 @@ class TreeCache:
             if reason == TREE_CACHE_REVALIDATED:
                 self._stats.revalidations += 1
             if tracer.enabled:
-                tracer.on_tree_cache(item_id, True, reason)
+                tracer.emit("tree_cache", item_id, True, reason)
             return cached
         if tracer.enabled:
-            tracer.on_tree_cache(item_id, False, reason)
+            tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
             targets = {
                 request.destination
@@ -418,7 +418,7 @@ class StagingHeuristic(abc.ABC):
         stats.elapsed_seconds = time.perf_counter() - started
         tracer = state.tracer
         if tracer.enabled:
-            tracer.on_run_end(self.label(), stats.elapsed_seconds)
+            tracer.emit("run_end", self.label(), stats.elapsed_seconds)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "%s on %s: %d iterations, %d hops, %d Dijkstra runs "
@@ -467,7 +467,8 @@ class StagingHeuristic(abc.ABC):
                 hops = self._execute(state, cache, group, result)
             stats.hops_booked += hops
             if tracing:
-                tracer.on_decision(
+                tracer.emit(
+                    "decision",
                     group.item_id,
                     group.next_machine,
                     result.cost,
@@ -563,7 +564,7 @@ class StagingHeuristic(abc.ABC):
                 if best is None or key < best[0]:
                     best = (key, group, result)
         if tracing:
-            tracer.on_item_scored(item_id, candidates)
+            tracer.emit("item_scored", item_id, candidates)
         return best
 
     def _book_hop(self, state: NetworkState, item_id: int, hop: Hop) -> None:

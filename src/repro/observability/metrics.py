@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ModelError
-from repro.observability.tracer import Tracer, _inherit_hook_docs
+from repro.observability.tracer import Tracer
 
 #: Version stamp written into every serialized metrics document.
 #: Version 2: adds the ``tree_cache_reasons`` tally (hit/miss outcome
@@ -219,24 +219,55 @@ def merge_metrics(parts: Iterable[Optional[RunMetrics]]) -> RunMetrics:
     return total
 
 
-@_inherit_hook_docs
 class MetricsCollector(Tracer):
     """A tracer that aggregates events into a :class:`RunMetrics`.
 
     One collector observes one logical unit of work (typically one sweep
     cell); :meth:`finalize` stamps the collecting process's pid so merged
-    sweep metrics report which workers contributed.
+    sweep metrics report which workers contributed.  Each event goes to
+    the bound handler registered for its name; events without one are
+    ignored.
     """
 
     def __init__(self) -> None:
         self._metrics = RunMetrics()
+        self._handlers: Dict[str, Callable[..., None]] = {
+            "transfer_attempt": self._transfer_attempt,
+            "transfer_rejected": self._transfer_rejected,
+            "transfer_booked": self._transfer_booked,
+            "booking_failed": self._booking_failed,
+            "copy_removed": self._counter("copies_removed"),
+            "request_satisfied": self._counter("requests_satisfied"),
+            "storage_reserved": self._counter("storage_reservations"),
+            "request_reopened": self._counter("requests_reopened"),
+            "link_disabled": self._counter("links_disabled"),
+            "dijkstra": self._dijkstra,
+            "tree_cache": self._tree_cache,
+            "item_scored": self._item_scored,
+            "decision": self._decision,
+            "run_end": self._counter("runs"),
+            "cell": self._cell,
+        }
 
-    # -- booking ----------------------------------------------------------
+    def emit(self, event: str, *values: Any) -> None:
+        """Fold one event into the aggregate."""
+        handler = self._handlers.get(event)
+        if handler is not None:
+            handler(*values)
 
-    def on_transfer_attempt(self, item_id: int, link_id: int) -> None:
+    def _counter(self, key: str) -> Callable[..., None]:
+        """A handler that bumps counter ``key`` once per event."""
+        bump = self._metrics.bump
+
+        def handler(*values: Any) -> None:
+            bump(key)
+
+        return handler
+
+    def _transfer_attempt(self, item_id: int, link_id: int) -> None:
         self._metrics.bump("booking_attempts")
 
-    def on_transfer_rejected(
+    def _transfer_rejected(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
         metrics = self._metrics
@@ -245,7 +276,7 @@ class MetricsCollector(Tracer):
             metrics.rejection_reasons.get(reason, 0) + 1
         )
 
-    def on_transfer_booked(
+    def _transfer_booked(
         self,
         item_id: int,
         link_id: int,
@@ -263,41 +294,14 @@ class MetricsCollector(Tracer):
         )
         metrics.link_window_seconds[link_id] = window_seconds
 
-    def on_booking_failed(
-        self, item_id: int, link_id: int, reason: str
-    ) -> None:
+    def _booking_failed(self, item_id: int, link_id: int, reason: str) -> None:
         metrics = self._metrics
         metrics.bump("booking_failures")
         metrics.rejection_reasons[reason] = (
             metrics.rejection_reasons.get(reason, 0) + 1
         )
 
-    # -- state surgery ----------------------------------------------------
-
-    def on_copy_removed(
-        self, item_id: int, machine: int, at_time: float
-    ) -> None:
-        self._metrics.bump("copies_removed")
-
-    def on_request_satisfied(
-        self, request_id: int, at_time: float, hops: int
-    ) -> None:
-        self._metrics.bump("requests_satisfied")
-
-    def on_storage_reserved(
-        self, item_id: int, machine: int, amount: float, start: float, release: float
-    ) -> None:
-        self._metrics.bump("storage_reservations")
-
-    def on_request_reopened(self, request_id: int) -> None:
-        self._metrics.bump("requests_reopened")
-
-    def on_link_disabled(self, link_id: int, at_time: float) -> None:
-        self._metrics.bump("links_disabled")
-
-    # -- routing ----------------------------------------------------------
-
-    def on_dijkstra(
+    def _dijkstra(
         self,
         item_id: int,
         relaxations: int,
@@ -310,21 +314,19 @@ class MetricsCollector(Tracer):
         metrics.bump("edge_relaxations", relaxations)
         metrics.bump("edges_pruned", pruned)
 
-    # -- engine -----------------------------------------------------------
-
-    def on_tree_cache(self, item_id: int, hit: bool, reason: str) -> None:
+    def _tree_cache(self, item_id: int, hit: bool, reason: str) -> None:
         metrics = self._metrics
         metrics.bump("tree_cache_hits" if hit else "tree_cache_misses")
         metrics.tree_cache_reasons[reason] = (
             metrics.tree_cache_reasons.get(reason, 0) + 1
         )
 
-    def on_item_scored(self, item_id: int, candidates: int) -> None:
+    def _item_scored(self, item_id: int, candidates: int) -> None:
         metrics = self._metrics
         metrics.bump("items_scored")
         metrics.bump("candidate_groups", candidates)
 
-    def on_decision(
+    def _decision(
         self,
         item_id: int,
         next_machine: int,
@@ -337,12 +339,7 @@ class MetricsCollector(Tracer):
         metrics.bump("hops_booked", hops)
         metrics.decision_seconds.note(elapsed_seconds)
 
-    def on_run_end(self, label: str, elapsed_seconds: float) -> None:
-        self._metrics.bump("runs")
-
-    # -- executor ---------------------------------------------------------
-
-    def on_cell(
+    def _cell(
         self,
         index: int,
         scheduler: str,

@@ -9,9 +9,9 @@ Spans ride the ambient :class:`~repro.observability.tracer.Tracer` — when
 the ambient tracer is the default ``NULL_TRACER`` a span costs one
 function call, one attribute load, and one branch, and returns a shared
 inert singleton: no timing calls, no allocation.  With a tracer
-installed, entry emits ``on_span_start`` and exit (normal *or*
+installed, entry emits ``span_start`` and exit (normal *or*
 exceptional — the ``with`` protocol guarantees pairing) emits
-``on_span_end`` carrying the wall-clock and CPU duration.
+``span_end`` carrying the wall-clock and CPU duration.
 
 :class:`ProfileCollector` is the tracer that turns the event stream into
 a :class:`Profile`: spans nest, and each completed span is recorded
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.observability.metrics import TimingStat
@@ -115,7 +115,7 @@ class _ActiveSpan:
         self._tracer = tracer
 
     def __enter__(self) -> "_ActiveSpan":
-        self._tracer.on_span_start(self._name)
+        self._tracer.emit("span_start", self._name)
         self._cpu_started = time.process_time()
         self._wall_started = time.perf_counter()
         return self
@@ -123,7 +123,7 @@ class _ActiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         wall = time.perf_counter() - self._wall_started
         cpu = time.process_time() - self._cpu_started
-        self._tracer.on_span_end(self._name, wall, cpu)
+        self._tracer.emit("span_end", self._name, wall, cpu)
         return False
 
 
@@ -316,8 +316,8 @@ def merge_profiles(parts: Iterable[Optional[Profile]]) -> Profile:
 class ProfileCollector(Tracer):
     """A tracer folding span events into a hierarchical :class:`Profile`.
 
-    Maintains the live span stack: ``on_span_start`` pushes, the
-    matching ``on_span_end`` records the completed span under the
+    Maintains the live span stack: ``span_start`` pushes, the
+    matching ``span_end`` records the completed span under the
     ``/``-joined path of the stack at that moment and pops.  The
     :func:`span` context manager guarantees starts and ends pair up even
     under exceptions; an end that does not match the top of the stack
@@ -328,12 +328,22 @@ class ProfileCollector(Tracer):
     def __init__(self) -> None:
         self._profile = Profile()
         self._stack: List[str] = []
+        self._handlers: Dict[str, Callable[..., None]] = {
+            "span_start": self._span_start,
+            "span_end": self._span_end,
+        }
 
-    def on_span_start(self, name: str) -> None:
+    def emit(self, event: str, *values: Any) -> None:
+        """Fold a span event into the profile; ignore every other event."""
+        handler = self._handlers.get(event)
+        if handler is not None:
+            handler(*values)
+
+    def _span_start(self, name: str) -> None:
         """Push the opening span onto the live stack."""
         self._stack.append(name)
 
-    def on_span_end(
+    def _span_end(
         self, name: str, wall_seconds: float, cpu_seconds: float
     ) -> None:
         """Record the completed span under its hierarchical path."""

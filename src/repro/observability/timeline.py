@@ -39,7 +39,7 @@ counts and cache replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.scenario import Scenario
 from repro.errors import ConfigurationError, ModelError
@@ -57,7 +57,6 @@ from repro.observability.tracer import (
     REASON_WINDOW_CLOSED,
     REASON_WINDOW_ESCAPE,
     Tracer,
-    _inherit_hook_docs,
 )
 
 #: Version stamp written into every serialized timeline document.
@@ -891,7 +890,6 @@ def merge_timelines(parts: Iterable[Optional[Timeline]]) -> Timeline:
     return total
 
 
-@_inherit_hook_docs
 class TimelineCollector(Tracer):
     """A tracer folding one run's trace stream into a :class:`Timeline`.
 
@@ -903,7 +901,8 @@ class TimelineCollector(Tracer):
 
     One collector observes one scheduler run on one scenario (the
     executor builds one per sweep cell); reuse across runs would
-    double-seed the static structure.
+    double-seed the static structure.  Each event goes to the bound
+    handler registered for its name; events without one are ignored.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -943,6 +942,22 @@ class TimelineCollector(Tracer):
         self._scenario = scenario
         self._pending = pending
         self._keys = keys
+        self._handlers: Dict[str, Callable[..., None]] = {
+            "transfer_attempt": self._transfer_attempt,
+            "transfer_rejected": self._transfer_rejected,
+            "transfer_booked": self._transfer_booked,
+            "booking_failed": self._booking_failed,
+            "storage_reserved": self._storage_reserved,
+            "request_satisfied": self._request_satisfied,
+            "request_cancelled": self._request_cancelled,
+            "request_reopened": self._request_reopened,
+        }
+
+    def emit(self, event: str, *values: Any) -> None:
+        """Fold one event into the timeline."""
+        handler = self._handlers.get(event)
+        if handler is not None:
+            handler(*values)
 
     def _pending_ledgers(self, item_id: int) -> List[RequestForensics]:
         return [
@@ -958,7 +973,7 @@ class TimelineCollector(Tracer):
 
     # -- booking ----------------------------------------------------------
 
-    def on_transfer_attempt(self, item_id: int, link_id: int) -> None:
+    def _transfer_attempt(self, item_id: int, link_id: int) -> None:
         series = self._timeline.links.get(link_id)
         if series is not None:
             series.attempts += 1
@@ -966,7 +981,7 @@ class TimelineCollector(Tracer):
             ledger.attempts += 1
             ledger.note_chain(("attempt", link_id))
 
-    def on_transfer_rejected(
+    def _transfer_rejected(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
         series = self._timeline.links.get(link_id)
@@ -980,7 +995,7 @@ class TimelineCollector(Tracer):
             )
             ledger.note_chain(("rejected", link_id, reason))
 
-    def on_transfer_booked(
+    def _transfer_booked(
         self,
         item_id: int,
         link_id: int,
@@ -995,7 +1010,7 @@ class TimelineCollector(Tracer):
             ledger.bookings += 1
             ledger.note_chain(("booked", link_id, start, end))
 
-    def on_booking_failed(
+    def _booking_failed(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
         series = self._timeline.links.get(link_id)
@@ -1011,7 +1026,7 @@ class TimelineCollector(Tracer):
 
     # -- storage -----------------------------------------------------------
 
-    def on_storage_reserved(
+    def _storage_reserved(
         self, item_id: int, machine: int, amount: float, start: float, release: float
     ) -> None:
         series = self._timeline.storage.get(machine)
@@ -1020,7 +1035,7 @@ class TimelineCollector(Tracer):
 
     # -- request lifecycle -------------------------------------------------
 
-    def on_request_satisfied(
+    def _request_satisfied(
         self, request_id: int, at_time: float, hops: int
     ) -> None:
         ledger = self._ledger(request_id)
@@ -1036,7 +1051,7 @@ class TimelineCollector(Tracer):
         series.drains.append(at_time)
         self._drop_pending(ledger.item_id, request_id)
 
-    def on_request_cancelled(self, request_id: int, at_time: float) -> None:
+    def _request_cancelled(self, request_id: int, at_time: float) -> None:
         ledger = self._ledger(request_id)
         if ledger is None:
             return
@@ -1047,7 +1062,7 @@ class TimelineCollector(Tracer):
         series.drains.append(at_time)
         self._drop_pending(ledger.item_id, request_id)
 
-    def on_request_reopened(self, request_id: int) -> None:
+    def _request_reopened(self, request_id: int) -> None:
         ledger = self._ledger(request_id)
         if ledger is None:
             return

@@ -400,8 +400,9 @@ def compute_tree_compiled(
                         rejected = ""
                 if rejected:
                     if tracing:
-                        tracer.on_transfer_attempt(item_id, link_id)
-                        tracer.on_transfer_rejected(
+                        tracer.emit("transfer_attempt", item_id, link_id)
+                        tracer.emit(
+                            "transfer_rejected",
                             item_id, link_id, rejected
                         )
                     continue
@@ -441,7 +442,8 @@ def compute_tree_compiled(
             if finalized[machine]
         }
     if tracing:
-        tracer.on_dijkstra(
+        tracer.emit(
+            "dijkstra",
             item_id, relaxations, pruned, finalized_count, len(seeds)
         )
     return make_tree(

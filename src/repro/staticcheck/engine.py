@@ -148,9 +148,10 @@ class CheckContext:
 
     Attributes:
         root: the scanned root directory.
-        event_names: the tracer event-name registry in force (extracted
-            from the scanned tree's ``observability/tracer.py`` when
-            present, else the installed package's registry).
+        events: the tracer event registry in force, event name to field
+            names (extracted from the scanned tree's
+            ``observability/tracer.py`` when present, else the installed
+            package's ``EVENTS``).
         reason_codes: likewise for reason codes — the union of the
             rejection/failure codes (``REASON_*``) and the tree-cache
             outcome codes (``TREE_CACHE_*``).
@@ -162,7 +163,7 @@ class CheckContext:
     """
 
     root: Path
-    event_names: frozenset
+    events: Dict[str, Tuple[str, ...]]
     reason_codes: frozenset
     modules: Tuple[Module, ...] = ()
     graph: Optional["ProjectGraph"] = None
@@ -317,17 +318,30 @@ def load_module(path: Path, root: Path) -> Module:
     )
 
 
-def _registry_from_tree(root: Path) -> Tuple[frozenset, frozenset]:
+def _str_constants(nodes: Iterable[Optional[ast.expr]]) -> List[str]:
+    """The string constants among ``nodes``, in order."""
+    return [
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+def _registry_from_tree(
+    root: Path,
+) -> Tuple[Dict[str, Tuple[str, ...]], frozenset]:
     """Extract the tracer event/reason registries for R3.
 
-    Prefers the scanned tree's own ``observability/tracer.py`` (so a
-    vendored or fixture tree is checked against *its* registry); falls
-    back to the installed package's registry when the tree carries none.
+    Events come from the keys of the ``EVENTS`` dict, each with the field
+    names of its tuple value.  Prefers the scanned tree's own
+    ``observability/tracer.py`` (so a vendored or fixture tree is checked
+    against *its* registry); falls back to the installed package's
+    registry when the tree carries none.
     """
     tracer_path = root / "observability" / "tracer.py"
     if tracer_path.is_file():
         tree = ast.parse(tracer_path.read_text(encoding="utf-8"))
-        events: List[str] = []
+        events: Dict[str, Tuple[str, ...]] = {}
         reasons: List[str] = []
         for node in tree.body:
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -339,32 +353,28 @@ def _registry_from_tree(root: Path) -> Tuple[frozenset, frozenset]:
             if not names:
                 continue
             value = node.value
-            if "EVENT_NAMES" in names and isinstance(value, ast.Tuple):
-                events.extend(
-                    element.value
-                    for element in value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                )
+            if "EVENTS" in names and isinstance(value, ast.Dict):
+                for key, fields in zip(value.keys, value.values):
+                    elements = (
+                        fields.elts if isinstance(fields, ast.Tuple) else []
+                    )
+                    for name in _str_constants([key]):
+                        events[name] = tuple(_str_constants(elements))
             if any(
                 name.startswith(("REASON_", "TREE_CACHE_"))
                 and not name.endswith(("_CODES", "_REASONS"))
                 for name in names
-            ) and isinstance(value, ast.Constant) and isinstance(
-                value.value, str
             ):
-                reasons.append(value.value)
+                reasons.extend(_str_constants([value]))
         if events or reasons:
-            return frozenset(events), frozenset(reasons)
+            return events, frozenset(reasons)
     from repro.observability.tracer import (
-        EVENT_NAMES,
+        EVENTS,
         REASON_CODES,
         TREE_CACHE_REASONS,
     )
 
-    return frozenset(EVENT_NAMES), frozenset(
-        REASON_CODES + TREE_CACHE_REASONS
-    )
+    return dict(EVENTS), frozenset(REASON_CODES + TREE_CACHE_REASONS)
 
 
 @dataclass
@@ -479,7 +489,7 @@ def run_check(
         raise ConfigurationError(f"lint root {root} is not a directory")
     active_rules = tuple(rules) if rules is not None else default_rules()
     active_ids = frozenset(rule.id for rule in active_rules)
-    event_names, reason_codes = _registry_from_tree(root)
+    events, reason_codes = _registry_from_tree(root)
     modules = tuple(
         load_module(path, root) for path in _iter_source_files(root)
     )
@@ -490,7 +500,7 @@ def run_check(
         graph = _build(modules)
     context = CheckContext(
         root=root,
-        event_names=event_names,
+        events=events,
         reason_codes=reason_codes,
         modules=modules,
         graph=graph,

@@ -13,7 +13,7 @@ local name is *published* —
 
 * passed (as a bare name) to a ``.store(...)`` / ``.insert(...)`` /
   ``.put(...)`` / ``.publish(...)`` call,
-* passed to a tracer hook (``.on_*(...)``), or
+* passed to the tracer hook (``.emit(...)``), or
 * assigned into a container attribute of ``self``
   (``self._cache[key] = entry``) —
 
@@ -77,8 +77,8 @@ def _is_publish_call(call: ast.Call) -> Tuple[bool, str]:
     if isinstance(func, ast.Attribute):
         if func.attr in PUBLISH_METHODS:
             return True, f".{func.attr}(...)"
-        if func.attr.startswith("on_"):
-            return True, f"tracer hook .{func.attr}(...)"
+        if func.attr == "emit":
+            return True, "tracer .emit(...)"
     return False, ""
 
 

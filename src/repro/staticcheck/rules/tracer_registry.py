@@ -2,20 +2,21 @@
 
 The observability pipeline (tracer -> metrics -> reports -> mergeable
 JSON artifacts) is stringly keyed: an event emitted as
-``self._event("transfer_boked", ...)`` would flow to disk, never match a
-reader's filter, and silently vanish from every aggregate.  The tracer
-module's :data:`~repro.observability.tracer.EVENT_NAMES` and
-:data:`~repro.observability.tracer.REASON_CODES` tuples are the single
+``tracer.emit("transfer_boked", ...)`` would never match a reader's
+filter and would silently vanish from every aggregate.  The tracer
+module's :data:`~repro.observability.tracer.EVENTS` registry and its
+:data:`~repro.observability.tracer.REASON_CODES` tuple are the single
 source of truth; this rule checks every literal used as an event name or
 reason code against them.
 
 Checked sites:
 
-* ``*._event("name", ...)`` — the funnel every materializing tracer
-  emits through;
+* ``*.emit("name", ...)`` — the one hook every event site calls; when
+  the registered event has a ``reason`` field, a literal passed in that
+  position is checked as a reason code too;
 * ``*.named("name")`` — the reader-side filter on recorded events;
-* ``reason="literal"`` keyword arguments to *any* call (tracer hooks,
-  forensics ledgers, test helpers alike);
+* ``reason="literal"`` keyword arguments to *any* call (forensics
+  ledgers and test helpers alike);
 * comparisons of a reason-named expression against a literal — the
   name hint is the attribute/variable name or, for subscripts like
   ``event["reason"]``, the constant string key.
@@ -63,7 +64,7 @@ class TracerRegistryRule(Rule):
     id = "R3"
     title = "tracer event names and reason codes must be registered"
     hint = (
-        "use a name from repro.observability.tracer EVENT_NAMES / "
+        "use a name from repro.observability.tracer EVENTS / "
         "REASON_CODES (add it to the registry if the taxonomy grew)"
     )
 
@@ -71,20 +72,30 @@ class TracerRegistryRule(Rule):
         self, module: Module, context: CheckContext
     ) -> Iterator[Finding]:
         """Check event/reason string literals against the registry."""
-        events = context.event_names
+        events = context.events
         reasons = context.reason_codes
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 callee = _attr_name(node.func)
-                if callee == "_event" and node.args:
+                reason_args = [
+                    keyword.value
+                    for keyword in node.keywords
+                    if keyword.arg == "reason"
+                ]
+                if callee == "emit" and node.args:
                     name = _literal_str(node.args[0])
                     if name is not None and name not in events:
                         yield module.finding(
                             self,
                             node.args[0],
                             f"event name {name!r} is not in the tracer "
-                            f"EVENT_NAMES registry",
+                            f"EVENTS registry",
                         )
+                    fields = events.get(name or "", ())
+                    if "reason" in fields:
+                        # Values follow the name in registry order.
+                        position = fields.index("reason") + 1
+                        reason_args.extend(node.args[position:position + 1])
                 elif callee == "named" and node.args:
                     name = _literal_str(node.args[0])
                     if name is not None and name not in events:
@@ -94,14 +105,12 @@ class TracerRegistryRule(Rule):
                             f"named() filter {name!r} matches no "
                             f"registered event name",
                         )
-                for keyword in node.keywords:
-                    if keyword.arg != "reason":
-                        continue
-                    reason = _literal_str(keyword.value)
+                for value in reason_args:
+                    reason = _literal_str(value)
                     if reason is not None and reason not in reasons:
                         yield module.finding(
                             self,
-                            keyword.value,
+                            value,
                             f"reason code {reason!r} is not in the "
                             f"tracer REASON_CODES registry",
                         )

@@ -82,7 +82,7 @@ class TestSpanContextManager:
         # A collector installed mid-span sees an end without its start;
         # it must record the span flat instead of corrupting the stack.
         collector = ProfileCollector()
-        collector.on_span_end("dijkstra", 0.5, 0.5)
+        collector.emit("span_end", "dijkstra", 0.5, 0.5)
         profile = collector.finalize()
         assert profile.stat("dijkstra").count == 1
 

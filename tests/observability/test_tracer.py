@@ -1,11 +1,20 @@
-"""Tracer protocol mechanics: ambient installation, recording, sinks."""
+"""Tracer protocol mechanics: ambient installation, recording, sinks,
+the event registry and the pinned event stream."""
 
+import ast
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.state import NetworkState, TransferPlan
+from repro.dynamic.driver import DynamicDriver
 from repro.errors import ConfigurationError, InfeasibleTransferError
+from repro.faults.context import use_faults
+from repro.heuristics.registry import make_heuristic
 from repro.observability import (
     NULL_TRACER,
     JsonlTracer,
@@ -17,15 +26,21 @@ from repro.observability import (
     use_tracer,
 )
 from repro.observability.tracer import (
+    EVENTS,
     REASON_ALREADY_AT_DESTINATION,
     REASON_CODES,
     REASON_LINK_BUSY,
     REASON_NO_SENDER_COPY,
     REASON_WINDOW_CLOSED,
+    TREE_CACHE_CLEAN,
 )
 from repro.routing.dijkstra import compute_shortest_path_tree
+from repro.workload.config import GeneratorConfig
+from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import (
+    VOLATILE_TRACE_FIELDS,
+    dynamic_fault_events,
     line_network,
     make_item,
     make_scenario,
@@ -228,7 +243,7 @@ class TestJsonlTracer:
         # override _event without recording, so .events/.named() quietly
         # returned [] — hiding every streamed event from inspection code.
         with JsonlTracer(tmp_path / "trace.jsonl") as tracer:
-            tracer.on_run_end("label", 1.0)
+            tracer.emit("run_end", "label", 1.0)
             with pytest.raises(ConfigurationError):
                 tracer.events
             with pytest.raises(ConfigurationError):
@@ -241,7 +256,7 @@ class TestJsonlTracer:
         recorder = RecordingTracer()
         with JsonlTracer(path) as stream:
             tee = TeeTracer((stream, recorder))
-            tee.on_run_end("label", 1.0)
+            tee.emit("run_end", "label", 1.0)
         assert len(recorder.named("run_end")) == 1
         assert json.loads(path.read_text(encoding="utf-8"))["event"] == (
             "run_end"
@@ -250,8 +265,8 @@ class TestJsonlTracer:
     def test_span_events_stream_as_json_lines(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         with JsonlTracer(path) as tracer:
-            tracer.on_span_start("tree")
-            tracer.on_span_end("tree", 0.25, 0.125)
+            tracer.emit("span_start", "tree")
+            tracer.emit("span_end", "tree", 0.25, 0.125)
         documents = [
             json.loads(line)
             for line in path.read_text(encoding="utf-8").splitlines()
@@ -268,7 +283,7 @@ class TestJsonlTracer:
         path = tmp_path / "stream.jsonl"
         with path.open("w", encoding="utf-8") as stream:
             tracer = JsonlTracer(stream)
-            tracer.on_run_end("label", 1.0)
+            tracer.emit("run_end", "label", 1.0)
             tracer.close()
             # close() must not close a caller-owned stream.
             assert not stream.closed
@@ -288,7 +303,7 @@ class TestTeeTracer:
         null = NullTracer()
         tee = TeeTracer((first, null, second))
         assert tee.enabled
-        tee.on_run_end("x", 0.5)
+        tee.emit("run_end", "x", 0.5)
         assert len(first.named("run_end")) == 1
         assert len(second.named("run_end")) == 1
 
@@ -323,5 +338,158 @@ class TestTeeTracer:
         recorder = RecordingTracer()
         seen = TeeTracer((recorder, NullTracer()))
         assert seen.enabled
-        seen.on_run_end("x", 0.1)
+        seen.emit("run_end", "x", 0.1)
         assert len(recorder.named("run_end")) == 1
+
+
+class TestEventRegistry:
+    """``emit`` is checked against :data:`EVENTS` at the point of emission."""
+
+    @pytest.fixture(params=["recording", "jsonl"])
+    def tracer(self, request):
+        if request.param == "recording":
+            return RecordingTracer()
+        return JsonlTracer(io.StringIO())
+
+    def test_fields_are_zipped_in_registry_order(self):
+        tracer = RecordingTracer()
+        tracer.emit("transfer_rejected", 3, 7, REASON_WINDOW_CLOSED)
+        (event,) = tracer.events
+        assert event.fields == (
+            ("item_id", 3),
+            ("link_id", 7),
+            ("reason", REASON_WINDOW_CLOSED),
+        )
+
+    def test_unknown_event_raises(self, tracer):
+        with pytest.raises(ConfigurationError, match="transfer_boked"):
+            tracer.emit("transfer_boked", 0, 0)
+
+    @pytest.mark.parametrize("values", [(0,), (0, 1, 2)])
+    def test_wrong_value_count_raises(self, tracer, values):
+        with pytest.raises(ConfigurationError, match="takes 2 values"):
+            tracer.emit("transfer_attempt", *values)
+
+    @pytest.mark.parametrize(
+        "event, values",
+        [
+            ("transfer_rejected", (0, 0, "bogus_reason")),
+            ("booking_failed", (0, 0, TREE_CACHE_CLEAN)),
+            ("tree_cache", (0, True, REASON_LINK_BUSY)),
+        ],
+    )
+    def test_unregistered_reason_raises(self, tracer, event, values):
+        with pytest.raises(ConfigurationError, match=values[-1]):
+            tracer.emit(event, *values)
+
+    def test_rejected_events_write_nothing(self):
+        stream = io.StringIO()
+        tracer = JsonlTracer(stream)
+        with pytest.raises(ConfigurationError):
+            tracer.emit("run_end", "label")
+        assert stream.getvalue() == ""
+
+    def test_named_rejects_an_unregistered_name(self):
+        tracer = RecordingTracer()
+        tracer.emit("run_end", "label", 1.0)
+        with pytest.raises(ConfigurationError, match="run_ended"):
+            tracer.named("run_ended")
+        assert len(tracer.named("run_end")) == 1
+
+
+def _emission_sites():
+    """Every ``*.emit("<literal>", ...)`` call under ``src/repro``."""
+    package = Path(repro.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                where = f"{path.relative_to(package)}:{node.lineno}"
+                yield where, node.args[0].value, node.args[1:]
+
+
+class TestRegistryMatchesEmissionSites:
+    def test_every_site_names_a_registered_event(self):
+        unknown = [
+            (where, name)
+            for where, name, _ in _emission_sites()
+            if name not in EVENTS
+        ]
+        assert unknown == []
+
+    def test_every_site_passes_one_value_per_field(self):
+        wrong = [
+            (where, name, len(values))
+            for where, name, values in _emission_sites()
+            if name in EVENTS
+            and (
+                len(values) != len(EVENTS[name])
+                or any(isinstance(value, ast.Starred) for value in values)
+            )
+        ]
+        assert wrong == []
+
+    def test_every_registered_event_has_an_emission_site(self):
+        emitted = {name for _, name, _ in _emission_sites()}
+        assert sorted(set(EVENTS) - emitted) == []
+
+
+def _stream_digest(run):
+    """The event count and sha256 of ``run``'s JSONL event stream, with
+    the wall-clock fields dropped from every line."""
+    stream = io.StringIO()
+    tracer = JsonlTracer(stream)
+    with use_tracer(tracer):
+        run()
+    tracer.close()
+    digest = hashlib.sha256()
+    lines = stream.getvalue().splitlines()
+    for line in lines:
+        document = {
+            key: value
+            for key, value in json.loads(line).items()
+            if key not in VOLATILE_TRACE_FIELDS
+        }
+        digest.update(json.dumps(document, separators=(",", ":")).encode())
+        digest.update(b"\n")
+    return len(lines), digest.hexdigest()
+
+
+class TestPinnedEventStream:
+    """The JSONL event stream of two runs, pinned byte for byte.
+
+    The digests were taken before the named per-event hooks were replaced
+    by ``emit``; a change in any event name, field name, field order or
+    value changes them.
+    """
+
+    def test_static_ci_scale_heuristic_run(self):
+        def run():
+            scenario = ScenarioGenerator(GeneratorConfig.reduced()).generate(0)
+            make_heuristic("full_one", criterion="C4", weights=2.0).run(
+                scenario
+            )
+
+        assert _stream_digest(run) == (
+            17770,
+            "26d9f87a63c9167db511cbd58b976ad49c6d874b38c5f11f55f11492f6bee4d3",
+        )
+
+    def test_faulted_dynamic_run_with_churn_and_losses(self):
+        def run():
+            scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(0)
+            events, plan = dynamic_fault_events(scenario, 0, 0.5)
+            with use_faults(plan):
+                DynamicDriver("partial", "C4", 2.0).run(scenario, events)
+
+        assert _stream_digest(run) == (
+            53074,
+            "4c7a230a7c032a81858db6fa4b9df0e19ee5e8ce1fdf72d623f8b6d4d2a2ae45",
+        )

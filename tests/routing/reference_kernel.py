@@ -134,7 +134,8 @@ def reference_tree(
             if machine in finalized
         }
     if tracing:
-        tracer.on_dijkstra(
+        tracer.emit(
+            "dijkstra",
             item_id, relaxations, pruned, len(finalized), len(seeds)
         )
     return make_tree(

@@ -21,7 +21,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: A minimal tracer registry so R3 resolves against the fixture tree
 #: itself instead of the installed package.
 TRACER_FIXTURE = """
-EVENT_NAMES = ("transfer_booked",)
+EVENTS = {
+    "transfer_booked": ("item_id", "link_id"),
+    "transfer_rejected": ("item_id", "link_id", "reason"),
+    "run_end": ("label", "elapsed_seconds"),
+}
 
 REASON_WINDOW_CLOSED = "window_closed"
 REASON_LINK_BUSY = "link_busy"

@@ -3,4 +3,4 @@
 
 def emit(tracer: object) -> None:
     """Emit a typo'd event (deliberately bad)."""
-    tracer._event("transfer_boked", t=0.0)
+    tracer.emit("transfer_boked", 0, 0)

@@ -10,6 +10,6 @@ def publish_record(cache: Any, record: Dict[str, float]) -> None:
 
 
 def publish_payload(tracer: Any, payload: List[float]) -> None:
-    """Hand a payload to a tracer hook then grow it (deliberately bad)."""
-    tracer.on_cell_done(payload)
+    """Hand a payload to the tracer then grow it (deliberately bad)."""
+    tracer.emit("transfer_booked", payload)
     payload.append(2.0)

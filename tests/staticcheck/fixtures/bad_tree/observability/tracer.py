@@ -1,6 +1,6 @@
 """Fixture tracer registry — the R3 source of truth for this tree."""
 
-EVENT_NAMES = ("transfer_booked",)
+EVENTS = {"transfer_booked": ("item_id", "link_id")}
 
 REASON_WINDOW_CLOSED = "window_closed"
 

@@ -25,7 +25,7 @@ def coincides(start_time: float, end_time: float) -> bool:
 
 def emit(tracer: object) -> None:
     """Emit a registered event name (R3-clean)."""
-    tracer._event("transfer_booked", t=0.0)
+    tracer.emit("transfer_booked", 0, 0)
 
 
 def payload_to_dict(value: float) -> Dict[str, float]:

@@ -12,5 +12,5 @@ def publish_record(cache: Any, record: Dict[str, float]) -> None:
 def publish_copy(tracer: Any, payload: List[float]) -> None:
     """Publish a snapshot; keep mutating the private original."""
     snapshot = list(payload)
-    tracer.on_cell_done(snapshot)
+    tracer.emit("transfer_booked", snapshot)
     payload.append(2.0)

@@ -196,14 +196,14 @@ def test_r8_flags_mutation_after_tracer_hook(lint_files):
         {
             "observability/emit.py": """
             def emit(tracer, payload) -> None:
-                tracer.on_cell_done(payload)
+                tracer.emit("cell", payload)
                 payload.append(1)
             """
         },
         rules=["R8"],
     )
     assert len(result.findings) == 1
-    assert "tracer hook" in result.findings[0].message
+    assert "tracer .emit(...)" in result.findings[0].message
 
 
 def test_r8_flags_mutation_after_self_container_insert(lint_files):
@@ -260,7 +260,7 @@ def test_r8_publishing_a_copy_is_clean(lint_files):
             "core/cache.py": """
             def keep(tracer, payload) -> None:
                 snapshot = list(payload)
-                tracer.on_cell_done(snapshot)
+                tracer.emit("cell", snapshot)
                 payload.append(1)
             """
         },

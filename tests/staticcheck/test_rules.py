@@ -138,17 +138,17 @@ def test_r2_comparator_and_string_compare_are_clean(lint_files):
 
 R3_BAD = """
     def emit(tracer: object) -> None:
-        tracer._event("transfer_boked", t=0.0)
+        tracer.emit("transfer_boked", 0, 0)
 """
 
 R3_BAD_REASON = """
     def reject(tracer: object) -> None:
-        tracer.on_transfer_rejected(reason="bogus_reason")
+        tracer.emit("transfer_rejected", 0, 0, "bogus_reason")
 """
 
 R3_SUPPRESSED = """
     def emit(tracer: object) -> None:
-        tracer._event("transfer_boked", t=0.0)  # staticcheck: disable=R3
+        tracer.emit("transfer_boked", 0, 0)  # staticcheck: disable=R3
 """
 
 R3_BAD_KWARG_ANY_CALL = """
@@ -163,10 +163,13 @@ R3_BAD_SUBSCRIPT = """
 
 R3_CLEAN = """
     def emit(tracer: object) -> None:
-        tracer._event("transfer_booked", t=0.0)
+        tracer.emit("transfer_booked", 0, 0)
 
     def reject(tracer: object) -> None:
-        tracer.on_transfer_rejected(reason="window_closed")
+        tracer.emit("transfer_rejected", 0, 0, "window_closed")
+
+    def finish(tracer: object) -> None:
+        tracer.emit("run_end", "not_a_reason", 1.0)
 
     def note(ledger: object) -> None:
         ledger.tally(reason="link_busy")
@@ -217,20 +220,20 @@ def test_r3_registered_literals_are_clean(lint_files):
 
 
 def test_r3_registry_is_read_from_the_scanned_tree(lint_files):
-    # "transfer_booked", "window_closed", "link_busy", and "revalidated"
-    # are registered in the shipped package but NOT in this fixture
-    # tree's deliberately different registry, so the same source that is
-    # clean above must be flagged here.
+    # "transfer_booked", "transfer_rejected", "run_end", "link_busy" and
+    # "revalidated" are registered in the shipped package but NOT in this
+    # fixture tree's deliberately different registry, so the same source
+    # that is clean above must be flagged here.
     result = lint_files(
         {
             "core/events.py": R3_CLEAN,
-            "observability/tracer.py": 'EVENT_NAMES = ("other_event",)\n'
+            "observability/tracer.py": 'EVENTS = {"other_event": ()}\n'
             'REASON_OTHER = "other_reason"\n',
         },
         rules=["R3"],
         with_tracer=False,
     )
-    assert len(result.findings) == 4
+    assert len(result.findings) == 5
 
 
 # ---------------------------------------------------------------------------

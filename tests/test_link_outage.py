@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.state import NetworkState, TransferPlan
+from repro.core.state import MUTATION_CUTOFF, NetworkState, TransferPlan
 from repro.dynamic.driver import DynamicDriver
 from repro.dynamic.events import LinkOutage, RequestArrival
 from repro.errors import (
@@ -63,10 +63,14 @@ class TestStateCutoffs:
             state.book_transfer(plan)
 
     def test_cutoff_bumps_revision(self):
+        # The mutation journal is the revision record cached trees replay.
         state = NetworkState(_two_route_scenario())
-        revision = state.link_revision(0)
+        position = len(state.journal_since(0))
         state.disable_link_from(0, at_time=5.0)
-        assert state.link_revision(0) > revision
+        (record,) = state.journal_since(position)
+        assert record.kind == MUTATION_CUTOFF
+        assert record.link_id == 0
+        assert record.cutoff == 5.0
 
     def test_cutoff_cannot_loosen(self):
         state = NetworkState(_two_route_scenario())

@@ -84,30 +84,36 @@ class IntervalSet:
     Used for virtual-link busy time.  Insertion of an interval overlapping an
     existing member raises :class:`ValueError` — the scheduler must query
     :meth:`is_free` / :meth:`earliest_fit` first, so an overlapping insert is
-    a logic error worth failing loudly on.
+    a logic error worth failing loudly on.  Members are kept as two float
+    columns (starts, ends); :class:`Interval` objects are built on read.
     """
 
-    __slots__ = ("_starts", "_ends", "_intervals")
+    __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         self._starts: List[float] = []
         self._ends: List[float] = []
-        self._intervals: List[Interval] = []
         for interval in sorted(intervals):
             self.add(interval)
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        return map(Interval, self._starts, self._ends)
 
     def __contains__(self, interval: Interval) -> bool:
         idx = bisect.bisect_left(self._starts, interval.start)
-        return idx < len(self._intervals) and self._intervals[idx] == interval
+        return idx < len(self._starts) and (
+            Interval(self._starts[idx], self._ends[idx]) == interval
+        )
 
     def __repr__(self) -> str:
-        return f"IntervalSet({self._intervals!r})"
+        return f"IntervalSet({list(self)!r})"
+
+    def columns(self) -> Tuple[List[float], List[float]]:
+        """The live ``(starts, ends)`` lists, updated in place; read only."""
+        return self._starts, self._ends
 
     def copy(self) -> "IntervalSet":
         """An independent copy (intervals themselves are immutable).
@@ -120,12 +126,11 @@ class IntervalSet:
         clone = IntervalSet.__new__(IntervalSet)
         clone._starts = list(self._starts)
         clone._ends = list(self._ends)
-        clone._intervals = list(self._intervals)
         return clone
 
     def total_duration(self) -> float:
         """Sum of the durations of all member intervals."""
-        return sum(interval.duration for interval in self._intervals)
+        return sum(end - start for start, end in zip(self._starts, self._ends))
 
     def is_free(self, candidate: Interval) -> bool:
         """True if ``candidate`` overlaps no member interval."""
@@ -165,7 +170,6 @@ class IntervalSet:
         idx = bisect.bisect_left(self._starts, interval.start)
         self._starts.insert(idx, interval.start)
         self._ends.insert(idx, interval.end)
-        self._intervals.insert(idx, interval)
 
     def remove(self, interval: Interval) -> None:
         """Remove an exact member interval.
@@ -173,13 +177,11 @@ class IntervalSet:
         Raises:
             KeyError: if the exact interval is not a member.
         """
+        if interval not in self:
+            raise KeyError(f"{interval!r} is not a member of the set")
         idx = bisect.bisect_left(self._starts, interval.start)
-        if idx < len(self._intervals) and self._intervals[idx] == interval:
-            del self._starts[idx]
-            del self._ends[idx]
-            del self._intervals[idx]
-            return
-        raise KeyError(f"{interval!r} is not a member of the set")
+        del self._starts[idx]
+        del self._ends[idx]
 
     def earliest_fit(
         self,
@@ -256,4 +258,4 @@ class IntervalSet:
 
     def intervals(self) -> Tuple[Interval, ...]:
         """The member intervals in ascending order (immutable snapshot)."""
-        return tuple(self._intervals)
+        return tuple(self)

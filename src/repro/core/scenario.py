@@ -67,6 +67,11 @@ class Scenario:
             "_requests_by_id",
             {request.request_id: request for request in self.requests},
         )
+        object.__setattr__(
+            self,
+            "_requested_item_ids",
+            tuple(item_id for item_id, reqs in by_item.items() if reqs),
+        )
 
     # -- validation ---------------------------------------------------------
 
@@ -177,11 +182,8 @@ class Scenario:
 
     def requested_item_ids(self) -> Tuple[int, ...]:
         """Ids of items with at least one request (the ``Rq`` set)."""
-        return tuple(
-            item.item_id
-            for item in self.items
-            if self.requests_for_item(item.item_id)
-        )
+        item_ids: Tuple[int, ...] = self._requested_item_ids  # type: ignore[attr-defined]
+        return item_ids
 
     def latest_deadline(self, item_id: int) -> float:
         """The latest deadline among all requests for the item.

@@ -4,7 +4,7 @@
 a schedule is being built.  It tracks:
 
 * per virtual link — the booked busy intervals (a link carries one transfer
-  at a time);
+  at a time), in a set created on the link's first booking or outage;
 * per machine — the free-storage timeline ``Cap[i](t)``;
 * per data item — the set of machines currently holding a copy, when each
   copy became available, and when it will be garbage-collected;
@@ -75,6 +75,13 @@ class CopyRecord:
     release: float
     hops: int
 
+
+#: Parallel float lists of an interval set or a timeline (``columns()``).
+Columns = Tuple[List[float], List[float]]
+
+#: Stands in, never mutated, for the busy set of a link that no booking or
+#: outage has touched: most links never get a set of their own.
+_IDLE = IntervalSet()
 
 #: Journal kind: a transfer was booked (link busy interval + receiver
 #: storage reservation over the copy's residency).
@@ -183,12 +190,12 @@ class NetworkState:
         self._degradation_epoch: int = 0
         self._effective_bandwidth: Optional[List[float]] = None
         self._effective_cache_epoch: int = -1
-        self._busy: List[IntervalSet] = [
-            IntervalSet() for _ in network.virtual_links
-        ]
+        self._busy: Dict[int, IntervalSet] = {}
+        self._busy_columns = [_IDLE.columns()] * len(network.virtual_links)
         self._timelines: List[CapacityTimeline] = [
             CapacityTimeline(machine.capacity) for machine in network.machines
         ]
+        self._timeline_columns = [line.columns() for line in self._timelines]
         # copies[item_id] maps machine index -> CopyRecord.
         self._copies: List[Dict[int, CopyRecord]] = [
             {} for _ in scenario.items
@@ -202,6 +209,10 @@ class NetworkState:
                     hops=0,
                 )
         self._satisfied: Dict[int, float] = {}
+        self._open_requests: List[int] = [
+            len(scenario.requests_for_item(item.item_id))
+            for item in scenario.items
+        ]
         # Per-virtual-link availability cutoff (dynamic outages): no new
         # transfer may *complete* after the cutoff.  inf = never cut.
         self._link_cutoff: List[float] = (
@@ -258,10 +269,18 @@ class NetworkState:
             for outage in plan.outage_intervals(link.physical_id):
                 clipped = outage.intersection(link.window)
                 if clipped is not None and not clipped.is_empty():
-                    self._busy[link.link_id].add(clipped)
+                    self._busy_set(link.link_id).add(clipped)
                     masked += 1
         if self._tracer.enabled:
             self._tracer.emit("faults_applied", masked, degraded)
+
+    def _busy_set(self, link_id: int) -> IntervalSet:
+        """The link's busy set, created (with its columns) on first use."""
+        busy = self._busy.get(link_id)
+        if busy is None:
+            busy = self._busy[link_id] = IntervalSet()
+            self._busy_columns[link_id] = busy.columns()
+        return busy
 
     def clone(self) -> "NetworkState":
         """An independent deep copy (used by exhaustive search).
@@ -287,10 +306,15 @@ class NetworkState:
         clone._degradation_epoch = self._degradation_epoch
         clone._effective_bandwidth = self._effective_bandwidth
         clone._effective_cache_epoch = self._effective_cache_epoch
-        clone._busy = [busy.copy() for busy in self._busy]
+        clone._busy = {key: busy.copy() for key, busy in self._busy.items()}
+        clone._busy_columns = list(self._busy_columns)
+        for link_id, busy in clone._busy.items():
+            clone._busy_columns[link_id] = busy.columns()
         clone._timelines = [timeline.copy() for timeline in self._timelines]
+        clone._timeline_columns = [line.columns() for line in clone._timelines]
         clone._copies = [dict(copies) for copies in self._copies]
         clone._satisfied = dict(self._satisfied)
+        clone._open_requests = list(self._open_requests)
         clone._link_cutoff = list(self._link_cutoff)
         clone._item_revision = [0] * len(self._item_revision)
         clone._epoch = next(NetworkState._epoch_source)
@@ -384,6 +408,10 @@ class NetworkState:
         """Ids of all satisfied requests, ascending."""
         return tuple(sorted(self._satisfied))
 
+    def open_request_counts(self) -> List[int]:
+        """``len(unsatisfied_requests_for_item(i))`` per item (live list)."""
+        return self._open_requests
+
     def unsatisfied_requests_for_item(self, item_id: int) -> Tuple[Request, ...]:
         """The item's requests that still lack a delivery."""
         return tuple(
@@ -394,7 +422,7 @@ class NetworkState:
 
     def link_busy_intervals(self, link_id: int) -> Tuple[Interval, ...]:
         """Booked busy intervals of one virtual link (snapshot)."""
-        return self._busy[link_id].intervals()
+        return self._busy.get(link_id, _IDLE).intervals()
 
     def machine_timeline(self, machine: int) -> CapacityTimeline:
         """The machine's free-capacity timeline (live object — do not mutate)."""
@@ -454,6 +482,11 @@ class NetworkState:
         """
         return self._release_matrix[item_id]
 
+    def probe_columns(self) -> Tuple[List[Columns], List[Columns]]:
+        """The live ``columns()`` of every busy set (by link id) and every
+        timeline (by machine), for the routing kernel.  Do not mutate."""
+        return self._busy_columns, self._timeline_columns
+
     def link_cutoffs(self) -> List[float]:
         """Every virtual link's outage cutoff, indexed by ``link_id``.
 
@@ -505,13 +538,13 @@ class NetworkState:
         item before mutating anything.
 
         The compiled routing kernel
-        (:func:`~repro.routing.compiled.compute_tree_compiled`) answers the
-        first three rejections below — ``already_at_destination``,
-        ``window_closed``, and the ``no_link_slot`` test that even an
-        uncontended start misses the window — inline, with the same
-        expressions, order, and trace events, and calls this method only
-        for the edges that survive them.  A change to those checks here
-        must be mirrored there.
+        (:func:`~repro.routing.compiled.compute_tree_compiled`) runs the
+        rejections below and the first pass of the probe loop —
+        ``first_fit``'s scan and the capacity check — inline, with the same
+        expressions, order and trace events, and calls this method only
+        when that pass settles no feasible start.  A change to those checks
+        here, in ``first_fit`` or in ``min_free_span`` must be mirrored
+        there.
 
         Args:
             item_id: the item to move.
@@ -549,12 +582,9 @@ class NetworkState:
         window_start = link.start
         if window_end <= window_start:
             return self._reject(item_id, link.link_id, REASON_WINDOW_CLOSED)
-        # The probe loop below runs once per edge relaxation of every
-        # Dijkstra search, so it stays in the float-core API: no Interval
-        # is constructed unless a feasible plan is actually found.
         item_size = item.size
         timeline = self._timelines[link.destination]
-        busy = self._busy[link.link_id]
+        busy = self._busy.get(link.link_id, _IDLE)
         cursor = sender_ready
         while True:
             start = busy.first_fit(duration, window_start, window_end, cursor)
@@ -647,7 +677,7 @@ class NetworkState:
                 f"released at {sender_copy.release}",
             )
         busy_interval = Interval(plan.start, plan.end)
-        if not self._busy[link.link_id].is_free(busy_interval):
+        if not self._busy.get(link.link_id, _IDLE).is_free(busy_interval):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
@@ -682,7 +712,7 @@ class NetworkState:
                 f"{residency!r}",
             )
         # All checks passed; mutate.
-        self._busy[link.link_id].add(busy_interval)
+        self._busy_set(link.link_id).add(busy_interval)
         timeline.reserve(item.size, residency)
         if self._tracer.enabled:
             self._tracer.emit(
@@ -873,6 +903,7 @@ class NetworkState:
         del self._satisfied[request_id]
         self._schedule.remove_delivery(request_id)
         request = self._scenario.request(request_id)
+        self._open_requests[request.item_id] += 1
         self._item_revision[request.item_id] += 1
         if self._tracer.enabled:
             self._tracer.emit("request_reopened", request_id)
@@ -888,6 +919,7 @@ class NetworkState:
         if not request.is_satisfied_by_arrival(copy.available_from):
             return ()
         self._satisfied[request_id] = copy.available_from
+        self._open_requests[item_id] -= 1
         self._schedule.add_delivery(
             request_id=request_id,
             arrival=copy.available_from,

@@ -55,6 +55,10 @@ class CapacityTimeline:
         clone._values = list(self._values)
         return clone
 
+    def columns(self) -> Tuple[List[float], List[float]]:
+        """The live ``(times, values)`` lists, updated in place; read only."""
+        return self._times, self._values
+
     def free_at(self, t: float) -> float:
         """Free capacity at instant ``t``."""
         idx = bisect.bisect_right(self._times, t) - 1

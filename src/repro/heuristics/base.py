@@ -34,12 +34,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
 from repro.core.schedule import Schedule
-from repro.core.state import (
-    MUTATION_BOOKING,
-    MUTATION_CUTOFF,
-    NetworkState,
-    TransferPlan,
-)
+from repro.core.state import MUTATION_CUTOFF, NetworkState, TransferPlan
 from repro.cost.criteria import CostCriterion, CostResult
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
@@ -107,9 +102,9 @@ class CacheEntry:
     The footprint records *when* the tree relies on each resource, not
     just *which* resources it touches: per footprint link the planned
     transfer interval, per receiving machine the planned storage
-    residency.  Revalidation replays the state's mutation journal against
-    these intervals to decide whether a mutation could have altered any
-    earliest-arrival label.
+    residency.  The owning :class:`TreeCache` indexes the entry under
+    those links and machines, and its journal replay leaves its verdict
+    on the entry (``conflict``, ``suspects``) for the next request.
 
     The payload (the heuristic's scored candidate choice for the item) has
     exactly the same validity as the tree — it is derived from the tree, the
@@ -134,6 +129,10 @@ class CacheEntry:
         item_size: the routed item's size in bytes (for residency
             rechecks).
         payload: the heuristic's cached scored choice (see above).
+        conflict: the first ``link_conflict`` or ``cutoff_tightened``
+            replayed past ``journal_position``, else ``""``.
+        suspects: machines whose planned residency a replayed
+            reservation overlapped (rechecked live on the next request).
     """
 
     tree: ShortestPathTree
@@ -145,6 +144,8 @@ class CacheEntry:
     residencies: Dict[int, Interval] = field(default_factory=dict)
     item_size: float = 0.0
     payload: object = None
+    conflict: str = ""
+    suspects: FrozenSet[int] = frozenset()
 
 
 class TreeCache:
@@ -161,6 +162,10 @@ class TreeCache:
     byte-identical labels and parent pointers along every destination
     path — the engine's decisions match the recompute-every-iteration
     algorithm exactly (pinned by the differential test suites).
+
+    Each record is replayed once per cache, through a link index and a
+    machine index, and every request first replays to the journal's end
+    (so a fresh entry never sees an older record).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
     .epoch` token at construction; serving a different state — whose
@@ -190,6 +195,11 @@ class TreeCache:
         self._not_before = not_before
         self._epoch = state.epoch
         self._trees: Dict[int, CacheEntry] = {}
+        #: How many journal records the entries' flags already reflect.
+        self._replay_position = state.journal_length()
+        #: Footprint indexes: link / machine -> {item id: entry}.
+        self._link_index: Dict[int, Dict[int, CacheEntry]] = {}
+        self._machine_index: Dict[int, Dict[int, CacheEntry]] = {}
 
     @property
     def not_before(self) -> float:
@@ -230,9 +240,33 @@ class TreeCache:
         item is finalized — labels for other machines are never consulted
         (candidate enumeration and footprints only walk destination paths).
         """
-        tracer = self._state.tracer
+        state = self._state
+        tracer = state.tracer
+        if self._replay_position < state.journal_length():
+            self._replay()
         cached = self._trees.get(item_id) if self._enabled else None
-        reason = self._validity(item_id, cached)
+        if not self._enabled:
+            reason = TREE_CACHE_DISABLED
+        elif cached is None:
+            reason = TREE_CACHE_COLD
+        elif state.item_revision(item_id) != cached.item_revision:
+            reason = TREE_CACHE_ITEM_CHANGED
+        elif state.capacity_epoch != cached.capacity_epoch:
+            reason = TREE_CACHE_CAPACITY_RELEASED
+        elif state.degradation_epoch != cached.degradation_epoch:
+            # Degradations lengthen durations globally and are not
+            # journalled, so no footprint replay can vouch for the tree.
+            reason = TREE_CACHE_BANDWIDTH_DEGRADED
+        elif cached.journal_position == self._replay_position:
+            reason = TREE_CACHE_CLEAN
+        elif cached.conflict:
+            reason = cached.conflict
+        elif cached.suspects and not self._recheck(cached):
+            reason = TREE_CACHE_RESIDENCY_CONFLICT
+        else:
+            cached.journal_position = self._replay_position
+            cached.suspects = frozenset()
+            reason = TREE_CACHE_REVALIDATED
         if cached is not None and reason in (
             TREE_CACHE_CLEAN,
             TREE_CACHE_REVALIDATED,
@@ -248,12 +282,10 @@ class TreeCache:
         with span(PHASE_TREE, tracer):
             targets = {
                 request.destination
-                for request in self._state.unsatisfied_requests_for_item(
-                    item_id
-                )
+                for request in state.unsatisfied_requests_for_item(item_id)
             }
             tree = compute_shortest_path_tree(
-                self._state,
+                state,
                 item_id,
                 targets,
                 not_before=self._not_before,
@@ -261,75 +293,66 @@ class TreeCache:
             self._stats.dijkstra_runs += 1
             entry = self._snapshot(item_id, tree)
         if self._enabled:
-            self._trees[item_id] = entry
+            self._store(item_id, entry)
         return entry
 
-    def _validity(self, item_id: int, cached: Optional[CacheEntry]) -> str:
-        """Classify the entry: a hit/keep reason or the recompute cause."""
-        if not self._enabled:
-            return TREE_CACHE_DISABLED
-        if cached is None:
-            return TREE_CACHE_COLD
-        state = self._state
-        if state.item_revision(item_id) != cached.item_revision:
-            return TREE_CACHE_ITEM_CHANGED
-        if state.capacity_epoch != cached.capacity_epoch:
-            return TREE_CACHE_CAPACITY_RELEASED
-        if state.degradation_epoch != cached.degradation_epoch:
-            # Degradations lengthen durations globally and are not
-            # journalled, so no footprint replay can vouch for the tree.
-            return TREE_CACHE_BANDWIDTH_DEGRADED
-        journal_size = state.journal_length()
-        if journal_size == cached.journal_position:
-            return TREE_CACHE_CLEAN
-        return self._revalidate(cached, journal_size)
+    def _replay(self) -> None:
+        """Fold the new journal records into the entries they touch.
 
-    def _revalidate(self, cached: CacheEntry, journal_size: int) -> str:
-        """Replay journalled mutations against the entry's footprint.
-
-        A kept tree is *provably* byte-identical to a recompute: bookings
-        and cutoffs only remove availability, every planned hop still
-        fits at exactly its planned time (link slot free, residency
-        reservable, cutoff clear), and competing offers can only have
-        worsened — so the label-setting search reconstructs the same
-        parents with the same tie-breaks.
+        An entry keeps its first conflict.  A reservation overlapping a
+        planned residency only makes the machine a suspect: reservations
+        only subtract, so a passing live recheck proves the planned start
+        still the earliest.
         """
+        records = self._state.journal_since(self._replay_position)
+        self._replay_position += len(records)
+        for record in records:
+            link_id, busy = record.link_id, record.busy
+            for entry in self._link_index.get(link_id, {}).values():
+                planned = entry.hop_intervals[link_id]
+                if entry.conflict:
+                    continue
+                if busy is not None and busy.overlaps(planned):
+                    entry.conflict = TREE_CACHE_LINK_CONFLICT
+                elif record.kind == MUTATION_CUTOFF and (
+                    record.cutoff < planned.end
+                ):
+                    entry.conflict = TREE_CACHE_CUTOFF_TIGHTENED
+            machine, residency = record.machine, record.residency
+            if residency is None:
+                continue
+            for entry in self._machine_index.get(machine, {}).values():
+                if not entry.conflict and residency.overlaps(
+                    entry.residencies[machine]
+                ):
+                    entry.suspects |= {machine}
+
+    def _recheck(self, cached: CacheEntry) -> bool:
+        """True when every suspect can still hold its planned residency
+        (``can_reserve``, in sorted machine order)."""
         state = self._state
-        hop_intervals = cached.hop_intervals
-        residencies = cached.residencies
-        # Receiving machines whose storage gained a reservation that
-        # overlaps a planned residency; rechecked against the live
-        # timeline after the scan (reservations only subtract, so a
-        # passing recheck proves the planned start is still the earliest).
-        suspect_machines = set()
-        for record in state.journal_since(cached.journal_position):
-            if record.kind == MUTATION_BOOKING:
-                planned = hop_intervals.get(record.link_id)
-                if (
-                    planned is not None
-                    and record.busy is not None
-                    and record.busy.overlaps(planned)
-                ):
-                    return TREE_CACHE_LINK_CONFLICT
-                planned_residency = residencies.get(record.machine)
-                if (
-                    planned_residency is not None
-                    and record.residency is not None
-                    and record.residency.overlaps(planned_residency)
-                ):
-                    suspect_machines.add(record.machine)
-            elif record.kind == MUTATION_CUTOFF:
-                planned = hop_intervals.get(record.link_id)
-                if planned is not None and record.cutoff < planned.end:
-                    return TREE_CACHE_CUTOFF_TIGHTENED
-        for machine in sorted(suspect_machines):
-            timeline = state.machine_timeline(machine)
-            if not timeline.can_reserve(
-                cached.item_size, residencies[machine]
-            ):
-                return TREE_CACHE_RESIDENCY_CONFLICT
-        cached.journal_position = journal_size
-        return TREE_CACHE_REVALIDATED
+        for machine in sorted(cached.suspects):
+            residency = cached.residencies[machine]
+            free = state.machine_timeline(machine).min_free_span(
+                residency.start, residency.end
+            )
+            if not free >= cached.item_size:
+                return False
+        return True
+
+    def _store(self, item_id: int, entry: CacheEntry) -> None:
+        """Replace the item's entry and move it in the footprint indexes."""
+        old = self._trees.get(item_id)
+        if old is not None:
+            for link_id in old.hop_intervals:
+                del self._link_index[link_id][item_id]
+            for machine in old.residencies:
+                del self._machine_index[machine][item_id]
+        self._trees[item_id] = entry
+        for link_id in entry.hop_intervals:
+            self._link_index.setdefault(link_id, {})[item_id] = entry
+        for machine in entry.residencies:
+            self._machine_index.setdefault(machine, {})[item_id] = entry
 
     def _snapshot(self, item_id: int, tree: ShortestPathTree) -> CacheEntry:
         state = self._state
@@ -341,7 +364,7 @@ class TreeCache:
         return CacheEntry(
             tree=tree,
             item_revision=state.item_revision(item_id),
-            journal_position=state.journal_length(),
+            journal_position=self._replay_position,
             capacity_epoch=state.capacity_epoch,
             degradation_epoch=state.degradation_epoch,
             hop_intervals={
@@ -497,8 +520,9 @@ class StagingHeuristic(abc.ABC):
         scenario = state.scenario
         best_key = None
         best: Optional[Tuple[CandidateGroup, CostResult]] = None
+        open_requests = state.open_request_counts()
         for item_id in scenario.requested_item_ids():
-            if not state.unsatisfied_requests_for_item(item_id):
+            if not open_requests[item_id]:
                 continue
             entry = cache.entry_for(item_id)
             # The item's scored best candidate is derived purely from the

@@ -49,7 +49,9 @@ prune counts — are byte-identical to that oracle's.  Edges that
 before touching an interval set (the receiver already holds the item,
 the window is closed, or even an uncontended start misses it) are
 rejected inline, over the flat columns, with the same expressions and
-the same ``transfer_attempt`` / ``transfer_rejected`` events; every
+the same ``transfer_attempt`` / ``transfer_rejected`` events.  The
+feasible probes are answered inline too, by the first pass of
+``earliest_transfer``'s loop over the busy and capacity columns; every
 other edge calls ``earliest_transfer`` with the reference arguments in
 the reference sequence.
 """
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
@@ -284,7 +287,9 @@ def compute_tree_compiled(
       exits are taken only when tracing is off.
 
     A ``window_closed`` caused by the edge's own cutoff, and every
-    ``no_link_slot``, rejects only that edge.  Everything observable —
+    ``no_link_slot``, rejects only that edge; the edges left are probed
+    inline, and only those that probe cannot settle reach
+    ``earliest_transfer``.  Everything observable —
     seed order, heap contents, per-edge probe order, tracer events, the
     ``dijkstra`` event's counts, result dict insertion order — replicates
     the object-walking reference search the test suite keeps as its
@@ -316,6 +321,7 @@ def compute_tree_compiled(
     relaxations = 0
     pruned = 0
     durations = durations_for(state, item_id, compiled)
+    item_size = state.scenario.item(item_id).size
     links = network.virtual_links
     offsets = compiled.offsets
     link_ids = compiled.link_ids
@@ -325,6 +331,7 @@ def compute_tree_compiled(
     run_ends = compiled.run_ends
     release_row = state.release_row(item_id)
     cutoffs = state.link_cutoffs()
+    busy_columns, timeline_columns = state.probe_columns()
     earliest_transfer = state.earliest_transfer
 
     heap = [(available, machine) for machine, available in seeds.items()]
@@ -367,7 +374,9 @@ def compute_tree_compiled(
             receiver_holds = receiver in held
             for edge in range(run_start, run_end):
                 window_start = window_starts[edge]
-                start_floor = window_start if window_start > label else label
+                # max(window_start, label) as first_fit takes it (a tie,
+                # such as 0.0 against -0.0, keeps the window start).
+                start_floor = label if label > window_start else window_start
                 finish_floor = start_floor + duration
                 if finish_floor >= receiver_label:
                     if tracing:
@@ -406,21 +415,43 @@ def compute_tree_compiled(
                             item_id, link_id, rejected
                         )
                     continue
-                plan = earliest_transfer(
-                    item_id, links[link_id], label, duration
-                )
-                if plan is None:
-                    continue
-                plan_end = plan.end
+                # earliest_transfer's first probe pass, inline: first_fit's
+                # scan, then min_free_span over [start, release).  A zero
+                # duration, an empty residency, no slot or a storage deficit
+                # goes to earliest_transfer, which re-derives the outcome.
+                start = start_floor
+                starts, ends = busy_columns[link_id]
+                idx = bisect_right(starts, start)
+                if idx and ends[idx - 1] > start:
+                    start = ends[idx - 1]
+                while idx < len(starts) and starts[idx] < start + duration:
+                    if ends[idx] > start:
+                        start = ends[idx]
+                    idx += 1
+                plan_end = start + duration
+                feasible = start < plan_end <= window_end
+                if feasible:
+                    times, values = timeline_columns[receiver]
+                    low = bisect_right(times, start) - 1
+                    high = bisect_left(times, receiver_release, low + 1)
+                    feasible = min(values[low:high]) >= item_size
+                if feasible:
+                    if tracing:
+                        tracer.emit("transfer_attempt", item_id, link_id)
+                else:
+                    plan = earliest_transfer(
+                        item_id, links[link_id], label, duration
+                    )
+                    if plan is None:
+                        continue
+                    start, plan_end = plan.start, plan.end
                 if plan_end < receiver_label:
                     receiver_label = plan_end
                     labels_list[receiver] = plan_end
                     if not discovered[receiver]:
                         discovered[receiver] = 1
                         order.append(receiver)
-                    parents[receiver] = (
-                        machine, link_id, plan.start, plan_end
-                    )
+                    parents[receiver] = (machine, link_id, start, plan_end)
                     heapq.heappush(heap, (plan_end, receiver))
             run_start = run_end
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Union
 
@@ -62,9 +63,33 @@ FORMAT_VERSION = 1
 def _require(
     document: Dict[str, Any], key: str, where: str = "serialized document"
 ) -> Any:
+    if not isinstance(document, dict):
+        raise ModelError(
+            f"{where} must be an object, got {type(document).__name__}"
+        )
     if key not in document:
         raise ModelError(f"{where} is missing key {key!r}")
     return document[key]
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` when it is a real, non-NaN number (bools excluded)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or math.isnan(value)
+    ):
+        raise ModelError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _entries(value: Any, what: str) -> Any:
+    """``value`` when it is a list of document entries."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(
+            f"{what} must be a list, got {type(value).__name__}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +159,11 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
     """Rebuild a scenario from :func:`scenario_to_dict` output.
 
     Raises:
-        ModelError: on missing keys (naming the entry that lacks one), a
-            wrong document kind, or a physical link whose windows are
-            malformed, inverted, unsorted or overlapping.
+        ModelError: naming the offending entry, on a document or entry
+            that is not an object, an entry collection that is not a
+            list, a missing key, a quantity that is not a number (or is
+            NaN), a wrong document kind, or a physical link whose windows
+            are malformed, inverted, unsorted or overlapping.
     """
     if _require(document, "kind") != "scenario":
         raise ModelError(
@@ -145,22 +172,33 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
     machines = tuple(
         Machine(
             index=_require(entry, "index", f"machine entry {index}"),
-            capacity=_require(entry, "capacity", f"machine entry {index}"),
+            capacity=_number(
+                _require(entry, "capacity", f"machine entry {index}"),
+                f"machine entry {index} capacity",
+            ),
             name=entry.get("name", ""),
         )
-        for index, entry in enumerate(_require(document, "machines"))
+        for index, entry in enumerate(
+            _entries(_require(document, "machines"), "machines")
+        )
     )
     links = tuple(
         _physical_link_from_dict(index, entry)
-        for index, entry in enumerate(_require(document, "physical_links"))
+        for index, entry in enumerate(
+            _entries(_require(document, "physical_links"), "physical_links")
+        )
     )
     items = tuple(
         _item_from_dict(index, entry)
-        for index, entry in enumerate(_require(document, "items"))
+        for index, entry in enumerate(
+            _entries(_require(document, "items"), "items")
+        )
     )
     requests = tuple(
         _request_from_dict(index, entry)
-        for index, entry in enumerate(_require(document, "requests"))
+        for index, entry in enumerate(
+            _entries(_require(document, "requests"), "requests")
+        )
     )
     weighting_doc = _require(document, "weighting")
     return Scenario(
@@ -171,8 +209,8 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
             _require(weighting_doc, "weights", "weighting"),
             name=weighting_doc.get("name", ""),
         ),
-        gc_delay=_require(document, "gc_delay"),
-        horizon=_require(document, "horizon"),
+        gc_delay=_number(_require(document, "gc_delay"), "gc_delay"),
+        horizon=_number(_require(document, "horizon"), "horizon"),
         name=document.get("name", "scenario"),
     )
 
@@ -187,15 +225,18 @@ def _item_from_dict(index: int, entry: Dict[str, Any]) -> DataItem:
     return DataItem(
         item_id=_require(entry, "item_id", where),
         name=_require(entry, "name", where),
-        size=_require(entry, "size", where),
+        size=_number(_require(entry, "size", where), f"{where} size"),
         sources=tuple(
             SourceLocation(
                 machine=_require(src, "machine", f"{where} source {j}"),
-                available_from=_require(
-                    src, "available_from", f"{where} source {j}"
+                available_from=_number(
+                    _require(src, "available_from", f"{where} source {j}"),
+                    f"{where} source {j} available_from",
                 ),
             )
-            for j, src in enumerate(_require(entry, "sources", where))
+            for j, src in enumerate(
+                _entries(_require(entry, "sources", where), f"{where} sources")
+            )
         ),
     )
 
@@ -212,7 +253,9 @@ def _request_from_dict(index: int, entry: Dict[str, Any]) -> Request:
         item_id=_require(entry, "item_id", where),
         destination=_require(entry, "destination", where),
         priority=_require(entry, "priority", where),
-        deadline=_require(entry, "deadline", where),
+        deadline=_number(
+            _require(entry, "deadline", where), f"{where} deadline"
+        ),
     )
 
 
@@ -226,10 +269,16 @@ def _physical_link_from_dict(index: int, entry: Dict[str, Any]) -> PhysicalLink:
     """
     where = f"physical link entry {index}"
     windows = []
-    for window in _require(entry, "windows", where):
+    windows_doc = _require(entry, "windows", where)
+    for window in _entries(windows_doc, f"{where} windows"):
         try:
             start, end = window
-            windows.append(Interval(start, end))
+            windows.append(
+                Interval(
+                    _number(start, f"{where} window start"),
+                    _number(end, f"{where} window end"),
+                )
+            )
         except (TypeError, ValueError) as error:
             raise ModelError(
                 f"{where} has a malformed window {window!r}: {error}"
@@ -238,8 +287,10 @@ def _physical_link_from_dict(index: int, entry: Dict[str, Any]) -> PhysicalLink:
         physical_id=_require(entry, "physical_id", where),
         source=_require(entry, "source", where),
         destination=_require(entry, "destination", where),
-        bandwidth=_require(entry, "bandwidth", where),
-        latency=_require(entry, "latency", where),
+        bandwidth=_number(
+            _require(entry, "bandwidth", where), f"{where} bandwidth"
+        ),
+        latency=_number(_require(entry, "latency", where), f"{where} latency"),
         windows=tuple(windows),
     )
 

@@ -4,7 +4,7 @@ The run cache keys every record on content fingerprints
 (:func:`repro.serialization.scenario_fingerprint`, the ``*_to_dict``
 codecs it canonicalizes, :meth:`RunCache.key_for`), and the incremental
 :class:`~repro.heuristics.base.TreeCache` keeps trees only because its
-revalidation replay is a pure function of the journal.  R1 catches an
+journal replay is a pure function of the journal.  R1 catches an
 RNG draw *written inside* those functions; R7 lifts the same invariant
 to reachability: any function **transitively callable** from a
 fingerprint/codec/cache-key entry point must not
@@ -62,8 +62,9 @@ MUTATOR_METHODS = frozenset(
 )
 
 #: Method names marking a function as a cache/codec entry point when a
-#: ``*Cache`` class defines them.
-_CACHE_ENTRY_METHODS = frozenset({"key_for", "_revalidate", "_validity"})
+#: ``*Cache`` class defines them: the run cache's key derivation, and the
+#: tree cache's journal replay and its live residency recheck.
+_CACHE_ENTRY_METHODS = frozenset({"key_for", "_replay", "_recheck"})
 
 #: Module-scoped entry points: per relpath suffix, module-level functions
 #: whose call trees must stay pure.  The compiled-scenario constructors

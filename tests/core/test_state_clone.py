@@ -2,8 +2,15 @@
 
 from repro.core.state import NetworkState
 from repro.core.validation import ScheduleValidator
+from repro.routing.dijkstra import compute_shortest_path_tree
 
-from tests.helpers import line_network, make_item, make_scenario
+from tests.helpers import (
+    line_network,
+    make_item,
+    make_link,
+    make_network,
+    make_scenario,
+)
 
 
 def _scenario():
@@ -71,6 +78,22 @@ class TestCloneIndependence:
         state.book_transfer(state.earliest_transfer(0, link, 0.0))
         assert not clone.holds(0, 1)
         assert clone.schedule.step_count == 0
+
+    def test_routing_reads_each_states_own_busy_links(self):
+        # Three 1-second items share one link; the parent books one
+        # before the clone exists, the clone books a second after.
+        scenario = make_scenario(
+            make_network(2, [make_link(0, 0, 1)]),
+            [make_item(i, 1000.0, [(0, 0.0)]) for i in range(3)],
+            [(i, 1, 1, 100.0) for i in range(3)],
+        )
+        state = NetworkState(scenario)
+        link = scenario.network.link(0)
+        state.book_transfer(state.earliest_transfer(1, link, 0.0))
+        clone = state.clone()
+        clone.book_transfer(clone.earliest_transfer(2, link, 0.0))
+        assert compute_shortest_path_tree(state, 0).arrival(1) == 2.0
+        assert compute_shortest_path_tree(clone, 0).arrival(1) == 3.0
 
     def test_clone_shares_immutable_release_matrix(self):
         scenario = _scenario()

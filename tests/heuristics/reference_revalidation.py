@@ -1,0 +1,157 @@
+"""The per-entry journal revalidation, kept as a differential oracle.
+
+:class:`ReferenceTreeCache` is the :class:`~repro.heuristics.base.TreeCache`
+whose every request classifies the item's entry on its own: it checks the
+revision counters and epochs, then replays every journal record appended
+since the entry was last validated (``journal_since``) against that
+entry's footprint.  So each booking is replayed once per cached item.
+
+Production code replays the journal once per cache, through footprint
+indexes, and reads the verdict each entry collected.  The tests drive both
+caches through the same mutations and compare their reason sequences —
+they must be identical.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.core.state import MUTATION_BOOKING, MUTATION_CUTOFF
+from repro.heuristics.base import CacheEntry, TreeCache
+from repro.observability.profiling import PHASE_TREE, span
+from repro.observability.tracer import (
+    TREE_CACHE_BANDWIDTH_DEGRADED,
+    TREE_CACHE_CAPACITY_RELEASED,
+    TREE_CACHE_CLEAN,
+    TREE_CACHE_COLD,
+    TREE_CACHE_CUTOFF_TIGHTENED,
+    TREE_CACHE_DISABLED,
+    TREE_CACHE_ITEM_CHANGED,
+    TREE_CACHE_LINK_CONFLICT,
+    TREE_CACHE_RESIDENCY_CONFLICT,
+    TREE_CACHE_REVALIDATED,
+)
+from repro.routing.dijkstra import compute_shortest_path_tree
+from repro.routing.paths import ShortestPathTree
+
+
+class ReferenceTreeCache(TreeCache):
+    """A tree cache that replays the journal once per entry and request.
+
+    Same constructor, hits, misses and trees as :class:`TreeCache`; only
+    the bookkeeping differs.  Entries never enter the footprint indexes.
+    """
+
+    def entry_for(self, item_id: int) -> CacheEntry:
+        """The item's cache entry, recomputing the tree only when necessary.
+
+        The search early-exits once every unsatisfied destination of the
+        item is finalized — labels for other machines are never consulted
+        (candidate enumeration and footprints only walk destination paths).
+        """
+        tracer = self._state.tracer
+        cached = self._trees.get(item_id) if self._enabled else None
+        reason = self._validity(item_id, cached)
+        if cached is not None and reason in (
+            TREE_CACHE_CLEAN,
+            TREE_CACHE_REVALIDATED,
+        ):
+            self._stats.cache_hits += 1
+            if reason == TREE_CACHE_REVALIDATED:
+                self._stats.revalidations += 1
+            if tracer.enabled:
+                tracer.emit("tree_cache", item_id, True, reason)
+            return cached
+        if tracer.enabled:
+            tracer.emit("tree_cache", item_id, False, reason)
+        with span(PHASE_TREE, tracer):
+            targets = {
+                request.destination
+                for request in self._state.unsatisfied_requests_for_item(
+                    item_id
+                )
+            }
+            tree = compute_shortest_path_tree(
+                self._state,
+                item_id,
+                targets,
+                not_before=self._not_before,
+            )
+            self._stats.dijkstra_runs += 1
+            entry = self._snapshot(item_id, tree)
+        if self._enabled:
+            self._trees[item_id] = entry
+        return entry
+
+    def _validity(self, item_id: int, cached: Optional[CacheEntry]) -> str:
+        """Classify the entry: a hit/keep reason or the recompute cause."""
+        if not self._enabled:
+            return TREE_CACHE_DISABLED
+        if cached is None:
+            return TREE_CACHE_COLD
+        state = self._state
+        if state.item_revision(item_id) != cached.item_revision:
+            return TREE_CACHE_ITEM_CHANGED
+        if state.capacity_epoch != cached.capacity_epoch:
+            return TREE_CACHE_CAPACITY_RELEASED
+        if state.degradation_epoch != cached.degradation_epoch:
+            # Degradations lengthen durations globally and are not
+            # journalled, so no footprint replay can vouch for the tree.
+            return TREE_CACHE_BANDWIDTH_DEGRADED
+        journal_size = state.journal_length()
+        if journal_size == cached.journal_position:
+            return TREE_CACHE_CLEAN
+        return self._revalidate(cached, journal_size)
+
+    def _revalidate(self, cached: CacheEntry, journal_size: int) -> str:
+        """Replay journalled mutations against the entry's footprint.
+
+        A kept tree is *provably* byte-identical to a recompute: bookings
+        and cutoffs only remove availability, every planned hop still
+        fits at exactly its planned time (link slot free, residency
+        reservable, cutoff clear), and competing offers can only have
+        worsened — so the label-setting search reconstructs the same
+        parents with the same tie-breaks.
+        """
+        state = self._state
+        hop_intervals = cached.hop_intervals
+        residencies = cached.residencies
+        # Receiving machines whose storage gained a reservation that
+        # overlaps a planned residency; rechecked against the live
+        # timeline after the scan (reservations only subtract, so a
+        # passing recheck proves the planned start is still the earliest).
+        suspect_machines = set()
+        for record in state.journal_since(cached.journal_position):
+            if record.kind == MUTATION_BOOKING:
+                planned = hop_intervals.get(record.link_id)
+                if (
+                    planned is not None
+                    and record.busy is not None
+                    and record.busy.overlaps(planned)
+                ):
+                    return TREE_CACHE_LINK_CONFLICT
+                planned_residency = residencies.get(record.machine)
+                if (
+                    planned_residency is not None
+                    and record.residency is not None
+                    and record.residency.overlaps(planned_residency)
+                ):
+                    suspect_machines.add(record.machine)
+            elif record.kind == MUTATION_CUTOFF:
+                planned = hop_intervals.get(record.link_id)
+                if planned is not None and record.cutoff < planned.end:
+                    return TREE_CACHE_CUTOFF_TIGHTENED
+        for machine in sorted(suspect_machines):
+            timeline = state.machine_timeline(machine)
+            if not timeline.can_reserve(
+                cached.item_size, residencies[machine]
+            ):
+                return TREE_CACHE_RESIDENCY_CONFLICT
+        cached.journal_position = journal_size
+        return TREE_CACHE_REVALIDATED
+
+    def _snapshot(self, item_id: int, tree: ShortestPathTree) -> CacheEntry:
+        """The production snapshot, positioned at the journal's end."""
+        entry = super()._snapshot(item_id, tree)
+        entry.journal_position = self._state.journal_length()
+        return entry

@@ -71,6 +71,34 @@ def test_r7_flags_wall_clock_and_global_write_from_cache_entry(lint_files):
     assert all("cache entry point" in message for message in messages)
 
 
+def test_r7_covers_the_tree_cache_replay_and_recheck(lint_files):
+    result = lint_files(
+        {
+            "heuristics/cache.py": """
+            import random
+
+
+            def jitter() -> float:
+                return random.random()
+
+
+            class TreeCache:
+                def _replay(self) -> float:
+                    return jitter()
+
+                def _recheck(self) -> bool:
+                    return random.random() < 0.5
+            """
+        },
+        rules=["R7"],
+    )
+    messages = sorted(finding.message for finding in result.findings)
+    assert len(messages) == 2
+    assert all("cache entry point" in message for message in messages)
+    assert any("_replay -> jitter" in message for message in messages)
+    assert any("_recheck" in message for message in messages)
+
+
 def test_r7_ignores_impurity_outside_the_entry_call_tree(lint_files):
     result = lint_files(
         {

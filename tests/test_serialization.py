@@ -144,6 +144,64 @@ class TestScenarioRoundTrip:
         with pytest.raises(ModelError, match="unsorted"):
             scenario_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            (None, "serialized document must be an object"),
+            (3, "serialized document must be an object"),
+            ([], "serialized document must be an object"),
+            ("x", "serialized document must be an object"),
+        ],
+        ids=["none", "int", "list", "str"],
+    )
+    def test_non_object_document_rejected(self, document, where):
+        with pytest.raises(ModelError, match=where):
+            scenario_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "path, key, value, where",
+        [
+            ((), "machines", 5, "machines must be a list"),
+            (("machines",), 0, 7, "machine entry 0 must be an object"),
+            (("machines", 0), "capacity", "big", "machine entry 0 capacity"),
+            (("requests", 1), "deadline", "soon", "request entry 1 deadline"),
+            ((), "horizon", None, "horizon must be a number"),
+            (
+                ("machines", 1),
+                "capacity",
+                float("nan"),
+                "machine entry 1 capacity",
+            ),
+            (("items", 0), "size", float("nan"), "item entry 0 size"),
+            (
+                ("requests", 2),
+                "deadline",
+                float("nan"),
+                "request entry 2 deadline",
+            ),
+        ],
+        ids=[
+            "machines-not-a-list",
+            "machine-not-an-object",
+            "capacity-string",
+            "deadline-string",
+            "horizon-none",
+            "capacity-nan",
+            "size-nan",
+            "deadline-nan",
+        ],
+    )
+    def test_malformed_entry_rejected(
+        self, tiny_scenarios, path, key, value, where
+    ):
+        document = scenario_to_dict(tiny_scenarios[0])
+        entry = document
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(ModelError, match=where):
+            scenario_from_dict(document)
+
 
 class TestSuiteRoundTrip:
     def test_save_and_load_suite(self, tiny_scenarios, tmp_path):

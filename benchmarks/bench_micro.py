@@ -12,11 +12,7 @@ from repro.core.intervals import Interval, IntervalSet
 from repro.core.state import NetworkState
 from repro.core.timeline import CapacityTimeline
 from repro.heuristics.registry import make_heuristic
-from repro.routing.compiled import (
-    compiled_for,
-    compute_tree_compiled,
-    durations_for,
-)
+from repro.routing.compiled import compute_tree_compiled
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
@@ -107,19 +103,15 @@ def probe_heavy_state():
 def test_compiled_kernel_probe_heavy(benchmark, probe_heavy_state):
     """The compiled kernel where dead edges dominate its relaxations.
 
-    Every round searches a fresh clone, so no round reuses work a
-    previous round left on the state; the clone's duration tables are
-    built in the untimed setup.
+    Every round searches a fresh clone, built in the untimed setup, so no
+    round reuses work a previous round left on the state.  The timed
+    searches include computing each run's transfer duration.
     """
     state, not_before = probe_heavy_state
     items = state.scenario.requested_item_ids()[:20]
-    compiled = compiled_for(state.scenario.network)
 
     def fresh_clone():
-        clone = state.clone()
-        for item_id in items:
-            durations_for(clone, item_id, compiled)
-        return (clone,), {}
+        return (state.clone(),), {}
 
     def search(clone):
         return [

@@ -11,10 +11,22 @@ lives in :mod:`repro.core.validation` and all scoring in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import units
 from repro.errors import ModelError
+
+
+def _reduce_by_fields(record: Any) -> Tuple[type, Tuple[Any, ...]]:
+    """Pickle a frozen slotted record through its constructor.
+
+    Pickle's default restore of slot state assigns each attribute, which a
+    frozen dataclass refuses.
+    """
+    return (
+        type(record),
+        tuple(getattr(record, name) for name in record.__slots__),
+    )
 
 
 @dataclass(frozen=True)
@@ -30,6 +42,19 @@ class CommunicationStep:
         start: transfer start time in seconds.
         end: transfer completion time (item available at ``destination``).
     """
+
+    # Slotted: a schedule keeps one step per booking, and callers may hold
+    # many schedules at once.
+    __slots__ = (
+        "step_id",
+        "item_id",
+        "source",
+        "destination",
+        "link_id",
+        "start",
+        "end",
+    )
+    __reduce__ = _reduce_by_fields
 
     step_id: int
     item_id: int
@@ -76,6 +101,9 @@ class Delivery:
             source copy that ultimately served this request (used for the
             "average number of links traversed" report).
     """
+
+    __slots__ = ("request_id", "arrival", "hops")
+    __reduce__ = _reduce_by_fields
 
     request_id: int
     arrival: float

@@ -280,18 +280,18 @@ class TreeCache:
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
-            targets = {
+            destinations = [
                 request.destination
                 for request in state.unsatisfied_requests_for_item(item_id)
-            }
+            ]
             tree = compute_shortest_path_tree(
                 state,
                 item_id,
-                targets,
+                destinations,
                 not_before=self._not_before,
             )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree)
+            entry = self._snapshot(item_id, tree, destinations)
         if self._enabled:
             self._store(item_id, entry)
         return entry
@@ -354,12 +354,15 @@ class TreeCache:
         for machine in entry.residencies:
             self._machine_index.setdefault(machine, {})[item_id] = entry
 
-    def _snapshot(self, item_id: int, tree: ShortestPathTree) -> CacheEntry:
+    def _snapshot(
+        self,
+        item_id: int,
+        tree: ShortestPathTree,
+        destinations: List[int],
+    ) -> CacheEntry:
+        """The entry for a fresh tree over the item's unsatisfied
+        destinations (the search's target list)."""
         state = self._state
-        destinations = [
-            request.destination
-            for request in state.unsatisfied_requests_for_item(item_id)
-        ]
         hops = tree.destination_hops(destinations)
         return CacheEntry(
             tree=tree,

@@ -5,26 +5,22 @@ This is the only search behind
 :class:`~repro.core.link.VirtualLink` objects would read their attributes
 Python-object by Python-object on every edge relaxation; this module
 compiles the scenario once into flat columns so the hot loop is a pure
-index-and-float affair:
+index-and-float affair.  :class:`CompiledScenario` is the virtual-link
+multigraph flattened into CSR adjacency: a per-machine offset array plus
+parallel ``array('l')`` / ``array('d')`` columns (``link_id``,
+``destination``, window start / end, latency, run end) in exactly the
+order :meth:`~repro.core.network.Network.outgoing` yields edges, so the
+compiled search relaxes edges — and therefore probes, books, and
+tie-breaks — in the reference order.
 
-* :class:`CompiledScenario` — the virtual-link multigraph flattened into
-  CSR adjacency: a per-machine offset array plus parallel ``array('l')``
-  / ``array('d')`` columns (``link_id``, ``destination``, window start /
-  end, latency, run end) in exactly the order
-  :meth:`~repro.core.network.Network.outgoing` yields edges, so the
-  compiled search relaxes edges — and therefore probes, books, and
-  tie-breaks — in the reference order.
-* per-item *duration tables* — ``size / effective_bandwidth + latency``
-  per edge, computed once per ``(item, degradation epoch)`` instead of
-  once per relaxation, and invalidated whenever
-  :attr:`~repro.core.state.NetworkState.degradation_epoch` moves.
-
-Both compilation steps are pure functions of their inputs
-(:func:`compile_network`, :func:`compile_durations`) and are registered
-as staticcheck R7 purity entry points; the memo layers
-(:func:`compiled_for`, :func:`durations_for`) live outside them and key
-on object identity via weak references, so a scenario or state being
-dropped releases its compiled columns with it.
+:func:`compile_network` is a pure function of the network and is
+registered as a staticcheck R7 purity entry point; the memo layer
+(:func:`compiled_for`) lives outside it and keys on object identity via
+a weak reference, so a scenario being dropped releases its compiled
+columns with it.  Transfer durations are not compiled: the kernel reads
+the state's :meth:`~repro.core.state.NetworkState.effective_bandwidths`
+once per search and computes ``item_size / bandwidth + latency`` when it
+enters a run, so a bandwidth degradation needs no invalidation here.
 
 The windows of one :class:`~repro.core.link.PhysicalLink` are one
 contiguous *run* of edges (consecutive link ids, kept adjacent by the
@@ -63,7 +59,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.network import Network
@@ -174,50 +170,9 @@ def compile_network(network: Network) -> CompiledScenario:
     )
 
 
-def compile_durations(
-    item_size: float,
-    compiled: CompiledScenario,
-    bandwidths: List[float],
-) -> "array[float]":
-    """Per-edge transfer durations for one item at given bandwidths.
-
-    Exactly the reference relaxation expression
-    ``item_size / bandwidth[link_id] + latency`` evaluated per edge; a
-    pure function of its arguments, memoized per ``(state, item,
-    degradation epoch)`` by :func:`durations_for`.
-    """
-    link_ids = compiled.link_ids
-    latencies = compiled.latencies
-    return array(
-        "d",
-        [
-            item_size / bandwidths[link_ids[edge]] + latencies[edge]
-            for edge in range(len(link_ids))
-        ],
-    )
-
-
 #: Per-network compiled CSR columns.  Weakly keyed: dropping the scenario
 #: releases the compiled form.
 _NETWORK_MEMO: "WeakKeyDictionary[Network, CompiledScenario]" = (
-    WeakKeyDictionary()
-)
-
-
-class _DurationTables:
-    """Per-state duration tables, valid for one degradation epoch."""
-
-    __slots__ = ("epoch", "tables")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.tables: Dict[int, "array[float]"] = {}
-
-
-#: Per-state duration tables.  Weakly keyed on the state; epoch-checked
-#: on every read, so a bandwidth degradation invalidates the whole table
-#: in one comparison.
-_DURATION_MEMO: "WeakKeyDictionary[NetworkState, _DurationTables]" = (
     WeakKeyDictionary()
 )
 
@@ -231,36 +186,10 @@ def compiled_for(network: Network) -> CompiledScenario:
     return compiled
 
 
-def durations_for(
-    state: NetworkState, item_id: int, compiled: CompiledScenario
-) -> "array[float]":
-    """The item's per-edge duration table against the state's bandwidths.
-
-    Valid for the state's current
-    :attr:`~repro.core.state.NetworkState.degradation_epoch`; a moved
-    epoch drops every table (durations are global functions of the
-    bandwidth list, so partial invalidation is impossible).
-    """
-    epoch = state.degradation_epoch
-    memo = _DURATION_MEMO.get(state)
-    if memo is None or memo.epoch != epoch:
-        memo = _DurationTables(epoch)
-        _DURATION_MEMO[state] = memo
-    table = memo.tables.get(item_id)
-    if table is None:
-        table = compile_durations(
-            state.scenario.item(item_id).size,
-            compiled,
-            state.effective_bandwidths(),
-        )
-        memo.tables[item_id] = table
-    return table
-
-
 def compute_tree_compiled(
     state: NetworkState,
     item_id: int,
-    targets: Optional[Set[int]],
+    targets: Optional[Collection[int]],
     not_before: float,
 ) -> ShortestPathTree:
     """The §4.2 earliest-arrival search over the compiled columns.
@@ -273,9 +202,11 @@ def compute_tree_compiled(
 
     A popped machine's edges are walked one physical-link run at a time
     (see the module docstring).  The receiver, its ``finalized`` byte,
-    its label, its residency bound, whether it holds the item, and the
-    duration are read once per run; a finalized receiver skips the whole
-    run.  The walk leaves a run early at three exits:
+    its label, its residency bound and whether it holds the item are read
+    once per run, and the duration is computed once per run, with the
+    reference expression ``item_size / bandwidth + latency`` over the
+    run's first edge; a finalized receiver skips the whole run.  The walk
+    leaves a run early at three exits:
 
     * the first pruned edge — every later edge is pruned too, so when
       tracing the rest of the run is added to ``pruned`` in one step;
@@ -320,8 +251,9 @@ def compute_tree_compiled(
     tracing = tracer.enabled
     relaxations = 0
     pruned = 0
-    durations = durations_for(state, item_id, compiled)
     item_size = state.scenario.item(item_id).size
+    bandwidths = state.effective_bandwidths()
+    latencies = compiled.latencies
     links = network.virtual_links
     offsets = compiled.offsets
     link_ids = compiled.link_ids
@@ -364,7 +296,10 @@ def compute_tree_compiled(
             receiver_label = (
                 labels_list[receiver] if discovered[receiver] else infinity
             )
-            duration = durations[run_start]
+            duration = (
+                item_size / bandwidths[link_ids[run_start]]
+                + latencies[run_start]
+            )
             receiver_release = release_row[receiver]
             release_end = (
                 sender_release

@@ -22,7 +22,7 @@ item are never relaxed *into* (a machine stores at most one copy).
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Collection, Optional
 
 from repro.core.state import NetworkState
 from repro.observability.profiling import PHASE_DIJKSTRA, span
@@ -33,7 +33,7 @@ from repro.routing.paths import ShortestPathTree
 def compute_shortest_path_tree(
     state: NetworkState,
     item_id: int,
-    targets: Optional[Set[int]] = None,
+    targets: Optional[Collection[int]] = None,
     not_before: float = 0.0,
 ) -> ShortestPathTree:
     """Earliest-arrival tree for one data item over the current state.
@@ -45,7 +45,7 @@ def compute_shortest_path_tree(
     Args:
         state: the scheduling state to plan against (not mutated).
         item_id: the data item to route.
-        targets: optional early-exit set — once every target machine is
+        targets: optional early-exit machines — once every target is
             finalized the search stops.  Labels of machines finalized before
             the exit are still exact; unfinalized machines are reported
             unreachable, so only pass ``targets`` when paths to other

@@ -78,21 +78,13 @@ class Path:
         return len(self.hops)
 
 
-@dataclass(frozen=True)
-class _Parent:
-    """Internal parent pointer: how the tree reaches a machine."""
-
-    sender: int
-    link_id: int
-    start: float
-    end: float
-
-
 class ShortestPathTree:
     """Earliest-arrival labels plus parent pointers for one data item.
 
     Built by :func:`repro.routing.dijkstra.compute_shortest_path_tree`; the
-    heuristics only read it.
+    heuristics only read it.  Parent pointers are the search's plain
+    ``(sender, link_id, start, end)`` tuples; :meth:`path_to` turns the
+    ones on a requested path into :class:`Hop` objects.
 
     Attributes are exposed through methods so the internal dictionaries stay
     private and the object can be safely shared across heuristic iterations.
@@ -103,7 +95,7 @@ class ShortestPathTree:
         item_id: int,
         seeds: Mapping[int, float],
         labels: Mapping[int, float],
-        parents: Mapping[int, _Parent],
+        parents: Mapping[int, Tuple[int, int, float, float]],
     ) -> None:
         self._item_id = item_id
         self._seeds = dict(seeds)
@@ -155,16 +147,9 @@ class ShortestPathTree:
                     f"machine {cursor} has a label but no parent and is not "
                     f"a seed (item {self._item_id})"
                 )
-            hops.append(
-                Hop(
-                    sender=parent.sender,
-                    receiver=cursor,
-                    link_id=parent.link_id,
-                    start=parent.start,
-                    end=parent.end,
-                )
-            )
-            cursor = parent.sender
+            sender, link_id, start, end = parent
+            hops.append(Hop(sender, cursor, link_id, start, end))
+            cursor = sender
             if cursor in visited:
                 raise SchedulingError(
                     f"cyclic parent pointers at machine {cursor} "
@@ -250,10 +235,6 @@ def make_tree(
         parents: machine -> ``(sender, link_id, start, end)`` for every
             non-seed labelled machine.
     """
-    parent_objs: Dict[int, _Parent] = {
-        machine: _Parent(sender=p[0], link_id=p[1], start=p[2], end=p[3])
-        for machine, p in parents.items()
-    }
     return ShortestPathTree(
-        item_id=item_id, seeds=seeds, labels=labels, parents=parent_objs
+        item_id=item_id, seeds=seeds, labels=labels, parents=parents
     )

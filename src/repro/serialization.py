@@ -83,6 +83,13 @@ def _number(value: Any, what: str) -> float:
     return value
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` when it is an integer (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _entries(value: Any, what: str) -> Any:
     """``value`` when it is a list of document entries."""
     if not isinstance(value, (list, tuple)):
@@ -161,9 +168,10 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
     Raises:
         ModelError: naming the offending entry, on a document or entry
             that is not an object, an entry collection that is not a
-            list, a missing key, a quantity that is not a number (or is
-            NaN), a wrong document kind, or a physical link whose windows
-            are malformed, inverted, unsorted or overlapping.
+            list, a missing key, a quantity or weight that is not a number
+            (or is NaN), an id, index, machine or priority that is not an
+            integer, a wrong document kind, or a physical link whose
+            windows are malformed, inverted, unsorted or overlapping.
     """
     if _require(document, "kind") != "scenario":
         raise ModelError(
@@ -171,7 +179,10 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         )
     machines = tuple(
         Machine(
-            index=_require(entry, "index", f"machine entry {index}"),
+            index=_integer(
+                _require(entry, "index", f"machine entry {index}"),
+                f"machine entry {index} index",
+            ),
             capacity=_number(
                 _require(entry, "capacity", f"machine entry {index}"),
                 f"machine entry {index} capacity",
@@ -201,13 +212,21 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         )
     )
     weighting_doc = _require(document, "weighting")
+    weights = [
+        _number(weight, f"weighting weight {k}")
+        for k, weight in enumerate(
+            _entries(
+                _require(weighting_doc, "weights", "weighting"),
+                "weighting weights",
+            )
+        )
+    ]
     return Scenario(
         network=Network(machines, links),
         items=items,
         requests=requests,
         weighting=PriorityWeighting(
-            _require(weighting_doc, "weights", "weighting"),
-            name=weighting_doc.get("name", ""),
+            weights, name=weighting_doc.get("name", "")
         ),
         gc_delay=_number(_require(document, "gc_delay"), "gc_delay"),
         horizon=_number(_require(document, "horizon"), "horizon"),
@@ -219,16 +238,22 @@ def _item_from_dict(index: int, entry: Dict[str, Any]) -> DataItem:
     """One ``items`` entry of a scenario document.
 
     Raises:
-        ModelError: naming the entry (and source), when a key is missing.
+        ModelError: naming the entry (and source), when a key is missing
+            or a value has the wrong type.
     """
     where = f"item entry {index}"
     return DataItem(
-        item_id=_require(entry, "item_id", where),
+        item_id=_integer(
+            _require(entry, "item_id", where), f"{where} item_id"
+        ),
         name=_require(entry, "name", where),
         size=_number(_require(entry, "size", where), f"{where} size"),
         sources=tuple(
             SourceLocation(
-                machine=_require(src, "machine", f"{where} source {j}"),
+                machine=_integer(
+                    _require(src, "machine", f"{where} source {j}"),
+                    f"{where} source {j} machine",
+                ),
                 available_from=_number(
                     _require(src, "available_from", f"{where} source {j}"),
                     f"{where} source {j} available_from",
@@ -245,14 +270,23 @@ def _request_from_dict(index: int, entry: Dict[str, Any]) -> Request:
     """One ``requests`` entry of a scenario document.
 
     Raises:
-        ModelError: naming the entry, when a key is missing.
+        ModelError: naming the entry, when a key is missing or a value
+            has the wrong type.
     """
     where = f"request entry {index}"
     return Request(
-        request_id=_require(entry, "request_id", where),
-        item_id=_require(entry, "item_id", where),
-        destination=_require(entry, "destination", where),
-        priority=_require(entry, "priority", where),
+        request_id=_integer(
+            _require(entry, "request_id", where), f"{where} request_id"
+        ),
+        item_id=_integer(
+            _require(entry, "item_id", where), f"{where} item_id"
+        ),
+        destination=_integer(
+            _require(entry, "destination", where), f"{where} destination"
+        ),
+        priority=_integer(
+            _require(entry, "priority", where), f"{where} priority"
+        ),
         deadline=_number(
             _require(entry, "deadline", where), f"{where} deadline"
         ),
@@ -284,9 +318,13 @@ def _physical_link_from_dict(index: int, entry: Dict[str, Any]) -> PhysicalLink:
                 f"{where} has a malformed window {window!r}: {error}"
             ) from error
     return PhysicalLink(
-        physical_id=_require(entry, "physical_id", where),
-        source=_require(entry, "source", where),
-        destination=_require(entry, "destination", where),
+        physical_id=_integer(
+            _require(entry, "physical_id", where), f"{where} physical_id"
+        ),
+        source=_integer(_require(entry, "source", where), f"{where} source"),
+        destination=_integer(
+            _require(entry, "destination", where), f"{where} destination"
+        ),
         bandwidth=_number(
             _require(entry, "bandwidth", where), f"{where} bandwidth"
         ),

@@ -67,13 +67,11 @@ MUTATOR_METHODS = frozenset(
 _CACHE_ENTRY_METHODS = frozenset({"key_for", "_replay", "_recheck"})
 
 #: Module-scoped entry points: per relpath suffix, module-level functions
-#: whose call trees must stay pure.  The compiled-scenario constructors
-#: are memoized by identity and reused across searches, so any impurity
-#: inside them would make the compiled kernel order-dependent.
+#: whose call trees must stay pure.  The compiled-scenario constructor is
+#: memoized by identity and reused across searches, so any impurity
+#: inside it would make the compiled kernel order-dependent.
 _MODULE_ENTRY_FUNCTIONS: Dict[str, frozenset] = {
-    "routing/compiled.py": frozenset(
-        {"compile_network", "compile_durations"}
-    ),
+    "routing/compiled.py": frozenset({"compile_network"}),
 }
 
 

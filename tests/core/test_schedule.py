@@ -1,5 +1,9 @@
 """Unit tests for schedules, steps, deliveries, and effects."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.schedule import (
@@ -29,6 +33,32 @@ class TestDelivery:
     def test_negative_hops_rejected(self):
         with pytest.raises(ModelError):
             Delivery(request_id=0, arrival=5.0, hops=-1)
+
+
+class TestSlottedRecords:
+    """Steps and deliveries are frozen and slotted, and still survive
+    pickling (process-pool workers) and copying."""
+
+    RECORDS = (
+        CommunicationStep(3, 0, 1, 2, 5, 10.0, 14.0),
+        Delivery(request_id=7, arrival=5.0, hops=2),
+    )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=["step", "delivery"])
+    def test_round_trips(self, record):
+        for restored in (
+            pickle.loads(pickle.dumps(record)),
+            copy.deepcopy(record),
+            copy.copy(record),
+        ):
+            assert restored == record
+            assert type(restored) is type(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=["step", "delivery"])
+    def test_frozen_without_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.hops = 0
 
 
 class TestSchedule:

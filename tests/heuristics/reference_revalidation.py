@@ -14,7 +14,7 @@ they must be identical.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.state import MUTATION_BOOKING, MUTATION_CUTOFF
 from repro.heuristics.base import CacheEntry, TreeCache
@@ -65,20 +65,20 @@ class ReferenceTreeCache(TreeCache):
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
-            targets = {
+            destinations = [
                 request.destination
                 for request in self._state.unsatisfied_requests_for_item(
                     item_id
                 )
-            }
+            ]
             tree = compute_shortest_path_tree(
                 self._state,
                 item_id,
-                targets,
+                destinations,
                 not_before=self._not_before,
             )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree)
+            entry = self._snapshot(item_id, tree, destinations)
         if self._enabled:
             self._trees[item_id] = entry
         return entry
@@ -150,8 +150,13 @@ class ReferenceTreeCache(TreeCache):
         cached.journal_position = journal_size
         return TREE_CACHE_REVALIDATED
 
-    def _snapshot(self, item_id: int, tree: ShortestPathTree) -> CacheEntry:
+    def _snapshot(
+        self,
+        item_id: int,
+        tree: ShortestPathTree,
+        destinations: List[int],
+    ) -> CacheEntry:
         """The production snapshot, positioned at the journal's end."""
-        entry = super()._snapshot(item_id, tree)
+        entry = super()._snapshot(item_id, tree, destinations)
         entry.journal_position = self._state.journal_length()
         return entry

@@ -2,12 +2,13 @@
 
 The differential suite (``tests/experiments/test_compiled_differential``)
 pins whole-schedule equivalence; these tests pin the compiled artifacts
-themselves — CSR layout, memo identity, duration-table values, and
-epoch-keyed invalidation — so a regression is reported at the layer that
-broke rather than as a distant schedule mismatch.  Tree-level equality
-is checked against the reference loop the tests keep as their oracle
-(:mod:`tests.routing.reference_kernel`), and a guard test checks that
-``use_reference_kernel()`` really reroutes a heuristic's searches to it.
+themselves — CSR layout, memo identity, and the per-run durations a
+bandwidth degradation must reach — so a regression is reported at the
+layer that broke rather than as a distant schedule mismatch.  Tree-level
+equality is checked against the reference loop the tests keep as their
+oracle (:mod:`tests.routing.reference_kernel`), and a guard test checks
+that ``use_reference_kernel()`` really reroutes a heuristic's searches to
+it.
 """
 
 from unittest import mock
@@ -19,11 +20,9 @@ from repro.core.state import NetworkState
 from repro.errors import SchedulingError
 from repro.heuristics.registry import make_heuristic
 from repro.routing.compiled import (
-    compile_durations,
     compile_network,
     compiled_for,
     compute_tree_compiled,
-    durations_for,
 )
 
 from tests.helpers import (
@@ -123,52 +122,80 @@ class TestCompileNetwork:
         assert compiled_for(first) is not compiled_for(second)
 
 
-class TestDurationTables:
-    def test_values_match_reference_expression(self):
-        network = _windowed_network()
-        compiled = compile_network(network)
-        bandwidths = [link.bandwidth for link in network.virtual_links]
-        table = compile_durations(1000.0, compiled, bandwidths)
-        for edge in range(compiled.edge_count):
-            link = network.virtual_links[compiled.link_ids[edge]]
-            assert table[edge] == 1000.0 / link.bandwidth + link.latency
+def _assert_trees_equal(compiled_tree, oracle_tree):
+    # White-box on purpose: byte-identity includes the dicts' insertion
+    # order, which no public accessor exposes.
+    assert compiled_tree.item_id == oracle_tree.item_id
+    assert compiled_tree._seeds == oracle_tree._seeds
+    assert compiled_tree._labels == oracle_tree._labels
+    assert compiled_tree._parents == oracle_tree._parents
+    assert list(compiled_tree._labels) == list(oracle_tree._labels)
+    assert list(compiled_tree._parents) == list(oracle_tree._parents)
 
-    def test_memoized_per_item_until_degradation(self):
-        scenario = make_scenario(
+
+class TestDegradedDurations:
+    """The kernel computes each run's duration from the state's current
+    bandwidths, so a degradation is seen by the very next search."""
+
+    def _scenario(self):
+        return make_scenario(
             _windowed_network(),
             [make_item(0, 1000.0, [(0, 0.0)])],
             [(0, 2, 2, 100.0)],
         )
-        state = NetworkState(scenario)
-        compiled = compiled_for(scenario.network)
-        table = durations_for(state, 0, compiled)
-        assert durations_for(state, 0, compiled) is table
 
-        state.degrade_physical_link(0, 0.5)
-        refreshed = durations_for(state, 0, compiled)
-        assert refreshed is not table
-        # Only the degraded physical link's edges lengthen.
-        for edge in range(compiled.edge_count):
-            link = scenario.network.virtual_links[compiled.link_ids[edge]]
-            if link.physical_id == 0:
-                assert refreshed[edge] > table[edge]
-            else:
-                assert refreshed[edge] == table[edge]
+    def test_search_after_degradation_matches_oracle(self):
+        state = NetworkState(self._scenario())
+        before = compute_tree_compiled(state, 0, None, 0.0)
+        _assert_trees_equal(before, reference_tree(state, 0, None, 0.0))
+        # Machine 1 is first reached over physical link 1's first window.
+        assert before.path_to(1).hops[0].link_id == 1
 
-    def test_tables_are_per_state(self):
+        # At 20 B/s the 1000-byte item no longer fits either window of
+        # physical link 1, so the route must move to physical link 0.
+        state.degrade_physical_link(1, 0.01)
+        after = compute_tree_compiled(state, 0, None, 0.0)
+        _assert_trees_equal(after, reference_tree(state, 0, None, 0.0))
+        assert after.path_to(1).hops[0].link_id == 0
+        assert after.arrival(1) > before.arrival(1)
+
+    def test_degrading_a_clone_leaves_its_sibling_unchanged(self):
+        state = NetworkState(self._scenario())
+        degraded, sibling = state.clone(), state.clone()
+        before = compute_tree_compiled(sibling, 0, None, 0.0)
+
+        degraded.degrade_physical_link(1, 0.25)
+        _assert_trees_equal(
+            compute_tree_compiled(degraded, 0, None, 0.0),
+            reference_tree(degraded, 0, None, 0.0),
+        )
+        for untouched in (sibling, state):
+            tree = compute_tree_compiled(untouched, 0, None, 0.0)
+            _assert_trees_equal(tree, before)
+            _assert_trees_equal(
+                tree, reference_tree(untouched, 0, None, 0.0)
+            )
+        assert compute_tree_compiled(
+            degraded, 0, None, 0.0
+        ).arrival(1) > before.arrival(1)
+
+    def test_uncontended_hop_lasts_size_over_bandwidth_plus_latency(self):
         scenario = make_scenario(
-            line_network(3),
+            line_network(3, latency=0.25),
             [make_item(0, 1000.0, [(0, 0.0)])],
             [(0, 2, 2, 100.0)],
         )
-        compiled = compiled_for(scenario.network)
-        one = NetworkState(scenario)
-        two = NetworkState(scenario)
-        # Distinct states memoize independently (a degradation on one must
-        # never leak into the other), even over the same network.
-        assert durations_for(one, 0, compiled) is not durations_for(
-            two, 0, compiled
-        )
+        state = NetworkState(scenario)
+        expected = {1000.0: 1.25, 250.0: 4.25}
+        for degrade in (False, True):
+            if degrade:
+                state.degrade_physical_link(0, 0.25)
+                state.degrade_physical_link(1, 0.25)
+            tree = compute_tree_compiled(state, 0, None, 0.0)
+            for hop in tree.path_to(2).hops:
+                bandwidth = state.effective_bandwidth(hop.link_id)
+                assert hop.end - hop.start == 1000.0 / bandwidth + 0.25
+                assert hop.end - hop.start == expected[bandwidth]
 
 
 class TestKernelEquivalence:
@@ -186,20 +213,9 @@ class TestKernelEquivalence:
             [(0, 2, 2, 200.0)],
         )
 
-    @staticmethod
-    def _assert_trees_equal(compiled_tree, oracle_tree):
-        # White-box on purpose: byte-identity includes the dicts'
-        # insertion order, which no public accessor exposes.
-        assert compiled_tree.item_id == oracle_tree.item_id
-        assert compiled_tree._seeds == oracle_tree._seeds
-        assert compiled_tree._labels == oracle_tree._labels
-        assert compiled_tree._parents == oracle_tree._parents
-        assert list(compiled_tree._labels) == list(oracle_tree._labels)
-        assert list(compiled_tree._parents) == list(oracle_tree._parents)
-
     def test_full_search(self):
         for scenario in self._scenarios():
-            self._assert_trees_equal(
+            _assert_trees_equal(
                 compute_tree_compiled(NetworkState(scenario), 0, None, 0.0),
                 reference_tree(NetworkState(scenario), 0, None, 0.0),
             )
@@ -207,7 +223,7 @@ class TestKernelEquivalence:
     def test_targeted_early_exit(self):
         for scenario in self._scenarios():
             for targets in ({1}, {2}, {1, 2}):
-                self._assert_trees_equal(
+                _assert_trees_equal(
                     compute_tree_compiled(
                         NetworkState(scenario), 0, set(targets), 0.0
                     ),
@@ -219,7 +235,7 @@ class TestKernelEquivalence:
     def test_not_before(self):
         for scenario in self._scenarios():
             for now in (0.5, 3.0, 30.0):
-                self._assert_trees_equal(
+                _assert_trees_equal(
                     compute_tree_compiled(
                         NetworkState(scenario), 0, None, now
                     ),
@@ -232,7 +248,7 @@ class TestKernelEquivalence:
         reference_state = NetworkState(scenario)
         for state in (compiled_state, reference_state):
             state.degrade_physical_link(1, 0.25)
-        self._assert_trees_equal(
+        _assert_trees_equal(
             compute_tree_compiled(compiled_state, 0, None, 0.0),
             reference_tree(reference_state, 0, None, 0.0),
         )

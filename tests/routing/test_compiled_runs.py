@@ -141,9 +141,9 @@ class TestMidRunCutoff:
         cuts = _mid_run_cut(scenario)
         tree, events = _search(scenario, True, True, 0.0, cuts)
         # Machine 1 is reached through the third window of the cut run.
-        parent = tree._parents[1]
-        assert (parent.sender, parent.link_id) == (0, 2)
-        assert (parent.start, parent.end) == (40.0, 45.0)
+        (hop,) = tree.path_to(1).hops
+        assert (hop.sender, hop.link_id) == (0, 2)
+        assert (hop.start, hop.end) == (40.0, 45.0)
         rejected = [
             dict(fields)
             for name, fields in events

@@ -203,6 +203,103 @@ class TestScenarioRoundTrip:
             scenario_from_dict(document)
 
 
+    @pytest.mark.parametrize(
+        "path, key, value, where",
+        [
+            (("requests", 0), "priority", 1.5, "request entry 0 priority"),
+            (("requests", 1), "priority", True, "request entry 1 priority"),
+            (
+                ("physical_links", 0),
+                "physical_id",
+                "0",
+                "physical link entry 0 physical_id",
+            ),
+            (("machines", 0), "index", 0.0, "machine entry 0 index"),
+            (
+                ("physical_links", 1),
+                "source",
+                False,
+                "physical link entry 1 source",
+            ),
+            (
+                ("physical_links", 0),
+                "destination",
+                1.0,
+                "physical link entry 0 destination",
+            ),
+            (
+                ("requests", 0),
+                "destination",
+                "1",
+                "request entry 0 destination",
+            ),
+            (("requests", 2), "item_id", 0.0, "request entry 2 item_id"),
+            (
+                ("requests", 0),
+                "request_id",
+                None,
+                "request entry 0 request_id",
+            ),
+            (("items", 0), "item_id", 0.0, "item entry 0 item_id"),
+            (
+                ("items", 0, "sources", 0),
+                "machine",
+                "0",
+                "item entry 0 source 0 machine",
+            ),
+        ],
+        ids=[
+            "priority-float",
+            "priority-bool",
+            "physical-id-string",
+            "machine-index-float",
+            "link-source-bool",
+            "link-destination-float",
+            "request-destination-string",
+            "request-item-id-float",
+            "request-id-none",
+            "item-id-float",
+            "source-machine-string",
+        ],
+    )
+    def test_non_integer_field_rejected(
+        self, tiny_scenarios, path, key, value, where
+    ):
+        document = scenario_to_dict(tiny_scenarios[0])
+        entry = document
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(
+            ModelError, match=f"{where} must be an integer, got"
+        ):
+            scenario_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "weights, where",
+        [
+            (
+                [float("nan"), 10.0, 100.0],
+                "weighting weight 0 must be a number",
+            ),
+            ([1.0, "10", 100.0], "weighting weight 1 must be a number"),
+            ([1.0, 10.0, True], "weighting weight 2 must be a number"),
+            (5.0, "weighting weights must be a list"),
+        ],
+        ids=[
+            "weight-nan",
+            "weight-string",
+            "weight-bool",
+            "weights-not-a-list",
+        ],
+    )
+    def test_malformed_weights_rejected(self, tiny_scenarios, weights, where):
+        document = scenario_to_dict(tiny_scenarios[0])
+        document["weighting"]["weights"] = weights
+        with pytest.raises(ModelError, match=where):
+            scenario_from_dict(document)
+
+
 class TestSuiteRoundTrip:
     def test_save_and_load_suite(self, tiny_scenarios, tmp_path):
         from repro.serialization import load_suite, save_suite

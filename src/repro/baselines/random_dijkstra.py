@@ -9,7 +9,7 @@ cost-driven heuristics isolates the value of the cost criteria themselves.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.scenario import Scenario
 from repro.core.state import NetworkState
@@ -17,8 +17,14 @@ from repro.cost.criteria import Cost4, CostResult
 from repro.cost.terms import most_urgent_satisfiable
 from repro.cost.weights import EUWeights
 from repro.heuristics.base import HeuristicResult, TreeCache
-from repro.heuristics.candidates import CandidateGroup, enumerate_groups
+from repro.heuristics.candidates import (
+    CandidateGroup,
+    Priorities,
+    RequestFilter,
+    enumerate_groups,
+)
 from repro.heuristics.partial_path import PartialPathHeuristic
+from repro.routing.paths import ShortestPathTree
 
 
 class RandomDijkstraBaseline(PartialPathHeuristic):
@@ -63,38 +69,37 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
         self,
         state: NetworkState,
         cache: TreeCache,
-        priorities: Optional[FrozenSet[int]] = None,
-        request_filter=None,
+        items: List[int],
+        priorities: Priorities = None,
+        request_filter: RequestFilter = None,
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
-        scenario = state.scenario
-        groups = []
-        for item_id in scenario.requested_item_ids():
-            if not state.unsatisfied_requests_for_item(item_id):
-                continue
-            entry = cache.entry_for(item_id)
-            payload = entry.payload
-            if (
-                not isinstance(payload, tuple)
-                or len(payload) != 3
-                or payload[0] != priorities
-                or payload[1] is not request_filter
-            ):
-                payload = (
-                    priorities,
-                    request_filter,
-                    enumerate_groups(
-                        state,
-                        item_id,
-                        entry.tree,
-                        scenario.weighting,
-                        priorities,
-                        request_filter,
-                    ),
+        groups: List[CandidateGroup] = []
+        for item_id in items:
+            groups.extend(
+                self._payload(
+                    state, cache, item_id, priorities, request_filter
                 )
-                entry.payload = payload
-            groups.extend(payload[2])
+            )
         if not groups:
             return None
         group = self._rng.choice(groups)
         selected = most_urgent_satisfiable(group.evaluations)
         return group, CostResult(cost=0.0, selected=selected)
+
+    def _item_payload(
+        self,
+        state: NetworkState,
+        item_id: int,
+        tree: ShortestPathTree,
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> Tuple[CandidateGroup, ...]:
+        """Every valid candidate of the item (the draw is over all)."""
+        return enumerate_groups(
+            state,
+            item_id,
+            tree,
+            state.scenario.weighting,
+            priorities,
+            request_filter,
+        )

@@ -145,6 +145,11 @@ class PhysicalLink:
             )
         windows = tuple(self.windows)
         object.__setattr__(self, "windows", windows)
+        if windows and windows[0].start < 0:
+            raise ModelError(
+                f"physical link {self.physical_id} window {windows[0]!r} "
+                f"opens before time 0"
+            )
         for earlier, later in zip(windows, windows[1:]):
             if later.start < earlier.end:
                 raise ModelError(

@@ -43,6 +43,11 @@ class EUWeights:
     urgency: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.effective) and math.isfinite(self.urgency)):
+            raise ConfigurationError(
+                f"E-U weights must be finite numbers, got "
+                f"({self.effective}, {self.urgency})"
+            )
         if self.effective < 0 or self.urgency < 0:
             raise ConfigurationError(
                 f"E-U weights must be non-negative, got "
@@ -57,12 +62,25 @@ class EUWeights:
 
         ``+inf`` maps to ``(1, 0)`` (priority only), ``−inf`` to ``(0, 1)``
         (urgency only); a finite ``x`` maps to ``(10**x, 1)``.
+
+        Raises:
+            ConfigurationError: for a NaN ratio, or one whose ``10**x``
+                overflows a float.
         """
+        if math.isnan(log10_ratio):
+            raise ConfigurationError("the E-U log10 ratio must not be NaN")
         if math.isinf(log10_ratio):
             if log10_ratio > 0:
                 return cls(effective=1.0, urgency=0.0)
             return cls(effective=0.0, urgency=1.0)
-        return cls(effective=10.0 ** log10_ratio, urgency=1.0)
+        try:
+            effective = 10.0 ** log10_ratio
+        except OverflowError:
+            raise ConfigurationError(
+                f"the E-U log10 ratio {log10_ratio} is too large: "
+                f"10**{log10_ratio} overflows"
+            ) from None
+        return cls(effective=effective, urgency=1.0)
 
     @property
     def log_ratio(self) -> float:
@@ -71,7 +89,11 @@ class EUWeights:
             return float("inf")
         if self.effective == 0:
             return float("-inf")
-        return math.log10(self.effective / self.urgency)
+        ratio = self.effective / self.urgency
+        if ratio == 0 or math.isinf(ratio):
+            # The quotient left the float range; the logarithms do not.
+            return math.log10(self.effective) - math.log10(self.urgency)
+        return math.log10(ratio)
 
     def label(self) -> str:
         """Axis label used in the figures (``-inf``, ``-3`` .. ``5``, ``inf``)."""

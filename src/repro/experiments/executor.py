@@ -89,7 +89,9 @@ logger = logging.getLogger(__name__)
 #: Version 7: embedded metrics may carry the ``bandwidth_degraded`` cache
 #: reason.
 #: Version 8: embedded metrics drop the removed compiled-kernel counter.
-CACHE_FORMAT_VERSION = 8
+#: Version 9: drains no longer search items whose open requests are all
+#: hidden, so tier cells report fewer ``dijkstra_runs`` and searches.
+CACHE_FORMAT_VERSION = 9
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

@@ -29,7 +29,7 @@ import abc
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -38,7 +38,13 @@ from repro.core.state import MUTATION_CUTOFF, NetworkState, TransferPlan
 from repro.cost.criteria import CostCriterion, CostResult
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
-from repro.heuristics.candidates import CandidateGroup, enumerate_groups
+from repro.heuristics.candidates import (
+    CandidateGroup,
+    Priorities,
+    RequestFilter,
+    enumerate_groups,
+    visible_requests,
+)
 from repro.observability.profiling import (
     PHASE_BOOKING,
     PHASE_SCORING,
@@ -61,6 +67,25 @@ from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.routing.paths import Hop, ShortestPathTree
 
 logger = logging.getLogger(__name__)
+
+
+def has_visible_request(
+    state: NetworkState,
+    item_id: int,
+    priorities: Priorities,
+    request_filter: RequestFilter,
+) -> bool:
+    """True when some open request of the item passes a drain's filters.
+
+    Candidates come only from tree paths to such requests, so a drain
+    cannot schedule an item for which this is false.
+    """
+    if priorities is None and request_filter is None:
+        return state.open_request_counts()[item_id] > 0
+    return any(
+        True
+        for _ in visible_requests(state, item_id, priorities, request_filter)
+    )
 
 
 @dataclass
@@ -109,8 +134,8 @@ class CacheEntry:
     The payload (the heuristic's scored candidate choice for the item) has
     exactly the same validity as the tree — it is derived from the tree, the
     item's unsatisfied-request set (which only changes with the item
-    revision), and run-constant configuration — so it is stored on the entry
-    and discarded with it.
+    revision), the drain's filters, and run-constant configuration — so it
+    is stored on the entry, keyed by the filters, and discarded with it.
 
     Attributes:
         tree: the cached shortest-path tree.
@@ -128,7 +153,8 @@ class CacheEntry:
         residencies: planned storage residency per receiving machine.
         item_size: the routed item's size in bytes (for residency
             rechecks).
-        payload: the heuristic's cached scored choice (see above).
+        payload: ``(priorities, request_filter, value)``: the heuristic's
+            cached value for the item under those filters (see above).
         conflict: the first ``link_conflict`` or ``cutoff_tightened``
             replayed past ``journal_position``, else ``""``.
         suspects: machines whose planned residency a replayed
@@ -143,7 +169,7 @@ class CacheEntry:
     hop_intervals: Dict[int, Interval] = field(default_factory=dict)
     residencies: Dict[int, Interval] = field(default_factory=dict)
     item_size: float = 0.0
-    payload: object = None
+    payload: Optional[Tuple[Priorities, RequestFilter, Any]] = None
     conflict: str = ""
     suspects: FrozenSet[int] = frozenset()
 
@@ -464,8 +490,8 @@ class StagingHeuristic(abc.ABC):
         state: NetworkState,
         cache: TreeCache,
         stats: EngineStats,
-        priorities: Optional[FrozenSet[int]] = None,
-        request_filter: Optional[Callable[..., bool]] = None,
+        priorities: Priorities = None,
+        request_filter: RequestFilter = None,
     ) -> None:
         """Schedule until no (optionally filtered) candidate remains.
 
@@ -473,6 +499,11 @@ class StagingHeuristic(abc.ABC):
         several passes over one shared state: the §5.4 priority-tier
         baseline filters by ``priorities``, the dynamic driver hides
         unrevealed requests through ``request_filter``.
+
+        Only items with a request the filters let through are searched
+        (:func:`has_visible_request`).  The list is built once; after each
+        decision only the booked item is rechecked, because deliveries are
+        recorded only for the booked item and the filters are fixed.
 
         Raises:
             ConfigurationError: when ``cache`` was built for a different
@@ -482,9 +513,16 @@ class StagingHeuristic(abc.ABC):
         debug = logger.isEnabledFor(logging.DEBUG)
         tracer = state.tracer
         tracing = tracer.enabled
+        items = [
+            item_id
+            for item_id in state.scenario.requested_item_ids()
+            if has_visible_request(state, item_id, priorities, request_filter)
+        ]
         while True:
             decision_started = time.perf_counter() if tracing else 0.0
-            choice = self._best_choice(state, cache, priorities, request_filter)
+            choice = self._best_choice(
+                state, cache, items, priorities, request_filter
+            )
             if choice is None:
                 break
             group, result = choice
@@ -492,6 +530,10 @@ class StagingHeuristic(abc.ABC):
             with span(PHASE_BOOKING, tracer):
                 hops = self._execute(state, cache, group, result)
             stats.hops_booked += hops
+            if not has_visible_request(
+                state, group.item_id, priorities, request_filter
+            ):
+                items.remove(group.item_id)
             if tracing:
                 tracer.emit(
                     "decision",
@@ -517,38 +559,18 @@ class StagingHeuristic(abc.ABC):
         self,
         state: NetworkState,
         cache: TreeCache,
-        priorities: Optional[FrozenSet[int]] = None,
-        request_filter: Optional[Callable[..., bool]] = None,
+        items: List[int],
+        priorities: Priorities = None,
+        request_filter: RequestFilter = None,
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
-        scenario = state.scenario
+        """The cheapest scored candidate over ``items``; the first item in
+        order wins a tie."""
         best_key = None
         best: Optional[Tuple[CandidateGroup, CostResult]] = None
-        open_requests = state.open_request_counts()
-        for item_id in scenario.requested_item_ids():
-            if not open_requests[item_id]:
-                continue
-            entry = cache.entry_for(item_id)
-            # The item's scored best candidate is derived purely from the
-            # tree, the unsatisfied-request set, and run constants, so it
-            # is cached on the entry.  The key carries the tier filter by
-            # value and the request filter by identity (one filter object
-            # per drain pass).
-            payload = entry.payload
-            if (
-                not isinstance(payload, tuple)
-                or len(payload) != 3
-                or payload[0] != priorities
-                or payload[1] is not request_filter
-            ):
-                payload = (
-                    priorities,
-                    request_filter,
-                    self._score_item(
-                        state, item_id, entry.tree, priorities, request_filter
-                    ),
-                )
-                entry.payload = payload
-            scored = payload[2]
+        for item_id in items:
+            scored = self._payload(
+                state, cache, item_id, priorities, request_filter
+            )
             if scored is None:
                 continue
             key, group, result = scored
@@ -557,15 +579,47 @@ class StagingHeuristic(abc.ABC):
                 best = (group, result)
         return best
 
-    def _score_item(
+    def _payload(
+        self,
+        state: NetworkState,
+        cache: TreeCache,
+        item_id: int,
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> Any:
+        """The item's :meth:`_item_payload`, memoized on its cache entry.
+
+        The memo key carries the tier filter by value and the request
+        filter by identity (one filter object per drain pass).
+        """
+        entry = cache.entry_for(item_id)
+        payload = entry.payload
+        if (
+            payload is None
+            or payload[0] != priorities
+            or payload[1] is not request_filter
+        ):
+            payload = (
+                priorities,
+                request_filter,
+                self._item_payload(
+                    state, item_id, entry.tree, priorities, request_filter
+                ),
+            )
+            entry.payload = payload
+        return payload[2]
+
+    def _item_payload(
         self,
         state: NetworkState,
         item_id: int,
         tree: ShortestPathTree,
-        priorities: Optional[FrozenSet[int]],
-        request_filter: Optional[Callable[..., bool]] = None,
-    ) -> Optional[Tuple[tuple, CandidateGroup, CostResult]]:
-        """The item's cheapest candidate group under the criterion."""
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> Any:
+        """What :meth:`_best_choice` reads per item: here the item's
+        cheapest candidate group under the criterion, as
+        ``(key, group, result)``, or ``None``."""
         scenario = state.scenario
         tracer = state.tracer
         tracing = tracer.enabled

@@ -12,18 +12,24 @@ Enumeration is *dirty-set driven*: the engine caches each item's scored
 groups on its :class:`~repro.heuristics.base.CacheEntry`, so this module
 only runs again for items whose trees were actually recomputed — items
 whose cached trees survived journal revalidation keep their scored
-candidates untouched.
+candidates untouched.  Only requests that pass a drain's filters
+(:func:`visible_requests`) contribute destinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.priority import PriorityWeighting
+from repro.core.request import Request
 from repro.core.state import NetworkState
 from repro.cost.terms import DestinationEvaluation, evaluate_destination
 from repro.routing.paths import Hop, ShortestPathTree
+
+#: A drain's request filters: the tier's priority classes and a predicate.
+Priorities = Optional[FrozenSet[int]]
+RequestFilter = Optional[Callable[..., bool]]
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,35 @@ class CandidateGroup:
         return (self.item_id, self.next_machine, self.first_hop.link_id)
 
 
+def visible_requests(
+    state: NetworkState,
+    item_id: int,
+    priorities: Priorities = None,
+    request_filter: RequestFilter = None,
+) -> Iterator[Request]:
+    """The item's unsatisfied requests that pass a drain's filters.
+
+    Args:
+        priorities: when given, only requests of these priority classes
+            pass (used by the §5.4 priority-tier baseline).
+        request_filter: arbitrary additional predicate over requests (used
+            by the dynamic driver to hide not-yet-revealed requests).
+    """
+    for request in state.unsatisfied_requests_for_item(item_id):
+        if priorities is not None and request.priority not in priorities:
+            continue
+        if request_filter is not None and not request_filter(request):
+            continue
+        yield request
+
+
 def enumerate_groups(
     state: NetworkState,
     item_id: int,
     tree: ShortestPathTree,
     weighting: PriorityWeighting,
-    priorities: Optional[FrozenSet[int]] = None,
-    request_filter: Optional[Callable[..., bool]] = None,
+    priorities: Priorities = None,
+    request_filter: RequestFilter = None,
 ) -> Tuple[CandidateGroup, ...]:
     """Build the ``Drq[i,r]`` candidate groups for one item.
 
@@ -77,18 +105,14 @@ def enumerate_groups(
         item_id: the item whose tree is being expanded.
         tree: the item's up-to-date shortest-path tree.
         weighting: the scenario's priority weighting.
-        priorities: when given, only requests of these priority classes are
-            considered (used by the §5.4 priority-tier baseline).
-        request_filter: arbitrary additional predicate over requests (used
-            by the dynamic driver to hide not-yet-revealed requests).
+        priorities, request_filter: the drain's filters (see
+            :func:`visible_requests`).
     """
     grouped: Dict[int, List[DestinationEvaluation]] = {}
     first_hops: Dict[int, Hop] = {}
-    for request in state.unsatisfied_requests_for_item(item_id):
-        if priorities is not None and request.priority not in priorities:
-            continue
-        if request_filter is not None and not request_filter(request):
-            continue
+    for request in visible_requests(
+        state, item_id, priorities, request_filter
+    ):
         if not tree.is_reachable(request.destination):
             continue
         path = tree.path_to(request.destination)

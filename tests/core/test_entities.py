@@ -113,6 +113,25 @@ class TestPhysicalLink:
                 windows=(Interval(20, 30), Interval(0, 10)),
             )
 
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            (Interval(-5, -1),),
+            (Interval(-5, 10),),
+            (Interval(-5, 0), Interval(10, 20)),
+        ],
+    )
+    def test_windows_before_time_zero_rejected(self, windows):
+        with pytest.raises(ModelError, match="before time 0"):
+            PhysicalLink(
+                physical_id=0,
+                source=0,
+                destination=1,
+                bandwidth=1.0,
+                latency=0.0,
+                windows=windows,
+            )
+
     def test_adjacent_windows_allowed(self):
         plink = PhysicalLink(
             physical_id=0,

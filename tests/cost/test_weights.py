@@ -11,6 +11,7 @@ from repro.cost.weights import (
     paper_sweep,
 )
 from repro.errors import ConfigurationError
+from repro.heuristics.registry import make_heuristic
 
 
 class TestEUWeights:
@@ -51,6 +52,39 @@ class TestEUWeights:
     def test_both_zero_rejected(self):
         with pytest.raises(ConfigurationError):
             EUWeights(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EUWeights(math.nan, 1.0),
+            lambda: EUWeights(1.0, math.nan),
+            lambda: EUWeights(math.inf, 1.0),
+            lambda: EUWeights(1.0, math.inf),
+            lambda: EUWeights.from_log_ratio(math.nan),
+            lambda: EUWeights.from_log_ratio(400.0),
+            lambda: as_weights(math.nan),
+            lambda: make_heuristic("partial", "C4", math.nan),
+        ],
+        ids=[
+            "nan-effective",
+            "nan-urgency",
+            "inf-effective",
+            "inf-urgency",
+            "nan-ratio",
+            "overflowing-ratio",
+            "nan-coerced",
+            "nan-heuristic",
+        ],
+    )
+    def test_non_finite_weights_and_ratios_rejected(self, build):
+        """An infinite weight would be labelled like ``(1, 0)`` yet rank
+        differently, so the run cache keyed by the label would mix them."""
+        with pytest.raises(ConfigurationError):
+            build()
+
+    def test_extreme_finite_weights_keep_a_finite_label(self):
+        assert EUWeights(1e308, 1e-308).label() == "616"
+        assert EUWeights(1e-308, 1e308).label() == "-616"
 
 
 class TestGrid:

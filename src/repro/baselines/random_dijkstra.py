@@ -74,12 +74,10 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
         request_filter: RequestFilter = None,
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
         groups: List[CandidateGroup] = []
-        for item_id in items:
-            groups.extend(
-                self._payload(
-                    state, cache, item_id, priorities, request_filter
-                )
-            )
+        for payload in self._live_payloads(
+            state, cache, items, priorities, request_filter
+        ):
+            groups.extend(payload)
         if not groups:
             return None
         group = self._rng.choice(groups)

@@ -109,8 +109,11 @@ class DynamicDriver:
         criterion: criterion name or instance for the inner heuristic.
         weights: E-U weights or raw ``log10`` ratio.
 
-    Each pass gets a fresh tree cache: plans from an earlier "now" are
-    never reused.
+    Each pass gets its own tree cache (:meth:`TreeCache.advanced`): plans
+    from an earlier "now" are never reused, but the no-candidate marks
+    carry over.  A later "now", bookings and outages only delay arrivals,
+    so an item proven to have no candidate is not searched again until
+    its revision, an epoch or its visible requests change.
     """
 
     def __init__(
@@ -153,10 +156,11 @@ class DynamicDriver:
         }
         withdrawn: Set[int] = set()
         outcomes: List[EventOutcome] = []
+        cache = TreeCache(state, stats)
 
         # Pass 0: everything known at the start.
         outcomes.append(
-            self._pass(state, stats, revealed, now=0.0,
+            self._pass(state, cache, stats, revealed,
                        newly_revealed=tuple(sorted(revealed)),
                        losses=(), reopened=())
         )
@@ -198,12 +202,13 @@ class DynamicDriver:
                     )
                     losses.append((event.item_id, event.machine))
                 index += 1
+            cache = cache.advanced(now)
             outcomes.append(
                 self._pass(
                     state,
+                    cache,
                     stats,
                     revealed,
-                    now=now,
                     newly_revealed=tuple(newly_revealed),
                     losses=tuple(losses),
                     reopened=tuple(reopened),
@@ -227,9 +232,9 @@ class DynamicDriver:
     def _pass(
         self,
         state: NetworkState,
+        cache: TreeCache,
         stats: EngineStats,
         revealed: Set[int],
-        now: float,
         newly_revealed: Tuple[int, ...],
         losses: Tuple[Tuple[int, int], ...],
         reopened: Tuple[int, ...],
@@ -241,7 +246,7 @@ class DynamicDriver:
         def request_filter(request) -> bool:
             return request.request_id in visible
 
-        cache = TreeCache(state, stats, not_before=now)
+        now = cache.not_before
         before = stats.hops_booked
         self._inner.drain(state, cache, stats, request_filter=request_filter)
         if logger.isEnabledFor(logging.DEBUG):

@@ -37,7 +37,7 @@ class RequestArrival:
     request_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:
             raise ModelError(
                 f"arrival event time must be >= 0, got {self.time}"
             )
@@ -58,7 +58,7 @@ class CopyLoss:
     machine: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:
             raise ModelError(f"loss event time must be >= 0, got {self.time}")
 
 
@@ -81,7 +81,7 @@ class LinkOutage:
     physical_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:
             raise ModelError(
                 f"outage event time must be >= 0, got {self.time}"
             )
@@ -105,7 +105,7 @@ class RequestCancellation:
     request_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:
             raise ModelError(
                 f"cancellation event time must be >= 0, got {self.time}"
             )

@@ -91,7 +91,9 @@ logger = logging.getLogger(__name__)
 #: Version 8: embedded metrics drop the removed compiled-kernel counter.
 #: Version 9: drains no longer search items whose open requests are all
 #: hidden, so tier cells report fewer ``dijkstra_runs`` and searches.
-CACHE_FORMAT_VERSION = 9
+#: Version 10: drains no longer search items proven to have no candidate,
+#: so every cell kind reports fewer ``dijkstra_runs`` and searches.
+CACHE_FORMAT_VERSION = 10
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

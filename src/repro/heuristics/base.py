@@ -21,6 +21,15 @@ a planned completion.  Bookings only ever remove availability, so a tree
 that survives the journal replay has labels byte-identical to a fresh
 recompute — the engine's decisions match the recompute-every-iteration
 algorithm.
+
+The cache also remembers which items have *no* candidate (§4.8 gives no
+resources to a step whose every destination misses its deadline).  Every
+link is FIFO — storage over ``[s, release)`` only gets easier as ``s``
+grows, so a later start never arrives earlier — hence bookings, outage
+cutoffs and a later "now" can only delay an item's labels.  An item with
+no candidate keeps having none until its copies or open requests change
+(its revision), storage is freed (the capacity epoch), bandwidth degrades
+(the degradation epoch) or one of its requests becomes visible.
 """
 
 from __future__ import annotations
@@ -69,6 +78,11 @@ from repro.routing.paths import Hop, ShortestPathTree
 logger = logging.getLogger(__name__)
 
 
+#: A no-candidate mark: the item revision, capacity epoch and degradation
+#: epoch it was proven under, and the visible request ids it covers.
+NoCandidateMark = Tuple[int, int, int, FrozenSet[int]]
+
+
 def has_visible_request(
     state: NetworkState,
     item_id: int,
@@ -85,6 +99,20 @@ def has_visible_request(
     return any(
         True
         for _ in visible_requests(state, item_id, priorities, request_filter)
+    )
+
+
+def _visible_request_ids(
+    state: NetworkState,
+    item_id: int,
+    priorities: Priorities,
+    request_filter: RequestFilter,
+) -> FrozenSet[int]:
+    return frozenset(
+        request.request_id
+        for request in visible_requests(
+            state, item_id, priorities, request_filter
+        )
     )
 
 
@@ -199,13 +227,21 @@ class TreeCache:
     :class:`~repro.errors.ConfigurationError` instead of silently
     validating stale trees.
 
+    No-candidate marks (:meth:`mark_no_candidate`) record the counters
+    under which an item was proven to have no candidate, and the visible
+    requests the proof covered.  A drain leaves out an item whose mark
+    still holds (:meth:`has_no_candidate`).  Marks outlive the trees:
+    :meth:`advanced` makes the cache for a later pass with fresh trees and
+    the same marks.  A disabled cache records no mark, so it stays the
+    recompute-everything oracle.
+
     Args:
         state: the scheduling state trees are computed against.
         stats: instrumentation sink.
         enabled: disable to recompute every tree on every request.
         not_before: wall-clock lower bound forwarded to the routing layer;
-            a cache instance is bound to one value (dynamic drivers create
-            a fresh cache per re-scheduling pass).
+            a cache instance is bound to one value (dynamic drivers make
+            each pass's cache with :meth:`advanced`).
     """
 
     def __init__(
@@ -226,11 +262,17 @@ class TreeCache:
         #: Footprint indexes: link / machine -> {item id: entry}.
         self._link_index: Dict[int, Dict[int, CacheEntry]] = {}
         self._machine_index: Dict[int, Dict[int, CacheEntry]] = {}
+        self._marks: Dict[int, NoCandidateMark] = {}
 
     @property
     def not_before(self) -> float:
         """The wall-clock lower bound this cache plans at."""
         return self._not_before
+
+    @property
+    def enabled(self) -> bool:
+        """False when every request recomputes its tree."""
+        return self._enabled
 
     @property
     def epoch(self) -> int:
@@ -254,6 +296,65 @@ class TreeCache:
                 f"survive clone() — build a fresh TreeCache for the new "
                 f"state"
             )
+
+    def advanced(self, now: float) -> "TreeCache":
+        """The cache for a later pass at ``now``: no trees, the same marks.
+
+        Plans from an earlier "now" are never reused, but a later "now"
+        only delays labels, so a mark stays as valid as its counters.
+
+        Raises:
+            ConfigurationError: when ``now`` is earlier than (or not
+                comparable with) this cache's instant.
+        """
+        if not now >= self._not_before:
+            raise ConfigurationError(
+                f"cannot advance a tree cache from t={self._not_before} "
+                f"to the earlier t={now}"
+            )
+        cache = type(self)(self._state, self._stats, self._enabled, now)
+        cache._marks = dict(self._marks)
+        return cache
+
+    def mark_no_candidate(
+        self,
+        item_id: int,
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> None:
+        """Record that the item has no candidate for its visible requests
+        under the current counters; a disabled cache records nothing."""
+        if not self._enabled:
+            return
+        state = self._state
+        self._marks[item_id] = (
+            state.item_revision(item_id),
+            state.capacity_epoch,
+            state.degradation_epoch,
+            _visible_request_ids(state, item_id, priorities, request_filter),
+        )
+
+    def has_no_candidate(
+        self,
+        item_id: int,
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> bool:
+        """True when the item's mark still holds: the same revision and
+        epochs, and no visible request the mark does not cover."""
+        mark = self._marks.get(item_id)
+        if mark is None:
+            return False
+        state = self._state
+        revision, capacity_epoch, degradation_epoch, covered = mark
+        return (
+            revision == state.item_revision(item_id)
+            and capacity_epoch == state.capacity_epoch
+            and degradation_epoch == state.degradation_epoch
+            and _visible_request_ids(
+                state, item_id, priorities, request_filter
+            ) <= covered
+        )
 
     def tree_for(self, item_id: int) -> ShortestPathTree:
         """The item's current tree, recomputing only when necessary."""
@@ -501,9 +602,12 @@ class StagingHeuristic(abc.ABC):
         unrevealed requests through ``request_filter``.
 
         Only items with a request the filters let through are searched
-        (:func:`has_visible_request`).  The list is built once; after each
-        decision only the booked item is rechecked, because deliveries are
-        recorded only for the booked item and the filters are fixed.
+        (:func:`has_visible_request`), and not those the cache has proven
+        to have no candidate (:meth:`TreeCache.has_no_candidate`).  The
+        list is built once; after each decision only the booked item is
+        rechecked, because deliveries are recorded only for the booked
+        item and the filters are fixed.  An item whose payload comes out
+        empty leaves the list (:meth:`_live_payloads`).
 
         Raises:
             ConfigurationError: when ``cache`` was built for a different
@@ -517,6 +621,7 @@ class StagingHeuristic(abc.ABC):
             item_id
             for item_id in state.scenario.requested_item_ids()
             if has_visible_request(state, item_id, priorities, request_filter)
+            and not cache.has_no_candidate(item_id, priorities, request_filter)
         ]
         while True:
             decision_started = time.perf_counter() if tracing else 0.0
@@ -567,17 +672,40 @@ class StagingHeuristic(abc.ABC):
         order wins a tie."""
         best_key = None
         best: Optional[Tuple[CandidateGroup, CostResult]] = None
-        for item_id in items:
-            scored = self._payload(
-                state, cache, item_id, priorities, request_filter
-            )
-            if scored is None:
-                continue
-            key, group, result = scored
+        for key, group, result in self._live_payloads(
+            state, cache, items, priorities, request_filter
+        ):
             if best_key is None or key < best_key:
                 best_key = key
                 best = (group, result)
         return best
+
+    def _live_payloads(
+        self,
+        state: NetworkState,
+        cache: TreeCache,
+        items: List[int],
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> List[Any]:
+        """The non-empty payloads of ``items``, in order.
+
+        An item whose payload is empty has no candidate, and within a
+        drain it keeps having none: it is never booked, the filters are
+        fixed, and other bookings only delay its arrivals.  So, unless the
+        cache is disabled, it is dropped from ``items``.
+        """
+        payloads = [
+            self._payload(state, cache, item_id, priorities, request_filter)
+            for item_id in items
+        ]
+        if cache.enabled and not all(payloads):
+            items[:] = [
+                item_id
+                for item_id, payload in zip(items, payloads)
+                if payload
+            ]
+        return [payload for payload in payloads if payload]
 
     def _payload(
         self,
@@ -590,7 +718,9 @@ class StagingHeuristic(abc.ABC):
         """The item's :meth:`_item_payload`, memoized on its cache entry.
 
         The memo key carries the tier filter by value and the request
-        filter by identity (one filter object per drain pass).
+        filter by identity (one filter object per drain pass).  A freshly
+        computed empty payload (no candidate group) marks the item in the
+        cache (:meth:`TreeCache.mark_no_candidate`).
         """
         entry = cache.entry_for(item_id)
         payload = entry.payload
@@ -599,13 +729,12 @@ class StagingHeuristic(abc.ABC):
             or payload[0] != priorities
             or payload[1] is not request_filter
         ):
-            payload = (
-                priorities,
-                request_filter,
-                self._item_payload(
-                    state, item_id, entry.tree, priorities, request_filter
-                ),
+            value = self._item_payload(
+                state, item_id, entry.tree, priorities, request_filter
             )
+            if not value:
+                cache.mark_no_candidate(item_id, priorities, request_filter)
+            payload = (priorities, request_filter, value)
             entry.payload = payload
         return payload[2]
 

@@ -13,16 +13,15 @@ streams lose only search events:
 
 - a dynamic pass (one drain per tree cache) and a single filtered drain
   emit a subsequence of the oracle's stream, and every missing event is
-  one of :data:`SEARCH_EVENTS`;
+  one of the oracle module's ``SEARCH_EVENTS``;
 - the tier drains share one tree cache, so an item first searched in a
   later tier starts cold where the oracle may hit its cache.  With
-  :data:`SEARCH_EVENTS` dropped the two streams are equal, and the change
+  ``SEARCH_EVENTS`` dropped the two streams are equal, and the change
   computes no more trees;
-- unfiltered drains skip nothing: their streams are equal.
+- unfiltered drains hide nothing, but they drop the items proven to have
+  no candidate (``tests/experiments/test_dead_item_differential.py``), so
+  their streams are a subsequence too, and shorter on the pinned seed.
 """
-
-import json
-from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,31 +32,18 @@ from repro.core.state import NetworkState
 from repro.dynamic.driver import DynamicDriver
 from repro.faults.context import use_faults
 from repro.heuristics.base import EngineStats, StagingHeuristic, TreeCache
-from repro.observability.tracer import RecordingTracer, use_tracer
-from repro.serialization import schedule_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
-from tests.helpers import dynamic_fault_events, neutral_fields
+from tests.helpers import dynamic_fault_events
 from tests.heuristics.reference_selection import (
     CHOOSERS,
-    use_reference_selection,
+    assert_skips_only_searches,
+    traced_both,
+    without_searches,
 )
 
 _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
-
-#: The event kinds a skipped search would have emitted.
-SEARCH_EVENTS = frozenset(
-    {
-        "tree_cache",
-        "dijkstra",
-        "transfer_attempt",
-        "transfer_rejected",
-        "item_scored",
-        "span_start",
-        "span_end",
-    }
-)
 
 #: The draw pinned in ``TestPinnedEventStream`` (tests/observability).
 PINNED_SEED = 0
@@ -69,48 +55,6 @@ _SETTINGS = settings(
 )
 
 
-def _traced(run, reference):
-    """``run()``'s result, its canonical-JSON schedule and its events."""
-    tracer = RecordingTracer()
-    selection = use_reference_selection() if reference else nullcontext()
-    with use_tracer(tracer), selection:
-        result = run()
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
-    stream = [(event.name, neutral_fields(event)) for event in tracer.events]
-    return result, schedule, stream
-
-
-def _both(run):
-    """``_traced`` under the oracle, then under the change."""
-    return _traced(run, reference=True), _traced(run, reference=False)
-
-
-def _missing_events(stream, oracle):
-    """The names of the oracle events ``stream`` skips, or ``None`` when
-    ``stream`` is not a subsequence of ``oracle``."""
-    missing = []
-    position = 0
-    for event in stream:
-        while position < len(oracle) and oracle[position] != event:
-            missing.append(oracle[position][0])
-            position += 1
-        if position == len(oracle):
-            return None
-        position += 1
-    missing.extend(name for name, _ in oracle[position:])
-    return missing
-
-
-def _assert_skips_only_searches(stream, oracle):
-    missing = _missing_events(stream, oracle)
-    assert missing is not None, "the stream is not a subsequence"
-    assert set(missing) <= SEARCH_EVENTS
-
-
-def _without_searches(stream):
-    return [event for event in stream if event[0] not in SEARCH_EVENTS]
-
-
 def _dynamic(seed, heuristic, intensity):
     scenario = _GENERATOR.generate(seed)
     events, plan = dynamic_fault_events(scenario, seed, intensity)
@@ -119,7 +63,7 @@ def _dynamic(seed, heuristic, intensity):
         with use_faults(plan):
             return DynamicDriver(heuristic, "C4", 2.0).run(scenario, events)
 
-    return _both(run)
+    return traced_both(run)
 
 
 @given(
@@ -133,7 +77,7 @@ def test_dynamic_runs_skip_only_searches(seed, heuristic, intensity):
         seed, heuristic, intensity
     )
     assert schedule == oracle_schedule
-    _assert_skips_only_searches(stream, oracle)
+    assert_skips_only_searches(stream, oracle)
 
 
 def test_the_skip_fires_on_the_pinned_draw():
@@ -143,7 +87,7 @@ def test_the_skip_fires_on_the_pinned_draw():
         _dynamic(PINNED_SEED, "partial", 0.5)
     )
     assert schedule == oracle_schedule
-    _assert_skips_only_searches(stream, oracle)
+    assert_skips_only_searches(stream, oracle)
     assert result.stats.dijkstra_runs < oracle_result.stats.dijkstra_runs
     assert len(stream) < len(oracle)
 
@@ -157,21 +101,24 @@ def test_priority_tiers_change_only_searches(seed, heuristic):
     scenario = _GENERATOR.generate(seed)
     scheduler = PriorityTierScheduler(heuristic, "C4", 0.0)
     (oracle_result, oracle_schedule, oracle), (result, schedule, stream) = (
-        _both(lambda: scheduler.run(scenario))
+        traced_both(lambda: scheduler.run(scenario))
     )
     assert schedule == oracle_schedule
-    assert _without_searches(stream) == _without_searches(oracle)
+    assert without_searches(stream) == without_searches(oracle)
     assert result.stats.dijkstra_runs <= oracle_result.stats.dijkstra_runs
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @_SETTINGS
 def test_random_dijkstra_skips_only_searches(seed):
-    """An unfiltered run skips nothing; a filtered drain (one tree cache)
-    skips only searches."""
+    """An unfiltered run (which still drops items with no candidate) and
+    a filtered drain (one tree cache) skip only searches."""
     scenario = _GENERATOR.generate(seed)
-    oracle_run, run = _both(lambda: RandomDijkstraBaseline(seed).run(scenario))
-    assert run[1:] == oracle_run[1:]
+    (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(
+        lambda: RandomDijkstraBaseline(seed).run(scenario)
+    )
+    assert schedule == oracle_schedule
+    assert_skips_only_searches(stream, oracle)
 
     def filtered():
         state = NetworkState(scenario)
@@ -184,9 +131,20 @@ def test_random_dijkstra_skips_only_searches(seed):
         )
         return state
 
-    (_, oracle_schedule, oracle), (_, schedule, stream) = _both(filtered)
+    (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(filtered)
     assert schedule == oracle_schedule
-    _assert_skips_only_searches(stream, oracle)
+    assert_skips_only_searches(stream, oracle)
+
+
+def test_unfiltered_random_dijkstra_searches_less_on_the_pinned_seed():
+    """Unfiltered drains hide nothing, but they drop every item with no
+    candidate, so the pinned run computes fewer trees than the oracle."""
+    scenario = _GENERATOR.generate(PINNED_SEED)
+    (oracle_result, oracle_schedule, _), (result, schedule, _) = traced_both(
+        lambda: RandomDijkstraBaseline(PINNED_SEED).run(scenario)
+    )
+    assert schedule == oracle_schedule
+    assert result.stats.dijkstra_runs < oracle_result.stats.dijkstra_runs
 
 
 def test_the_oracle_patches_every_chooser():

@@ -4,7 +4,13 @@ import pytest
 
 from repro.core.state import NetworkState
 from repro.dynamic.driver import DynamicDriver, reveal_at_item_start
-from repro.dynamic.events import CopyLoss, RequestArrival, sorted_events
+from repro.dynamic.events import (
+    CopyLoss,
+    LinkOutage,
+    RequestArrival,
+    RequestCancellation,
+    sorted_events,
+)
 from repro.errors import InfeasibleTransferError, ModelError, SchedulingError
 from repro.heuristics.registry import make_heuristic
 from repro.core.evaluation import evaluate_schedule
@@ -40,6 +46,22 @@ class TestEvents:
             RequestArrival(time=-1.0, request_id=0)
         with pytest.raises(ModelError):
             CopyLoss(time=-1.0, item_id=0, machine=0)
+
+    @pytest.mark.parametrize(
+        "make_event",
+        [
+            lambda time: RequestArrival(time=time, request_id=0),
+            lambda time: CopyLoss(time=time, item_id=0, machine=0),
+            lambda time: LinkOutage(time=time, physical_id=0),
+            lambda time: RequestCancellation(time=time, request_id=0),
+        ],
+        ids=["arrival", "loss", "outage", "cancellation"],
+    )
+    def test_nan_time_rejected(self, make_event):
+        """A NaN instant never compares equal to itself, so a driver fed
+        one would run passes at ``now=nan`` forever."""
+        with pytest.raises(ModelError):
+            make_event(float("nan"))
 
 
 class TestStateSurgery:

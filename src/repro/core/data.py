@@ -33,9 +33,9 @@ class SourceLocation:
             raise ModelError(
                 f"source machine index must be >= 0, got {self.machine}"
             )
-        if self.available_from < 0:
+        if not self.available_from >= 0:
             raise ModelError(
-                f"source availability time must be >= 0, "
+                f"source available_from must be >= 0, "
                 f"got {self.available_from}"
             )
 
@@ -63,7 +63,7 @@ class DataItem:
             raise ModelError(f"item id must be >= 0, got {self.item_id}")
         if not self.name:
             raise ModelError("data items need a non-empty name")
-        if self.size <= 0:
+        if not self.size > 0:
             raise ModelError(
                 f"data item {self.name!r} size must be positive, "
                 f"got {self.size}"

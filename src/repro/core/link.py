@@ -60,12 +60,12 @@ class VirtualLink:
                 f"virtual link {self.link_id} window [{self.start}, "
                 f"{self.end}) is empty or inverted"
             )
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ModelError(
                 f"virtual link {self.link_id} bandwidth must be positive, "
                 f"got {self.bandwidth}"
             )
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ModelError(
                 f"virtual link {self.link_id} latency must be >= 0, "
                 f"got {self.latency}"
@@ -133,12 +133,12 @@ class PhysicalLink:
                 f"physical link {self.physical_id} loops on machine "
                 f"{self.source}"
             )
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ModelError(
                 f"physical link {self.physical_id} bandwidth must be "
                 f"positive, got {self.bandwidth}"
             )
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ModelError(
                 f"physical link {self.physical_id} latency must be >= 0, "
                 f"got {self.latency}"

@@ -32,7 +32,7 @@ class Machine:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ModelError(f"machine index must be >= 0, got {self.index}")
-        if self.capacity < 0:
+        if not self.capacity >= 0:
             raise ModelError(
                 f"machine capacity must be >= 0, got {self.capacity}"
             )

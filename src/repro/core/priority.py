@@ -49,7 +49,7 @@ class PriorityWeighting:
         weights = tuple(float(w) for w in weights)
         if not weights:
             raise ModelError("a weighting needs at least one priority class")
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise ModelError(f"priority weights must be non-negative: {weights}")
         if any(a > b for a, b in zip(weights, weights[1:])):
             raise ModelError(

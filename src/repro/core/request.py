@@ -53,10 +53,10 @@ class Request:
                 f"request {self.request_id} has negative priority "
                 f"{self.priority}"
             )
-        if self.deadline < 0:
+        if not self.deadline >= 0:
             raise ModelError(
-                f"request {self.request_id} has negative deadline "
-                f"{self.deadline}"
+                f"request {self.request_id} deadline must be >= 0, "
+                f"got {self.deadline}"
             )
 
     def is_satisfied_by_arrival(self, arrival: float) -> bool:

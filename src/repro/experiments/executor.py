@@ -93,7 +93,10 @@ logger = logging.getLogger(__name__)
 #: hidden, so tier cells report fewer ``dijkstra_runs`` and searches.
 #: Version 10: drains no longer search items proven to have no candidate,
 #: so every cell kind reports fewer ``dijkstra_runs`` and searches.
-CACHE_FORMAT_VERSION = 10
+#: Version 11: searches stop once no target can still meet its deadline,
+#: and bookings that delay only a missed path keep the tree, so cells
+#: report fewer ``dijkstra_runs`` and search events.
+CACHE_FORMAT_VERSION = 11
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

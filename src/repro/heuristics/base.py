@@ -38,7 +38,7 @@ import abc
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -102,6 +102,16 @@ def has_visible_request(
     )
 
 
+def deadline_targets(state: NetworkState, item_id: int) -> Dict[int, float]:
+    """The search's targets: each unsatisfied destination of the item,
+    mapped to its request's deadline (a scenario has at most one request
+    per item and destination)."""
+    return {
+        request.destination: request.deadline
+        for request in state.unsatisfied_requests_for_item(item_id)
+    }
+
+
 def _visible_request_ids(
     state: NetworkState,
     item_id: int,
@@ -159,6 +169,12 @@ class CacheEntry:
     those links and machines, and its journal replay leaves its verdict
     on the entry (``conflict``, ``suspects``) for the next request.
 
+    The footprint covers only the paths to destinations that meet their
+    deadline: the tree reports the others unreachable, and since bookings,
+    cutoffs and a later "now" only delay arrivals, a missed destination
+    stays missed while the entry's counters hold.  A booking that delays
+    only a missed path therefore leaves the entry valid.
+
     The payload (the heuristic's scored candidate choice for the item) has
     exactly the same validity as the tree — it is derived from the tree, the
     item's unsatisfied-request set (which only changes with the item
@@ -168,7 +184,7 @@ class CacheEntry:
     Attributes:
         tree: the cached shortest-path tree.
         item_revision: the item's revision at snapshot time (covers seeds
-            and the unsatisfied-destination target set).
+            and the unsatisfied-destination targets with their deadlines).
         journal_position: how much of the state's mutation journal the
             entry has been validated against; advanced on every
             successful revalidation.
@@ -216,6 +232,10 @@ class TreeCache:
     byte-identical labels and parent pointers along every destination
     path — the engine's decisions match the recompute-every-iteration
     algorithm exactly (pinned by the differential test suites).
+
+    Each search is bounded by the deadlines of the item's unsatisfied
+    destinations (:meth:`entry_for`), so a tree holds, and its footprint
+    covers, only the paths that can still satisfy a request.
 
     Each record is replayed once per cache, through a link index and a
     machine index, and every request first replays to the journal's end
@@ -363,9 +383,13 @@ class TreeCache:
     def entry_for(self, item_id: int) -> CacheEntry:
         """The item's cache entry, recomputing the tree only when necessary.
 
-        The search early-exits once every unsatisfied destination of the
-        item is finalized — labels for other machines are never consulted
-        (candidate enumeration and footprints only walk destination paths).
+        The search targets the item's unsatisfied destinations, each
+        bounded by its deadline (:func:`deadline_targets`): it
+        stops once no pending target can still meet its deadline, and a
+        target that misses it is reported unreachable.  Labels for other
+        machines are never consulted (candidate enumeration and
+        footprints only walk destination paths), and a missed destination
+        has ``Sat = 0``, so it contributes nothing to any decision.
         """
         state = self._state
         tracer = state.tracer
@@ -407,18 +431,12 @@ class TreeCache:
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
-            destinations = [
-                request.destination
-                for request in state.unsatisfied_requests_for_item(item_id)
-            ]
+            targets = deadline_targets(state, item_id)
             tree = compute_shortest_path_tree(
-                state,
-                item_id,
-                destinations,
-                not_before=self._not_before,
+                state, item_id, targets, not_before=self._not_before
             )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree, destinations)
+            entry = self._snapshot(item_id, tree, targets)
         if self._enabled:
             self._store(item_id, entry)
         return entry
@@ -485,12 +503,12 @@ class TreeCache:
         self,
         item_id: int,
         tree: ShortestPathTree,
-        destinations: List[int],
+        targets: Mapping[int, float],
     ) -> CacheEntry:
-        """The entry for a fresh tree over the item's unsatisfied
-        destinations (the search's target list)."""
+        """The entry for a fresh tree over the search's targets; only the
+        paths to targets that meet their deadline enter the footprint."""
         state = self._state
-        hops = tree.destination_hops(destinations)
+        hops = tree.destination_hops(targets)
         return CacheEntry(
             tree=tree,
             item_revision=state.item_revision(item_id),

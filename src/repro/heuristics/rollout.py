@@ -18,6 +18,7 @@ instances and for quantifying how much headroom the myopic criteria leave
 
 from __future__ import annotations
 
+import math
 import time
 from typing import List, Optional, Tuple, Union
 
@@ -147,7 +148,7 @@ class RolloutScheduler:
             )
         destination = result.selected.request.destination
         tree = compute_shortest_path_tree(
-            state, group.item_id, targets={destination}
+            state, group.item_id, targets={destination: math.inf}
         )
         path = tree.path_to(destination)
         if path is None or not path.hops:

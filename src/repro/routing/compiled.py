@@ -57,9 +57,9 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.network import Network
@@ -189,7 +189,7 @@ def compiled_for(network: Network) -> CompiledScenario:
 def compute_tree_compiled(
     state: NetworkState,
     item_id: int,
-    targets: Optional[Collection[int]],
+    targets: Optional[Mapping[int, float]],
     not_before: float,
 ) -> ShortestPathTree:
     """The §4.2 earliest-arrival search over the compiled columns.
@@ -208,8 +208,10 @@ def compute_tree_compiled(
     run's first edge; a finalized receiver skips the whole run.  The walk
     leaves a run early at three exits:
 
-    * the first pruned edge — every later edge is pruned too, so when
-      tracing the rest of the run is added to ``pruned`` in one step;
+    * the first pruned edge — one whose floor ``max(Lst, label) +
+      duration`` reaches the receiver's label or passes the horizon
+      (below); every later edge is pruned too, so when tracing the rest
+      of the run is added to ``pruned`` in one step;
     * an ``already_at_destination`` rejection, and
     * a ``window_closed`` rejection with ``Lst`` at or past the
       residency bound ``min(sender release, receiver release)`` — both
@@ -225,6 +227,16 @@ def compute_tree_compiled(
     ``dijkstra`` event's counts, result dict insertion order — replicates
     the object-walking reference search the test suite keeps as its
     oracle.
+
+    ``targets`` maps each target machine to its latest useful arrival.
+    The *horizon* is the largest of those deadlines among the targets
+    not yet finalized: the search stops at the first popped label past
+    it, or once every target is finalized.  No skipped relaxation could
+    produce a label at or below the horizon, so every finalized label
+    and its parent equal the unbounded search's.  Unfinalized machines,
+    and targets finalized past their own deadline, are reported
+    unreachable; a missed target keeps its parent, so paths through it
+    still resolve.  ``targets=None`` searches the whole graph.
     """
     network = state.scenario.network
     compiled = compiled_for(network)
@@ -246,7 +258,14 @@ def compute_tree_compiled(
         labels_list[machine] = available
         discovered[machine] = 1
     parents: Dict[int, Tuple[int, int, float, float]] = {}
-    pending_targets = set(targets) if targets is not None else None
+    infinity = float("inf")
+    pending_targets = dict(targets) if targets is not None else None
+    # The latest useful arrival: no label past it can serve a target.
+    horizon = (
+        max(pending_targets.values(), default=-infinity)
+        if pending_targets is not None
+        else infinity
+    )
     tracer = state.tracer
     tracing = tracer.enabled
     relaxations = 0
@@ -268,10 +287,11 @@ def compute_tree_compiled(
 
     heap = [(available, machine) for machine, available in seeds.items()]
     heapq.heapify(heap)
-    infinity = float("inf")
 
     while heap:
         label, machine = heapq.heappop(heap)
+        if label > horizon:
+            break
         if finalized[machine]:
             continue
         if label > (
@@ -280,10 +300,11 @@ def compute_tree_compiled(
             continue
         finalized[machine] = 1
         finalized_count += 1
-        if pending_targets is not None:
-            pending_targets.discard(machine)
+        if pending_targets is not None and machine in pending_targets:
+            del pending_targets[machine]
             if not pending_targets:
                 break
+            horizon = max(pending_targets.values())
         sender_release = release_row[machine]
         run_start = offsets[machine]
         row_end = offsets[machine + 1]
@@ -313,7 +334,7 @@ def compute_tree_compiled(
                 # such as 0.0 against -0.0, keeps the window start).
                 start_floor = label if label > window_start else window_start
                 finish_floor = start_floor + duration
-                if finish_floor >= receiver_label:
+                if finish_floor >= receiver_label or finish_floor > horizon:
                     if tracing:
                         pruned += run_end - edge
                     break
@@ -391,17 +412,18 @@ def compute_tree_compiled(
             run_start = run_end
 
     # Rebuild the labels dict in the reference insertion order — seeds
-    # first, then non-seeds by first discovery — dropping unfinalized
-    # machines when an early exit fired (their values may not be exact).
-    early_exit = pending_targets is not None
+    # first, then non-seeds by first discovery.  A targeted search drops
+    # unfinalized machines (their values may not be exact) and targets
+    # that miss their deadline; a missed target keeps its parent, so the
+    # paths through it still resolve.
     labels: Dict[int, float] = {}
-    for machine in seeds:
-        if not early_exit or finalized[machine]:
+    for machine in chain(seeds, order):
+        if targets is None or (
+            finalized[machine]
+            and not labels_list[machine] > targets.get(machine, infinity)
+        ):
             labels[machine] = labels_list[machine]
-    for machine in order:
-        if not early_exit or finalized[machine]:
-            labels[machine] = labels_list[machine]
-    if early_exit:
+    if targets is not None:
         parents = {
             machine: parent
             for machine, parent in parents.items()

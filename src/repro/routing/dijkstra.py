@@ -22,7 +22,7 @@ item are never relaxed *into* (a machine stores at most one copy).
 
 from __future__ import annotations
 
-from typing import Collection, Optional
+from typing import Mapping, Optional
 
 from repro.core.state import NetworkState
 from repro.observability.profiling import PHASE_DIJKSTRA, span
@@ -33,7 +33,7 @@ from repro.routing.paths import ShortestPathTree
 def compute_shortest_path_tree(
     state: NetworkState,
     item_id: int,
-    targets: Optional[Collection[int]] = None,
+    targets: Optional[Mapping[int, float]] = None,
     not_before: float = 0.0,
 ) -> ShortestPathTree:
     """Earliest-arrival tree for one data item over the current state.
@@ -45,9 +45,12 @@ def compute_shortest_path_tree(
     Args:
         state: the scheduling state to plan against (not mutated).
         item_id: the data item to route.
-        targets: optional early-exit machines — once every target is
-            finalized the search stops.  Labels of machines finalized before
-            the exit are still exact; unfinalized machines are reported
+        targets: optional target machines, each mapped to its latest
+            useful arrival (its deadline; ``math.inf`` for none).  The
+            search stops once every target is finalized or the next label
+            is past every pending target's deadline.  Labels of finalized
+            machines are still exact; unfinalized machines, and targets
+            whose arrival misses their deadline, are reported
             unreachable, so only pass ``targets`` when paths to other
             machines are genuinely not needed.
         not_before: wall-clock lower bound on every planned transfer start
@@ -56,7 +59,7 @@ def compute_shortest_path_tree(
 
     Returns:
         The :class:`~repro.routing.paths.ShortestPathTree` with exact
-        earliest arrivals for every reachable (finalized) machine.
+        earliest arrivals for every reachable machine.
     """
     with span(PHASE_DIJKSTRA, state.tracer):
         return compute_tree_compiled(state, item_id, targets, not_before)

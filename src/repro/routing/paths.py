@@ -12,7 +12,7 @@ use to decide when a cached tree must be recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
 
@@ -172,7 +172,7 @@ class ShortestPathTree:
         return path.first_hop
 
     def destination_hops(
-        self, destinations: Sequence[int]
+        self, destinations: Iterable[int]
     ) -> Dict[int, Hop]:
         """Every planned hop on the paths to ``destinations``, by receiver.
 
@@ -193,7 +193,7 @@ class ShortestPathTree:
         return hops
 
     def footprint(
-        self, destinations: Sequence[int]
+        self, destinations: Iterable[int]
     ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """Resources the tree's paths to ``destinations`` depend on.
 

@@ -242,3 +242,54 @@ class TestPriorityWeighting:
         assert Priority.LOW == 0
         assert Priority.MEDIUM == 1
         assert Priority.HIGH == 2
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("deadline", lambda: Request(0, 0, 1, 0, _NAN)),
+        ("available_from", lambda: SourceLocation(0, _NAN)),
+        (
+            "size",
+            lambda: DataItem(0, "x", _NAN, (SourceLocation(0, 0.0),)),
+        ),
+        ("capacity", lambda: Machine(index=0, capacity=_NAN)),
+        (
+            "bandwidth",
+            lambda: PhysicalLink(
+                physical_id=0, source=0, destination=1,
+                bandwidth=_NAN, latency=0.0,
+            ),
+        ),
+        (
+            "latency",
+            lambda: PhysicalLink(
+                physical_id=0, source=0, destination=1,
+                bandwidth=1.0, latency=_NAN,
+            ),
+        ),
+        (
+            "bandwidth",
+            lambda: VirtualLink(
+                link_id=0, source=0, destination=1,
+                start=0.0, end=1.0, bandwidth=_NAN,
+            ),
+        ),
+        (
+            "latency",
+            lambda: VirtualLink(
+                link_id=0, source=0, destination=1,
+                start=0.0, end=1.0, bandwidth=1.0, latency=_NAN,
+            ),
+        ),
+        ("weights", lambda: PriorityWeighting((1.0, _NAN))),
+    ],
+)
+def test_nan_is_rejected_naming_the_field(field, build):
+    """``x < 0`` is False for NaN, so each check is written ``not x >= 0``
+    (or ``not x > 0``) and a NaN fails it."""
+    with pytest.raises(ModelError, match=field):
+        build()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.state import MUTATION_BOOKING, MUTATION_CUTOFF
-from repro.heuristics.base import CacheEntry, TreeCache
+from repro.heuristics.base import CacheEntry, TreeCache, deadline_targets
 from repro.observability.profiling import PHASE_TREE, span
 from repro.observability.tracer import (
     TREE_CACHE_BANDWIDTH_DEGRADED,
@@ -45,9 +45,8 @@ class ReferenceTreeCache(TreeCache):
     def entry_for(self, item_id: int) -> CacheEntry:
         """The item's cache entry, recomputing the tree only when necessary.
 
-        The search early-exits once every unsatisfied destination of the
-        item is finalized — labels for other machines are never consulted
-        (candidate enumeration and footprints only walk destination paths).
+        The search is bounded by the deadlines of the item's unsatisfied
+        destinations, as :meth:`TreeCache.entry_for`'s is.
         """
         tracer = self._state.tracer
         cached = self._trees.get(item_id) if self._enabled else None
@@ -65,20 +64,12 @@ class ReferenceTreeCache(TreeCache):
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
-            destinations = [
-                request.destination
-                for request in self._state.unsatisfied_requests_for_item(
-                    item_id
-                )
-            ]
+            targets = deadline_targets(self._state, item_id)
             tree = compute_shortest_path_tree(
-                self._state,
-                item_id,
-                destinations,
-                not_before=self._not_before,
+                self._state, item_id, targets, not_before=self._not_before
             )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree, destinations)
+            entry = self._snapshot(item_id, tree, targets)
         if self._enabled:
             self._trees[item_id] = entry
         return entry

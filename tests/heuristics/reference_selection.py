@@ -31,7 +31,7 @@ from unittest import mock
 
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.core.state import NetworkState
-from repro.heuristics.base import StagingHeuristic
+from repro.heuristics.base import EngineStats, StagingHeuristic
 from repro.observability.tracer import RecordingTracer, use_tracer
 from repro.serialization import schedule_to_dict
 
@@ -141,3 +141,8 @@ def assert_skips_only_searches(
 def without_searches(stream: List[StreamEvent]) -> List[StreamEvent]:
     """``stream`` with every :data:`SEARCH_EVENTS` kind dropped."""
     return [event for event in stream if event[0] not in SEARCH_EVENTS]
+
+
+def tree_requests(stats: EngineStats) -> int:
+    """How many trees a run asked its cache for (hits plus recomputes)."""
+    return stats.cache_hits + stats.dijkstra_runs

@@ -484,6 +484,14 @@ class TestPinnedEventStream:
     its revision, an epoch or its visible requests change.  Again only
     search events went; ``tests/experiments/test_dead_item_differential
     .py`` checks both pinned runs against the every-open-item oracle.
+
+    Both digests were re-pinned again (static 17,176 -> 3,045 events,
+    faulted dynamic 4,762 -> 531) when searches became deadline-bounded:
+    a search stops once no pending target can still meet its deadline,
+    and a booking that delays only a missed path no longer forces a
+    recompute.  Only search events went; ``tests/experiments/
+    test_deadline_horizon_differential.py`` checks both pinned runs
+    against the unbounded-search oracle.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -494,8 +502,8 @@ class TestPinnedEventStream:
             )
 
         assert _stream_digest(run) == (
-            17176,
-            "a500b78c604d9021f597f174f4d5af90e57b8b2061a9ea33d5d40ae6b0138765",
+            3045,
+            "e0af48b4ee65ca1704216f8cd8c6d301af5fafbe8c51eddd15f5efec0cd79f8c",
         )
 
     def test_faulted_dynamic_run_with_churn_and_losses(self):
@@ -506,6 +514,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            4762,
-            "13055abd1f4135b0b91697dfbade124c906d1f13a1bf145bc09663cfe64393ed",
+            531,
+            "28a7bb6541d15fd07b19d8a4f33dcf52062ae0628a9c3cf4668be3e90a9c49a4",
         )

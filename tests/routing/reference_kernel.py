@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Set, Tuple
 from unittest import mock
 
 from repro.core.state import NetworkState
@@ -42,7 +42,7 @@ def use_reference_kernel() -> Iterator[None]:
 def reference_tree(
     state: NetworkState,
     item_id: int,
-    targets: Optional[Set[int]],
+    targets: Optional[Mapping[int, float]],
     not_before: float,
 ) -> ShortestPathTree:
     """The object-walking §4.2 search the compiled kernel replicates.
@@ -62,7 +62,15 @@ def reference_tree(
     labels: Dict[int, float] = dict(seeds)
     parents: Dict[int, Tuple[int, int, float, float]] = {}
     finalized: Set[int] = set()
-    pending_targets = set(targets) if targets is not None else None
+    infinity = float("inf")
+    pending_targets = dict(targets) if targets is not None else None
+    # The largest deadline among the pending targets: the search stops
+    # past it, and no relaxation past it is made.
+    horizon = (
+        max(pending_targets.values(), default=-infinity)
+        if pending_targets is not None
+        else infinity
+    )
     tracer = state.tracer
     tracing = tracer.enabled
     relaxations = 0
@@ -73,35 +81,39 @@ def reference_tree(
 
     heap = [(available, machine) for machine, available in seeds.items()]
     heapq.heapify(heap)
-    infinity = float("inf")
 
     while heap:
         label, machine = heapq.heappop(heap)
+        if label > horizon:
+            break
         if machine in finalized:
             continue
         if label > labels.get(machine, infinity):
             continue
         finalized.add(machine)
-        if pending_targets is not None:
-            pending_targets.discard(machine)
+        if pending_targets is not None and machine in pending_targets:
+            del pending_targets[machine]
             if not pending_targets:
                 break
+            horizon = max(pending_targets.values())
         for link in network.outgoing(machine):
             receiver = link.destination
             if receiver in finalized:
                 continue
             # Cheap pruning: even an uncontended transfer cannot complete
             # before max(window start, ready time) + communication time, so
-            # links that cannot beat the receiver's current label are
-            # skipped without the full feasibility search.  (Inlined
-            # arithmetic — this is the hottest line of the library.)
+            # links that cannot beat the receiver's current label, or
+            # that cannot arrive by the horizon, are skipped without the
+            # full feasibility search.  (Inlined arithmetic — this is the
+            # hottest line of the library.)
             # The receiver's current label is read once per edge: nothing
             # between the prune check and the improvement test can change
             # it (earliest_transfer never touches labels).
             receiver_label = labels.get(receiver, infinity)
             duration = item_size / bandwidths[link.link_id] + link.latency
             start_floor = link.start if link.start > label else label
-            if start_floor + duration >= receiver_label:
+            finish_floor = start_floor + duration
+            if finish_floor >= receiver_label or finish_floor > horizon:
                 if tracing:
                     pruned += 1
                 continue
@@ -120,13 +132,15 @@ def reference_tree(
                 )
                 heapq.heappush(heap, (plan.end, receiver))
 
-    # Drop labels of machines that were discovered but never finalized when
-    # an early exit fired: their values may not be exact.
-    if pending_targets is not None:
+    # A targeted search drops labels of machines that were discovered but
+    # never finalized (their values may not be exact), and of targets that
+    # miss their deadline.  Finalized machines keep their parents.
+    if targets is not None:
         labels = {
             machine: value
             for machine, value in labels.items()
             if machine in finalized
+            and not value > targets.get(machine, infinity)
         }
         parents = {
             machine: parent

@@ -11,6 +11,7 @@ that ``use_reference_kernel()`` really reroutes a heuristic's searches to
 it.
 """
 
+import math
 from unittest import mock
 
 import pytest
@@ -225,11 +226,33 @@ class TestKernelEquivalence:
             for targets in ({1}, {2}, {1, 2}):
                 _assert_trees_equal(
                     compute_tree_compiled(
-                        NetworkState(scenario), 0, set(targets), 0.0
+                        NetworkState(scenario),
+                        0,
+                        dict.fromkeys(targets, math.inf),
+                        0.0,
                     ),
                     reference_tree(
-                        NetworkState(scenario), 0, set(targets), 0.0
+                        NetworkState(scenario),
+                        0,
+                        dict.fromkeys(targets, math.inf),
+                        0.0,
                     ),
+                )
+
+    def test_deadline_bounded(self):
+        for scenario in self._scenarios():
+            for targets in (
+                {},
+                {1: 0.5},
+                {2: 3.0},
+                {1: 0.5, 2: 30.0},
+                {1: 25.0, 2: 6.0},
+            ):
+                _assert_trees_equal(
+                    compute_tree_compiled(
+                        NetworkState(scenario), 0, targets, 0.0
+                    ),
+                    reference_tree(NetworkState(scenario), 0, targets, 0.0),
                 )
 
     def test_not_before(self):

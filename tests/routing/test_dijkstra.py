@@ -1,7 +1,10 @@
 """Unit tests for the time-dependent multiple-source Dijkstra."""
 
+import math
+
 from repro.core.intervals import Interval
 from repro.core.state import NetworkState
+from repro.observability.tracer import RecordingTracer, use_tracer
 from repro.routing.dijkstra import compute_shortest_path_tree
 
 from tests.helpers import (
@@ -232,7 +235,7 @@ class TestEarlyExit:
         )
         state = NetworkState(scenario)
         full = compute_shortest_path_tree(state, 0)
-        early = compute_shortest_path_tree(state, 0, targets={2})
+        early = compute_shortest_path_tree(state, 0, targets={2: math.inf})
         assert early.arrival(2) == full.arrival(2)
         assert [h.link_id for h in early.path_to(2).hops] == [
             h.link_id for h in full.path_to(2).hops
@@ -245,8 +248,103 @@ class TestEarlyExit:
             [(0, 1, 2, 100.0)],
         )
         early = compute_shortest_path_tree(
-            NetworkState(scenario), 0, targets={1}
+            NetworkState(scenario), 0, targets={1: math.inf}
         )
         assert early.is_reachable(1)
         # Machine 4 was never finalized before the early exit.
         assert not early.is_reachable(4)
+
+
+def _line_item(sources=((0, 0.0),)):
+    """Machines 0 -> 1 -> 2 -> 3 -> 4, one second per hop."""
+    return make_scenario(
+        line_network(5),
+        [make_item(0, 1000.0, list(sources))],
+        [(0, 4, 2, 100.0)],
+    )
+
+
+def _traced_search(scenario, targets, not_before=0.0):
+    """The tree and its ``dijkstra`` event's fields."""
+    tracer = RecordingTracer()
+    with use_tracer(tracer):
+        tree = compute_shortest_path_tree(
+            NetworkState(scenario), 0, targets, not_before
+        )
+    (event,) = tracer.named("dijkstra")
+    return tree, event
+
+
+class TestDeadlineHorizon:
+    """Targets map to deadlines: the search stops once no pending target
+    can still meet its deadline, and a target that misses it is reported
+    unreachable."""
+
+    def test_a_label_equal_to_the_deadline_is_kept(self):
+        tree = compute_shortest_path_tree(
+            NetworkState(_line_item()), 0, targets={2: 2.0}
+        )
+        assert tree.is_reachable(2)
+        assert tree.arrival(2) == 2.0
+
+    def test_a_label_past_the_deadline_is_unreachable(self):
+        tree = compute_shortest_path_tree(
+            NetworkState(_line_item()), 0, targets={2: 1.5}
+        )
+        assert not tree.is_reachable(2)
+        assert tree.path_to(2) is None
+
+    def test_a_missed_target_on_the_path_to_a_satisfiable_one(self):
+        state = NetworkState(_line_item())
+        full = compute_shortest_path_tree(state, 0)
+        tree = compute_shortest_path_tree(
+            state, 0, targets={1: 0.5, 3: 10.0}
+        )
+        assert not tree.is_reachable(1)
+        assert tree.arrival(3) == 3.0
+        # The missed target keeps its parent, so the path through it
+        # resolves exactly as in the full tree.
+        assert tree.path_to(3).hops == full.path_to(3).hops
+        assert [hop.receiver for hop in tree.path_to(3).hops] == [1, 2, 3]
+
+    def test_relaxations_past_the_horizon_are_pruned(self):
+        bounded, event = _traced_search(_line_item(), {4: 2.5})
+        assert not bounded.is_reachable(4)
+        # 0->1 and 1->2 arrive by 2.5; 2->3 cannot, and ends the search.
+        assert (event["relaxations"], event["pruned"]) == (2, 1)
+        __, unbounded = _traced_search(_line_item(), {4: math.inf})
+        assert unbounded["relaxations"] == 4
+
+    def test_the_horizon_falls_as_targets_are_finalized(self):
+        tree, event = _traced_search(_line_item(), {1: 100.0, 3: 2.5})
+        assert tree.arrival(1) == 1.0
+        assert not tree.is_reachable(3)
+        # Once machine 1 is finalized the horizon is 3's deadline, 2.5:
+        # 1->2 still arrives by it, 2->3 cannot.
+        assert (event["relaxations"], event["pruned"]) == (2, 1)
+
+    def test_empty_targets_search_nothing(self):
+        tree, event = _traced_search(_line_item(), {})
+        assert tree.reachable_machines() == ()
+        assert tree.seed_machines() == (0,)
+        assert (event["relaxations"], event["finalized"]) == (0, 0)
+
+    def test_a_seed_past_the_horizon_is_never_expanded(self):
+        scenario = _line_item(sources=((0, 0.0), (2, 50.0)))
+        tree, event = _traced_search(scenario, {1: 10.0, 3: 20.0})
+        assert tree.arrival(1) == 1.0
+        # Machine 3 is reachable only through the seed at 2, which is
+        # ready at 50: past every pending deadline, so never popped.
+        assert not tree.is_reachable(3)
+        assert not tree.is_reachable(2)
+        assert tree.seed_machines() == (0, 2)
+        assert event["finalized"] == 2
+
+    def test_deadlines_before_not_before_search_nothing(self):
+        tree, event = _traced_search(_line_item(), {2: 5.0}, not_before=10.0)
+        assert tree.reachable_machines() == ()
+        assert event["finalized"] == 0
+        later = compute_shortest_path_tree(
+            NetworkState(_line_item()), 0, {2: math.inf}, not_before=10.0
+        )
+        assert later.arrival(2) == 12.0

@@ -26,7 +26,7 @@ import pytest
 
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.scale import current_scale
-from repro.serialization import profile_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.generator import ScenarioGenerator
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -61,7 +61,7 @@ def executor(scale):
         directory = RESULTS_DIR / scale.name
         directory.mkdir(parents=True, exist_ok=True)
         document = {
-            scheduler: profile_to_dict(merged)
+            scheduler: document_to_dict(merged)
             for scheduler, merged in sorted(
                 instance.profile_by_scheduler.items()
             )

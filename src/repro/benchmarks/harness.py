@@ -62,14 +62,15 @@ from repro.experiments.scale import ExperimentScale, scale_by_name
 from repro.faults.plan import FaultPlan
 from repro.observability.profiling import (
     PHASE_SERIALIZATION,
+    Profile,
     ProfileCollector,
     span,
-    validate_profile_document,
 )
 from repro.observability.tracer import use_tracer
 from repro.serialization import (
     FORMAT_VERSION,
-    profile_to_dict,
+    document_from_dict,
+    document_to_dict,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -255,7 +256,7 @@ def run_bench(
             "elapsed_seconds": elapsed[scheduler],
             "cells": cell_counts[scheduler],
             "profile": (
-                profile_to_dict(profile)
+                document_to_dict(profile)
                 if profile is not None
                 else None
             ),
@@ -292,7 +293,7 @@ def run_bench(
                 cache_hits / total_cells if total_cells else 0.0
             ),
         },
-        "harness": profile_to_dict(harness.finalize()),
+        "harness": document_to_dict(harness.finalize()),
         "entries": entries,
     }
 
@@ -335,7 +336,7 @@ def validate_bench_document(document: Mapping[str, Any]) -> None:
             )
     harness = document.get("harness")
     if harness is not None:
-        validate_profile_document(harness)
+        document_from_dict(Profile, harness)
     entries = document.get("entries")
     if not isinstance(entries, Mapping):
         raise ModelError("bench document key 'entries' must be a mapping")
@@ -406,7 +407,7 @@ def validate_bench_document(document: Mapping[str, Any]) -> None:
                     f"value {value!r}"
                 )
         if entry.get("profile") is not None:
-            validate_profile_document(entry["profile"])
+            document_from_dict(Profile, entry["profile"])
         hotspots = entry.get("hotspots")
         if not isinstance(hotspots, list):
             raise ModelError(f"{context}.hotspots must be a list")

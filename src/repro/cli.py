@@ -60,6 +60,8 @@ from repro.experiments.tables import render_figure
 from repro.heuristics.registry import heuristic_names, make_heuristic
 from repro.observability import (
     JsonlTracer,
+    Profile,
+    Timeline,
     render_link_utilization,
     render_scheduler_summaries,
     render_timeline,
@@ -68,14 +70,12 @@ from repro.observability import (
     write_html_report,
 )
 from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
     load_scenario,
     load_schedule,
-    profile_from_dict,
-    run_metrics_to_dict,
     save_scenario,
     save_schedule,
-    timeline_from_dict,
-    timeline_to_dict,
 )
 from repro.staticcheck.cli import add_lint_arguments, run_lint
 from repro.workload.config import GeneratorConfig
@@ -160,7 +160,7 @@ def _emit_metrics(args: argparse.Namespace, executor: SweepExecutor) -> None:
     if total.link_busy_seconds:
         print(render_link_utilization(total))
     Path(args.metrics).write_text(
-        json.dumps(run_metrics_to_dict(total), indent=2, sort_keys=True),
+        json.dumps(document_to_dict(total), indent=2, sort_keys=True),
         encoding="utf-8",
     )
     print(f"metrics written to {args.metrics}")
@@ -173,7 +173,7 @@ def _emit_timeline(args: argparse.Namespace, executor: SweepExecutor) -> None:
     total = executor.timeline_total()
     print(render_timeline(total))
     Path(args.timeline).write_text(
-        json.dumps(timeline_to_dict(total), indent=2, sort_keys=True)
+        json.dumps(document_to_dict(total), indent=2, sort_keys=True)
         + "\n",
         encoding="utf-8",
     )
@@ -688,11 +688,7 @@ def _parse_intensities(text: str) -> List[float]:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import (
-        chaos_report_to_dict,
-        render_chaos_report,
-        run_chaos,
-    )
+    from repro.experiments.chaos import render_chaos_report, run_chaos
 
     intensities = _parse_intensities(args.intensities)
     scale = scale_by_name(args.scale)
@@ -719,9 +715,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     _print_summary(summary)
     if args.out:
         Path(args.out).write_text(
-            json.dumps(
-                chaos_report_to_dict(report), indent=2, sort_keys=True
-            )
+            json.dumps(document_to_dict(report), indent=2, sort_keys=True)
             + "\n",
             encoding="utf-8",
         )
@@ -826,9 +820,9 @@ def _load_json(path: str) -> dict:
 
 def _cmd_report_timeline(args: argparse.Namespace) -> int:
     """Telemetry mode: render a saved timeline document."""
-    timeline = timeline_from_dict(_load_json(args.timeline))
+    timeline = document_from_dict(Timeline, _load_json(args.timeline))
     profile = (
-        profile_from_dict(_load_json(args.profile))
+        document_from_dict(Profile, _load_json(args.profile))
         if args.profile
         else None
     )

@@ -20,7 +20,7 @@ rendered report is byte-stable — there is a golden fixture under
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scenario import Scenario
 from repro.cost.weights import as_weights
@@ -33,9 +33,6 @@ from repro.experiments.executor import (
 from repro.experiments.tables import render_table
 from repro.faults.plan import FaultPlan
 from repro.heuristics.registry import heuristic_names
-
-#: Schema version of the chaos-report JSON document.
-CHAOS_SCHEMA_VERSION = 1
 
 #: Default intensity sweep (0 — the healthy baseline — is always forced in).
 DEFAULT_INTENSITIES = (0.0, 0.25, 0.5)
@@ -79,6 +76,9 @@ class ChaosReport:
             injected faults (outage windows / degraded links over all
             cases).
     """
+
+    KIND: ClassVar[str] = "chaos_report"
+    SCHEMA_VERSION: ClassVar[int] = 1
 
     scale: str
     criterion: str
@@ -259,30 +259,3 @@ def render_chaos_report(report: ChaosReport) -> str:
     lines = [render_table(headers, rows, title=title)]
     lines.extend(report.plan_notes)
     return "\n".join(lines)
-
-
-def chaos_report_to_dict(report: ChaosReport) -> Dict[str, Any]:
-    """A JSON-ready document capturing the full robustness report."""
-    return {
-        "format_version": 1,
-        "kind": "chaos_report",
-        "schema_version": CHAOS_SCHEMA_VERSION,
-        "scale": report.scale,
-        "criterion": report.criterion,
-        "log_ratio": report.log_ratio,
-        "cases": report.cases,
-        "fault_seed": report.fault_seed,
-        "intensities": list(report.intensities),
-        "heuristics": list(report.heuristics),
-        "plan_notes": list(report.plan_notes),
-        "points": [
-            {
-                "heuristic": point.heuristic,
-                "intensity": point.intensity,
-                "mean_misses": point.mean_misses,
-                "mean_weighted_sum": point.mean_weighted_sum,
-                "miss_delta": point.miss_delta,
-            }
-            for point in report.points
-        ],
-    }

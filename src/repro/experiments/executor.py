@@ -49,28 +49,17 @@ from repro.errors import ConfigurationError, DataStagingError
 from repro.experiments.runner import RunRecord, run_pair, run_scheduler
 from repro.faults.context import use_faults
 from repro.faults.plan import FaultPlan
-from repro.observability.metrics import (
-    MetricsCollector,
-    RunMetrics,
-    merge_metrics,
-)
-from repro.observability.profiling import (
-    Profile,
-    ProfileCollector,
-    merge_profiles,
-)
-from repro.observability.timeline import (
-    Timeline,
-    TimelineCollector,
-    merge_timelines,
-)
+from repro.observability.metrics import MetricsCollector, RunMetrics
+from repro.observability.profiling import Profile, ProfileCollector
+from repro.observability.timeline import Timeline, TimelineCollector
 from repro.observability.tracer import TeeTracer, current_tracer, use_tracer
 from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
     fault_plan_fingerprint,
     fault_plan_from_dict,
     fault_plan_to_dict,
-    run_record_from_dict,
-    run_record_to_dict,
+    merge_documents,
     scenario_fingerprint,
     scenario_to_dict,
     scenario_from_dict,
@@ -96,7 +85,10 @@ logger = logging.getLogger(__name__)
 #: Version 11: searches stop once no target can still meet its deadline,
 #: and bookings that delay only a missed path keep the tree, so cells
 #: report fewer ``dijkstra_runs`` and search events.
-CACHE_FORMAT_VERSION = 11
+#: Version 12: records are written by the shared document codec (stamped
+#: ``run_record`` schema 1; embedded metrics schema 3 and profiles schema
+#: 2 write the 0.0 ``min``/``max`` of empty timing stats).
+CACHE_FORMAT_VERSION = 12
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")
@@ -308,7 +300,7 @@ def _execute_payload(payload: _CellPayload) -> Tuple[int, Dict[str, Any]]:
             else None
         ),
     )
-    return index, run_record_to_dict(
+    return index, document_to_dict(
         _run_cell(cell, collect_metrics, collect_profile, collect_timeline)
     )
 
@@ -470,7 +462,7 @@ class RunCache:
                 raise ValueError(
                     f"unexpected kind {document.get('kind')!r}"
                 )
-            return run_record_from_dict(document["record"])
+            return document_from_dict(RunRecord, document["record"])
         except (
             DataStagingError,
             ValueError,
@@ -514,7 +506,7 @@ class RunCache:
             "criterion": cell.criterion_name(),
             "cell_kind": cell.kind,
             "faults": None if plan is None else fault_plan_to_dict(plan),
-            "record": run_record_to_dict(
+            "record": document_to_dict(
                 dataclasses.replace(record, cache_hit=False)
             ),
         }
@@ -622,14 +614,16 @@ class SweepExecutor:
         run-cache hit/miss tallies), which is collected even for cells
         replayed from the cache.
         """
-        total = merge_metrics(self.metrics_by_scheduler.values())
+        total = merge_documents(
+            RunMetrics, self.metrics_by_scheduler.values()
+        )
         if self._collector is not None:
             total = total.merged(self._collector.finalize())
         return total
 
     def profile_total(self) -> Profile:
         """Every collected per-scheduler profile merged into one."""
-        return merge_profiles(self.profile_by_scheduler.values())
+        return merge_documents(Profile, self.profile_by_scheduler.values())
 
     def timeline_total(self) -> Timeline:
         """Every collected per-scheduler timeline merged into one.
@@ -637,9 +631,12 @@ class SweepExecutor:
         Labels merge in sorted order so the merged document — and its
         serialization — is identical at any worker count.
         """
-        return merge_timelines(
-            self.timeline_by_scheduler[label]
-            for label in sorted(self.timeline_by_scheduler)
+        return merge_documents(
+            Timeline,
+            (
+                self.timeline_by_scheduler[label]
+                for label in sorted(self.timeline_by_scheduler)
+            ),
         )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -805,7 +802,9 @@ class SweepExecutor:
                     error = future.exception()
                     if error is None:
                         cell_index, document = future.result()
-                        records[cell_index] = run_record_from_dict(document)
+                        records[cell_index] = document_from_dict(
+                            RunRecord, document
+                        )
                         continue
                     attempt = attempts.get(index, 0) + 1
                     if (

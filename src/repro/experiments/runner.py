@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 from repro.core.evaluation import evaluate_schedule
 from repro.core.scenario import Scenario
@@ -57,6 +57,9 @@ class RunRecord:
             time is deterministic, so the replayed document is
             byte-identical to a recompute).
     """
+
+    KIND: ClassVar[str] = "run_record"
+    SCHEMA_VERSION: ClassVar[int] = 1
 
     scenario: str
     scheduler: str

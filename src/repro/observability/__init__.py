@@ -33,12 +33,9 @@ decisions (pinned by a property test).
 """
 
 from repro.observability.metrics import (
-    METRICS_SCHEMA_VERSION,
     MetricsCollector,
     RunMetrics,
     TimingStat,
-    merge_metrics,
-    validate_metrics_document,
 )
 from repro.observability.profiling import (
     PHASE_BOOKING,
@@ -49,14 +46,11 @@ from repro.observability.profiling import (
     PHASE_SCORING,
     PHASE_SERIALIZATION,
     PHASE_TREE,
-    PROFILE_SCHEMA_VERSION,
     Hotspot,
     Profile,
     ProfileCollector,
     SpanStat,
-    merge_profiles,
     span,
-    validate_profile_document,
 )
 from repro.observability.export import (
     chrome_trace_events,
@@ -72,15 +66,12 @@ from repro.observability.report import (
     render_timeline,
 )
 from repro.observability.timeline import (
-    TIMELINE_SCHEMA_VERSION,
     ClassSeries,
     LinkSeries,
     RequestForensics,
     StorageSeries,
     Timeline,
     TimelineCollector,
-    merge_timelines,
-    validate_timeline_document,
 )
 from repro.observability.tracer import (
     NULL_TRACER,
@@ -95,12 +86,9 @@ from repro.observability.tracer import (
 )
 
 __all__ = [
-    "METRICS_SCHEMA_VERSION",
     "MetricsCollector",
     "RunMetrics",
     "TimingStat",
-    "merge_metrics",
-    "validate_metrics_document",
     "PHASE_BOOKING",
     "PHASE_DIJKSTRA",
     "PHASE_GC",
@@ -109,28 +97,22 @@ __all__ = [
     "PHASE_SCORING",
     "PHASE_SERIALIZATION",
     "PHASE_TREE",
-    "PROFILE_SCHEMA_VERSION",
     "Hotspot",
     "Profile",
     "ProfileCollector",
     "SpanStat",
-    "merge_profiles",
     "span",
-    "validate_profile_document",
     "render_link_utilization",
     "render_profile",
     "render_run_metrics",
     "render_scheduler_summaries",
     "render_timeline",
-    "TIMELINE_SCHEMA_VERSION",
     "ClassSeries",
     "LinkSeries",
     "RequestForensics",
     "StorageSeries",
     "Timeline",
     "TimelineCollector",
-    "merge_timelines",
-    "validate_timeline_document",
     "chrome_trace_events",
     "render_html_report",
     "write_chrome_trace",

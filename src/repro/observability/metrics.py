@@ -5,26 +5,18 @@ that folds every event into counters, reason tallies, per-link busy time,
 and timing summaries — no per-event allocation.  :meth:`finalize` snapshots
 the aggregate into a :class:`RunMetrics`, which merges associatively
 (per-cell metrics from parallel workers combine into sweep totals) and
-round-trips through :mod:`repro.serialization`.
-
-The JSON layout is schema-versioned (:data:`METRICS_SCHEMA_VERSION`);
-:func:`validate_metrics_document` structurally checks a parsed document,
-which is what the CI metrics job asserts against.
+round-trips through :func:`repro.serialization.document_to_dict` /
+:func:`~repro.serialization.document_from_dict`, which also validate a
+parsed document against :attr:`RunMetrics.SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Tuple
 
-from repro.errors import ModelError
 from repro.observability.tracer import Tracer
-
-#: Version stamp written into every serialized metrics document.
-#: Version 2: adds the ``tree_cache_reasons`` tally (hit/miss outcome
-#: codes from :data:`repro.observability.tracer.TREE_CACHE_REASONS`).
-METRICS_SCHEMA_VERSION = 2
 
 #: Counter keys every RunMetrics carries (missing keys default to 0).
 COUNTER_KEYS: Tuple[str, ...] = (
@@ -58,16 +50,13 @@ class TimingStat:
     """A streaming summary of one timing distribution (seconds).
 
     Emptiness is explicit: ``count == 0`` means *no observations*, and
-    the JSON form of an empty stat omits ``min``/``max`` entirely (an
-    in-memory empty stat keeps the 0.0 placeholders, but they are never
-    serialized, so a round-trip cannot manufacture a fake 0.0
-    observation).
+    the 0.0 ``min``/``max`` an empty stat carries (and serializes) are
+    placeholders, never read as observations.
 
     Attributes:
         count: number of observations.
         total: summed observations.
-        min: smallest observation (meaningless placeholder when empty;
-            omitted from :meth:`to_dict` output).
+        min: smallest observation (a 0.0 placeholder when empty).
         max: largest observation (likewise).
     """
 
@@ -109,35 +98,6 @@ class TimingStat:
             max=max(self.max, other.max),
         )
 
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-ready form (``min``/``max`` present only when non-empty)."""
-        if self.count == 0:
-            return {"count": 0, "total": self.total}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "TimingStat":
-        """Rebuild from :meth:`to_dict` output.
-
-        An empty stat (``count == 0``) rebuilds as the canonical empty
-        :class:`TimingStat` regardless of any ``min``/``max`` keys a
-        pre-omission document may still carry.
-        """
-        count = int(document.get("count", 0))
-        if count == 0:
-            return TimingStat(total=float(document.get("total", 0.0)))
-        return TimingStat(
-            count=count,
-            total=float(document.get("total", 0.0)),
-            min=float(document.get("min", 0.0)),
-            max=float(document.get("max", 0.0)),
-        )
-
 
 @dataclass
 class RunMetrics:
@@ -157,6 +117,11 @@ class RunMetrics:
         cell_seconds: per-executor-cell wall time.
         workers: sorted pids of the processes that contributed.
     """
+
+    KIND: ClassVar[str] = "run_metrics"
+    #: Version 2: adds the ``tree_cache_reasons`` tally.  Version 3:
+    #: empty timing stats write their 0.0 ``min``/``max``.
+    SCHEMA_VERSION: ClassVar[int] = 3
 
     counters: Dict[str, int] = field(default_factory=dict)
     rejection_reasons: Dict[str, int] = field(default_factory=dict)
@@ -208,15 +173,6 @@ class RunMetrics:
             cell_seconds=self.cell_seconds.merged(other.cell_seconds),
             workers=tuple(sorted(set(self.workers) | set(other.workers))),
         )
-
-
-def merge_metrics(parts: Iterable[Optional[RunMetrics]]) -> RunMetrics:
-    """Fold many (possibly ``None``) aggregates into one."""
-    total = RunMetrics()
-    for part in parts:
-        if part is not None:
-            total = total.merged(part)
-    return total
 
 
 class MetricsCollector(Tracer):
@@ -357,85 +313,3 @@ class MetricsCollector(Tracer):
         if not metrics.workers:
             metrics.workers = (os.getpid(),)
         return metrics
-
-
-# -- document validation -----------------------------------------------------
-
-def _check_mapping(
-    document: Mapping[str, Any],
-    key: str,
-    value_types: Tuple[type, ...],
-) -> None:
-    mapping = document.get(key)
-    if not isinstance(mapping, Mapping):
-        raise ModelError(f"metrics document key {key!r} must be a mapping")
-    for name, value in mapping.items():
-        if not isinstance(name, str):
-            raise ModelError(
-                f"metrics document {key!r} has a non-string key {name!r}"
-            )
-        if not isinstance(value, value_types) or isinstance(value, bool):
-            raise ModelError(
-                f"metrics document {key}[{name!r}] has invalid value "
-                f"{value!r}"
-            )
-
-
-def validate_metrics_document(document: Mapping[str, Any]) -> None:
-    """Structurally validate a parsed metrics JSON document.
-
-    Raises:
-        ModelError: on a wrong kind, unsupported schema version, or any
-            structurally invalid field.  Returns silently when the document
-            conforms to the :data:`METRICS_SCHEMA_VERSION` layout produced
-            by :func:`repro.serialization.run_metrics_to_dict`.
-    """
-    if document.get("kind") != "run_metrics":
-        raise ModelError(
-            f"expected a run_metrics document, got "
-            f"kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != METRICS_SCHEMA_VERSION:
-        raise ModelError(
-            f"unsupported metrics schema version "
-            f"{document.get('schema_version')!r} "
-            f"(expected {METRICS_SCHEMA_VERSION})"
-        )
-    _check_mapping(document, "counters", (int,))
-    _check_mapping(document, "rejection_reasons", (int,))
-    _check_mapping(document, "tree_cache_reasons", (int,))
-    _check_mapping(document, "link_busy_seconds", (int, float))
-    _check_mapping(document, "link_transfer_counts", (int,))
-    _check_mapping(document, "link_window_seconds", (int, float))
-    for key in ("decision_seconds", "cell_seconds"):
-        stat = document.get(key)
-        if not isinstance(stat, Mapping):
-            raise ModelError(f"metrics document key {key!r} must be a mapping")
-        for stat_key in ("count", "total"):
-            value = stat.get(stat_key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ModelError(
-                    f"metrics document {key}.{stat_key} has invalid value "
-                    f"{value!r}"
-                )
-        # min/max are mandatory for non-empty stats; an empty stat omits
-        # them (tolerated when present, for pre-omission documents).
-        for stat_key in ("min", "max"):
-            if stat_key not in stat:
-                if stat.get("count"):
-                    raise ModelError(
-                        f"metrics document {key}.{stat_key} is required "
-                        f"when count > 0"
-                    )
-                continue
-            value = stat.get(stat_key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ModelError(
-                    f"metrics document {key}.{stat_key} has invalid value "
-                    f"{value!r}"
-                )
-    workers = document.get("workers")
-    if not isinstance(workers, (list, tuple)) or not all(
-        isinstance(pid, int) for pid in workers
-    ):
-        raise ModelError("metrics document 'workers' must be a list of pids")

@@ -21,8 +21,8 @@ wall-time and a CPU-time :class:`~repro.observability.metrics.TimingStat`
 (count, total, min, max).  Profiles merge associatively — per-cell
 profiles from process-pool workers combine into sweep totals exactly
 like :class:`~repro.observability.metrics.RunMetrics` — and round-trip
-through :mod:`repro.serialization` (``profile_to_dict`` /
-``profile_from_dict``).
+through :func:`repro.serialization.document_to_dict` /
+:func:`~repro.serialization.document_from_dict`.
 
 The phase vocabulary instrumented in the library:
 
@@ -47,14 +47,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.errors import ModelError
 from repro.observability.metrics import TimingStat
 from repro.observability.tracer import Tracer, current_tracer
-
-#: Version stamp written into every serialized profile document.
-PROFILE_SCHEMA_VERSION = 1
 
 #: Separator joining nested span names into a phase path.
 SPAN_PATH_SEPARATOR = "/"
@@ -180,18 +176,6 @@ class SpanStat:
             cpu=self.cpu.merged(other.cpu),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (empty stats omit min/max, like TimingStat)."""
-        return {"wall": self.wall.to_dict(), "cpu": self.cpu.to_dict()}
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "SpanStat":
-        """Rebuild from :meth:`to_dict` output."""
-        return SpanStat(
-            wall=TimingStat.from_dict(document.get("wall", {})),
-            cpu=TimingStat.from_dict(document.get("cpu", {})),
-        )
-
 
 @dataclass(frozen=True)
 class Hotspot:
@@ -222,6 +206,10 @@ class Profile:
         spans: per-path :class:`SpanStat`, keyed by the ``/``-joined
             span path.
     """
+
+    KIND: ClassVar[str] = "profile"
+    #: Version 2: empty timing stats write their 0.0 ``min``/``max``.
+    SCHEMA_VERSION: ClassVar[int] = 2
 
     spans: Dict[str, SpanStat] = field(default_factory=dict)
 
@@ -304,15 +292,6 @@ class Profile:
         return ranked if limit is None else ranked[:limit]
 
 
-def merge_profiles(parts: Iterable[Optional[Profile]]) -> Profile:
-    """Fold many (possibly ``None``) profiles into one."""
-    total = Profile()
-    for part in parts:
-        if part is not None:
-            total = total.merged(part)
-    return total
-
-
 class ProfileCollector(Tracer):
     """A tracer folding span events into a hierarchical :class:`Profile`.
 
@@ -358,67 +337,3 @@ class ProfileCollector(Tracer):
     def finalize(self) -> Profile:
         """The collected profile (the live object — collect, then read)."""
         return self._profile
-
-
-# -- document validation -----------------------------------------------------
-
-def _check_timing_stat(
-    context: str, document: Any, allow_missing: bool = False
-) -> None:
-    if not isinstance(document, Mapping):
-        raise ModelError(f"{context} must be a timing-stat mapping")
-    for key in ("count", "total"):
-        value = document.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelError(
-                f"{context}.{key} has invalid value {value!r}"
-            )
-    count = document.get("count")
-    for key in ("min", "max"):
-        if key not in document:
-            if count:
-                raise ModelError(
-                    f"{context}.{key} is required when count > 0"
-                )
-            continue
-        value = document.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelError(
-                f"{context}.{key} has invalid value {value!r}"
-            )
-
-
-def validate_profile_document(document: Mapping[str, Any]) -> None:
-    """Structurally validate a parsed profile JSON document.
-
-    Raises:
-        ModelError: on a wrong kind, unsupported schema version, or any
-            structurally invalid span entry.  Returns silently when the
-            document conforms to the layout produced by
-            :func:`repro.serialization.profile_to_dict`.
-    """
-    if document.get("kind") != "profile":
-        raise ModelError(
-            f"expected a profile document, got "
-            f"kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != PROFILE_SCHEMA_VERSION:
-        raise ModelError(
-            f"unsupported profile schema version "
-            f"{document.get('schema_version')!r} "
-            f"(expected {PROFILE_SCHEMA_VERSION})"
-        )
-    spans = document.get("spans")
-    if not isinstance(spans, Mapping):
-        raise ModelError("profile document key 'spans' must be a mapping")
-    for path, stat in spans.items():
-        if not isinstance(path, str) or not path:
-            raise ModelError(
-                f"profile document has an invalid span path {path!r}"
-            )
-        if not isinstance(stat, Mapping):
-            raise ModelError(
-                f"profile document spans[{path!r}] must be a mapping"
-            )
-        for axis in ("wall", "cpu"):
-            _check_timing_stat(f"profile spans[{path!r}].{axis}", stat.get(axis))

@@ -14,8 +14,9 @@ on one scenario.  :meth:`TimelineCollector.finalize` snapshots a
 :class:`~repro.observability.metrics.RunMetrics` and
 :class:`~repro.observability.profiling.Profile`) so per-cell timelines
 from parallel workers combine into sweep totals, and round-trips through
-:mod:`repro.serialization` (``timeline_to_dict`` / ``timeline_from_dict``,
-schema-versioned by :data:`TIMELINE_SCHEMA_VERSION`).
+:func:`repro.serialization.document_to_dict` /
+:func:`~repro.serialization.document_from_dict` (schema-versioned by
+:attr:`Timeline.SCHEMA_VERSION`).
 
 Three layers of telemetry ride in one document:
 
@@ -39,10 +40,10 @@ counts and cache replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.scenario import Scenario
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError
 from repro.observability.tracer import (
     REASON_ALREADY_AT_DESTINATION,
     REASON_LINK_BUSY,
@@ -58,9 +59,6 @@ from repro.observability.tracer import (
     REASON_WINDOW_ESCAPE,
     Tracer,
 )
-
-#: Version stamp written into every serialized timeline document.
-TIMELINE_SCHEMA_VERSION = 1
 
 #: Per-request causal chains keep at most this many events; overflow is
 #: *explicitly* counted in ``chain_dropped`` (never silently discarded),
@@ -157,36 +155,6 @@ class LinkSeries:
         """Total booked transfer seconds (across all merged runs)."""
         return sum(end - start for start, end, _ in self.bookings)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "window_start": self.window_start,
-            "window_end": self.window_end,
-            "attempts": self.attempts,
-            "rejections": {
-                reason: self.rejections[reason]
-                for reason in sorted(self.rejections)
-            },
-            "bookings": [list(entry) for entry in self.bookings],
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "LinkSeries":
-        """Rebuild from :meth:`to_dict` output."""
-        return LinkSeries(
-            window_start=float(document["window_start"]),
-            window_end=float(document["window_end"]),
-            attempts=int(document["attempts"]),
-            rejections={
-                str(reason): int(count)
-                for reason, count in document["rejections"].items()
-            },
-            bookings=[
-                (float(entry[0]), float(entry[1]), int(entry[2]))
-                for entry in document["bookings"]
-            ],
-        )
-
 
 @dataclass
 class StorageSeries:
@@ -208,29 +176,6 @@ class StorageSeries:
         return StorageSeries(
             capacity=max(self.capacity, other.capacity),
             reservations=self.reservations + other.reservations,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "capacity": self.capacity,
-            "reservations": [list(entry) for entry in self.reservations],
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "StorageSeries":
-        """Rebuild from :meth:`to_dict` output."""
-        return StorageSeries(
-            capacity=float(document["capacity"]),
-            reservations=[
-                (
-                    float(entry[0]),
-                    float(entry[1]),
-                    float(entry[2]),
-                    int(entry[3]),
-                )
-                for entry in document["reservations"]
-            ],
         )
 
 
@@ -267,32 +212,6 @@ class ClassSeries:
             reopened=self.reopened + other.reopened,
             slack=self.slack + other.slack,
             drains=self.drains + other.drains,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "requests": self.requests,
-            "satisfied": self.satisfied,
-            "cancelled": self.cancelled,
-            "reopened": self.reopened,
-            "slack": [list(point) for point in self.slack],
-            "drains": list(self.drains),
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "ClassSeries":
-        """Rebuild from :meth:`to_dict` output."""
-        return ClassSeries(
-            requests=int(document["requests"]),
-            satisfied=int(document["satisfied"]),
-            cancelled=int(document["cancelled"]),
-            reopened=int(document["reopened"]),
-            slack=[
-                (float(point[0]), float(point[1]))
-                for point in document["slack"]
-            ],
-            drains=[float(value) for value in document["drains"]],
         )
 
 
@@ -402,58 +321,6 @@ class RequestForensics:
             key=lambda reason: (-self.rejections[reason], reason),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "scenario": self.scenario,
-            "request_id": self.request_id,
-            "item_id": self.item_id,
-            "destination": self.destination,
-            "priority": self.priority,
-            "deadline": self.deadline,
-            "observed": self.observed,
-            "satisfied": self.satisfied,
-            "cancelled": self.cancelled,
-            "reopened": self.reopened,
-            "attempts": self.attempts,
-            "bookings": self.bookings,
-            "rejections": {
-                reason: self.rejections[reason]
-                for reason in sorted(self.rejections)
-            },
-            "arrivals": [list(point) for point in self.arrivals],
-            "chain": [list(event) for event in self.chain],
-            "chain_dropped": self.chain_dropped,
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "RequestForensics":
-        """Rebuild from :meth:`to_dict` output."""
-        return RequestForensics(
-            scenario=str(document["scenario"]),
-            request_id=int(document["request_id"]),
-            item_id=int(document["item_id"]),
-            destination=int(document["destination"]),
-            priority=int(document["priority"]),
-            deadline=float(document["deadline"]),
-            observed=int(document["observed"]),
-            satisfied=int(document["satisfied"]),
-            cancelled=int(document["cancelled"]),
-            reopened=int(document["reopened"]),
-            attempts=int(document["attempts"]),
-            bookings=int(document["bookings"]),
-            rejections={
-                str(reason): int(count)
-                for reason, count in document["rejections"].items()
-            },
-            arrivals=[
-                (float(point[0]), float(point[1]))
-                for point in document["arrivals"]
-            ],
-            chain=[tuple(event) for event in document["chain"]],
-            chain_dropped=int(document["chain_dropped"]),
-        )
-
 
 def _forensics_key(scenario: str, request_id: int) -> str:
     """The forensics-ledger key: scenario-qualified so request ids from
@@ -474,6 +341,9 @@ class Timeline:
         classes: per-priority-class series keyed by priority.
         forensics: per-request ledgers keyed ``"<scenario>#<request_id>"``.
     """
+
+    KIND: ClassVar[str] = "timeline"
+    SCHEMA_VERSION: ClassVar[int] = 1
 
     horizon: float = 0.0
     runs: int = 0
@@ -809,57 +679,6 @@ class Timeline:
                 lines.append(f"    {_render_chain_event(event)}")
         return "\n".join(lines)
 
-    # -- serialization helpers ---------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready body (the ``kind``/version stamps are added by
-        :func:`repro.serialization.timeline_to_dict`).  All mappings are
-        key-sorted so equal timelines serialize byte-identically."""
-        return {
-            "horizon": self.horizon,
-            "runs": self.runs,
-            "links": {
-                str(link_id): self.links[link_id].to_dict()
-                for link_id in sorted(self.links)
-            },
-            "storage": {
-                str(machine): self.storage[machine].to_dict()
-                for machine in sorted(self.storage)
-            },
-            "classes": {
-                str(priority): self.classes[priority].to_dict()
-                for priority in sorted(self.classes)
-            },
-            "forensics": {
-                key: self.forensics[key].to_dict()
-                for key in sorted(self.forensics)
-            },
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "Timeline":
-        """Rebuild from :meth:`to_dict` output."""
-        return Timeline(
-            horizon=float(document["horizon"]),
-            runs=int(document["runs"]),
-            links={
-                int(link_id): LinkSeries.from_dict(series)
-                for link_id, series in document["links"].items()
-            },
-            storage={
-                int(machine): StorageSeries.from_dict(series)
-                for machine, series in document["storage"].items()
-            },
-            classes={
-                int(priority): ClassSeries.from_dict(series)
-                for priority, series in document["classes"].items()
-            },
-            forensics={
-                str(key): RequestForensics.from_dict(ledger)
-                for key, ledger in document["forensics"].items()
-            },
-        )
-
 
 def _render_chain_event(event: ChainEvent) -> str:
     """One causal-chain entry as a human-readable line."""
@@ -879,15 +698,6 @@ def _render_chain_event(event: ChainEvent) -> str:
     if kind == "reopened":
         return "reopened (satisfaction undone)"
     return " ".join(str(part) for part in event)
-
-
-def merge_timelines(parts: Iterable[Optional[Timeline]]) -> Timeline:
-    """Fold many (possibly ``None``) timelines into one."""
-    total = Timeline()
-    for part in parts:
-        if part is not None:
-            total = total.merged(part)
-    return total
 
 
 class TimelineCollector(Tracer):
@@ -1082,126 +892,3 @@ class TimelineCollector(Tracer):
     def finalize(self) -> Timeline:
         """The collected timeline document."""
         return self._timeline
-
-
-# -- document validation -----------------------------------------------------
-
-def _check_int(document: Mapping[str, Any], key: str, context: str) -> None:
-    value = document.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError(
-            f"timeline document {context}.{key} has invalid value {value!r}"
-        )
-
-
-def _check_number(
-    document: Mapping[str, Any], key: str, context: str
-) -> None:
-    value = document.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ModelError(
-            f"timeline document {context}.{key} has invalid value {value!r}"
-        )
-
-
-def _check_rows(
-    document: Mapping[str, Any],
-    key: str,
-    context: str,
-    width: int,
-) -> None:
-    rows = document.get(key)
-    if not isinstance(rows, list):
-        raise ModelError(
-            f"timeline document {context}.{key} must be a list"
-        )
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != width:
-            raise ModelError(
-                f"timeline document {context}.{key} has a malformed row "
-                f"{row!r} (expected {width} columns)"
-            )
-
-
-def validate_timeline_document(document: Mapping[str, Any]) -> None:
-    """Structurally validate a parsed timeline JSON document.
-
-    Raises:
-        ModelError: on a wrong kind, unsupported schema version, or any
-            structurally invalid field.  Returns silently when the
-            document conforms to the :data:`TIMELINE_SCHEMA_VERSION`
-            layout produced by
-            :func:`repro.serialization.timeline_to_dict`.
-    """
-    if document.get("kind") != "timeline":
-        raise ModelError(
-            f"expected a timeline document, got "
-            f"kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != TIMELINE_SCHEMA_VERSION:
-        raise ModelError(
-            f"unsupported timeline schema version "
-            f"{document.get('schema_version')!r} "
-            f"(expected {TIMELINE_SCHEMA_VERSION})"
-        )
-    _check_number(document, "horizon", "timeline")
-    _check_int(document, "runs", "timeline")
-    for key in ("links", "storage", "classes", "forensics"):
-        mapping = document.get(key)
-        if not isinstance(mapping, Mapping):
-            raise ModelError(
-                f"timeline document key {key!r} must be a mapping"
-            )
-    for link_id, series in document["links"].items():
-        context = f"links[{link_id}]"
-        _check_number(series, "window_start", context)
-        _check_number(series, "window_end", context)
-        _check_int(series, "attempts", context)
-        if not isinstance(series.get("rejections"), Mapping):
-            raise ModelError(
-                f"timeline document {context}.rejections must be a mapping"
-            )
-        _check_rows(series, "bookings", context, 3)
-    for machine, series in document["storage"].items():
-        context = f"storage[{machine}]"
-        _check_number(series, "capacity", context)
-        _check_rows(series, "reservations", context, 4)
-    for priority, series in document["classes"].items():
-        context = f"classes[{priority}]"
-        for key in ("requests", "satisfied", "cancelled", "reopened"):
-            _check_int(series, key, context)
-        _check_rows(series, "slack", context, 2)
-        if not isinstance(series.get("drains"), list):
-            raise ModelError(
-                f"timeline document {context}.drains must be a list"
-            )
-    for key, ledger in document["forensics"].items():
-        context = f"forensics[{key}]"
-        if not isinstance(ledger.get("scenario"), str):
-            raise ModelError(
-                f"timeline document {context}.scenario must be a string"
-            )
-        for int_key in (
-            "request_id",
-            "item_id",
-            "destination",
-            "priority",
-            "observed",
-            "satisfied",
-            "cancelled",
-            "reopened",
-            "attempts",
-            "bookings",
-            "chain_dropped",
-        ):
-            _check_int(ledger, int_key, context)
-        _check_number(ledger, "deadline", context)
-        if not isinstance(ledger.get("rejections"), Mapping):
-            raise ModelError(
-                f"timeline document {context}.rejections must be a mapping"
-            )
-        _check_rows(ledger, "arrivals", context, 2)
-        if not isinstance(ledger.get("chain"), list):
-            raise ModelError(
-                f"timeline document {context}.chain must be a list"
-            )

@@ -1,20 +1,45 @@
 """JSON serialization of scenarios, schedules, and experiment results.
 
-Round-trippable plain-dict codecs: ``scenario_to_dict`` /
-``scenario_from_dict`` and friends (including :class:`~repro.experiments
-.runner.RunRecord` via ``run_record_to_dict`` / ``run_record_from_dict``),
-plus file helpers and the content-addressed :func:`scenario_fingerprint`
-used by the run cache.  The format is versioned so future extensions can
-stay backward compatible.
+Two kinds of codec live here:
+
+* **Input documents** — scenarios, schedules and fault plans — keep
+  hand-written ``*_to_dict`` / ``*_from_dict`` pairs, because their
+  decoders run domain checks through the model constructors.
+* **Output documents** — :class:`~repro.experiments.runner.RunRecord`,
+  :class:`~repro.observability.metrics.RunMetrics`,
+  :class:`~repro.observability.profiling.Profile`,
+  :class:`~repro.observability.timeline.Timeline` and
+  :class:`~repro.experiments.chaos.ChaosReport` — share one codec derived
+  from their dataclass field types: :func:`document_to_dict`,
+  :func:`document_from_dict` and the fold :func:`merge_documents`.
+
+Plus file helpers and the content-addressed :func:`scenario_fingerprint`
+used by the run cache.  Every document carries ``format_version``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import re
+import typing
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    cast,
+)
 
 from repro.core.data import DataItem, SourceLocation
 from repro.core.intervals import Interval
@@ -34,27 +59,6 @@ from repro.faults.plan import (
     LateArrivalFault,
     OutageWindow,
 )
-from repro.observability.metrics import (
-    METRICS_SCHEMA_VERSION,
-    RunMetrics,
-    TimingStat,
-    validate_metrics_document,
-)
-from repro.observability.profiling import (
-    PROFILE_SCHEMA_VERSION,
-    Profile,
-    SpanStat,
-    validate_profile_document,
-)
-from repro.observability.timeline import (
-    TIMELINE_SCHEMA_VERSION,
-    Timeline,
-    validate_timeline_document,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports
-    # the core model; experiments modules import this module back)
-    from repro.experiments.runner import RunRecord
 
 #: Format version written into every serialized document.
 FORMAT_VERSION = 1
@@ -395,235 +399,290 @@ def schedule_from_dict(document: Dict[str, Any]) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Run records
+# Output documents
 # ---------------------------------------------------------------------------
 
-def run_record_to_dict(record: "RunRecord") -> Dict[str, Any]:
-    """A JSON-ready dict capturing one scheduler execution record."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "run_record",
-        "scenario": record.scenario,
-        "scheduler": record.scheduler,
-        "eu_label": record.eu_label,
-        "weighted_sum": record.weighted_sum,
-        "satisfied_by_priority": list(record.satisfied_by_priority),
-        "total_by_priority": list(record.total_by_priority),
-        "steps": record.steps,
-        "dijkstra_runs": record.dijkstra_runs,
-        "elapsed_seconds": record.elapsed_seconds,
-        "average_hops": record.average_hops,
-        "cache_hit": record.cache_hit,
-        "metrics": (
-            run_metrics_to_dict(record.metrics)
-            if record.metrics is not None
-            else None
-        ),
-        "profile": (
-            profile_to_dict(record.profile)
-            if record.profile is not None
-            else None
-        ),
-        "timeline": (
-            timeline_to_dict(record.timeline)
-            if record.timeline is not None
-            else None
-        ),
-    }
+#: A decoder for one annotated type: JSON value in, document value out.
+_Decoder = Callable[[Any], Any]
+
+#: JSON scalars, which encode as themselves.
+_SCALARS = (str, int, float, bool, type(None))
+
+#: How :func:`document_to_dict` writes an integer dict key.
+_INTEGER_KEY = re.compile(r"-?(0|[1-9][0-9]*)")
+
+_D = TypeVar("_D")
+_M = TypeVar("_M", bound="_Mergeable")
 
 
-def run_record_from_dict(document: Dict[str, Any]) -> "RunRecord":
-    """Rebuild a run record from :func:`run_record_to_dict` output.
+class _Mergeable(typing.Protocol):
+    """An output document with an associative ``merged``."""
 
-    Raises:
-        ModelError: on missing keys or a wrong document kind.
+    def merged(self: _M, other: _M) -> _M: ...
+
+
+class _Malformed(Exception):
+    """A malformed value; containers add their path segments on the way
+    out, so a decode pays for the path only when it fails."""
+
+    def __init__(self, problem: str) -> None:
+        super().__init__(problem)
+        self.problem = problem
+        self.segments: List[str] = []
+
+
+def document_to_dict(value: Any) -> Any:
+    """The JSON form of an output document, or of any value inside one.
+
+    Dataclasses become objects in field order; a class declaring a
+    ``KIND`` ClassVar is a top-level document and is stamped with
+    ``format_version``, ``kind`` and ``schema_version``, also when it is
+    nested in another document.  Dicts get sorted, stringified keys, and
+    tuples and lists become lists, so equal documents encode equally.
     """
-    from repro.experiments.runner import RunRecord
-
-    if _require(document, "kind") != "run_record":
-        raise ModelError(
-            f"expected a run_record document, got "
-            f"kind={document.get('kind')!r}"
-        )
-    return RunRecord(
-        scenario=_require(document, "scenario"),
-        scheduler=_require(document, "scheduler"),
-        eu_label=_require(document, "eu_label"),
-        weighted_sum=_require(document, "weighted_sum"),
-        satisfied_by_priority=tuple(
-            _require(document, "satisfied_by_priority")
-        ),
-        total_by_priority=tuple(_require(document, "total_by_priority")),
-        steps=_require(document, "steps"),
-        dijkstra_runs=_require(document, "dijkstra_runs"),
-        elapsed_seconds=_require(document, "elapsed_seconds"),
-        average_hops=_require(document, "average_hops"),
-        cache_hit=bool(document.get("cache_hit", False)),
-        metrics=(
-            run_metrics_from_dict(document["metrics"])
-            if document.get("metrics") is not None
-            else None
-        ),
-        profile=(
-            profile_from_dict(document["profile"])
-            if document.get("profile") is not None
-            else None
-        ),
-        timeline=(
-            timeline_from_dict(document["timeline"])
-            if document.get("timeline") is not None
-            else None
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Run metrics
-# ---------------------------------------------------------------------------
-
-def run_metrics_to_dict(metrics: RunMetrics) -> Dict[str, Any]:
-    """A JSON-ready dict capturing one metrics aggregate.
-
-    Link maps are keyed by link id; JSON object keys must be strings, so
-    ids are stringified here and parsed back in
-    :func:`run_metrics_from_dict`.
-    """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "run_metrics",
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "counters": dict(metrics.counters),
-        "rejection_reasons": dict(metrics.rejection_reasons),
-        "tree_cache_reasons": dict(metrics.tree_cache_reasons),
-        "link_busy_seconds": {
-            str(link_id): value
-            for link_id, value in metrics.link_busy_seconds.items()
-        },
-        "link_transfer_counts": {
-            str(link_id): value
-            for link_id, value in metrics.link_transfer_counts.items()
-        },
-        "link_window_seconds": {
-            str(link_id): value
-            for link_id, value in metrics.link_window_seconds.items()
-        },
-        "decision_seconds": metrics.decision_seconds.to_dict(),
-        "cell_seconds": metrics.cell_seconds.to_dict(),
-        "workers": list(metrics.workers),
-    }
-
-
-def run_metrics_from_dict(document: Dict[str, Any]) -> RunMetrics:
-    """Rebuild a metrics aggregate from :func:`run_metrics_to_dict` output.
-
-    Raises:
-        ModelError: on a wrong kind, schema version, or invalid structure
-            (delegates to
-            :func:`repro.observability.metrics.validate_metrics_document`).
-    """
-    validate_metrics_document(document)
-    return RunMetrics(
-        counters={
-            key: int(value)
-            for key, value in document["counters"].items()
-        },
-        rejection_reasons={
-            key: int(value)
-            for key, value in document["rejection_reasons"].items()
-        },
-        tree_cache_reasons={
-            key: int(value)
-            for key, value in document["tree_cache_reasons"].items()
-        },
-        link_busy_seconds={
-            int(link_id): float(value)
-            for link_id, value in document["link_busy_seconds"].items()
-        },
-        link_transfer_counts={
-            int(link_id): int(value)
-            for link_id, value in document["link_transfer_counts"].items()
-        },
-        link_window_seconds={
-            int(link_id): float(value)
-            for link_id, value in document["link_window_seconds"].items()
-        },
-        decision_seconds=TimingStat.from_dict(document["decision_seconds"]),
-        cell_seconds=TimingStat.from_dict(document["cell_seconds"]),
-        workers=tuple(int(pid) for pid in document["workers"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Profiles
-# ---------------------------------------------------------------------------
-
-def profile_to_dict(profile: Profile) -> Dict[str, Any]:
-    """A JSON-ready dict capturing one span profile.
-
-    Span paths become object keys; each entry carries the ``wall`` and
-    ``cpu`` timing stats (empty stats omit min/max, like
-    :class:`~repro.observability.metrics.TimingStat`).
-    """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "profile",
-        "schema_version": PROFILE_SCHEMA_VERSION,
-        "spans": {
-            path: stat.to_dict()
-            for path, stat in sorted(profile.spans.items())
-        },
-    }
-
-
-def profile_from_dict(document: Dict[str, Any]) -> Profile:
-    """Rebuild a span profile from :func:`profile_to_dict` output.
-
-    Raises:
-        ModelError: on a wrong kind, schema version, or invalid structure
-            (delegates to :func:`repro.observability.profiling
-            .validate_profile_document`).
-    """
-    validate_profile_document(document)
-    return Profile(
-        spans={
-            path: SpanStat.from_dict(stat)
-            for path, stat in document["spans"].items()
-        }
-    )
-
-
-# ---------------------------------------------------------------------------
-# Timelines
-# ---------------------------------------------------------------------------
-
-def timeline_to_dict(timeline: Timeline) -> Dict[str, Any]:
-    """A JSON-ready dict capturing one simulated-time telemetry document.
-
-    The body layout (key-sorted link/storage/class/forensics maps) is
-    produced by :meth:`repro.observability.timeline.Timeline.to_dict`;
-    this wrapper adds the ``kind`` tag and version stamps.  Equal
-    timelines serialize byte-identically, which is what the cache-replay
-    invariance tests pin.
-    """
-    document: Dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "kind": "timeline",
-        "schema_version": TIMELINE_SCHEMA_VERSION,
-    }
-    document.update(timeline.to_dict())
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, dict):
+        return {str(key): _encoded(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encoded(item) for item in value]
+    document: Dict[str, Any] = {}
+    kind = getattr(value, "KIND", None)
+    if kind is not None:
+        document["format_version"] = FORMAT_VERSION
+        document["kind"] = kind
+        document["schema_version"] = value.SCHEMA_VERSION
+    for name in _field_names(type(value)):
+        document[name] = _encoded(getattr(value, name))
     return document
 
 
-def timeline_from_dict(document: Dict[str, Any]) -> Timeline:
-    """Rebuild a timeline from :func:`timeline_to_dict` output.
+def _encoded(value: Any) -> Any:
+    """:func:`document_to_dict`, without the call for a scalar."""
+    return value if isinstance(value, _SCALARS) else document_to_dict(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: Any) -> Tuple[str, ...]:
+    """A dataclass's field names, in declaration order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def document_from_dict(cls: Type[_D], document: Any) -> _D:
+    """Rebuild an output document of class ``cls`` from its JSON form.
+
+    The decoder is derived from the dataclass field types and checks every
+    value, so anything :func:`document_to_dict` did not write is refused
+    at the boundary.
 
     Raises:
-        ModelError: on a wrong kind, schema version, or invalid
-            structure (delegates to :func:`repro.observability.timeline
-            .validate_timeline_document`).
+        ModelError: naming the path of the malformed value
+            (``timeline.links['abc']``): wrong stamps, a missing field, a
+            value of the wrong type, a dict key that does not parse, or a
+            row of the wrong width.
     """
-    validate_timeline_document(document)
-    return Timeline.from_dict(document)
+    try:
+        return cast(_D, _decoder(cls)(document))
+    except _Malformed as error:
+        path = getattr(cls, "KIND", cls.__name__)
+        path += "".join(reversed(error.segments))
+        raise ModelError(f"{path} {error.problem}") from None
+
+
+def merge_documents(cls: Type[_M], parts: Iterable[Optional[_M]]) -> _M:
+    """Fold many (possibly ``None``) documents of one kind into one.
+
+    The fold starts from the empty ``cls()``; each class's own associative
+    ``merged`` carries its policy (summed tallies, min/max windows, the
+    forensics chain cap).
+    """
+    total = cls()
+    for part in parts:
+        if part is not None:
+            total = total.merged(part)
+    return total
+
+
+def _shown(value: Any) -> str:
+    """A malformed value for an error message (containers by type only)."""
+    if isinstance(value, _SCALARS):
+        return repr(value)
+    return type(value).__name__
+
+
+def _decode_any(value: Any) -> Any:
+    return value
+
+
+def _decode_bool(value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _Malformed(f"must be a boolean, got {_shown(value)}")
+
+
+def _decode_int(value: Any) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _Malformed(f"must be an integer, got {_shown(value)}")
+
+
+def _decode_float(value: Any) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise _Malformed(f"must be a number, got {_shown(value)}")
+
+
+def _decode_str(value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    raise _Malformed(f"must be a string, got {_shown(value)}")
+
+
+def _int_key(key: Any) -> int:
+    """A stringified integer dict key, parsed back (canonical form only)."""
+    if isinstance(key, str) and _INTEGER_KEY.fullmatch(key):
+        return int(key)
+    raise _Malformed("has a non-integer key")
+
+
+_SCALAR_DECODERS: Dict[Any, _Decoder] = {
+    Any: _decode_any,
+    bool: _decode_bool,
+    int: _decode_int,
+    float: _decode_float,
+    str: _decode_str,
+}
+
+_KEY_DECODERS: Dict[Any, _Decoder] = {int: _int_key, str: _decode_str}
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint: Any) -> _Decoder:
+    """The decoder for one annotated type, built once and cached.
+
+    Raises:
+        ModelError: when ``hint`` is a type no document may carry.
+    """
+    if hint in _SCALAR_DECODERS:
+        return _SCALAR_DECODERS[hint]
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_decoder(hint)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        return _optional_decoder(_decoder(args[0]))
+    if origin is dict and args[0] in _KEY_DECODERS:
+        return _dict_decoder(_KEY_DECODERS[args[0]], _decoder(args[1]))
+    if origin is list:
+        return _sequence_decoder(list, _decoder(args[0]))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _sequence_decoder(tuple, _decoder(args[0]))
+    if origin is tuple:
+        return _row_decoder(tuple(_decoder(arg) for arg in args))
+    raise ModelError(f"no document codec for type {hint!r}")
+
+
+def _optional_decoder(decode_value: _Decoder) -> _Decoder:
+    def decode(value: Any) -> Any:
+        return None if value is None else decode_value(value)
+
+    return decode
+
+
+def _dict_decoder(decode_key: _Decoder, decode_value: _Decoder) -> _Decoder:
+    def decode(value: Any) -> Dict[Any, Any]:
+        if not isinstance(value, dict):
+            raise _Malformed(f"must be an object, got {_shown(value)}")
+        result: Dict[Any, Any] = {}
+        for key, item in value.items():
+            try:
+                result[decode_key(key)] = decode_value(item)
+            except _Malformed as error:
+                error.segments.append(f"[{key!r}]")
+                raise
+        return result
+
+    return decode
+
+
+def _sequence_decoder(
+    container: Callable[[List[Any]], Any], decode_item: _Decoder
+) -> _Decoder:
+    def decode(value: Any) -> Any:
+        if not isinstance(value, (list, tuple)):
+            raise _Malformed(f"must be a list, got {_shown(value)}")
+        items = []
+        for item in value:
+            try:
+                items.append(decode_item(item))
+            except _Malformed as error:
+                error.segments.append(f"[{len(items)}]")
+                raise
+        return container(items)
+
+    return decode
+
+
+def _row_decoder(columns: Tuple[_Decoder, ...]) -> _Decoder:
+    width = len(columns)
+
+    def decode(value: Any) -> Tuple[Any, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise _Malformed(f"must be a row, got {_shown(value)}")
+        if len(value) != width:
+            raise _Malformed(
+                f"must be a row of {width} values, got {len(value)}"
+            )
+        row = []
+        for column, item in zip(columns, value):
+            try:
+                row.append(column(item))
+            except _Malformed as error:
+                error.segments.append(f"[{len(row)}]")
+                raise
+        return tuple(row)
+
+    return decode
+
+
+def _dataclass_decoder(cls: Any) -> _Decoder:
+    hints = typing.get_type_hints(cls)
+    fields = tuple(
+        (name, _decoder(hints[name])) for name in _field_names(cls)
+    )
+    kind = getattr(cls, "KIND", None)
+    stamps = (
+        ()
+        if kind is None
+        else (
+            ("kind", kind),
+            ("format_version", FORMAT_VERSION),
+            ("schema_version", cls.SCHEMA_VERSION),
+        )
+    )
+
+    def decode(value: Any) -> Any:
+        if not isinstance(value, dict):
+            raise _Malformed(f"must be an object, got {_shown(value)}")
+        for stamp, expected in stamps:
+            found = value.get(stamp)
+            if found != expected:
+                raise _Malformed(
+                    f"must be a {kind} document: expected {stamp} "
+                    f"{expected!r}, got {found!r}"
+                )
+        arguments: Dict[str, Any] = {}
+        for name, decode_field in fields:
+            if name not in value:
+                raise _Malformed(f"is missing field {name!r}")
+            try:
+                arguments[name] = decode_field(value[name])
+            except _Malformed as error:
+                error.segments.append(f".{name}")
+                raise
+        return cls(**arguments)
+
+    return decode
 
 
 # ---------------------------------------------------------------------------

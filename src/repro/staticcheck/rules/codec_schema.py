@@ -1,10 +1,13 @@
 """R4: codec modules must be schema-versioned and field-consistent.
 
-Serialized artifacts (scenarios, schedules, run records, metrics,
-profiles) are cached on disk and merged across PRs; the run cache keys
-on their exact byte layout.  A codec edit that adds or renames a field
-without bumping the schema version makes stale cache entries parse into
-silently-wrong objects.  Two statically checkable invariants:
+Serialized input documents (scenarios, schedules, fault plans) keep
+hand-written codecs, and the run cache keys on their exact byte layout.
+A codec edit that adds or renames a field without bumping the schema
+version makes stale cache entries parse into silently-wrong objects.
+(Run records, metrics, profiles, timelines and chaos reports go through
+the shared codec derived from their dataclass fields, which writes no
+dict literal, so R4 does not see them; their layouts are pinned to
+their versions by a test.)  Two statically checkable invariants:
 
 * a module defining ``to_dict`` / ``from_dict`` codecs (any function
   whose name is, or ends with, ``to_dict`` / ``from_dict``) must define
@@ -69,7 +72,7 @@ def _has_version_constant(tree: ast.Module) -> bool:
         elif isinstance(node, ast.ImportFrom):
             # A codec module may delegate versioning to the module that
             # owns the constant (serialization.py imports
-            # METRICS_SCHEMA_VERSION, for example).
+            # FAULTS_SCHEMA_VERSION, for example).
             for name in node.names:
                 local = name.asname or name.name
                 if local.endswith("_VERSION") or local == "SCHEMA_VERSION":

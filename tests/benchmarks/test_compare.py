@@ -19,6 +19,7 @@ from repro.benchmarks.compare import (
     VERDICT_REGRESSED,
 )
 from repro.cli import main
+from repro.observability import Profile
 
 
 def _stat(total, count=4):
@@ -58,7 +59,7 @@ def _document(walls, label="base"):
         "harness": {
             "format_version": 1,
             "kind": "profile",
-            "schema_version": 1,
+            "schema_version": Profile.SCHEMA_VERSION,
             "spans": {"scenario_generation": _stat(1.0)},
         },
         "entries": {
@@ -68,7 +69,7 @@ def _document(walls, label="base"):
                 "profile": {
                     "format_version": 1,
                     "kind": "profile",
-                    "schema_version": 1,
+                    "schema_version": Profile.SCHEMA_VERSION,
                     "spans": {
                         path: _stat(total) for path, total in walls.items()
                     },

@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.chaos import (
     DEFAULT_INTENSITIES,
-    chaos_report_to_dict,
     normalized_intensities,
     render_chaos_report,
     run_chaos,
@@ -22,6 +21,7 @@ from repro.experiments.chaos import (
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.scale import scale_by_name
 from repro.heuristics.registry import heuristic_names
+from repro.serialization import document_to_dict
 from repro.workload.generator import ScenarioGenerator
 
 GOLDEN_DIR = (
@@ -127,9 +127,7 @@ class TestDeterminism:
             executor=SweepExecutor(workers=1),
             scale=ci_scale.name,
         )
-        assert chaos_report_to_dict(again) == chaos_report_to_dict(
-            ci_report
-        )
+        assert document_to_dict(again) == document_to_dict(ci_report)
 
     def test_default_intensities_force_the_baseline(self):
         assert normalized_intensities(DEFAULT_INTENSITIES)[0] == 0.0
@@ -143,6 +141,6 @@ def test_report_matches_golden(ci_report):
 def test_report_document_is_json_ready(ci_report):
     import json
 
-    document = chaos_report_to_dict(ci_report)
+    document = document_to_dict(ci_report)
     assert document["kind"] == "chaos_report"
     assert json.loads(json.dumps(document)) == document

@@ -32,7 +32,7 @@ from repro.faults.context import use_faults
 from repro.faults.plan import FaultPlan
 from repro.heuristics.registry import make_heuristic
 from repro.observability.tracer import RecordingTracer, use_tracer
-from repro.serialization import run_record_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -62,7 +62,7 @@ def _neutralized(record):
     of the contract (contrast the tree-cache differential, which drops
     it).
     """
-    return run_record_to_dict(record.without_timing())
+    return document_to_dict(record.without_timing())
 
 
 def _fault_plan(scenario, intensity, seed):

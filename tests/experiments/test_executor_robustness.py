@@ -26,7 +26,7 @@ from repro.experiments.executor import (
     retry_backoff_seconds,
 )
 from repro.observability import RecordingTracer, use_tracer
-from repro.serialization import run_record_to_dict
+from repro.serialization import document_to_dict
 
 
 def _cells(scenarios):
@@ -43,7 +43,7 @@ def _cells(scenarios):
 
 def _canonical(record):
     return json.dumps(
-        run_record_to_dict(record.without_timing()), sort_keys=True
+        document_to_dict(record.without_timing()), sort_keys=True
     )
 
 

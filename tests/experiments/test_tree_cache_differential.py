@@ -24,7 +24,7 @@ from repro.experiments.runner import record_result
 from repro.faults.context import use_faults
 from repro.faults.plan import FaultPlan
 from repro.heuristics.registry import make_heuristic
-from repro.serialization import run_record_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -50,7 +50,7 @@ def _neutralized(record):
     optimization) and timing/observability fields vary run to run;
     everything else — the schedule's effect — must match byte for byte.
     """
-    document = run_record_to_dict(record.without_timing())
+    document = document_to_dict(record.without_timing())
     del document["dijkstra_runs"]
     return document
 

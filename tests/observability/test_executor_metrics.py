@@ -3,12 +3,8 @@
 import os
 
 from repro.experiments.executor import SweepExecutor
-from repro.observability import (
-    RecordingTracer,
-    use_tracer,
-    validate_metrics_document,
-)
-from repro.serialization import run_metrics_to_dict
+from repro.observability import RecordingTracer, RunMetrics, use_tracer
+from repro.serialization import document_from_dict, document_to_dict
 
 
 class TestSerialCollection:
@@ -35,7 +31,9 @@ class TestSerialCollection:
         assert total.counter("run_cache_misses") == 3
         assert total.counter("run_cache_hits") == 0
         assert total.cell_seconds.count == 3
-        validate_metrics_document(run_metrics_to_dict(total))
+        assert document_from_dict(RunMetrics, document_to_dict(total)) == (
+            total
+        )
 
     def test_disabled_by_default(self, tiny_scenarios):
         with SweepExecutor(workers=1) as executor:

@@ -6,8 +6,8 @@ workers, survive the run cache, and contribute *recorded* phase timings
 """
 
 from repro.experiments.executor import SweepExecutor
-from repro.observability import PHASE_TREE, validate_profile_document
-from repro.serialization import profile_to_dict
+from repro.observability import PHASE_TREE, Profile
+from repro.serialization import document_from_dict, document_to_dict
 
 
 class TestSerialProfiles:
@@ -29,7 +29,9 @@ class TestSerialProfiles:
             record.dijkstra_runs for record in records
         )
         assert executor.profile_total().stat(PHASE_TREE).count > 0
-        validate_profile_document(profile_to_dict(merged))
+        assert document_from_dict(Profile, document_to_dict(merged)) == (
+            merged
+        )
 
     def test_disabled_by_default(self, tiny_scenarios):
         with SweepExecutor(workers=1) as executor:

@@ -8,12 +8,12 @@ telemetry document is too.
 import json
 
 from repro.experiments.executor import SweepExecutor
-from repro.observability import validate_timeline_document
-from repro.serialization import timeline_to_dict
+from repro.observability import Timeline
+from repro.serialization import document_from_dict, document_to_dict
 
 
 def canonical(timeline):
-    return json.dumps(timeline_to_dict(timeline), sort_keys=True)
+    return json.dumps(document_to_dict(timeline), sort_keys=True)
 
 
 class TestSerialTimelines:
@@ -31,7 +31,9 @@ class TestSerialTimelines:
         assert merged.total_satisfied() == sum(
             record.satisfied_count for record in records
         )
-        validate_timeline_document(timeline_to_dict(merged))
+        assert document_from_dict(Timeline, document_to_dict(merged)) == (
+            merged
+        )
 
     def test_disabled_by_default(self, tiny_scenarios):
         with SweepExecutor(workers=1) as executor:

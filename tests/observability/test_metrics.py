@@ -8,22 +8,18 @@ import pytest
 from repro.errors import ModelError
 from repro.heuristics.registry import make_heuristic
 from repro.observability import (
-    METRICS_SCHEMA_VERSION,
     MetricsCollector,
     RunMetrics,
     TimingStat,
-    merge_metrics,
     use_tracer,
-    validate_metrics_document,
 )
 from repro.observability.tracer import REASON_CODES
 from repro.serialization import (
-    run_metrics_from_dict,
-    run_metrics_to_dict,
-    run_record_from_dict,
-    run_record_to_dict,
+    document_from_dict,
+    document_to_dict,
+    merge_documents,
 )
-from repro.experiments.runner import run_pair
+from repro.experiments.runner import RunRecord, run_pair
 
 
 class TestTimingStat:
@@ -54,11 +50,6 @@ class TestTimingStat:
         assert a.merged(empty) == a
         assert empty.merged(a) == a
         assert empty.merged(TimingStat()).count == 0
-
-    def test_round_trip(self):
-        stat = TimingStat()
-        stat.note(2.5)
-        assert TimingStat.from_dict(stat.to_dict()) == stat
 
 
 class TestRunMetricsMerge:
@@ -92,9 +83,9 @@ class TestRunMetricsMerge:
     def test_merge_metrics_skips_nones(self):
         a = RunMetrics()
         a.bump("cells")
-        total = merge_metrics([None, a, None, a])
+        total = merge_documents(RunMetrics, [None, a, None, a])
         assert total.counter("cells") == 2
-        assert merge_metrics([]).counter("cells") == 0
+        assert merge_documents(RunMetrics, []).counter("cells") == 0
 
 
 class TestCollectorOnRealRun:
@@ -142,16 +133,15 @@ class TestSerialization:
 
     def test_round_trip(self, tiny_scenarios):
         metrics = self._collected(tiny_scenarios)
-        document = run_metrics_to_dict(metrics)
-        validate_metrics_document(document)
-        assert document["schema_version"] == METRICS_SCHEMA_VERSION
-        rebuilt = run_metrics_from_dict(document)
+        document = document_to_dict(metrics)
+        assert document["schema_version"] == RunMetrics.SCHEMA_VERSION
+        rebuilt = document_from_dict(RunMetrics, document)
         assert rebuilt == metrics
 
     def test_round_trip_through_json_text(self, tiny_scenarios):
         metrics = self._collected(tiny_scenarios)
-        text = json.dumps(run_metrics_to_dict(metrics), sort_keys=True)
-        rebuilt = run_metrics_from_dict(json.loads(text))
+        text = json.dumps(document_to_dict(metrics), sort_keys=True)
+        rebuilt = document_from_dict(RunMetrics, json.loads(text))
         assert rebuilt == metrics
 
     def test_run_record_carries_metrics(self, tiny_scenarios):
@@ -160,62 +150,63 @@ class TestSerialization:
         metrics = self._collected(tiny_scenarios)
         record = run_pair(tiny_scenarios[0], "partial", "C4", 0.0)
         with_metrics = dataclasses.replace(record, metrics=metrics)
-        document = run_record_to_dict(with_metrics)
+        document = document_to_dict(with_metrics)
         assert document["metrics"]["kind"] == "run_metrics"
-        rebuilt = run_record_from_dict(document)
+        rebuilt = document_from_dict(RunRecord, document)
         assert rebuilt == with_metrics
         # without_timing() neutralizes metrics alongside timing.
         assert with_metrics.without_timing().metrics is None
         # A record without metrics serializes the field as null.
-        assert run_record_to_dict(record)["metrics"] is None
-        assert run_record_from_dict(run_record_to_dict(record)) == record
+        assert document_to_dict(record)["metrics"] is None
+        rebuilt = document_from_dict(RunRecord, document_to_dict(record))
+        assert rebuilt == record
 
 
 class TestValidation:
     def _valid(self):
-        return run_metrics_to_dict(RunMetrics())
+        return document_to_dict(RunMetrics())
 
     def test_accepts_a_valid_document(self):
-        validate_metrics_document(self._valid())
+        document_from_dict(RunMetrics, self._valid())
 
     def test_rejects_wrong_kind(self):
         document = self._valid()
         document["kind"] = "schedule"
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
 
     def test_rejects_unsupported_schema_version(self):
         document = self._valid()
-        document["schema_version"] = METRICS_SCHEMA_VERSION + 1
+        document["schema_version"] = RunMetrics.SCHEMA_VERSION + 1
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
 
     def test_rejects_non_mapping_counters(self):
         document = self._valid()
         document["counters"] = [1, 2]
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
 
     def test_rejects_non_integer_counter_values(self):
         document = self._valid()
         document["counters"] = {"bookings": "three"}
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
         document["counters"] = {"bookings": True}
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
 
     def test_rejects_malformed_timing_stats(self):
         document = self._valid()
         document["decision_seconds"] = {"count": 1}
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
 
     def test_rejects_non_integer_workers(self):
         document = self._valid()
         document["workers"] = ["pid"]
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)
         document["workers"] = 7
         with pytest.raises(ModelError):
-            validate_metrics_document(document)
+            document_from_dict(RunMetrics, document)

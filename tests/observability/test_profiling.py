@@ -12,13 +12,16 @@ from repro.observability import (
     RecordingTracer,
     SpanStat,
     current_tracer,
-    merge_profiles,
     render_profile,
     span,
     use_tracer,
 )
 from repro.observability.profiling import _NULL_SPAN
-from repro.serialization import profile_from_dict, profile_to_dict
+from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
+    merge_documents,
+)
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -149,8 +152,8 @@ class TestProfile:
             None,
             self._profile([("tree", 1.0)]),
         ]
-        assert merge_profiles(parts).stat("tree").count == 2
-        assert merge_profiles([]).empty
+        assert merge_documents(Profile, parts).stat("tree").count == 2
+        assert merge_documents(Profile, []).empty
 
     def test_phase_names_cover_the_instrumented_vocabulary(self):
         assert "tree" in PHASE_NAMES
@@ -169,35 +172,47 @@ class TestProfileCodec:
         profile = Profile()
         profile.note("tree", 1.0, 0.5)
         profile.note("tree/dijkstra", 0.75, 0.4)
-        document = profile_to_dict(profile)
+        document = document_to_dict(profile)
         assert document["kind"] == "profile"
-        assert profile_from_dict(document) == profile
+        assert document_from_dict(Profile, document) == profile
 
     def test_empty_stat_axes_round_trip(self):
         profile = Profile(spans={"tree": SpanStat()})
-        document = profile_to_dict(profile)
+        document = document_to_dict(profile)
         assert document["spans"]["tree"]["wall"] == {
             "count": 0,
             "total": 0.0,
+            "min": 0.0,
+            "max": 0.0,
         }
-        assert profile_from_dict(document) == profile
+        assert document_from_dict(Profile, document) == profile
 
     def test_wrong_kind_is_rejected(self):
         with pytest.raises(ModelError):
-            profile_from_dict({"kind": "metrics", "schema_version": 1})
+            document_from_dict(
+                Profile, {"kind": "metrics", "schema_version": 1}
+            )
 
     def test_wrong_schema_version_is_rejected(self):
         with pytest.raises(ModelError):
-            profile_from_dict(
-                {"kind": "profile", "schema_version": 99, "spans": {}}
+            document_from_dict(
+                Profile,
+                {
+                    "format_version": 1,
+                    "kind": "profile",
+                    "schema_version": 99,
+                    "spans": {},
+                },
             )
 
     def test_missing_min_on_populated_stat_is_rejected(self):
         with pytest.raises(ModelError):
-            profile_from_dict(
+            document_from_dict(
+                Profile,
                 {
+                    "format_version": 1,
                     "kind": "profile",
-                    "schema_version": 1,
+                    "schema_version": Profile.SCHEMA_VERSION,
                     "spans": {
                         "tree": {
                             "wall": {"count": 1, "total": 1.0},

@@ -20,9 +20,7 @@ from repro.observability import (
     TeeTracer,
     Timeline,
     TimelineCollector,
-    merge_timelines,
     use_tracer,
-    validate_timeline_document,
 )
 from repro.observability.timeline import (
     MAX_CHAIN_EVENTS,
@@ -35,7 +33,11 @@ from repro.observability.tracer import (
     REASON_CODES,
     REASON_NEVER_ATTEMPTED,
 )
-from repro.serialization import timeline_from_dict, timeline_to_dict
+from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
+    merge_documents,
+)
 
 from tests.helpers import single_item_line_scenario
 
@@ -50,7 +52,7 @@ def collect(scenario, heuristic="full_one", criterion="C4", ratio=0.0):
 
 def canonical(timeline):
     """The byte-exact serialized form equality is asserted on."""
-    return json.dumps(timeline_to_dict(timeline), sort_keys=True)
+    return json.dumps(document_to_dict(timeline), sort_keys=True)
 
 
 class TestCollector:
@@ -226,7 +228,7 @@ class TestMergeAlgebra:
 
     def test_merge_timelines_skips_missing_parts(self, line_scenario):
         part = collect(line_scenario)
-        total = merge_timelines([None, part, None, part])
+        total = merge_documents(Timeline, [None, part, None, part])
         assert total.runs == 2
         assert total.total_satisfied() == 2 * part.total_satisfied()
 
@@ -275,38 +277,36 @@ class TestDominantReason:
 class TestSerialization:
     def test_round_trip_is_byte_identical(self, tiny_scenarios):
         timeline = collect(tiny_scenarios[0])
-        document = timeline_to_dict(timeline)
-        validate_timeline_document(document)
-        rebuilt = timeline_from_dict(
-            json.loads(json.dumps(document, sort_keys=True))
+        document = document_to_dict(timeline)
+        rebuilt = document_from_dict(
+            Timeline, json.loads(json.dumps(document, sort_keys=True))
         )
         assert canonical(rebuilt) == canonical(timeline)
 
     @settings(max_examples=30, deadline=None)
     @given(timelines)
     def test_round_trip_of_generated_documents(self, timeline):
-        document = timeline_to_dict(timeline)
-        validate_timeline_document(document)
-        assert canonical(timeline_from_dict(document)) == canonical(
-            timeline
+        document = document_to_dict(timeline)
+        assert canonical(document_from_dict(Timeline, document)) == (
+            canonical(timeline)
         )
 
     def test_wrong_kind_and_version_are_rejected(self, line_scenario):
-        document = timeline_to_dict(collect(line_scenario))
+        document = document_to_dict(collect(line_scenario))
         bad_kind = dict(document, kind="metrics")
         with pytest.raises(ModelError):
-            validate_timeline_document(bad_kind)
+            document_from_dict(Timeline, bad_kind)
         bad_version = dict(document, schema_version=99)
         with pytest.raises(ModelError):
-            validate_timeline_document(bad_version)
+            document_from_dict(Timeline, bad_version)
 
     def test_malformed_rows_are_rejected(self, line_scenario):
-        document = timeline_to_dict(collect(line_scenario))
+        document = document_to_dict(collect(line_scenario))
         corrupt = json.loads(json.dumps(document))
         link_id = next(iter(corrupt["links"]))
         corrupt["links"][link_id]["bookings"] = [[1.0, 2.0]]
         with pytest.raises(ModelError):
-            validate_timeline_document(corrupt)
+            document_from_dict(Timeline, corrupt)
 
 
 class TestExplainMatchesRawTrace:

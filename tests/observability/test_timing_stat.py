@@ -1,9 +1,8 @@
 """TimingStat empty-stat semantics and merge laws (satellite tests).
 
-The ``min=0.0`` sentinel of an empty stat used to be indistinguishable
-from a real 0.0 observation after a ``to_dict``/``from_dict`` round
-trip.  Emptiness is now explicit — ``count == 0`` omits ``min``/``max``
-from the JSON form — and ``merged()`` is locked down as an associative,
+Emptiness is explicit: ``count == 0`` marks an empty stat, whose 0.0
+``min``/``max`` placeholders are written to the JSON form but never read
+as an observation.  ``merged()`` is locked down as an associative,
 commutative fold with the empty stat as identity.
 """
 
@@ -11,12 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability import TimingStat
+from repro.serialization import document_from_dict, document_to_dict
 
 # Integer-valued floats: exactly representable, and their sums are exact
 # in float64, so merge-vs-concatenation equality is exact rather than
 # hostage to addition order.
 _values = st.integers(min_value=-(10**6), max_value=10**6).map(float)
 _value_lists = st.lists(_values, max_size=20)
+
+
+def _round_trip(stat):
+    return document_from_dict(TimingStat, document_to_dict(stat))
 
 
 def _stat(values):
@@ -27,42 +31,28 @@ def _stat(values):
 
 
 class TestEmptySemantics:
-    def test_empty_to_dict_omits_min_and_max(self):
-        assert TimingStat().to_dict() == {"count": 0, "total": 0.0}
-
     def test_empty_round_trip_is_canonical(self):
-        assert TimingStat.from_dict({"count": 0, "total": 0.0}) == (
-            TimingStat()
-        )
-
-    def test_pre_omission_document_with_stale_sentinels_rebuilds_empty(self):
-        # Documents written before the omission change carry min/max 0.0
-        # placeholders on empty stats; they must not become observations.
-        rebuilt = TimingStat.from_dict(
-            {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}
-        )
-        assert rebuilt == TimingStat()
-        assert rebuilt.to_dict() == {"count": 0, "total": 0.0}
+        assert _round_trip(TimingStat()) == TimingStat()
 
     def test_real_zero_observation_survives_the_round_trip(self):
         # The case the sentinel used to shadow: an actual 0.0 sample.
         stat = _stat([0.0])
-        document = stat.to_dict()
+        document = document_to_dict(stat)
         assert document == {"count": 1, "total": 0.0, "min": 0.0, "max": 0.0}
-        assert TimingStat.from_dict(document) == stat
+        assert document_from_dict(TimingStat, document) == stat
 
     @given(values=_value_lists)
     @settings(max_examples=100, deadline=None)
     def test_round_trip_is_lossless(self, values):
         stat = _stat(values)
-        assert TimingStat.from_dict(stat.to_dict()) == stat
+        assert _round_trip(stat) == stat
 
     @given(values=_value_lists)
     @settings(max_examples=100, deadline=None)
-    def test_min_max_present_exactly_when_observed(self, values):
-        document = _stat(values).to_dict()
-        assert ("min" in document) == bool(values)
-        assert ("max" in document) == bool(values)
+    def test_count_alone_marks_an_empty_stat(self, values):
+        document = document_to_dict(_stat(values))
+        assert set(document) == {"count", "total", "min", "max"}
+        assert (document["count"] > 0) == bool(values)
 
 
 class TestMergeLaws:

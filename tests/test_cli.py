@@ -206,7 +206,8 @@ class TestTimelineFlag:
         import json
 
         from repro.experiments.scale import ExperimentScale
-        from repro.serialization import timeline_from_dict
+        from repro.observability import Timeline
+        from repro.serialization import document_from_dict
         from repro.workload.config import GeneratorConfig
         import repro.cli as cli
 
@@ -222,8 +223,8 @@ class TestTimelineFlag:
         out = capsys.readouterr().out
         assert "simulated-time telemetry" in out
         assert f"timeline written to {path}" in out
-        timeline = timeline_from_dict(
-            json.loads(path.read_text(encoding="utf-8"))
+        timeline = document_from_dict(
+            Timeline, json.loads(path.read_text(encoding="utf-8"))
         )
         assert timeline.runs == 2
 
@@ -235,14 +236,14 @@ class TestReportTimeline:
 
         from repro.heuristics.registry import make_heuristic
         from repro.observability import TimelineCollector, use_tracer
-        from repro.serialization import timeline_to_dict
+        from repro.serialization import document_to_dict
 
         collector = TimelineCollector(line_scenario)
         with use_tracer(collector):
             make_heuristic("full_one", "C4", 0.0).run(line_scenario)
         path = tmp_path / "timeline.json"
         path.write_text(
-            json.dumps(timeline_to_dict(collector.finalize())),
+            json.dumps(document_to_dict(collector.finalize())),
             encoding="utf-8",
         )
         return path
@@ -274,6 +275,30 @@ class TestReportTimeline:
     def test_digest_alone_needs_no_outputs(self, timeline_path, capsys):
         assert main(["report", "--timeline", str(timeline_path)]) == 0
         assert "simulated-time telemetry" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["links"].update(abc=doc["links"].popitem()[1]),
+            lambda doc: next(iter(doc["classes"].values()))["drains"].append(
+                "soon"
+            ),
+        ],
+        ids=["non-integer-link-key", "string-drain"],
+    )
+    def test_malformed_timeline_is_an_error_not_a_traceback(
+        self, timeline_path, tmp_path, capsys, corrupt
+    ):
+        import json
+
+        document = json.loads(timeline_path.read_text(encoding="utf-8"))
+        corrupt(document)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["report", "--timeline", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: timeline.")
+        assert "Traceback" not in err
 
     def test_exporter_flags_require_a_timeline(self, tmp_path, capsys):
         code = main(

@@ -18,7 +18,7 @@ from repro.cost.weights import as_weights
 from repro.experiments.executor import RunCache, SweepCell, SweepExecutor
 from repro.faults import FaultPlan
 from repro.heuristics.registry import heuristic_names
-from repro.serialization import run_record_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -59,7 +59,7 @@ def _cells(scenario, faults):
 def _canonical(records):
     return [
         json.dumps(
-            run_record_to_dict(record.without_timing()), sort_keys=True
+            document_to_dict(record.without_timing()), sort_keys=True
         )
         for record in records
     ]

@@ -13,9 +13,9 @@ from repro.heuristics.registry import make_heuristic
 from repro.serialization import (
     canonical_scenario_json,
     load_scenario,
+    document_from_dict,
+    document_to_dict,
     load_schedule,
-    run_record_from_dict,
-    run_record_to_dict,
     save_scenario,
     save_schedule,
     scenario_fingerprint,
@@ -356,19 +356,19 @@ class TestScheduleRoundTrip:
 class TestRunRecordRoundTrip:
     def test_dict_round_trip_is_lossless(self, tiny_scenarios):
         record = run_pair(tiny_scenarios[0], "full_one", "C4", 2.0)
-        assert run_record_from_dict(run_record_to_dict(record)) == record
+        assert document_from_dict(RunRecord, document_to_dict(record)) == record
 
     def test_json_round_trip_is_lossless(self, tiny_scenarios):
         record = run_pair(tiny_scenarios[1], "partial", "C3", 0.0)
-        document = json.loads(json.dumps(run_record_to_dict(record)))
-        assert run_record_from_dict(document) == record
+        document = json.loads(json.dumps(document_to_dict(record)))
+        assert document_from_dict(RunRecord, document) == record
 
     def test_cache_hit_flag_survives(self, tiny_scenarios):
         record = dataclasses.replace(
             run_pair(tiny_scenarios[0], "full_all", "C2", 0.0),
             cache_hit=True,
         )
-        restored = run_record_from_dict(run_record_to_dict(record))
+        restored = document_from_dict(RunRecord, document_to_dict(record))
         assert restored.cache_hit
         assert restored == record
 
@@ -376,21 +376,21 @@ class TestRunRecordRoundTrip:
         # Guards field drift: a field added to RunRecord without a codec
         # update fails here instead of silently vanishing from caches.
         record = run_pair(tiny_scenarios[0], "full_one", "C4", 0.0)
-        document = run_record_to_dict(record)
+        document = document_to_dict(record)
         field_names = {f.name for f in dataclasses.fields(RunRecord)}
         assert field_names <= set(document)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ModelError):
-            run_record_from_dict({"kind": "schedule"})
+            document_from_dict(RunRecord, {"kind": "schedule"})
 
     def test_missing_field_rejected(self, tiny_scenarios):
-        document = run_record_to_dict(
+        document = document_to_dict(
             run_pair(tiny_scenarios[0], "full_one", "C4", 0.0)
         )
         del document["weighted_sum"]
         with pytest.raises(ModelError):
-            run_record_from_dict(document)
+            document_from_dict(RunRecord, document)
 
 
 class TestScenarioFingerprint:

@@ -10,8 +10,9 @@ lives in :mod:`repro.core.validation` and all scoring in
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core import units
 from repro.errors import ModelError
@@ -123,11 +124,21 @@ class Schedule:
     Heuristics build a schedule incrementally via :meth:`add_step` and
     :meth:`add_delivery`; afterwards the object is treated as immutable
     result data.
+
+    Steps are stored as rows of flat ``array`` columns (one per
+    :class:`CommunicationStep` field but the implicit ``step_id``), and
+    :attr:`steps` builds the step records on demand: a run keeps its
+    schedule, and a caller may keep many runs.
     """
 
     def __init__(self, name: str = "") -> None:
         self._name = name
-        self._steps: List[CommunicationStep] = []
+        self._item_ids = array("l")
+        self._sources = array("l")
+        self._destinations = array("l")
+        self._link_ids = array("l")
+        self._starts = array("d")
+        self._ends = array("d")
         self._deliveries: Dict[int, Delivery] = {}
 
     @property
@@ -138,7 +149,19 @@ class Schedule:
     @property
     def steps(self) -> Tuple[CommunicationStep, ...]:
         """All communication steps in scheduling order."""
-        return tuple(self._steps)
+        return tuple(
+            CommunicationStep(step_id, *row)
+            for step_id, row in enumerate(
+                zip(
+                    self._item_ids,
+                    self._sources,
+                    self._destinations,
+                    self._link_ids,
+                    self._starts,
+                    self._ends,
+                )
+            )
+        )
 
     @property
     def deliveries(self) -> Mapping[int, Delivery]:
@@ -148,7 +171,7 @@ class Schedule:
     @property
     def step_count(self) -> int:
         """Number of booked communication steps."""
-        return len(self._steps)
+        return len(self._item_ids)
 
     def satisfied_request_ids(self) -> Tuple[int, ...]:
         """Ids of satisfied requests, ascending."""
@@ -170,19 +193,31 @@ class Schedule:
         link_id: int,
         start: float,
         end: float,
-    ) -> CommunicationStep:
-        """Append a transfer booking and return the created step."""
-        step = CommunicationStep(
-            step_id=len(self._steps),
-            item_id=item_id,
-            source=source,
-            destination=destination,
-            link_id=link_id,
-            start=start,
-            end=end,
-        )
-        self._steps.append(step)
-        return step
+    ) -> int:
+        """Append a transfer booking and return its step id.
+
+        Raises:
+            ModelError: on a step that ends before it starts, or that
+                sends an item from a machine to itself (the checks of
+                :class:`CommunicationStep`).
+        """
+        step_id = len(self._item_ids)
+        if end < start:
+            raise ModelError(
+                f"step {step_id} ends ({end}) before it starts ({start})"
+            )
+        if source == destination:
+            raise ModelError(
+                f"step {step_id} sends item {item_id} from machine "
+                f"{source} to itself"
+            )
+        self._item_ids.append(item_id)
+        self._sources.append(source)
+        self._destinations.append(destination)
+        self._link_ids.append(link_id)
+        self._starts.append(start)
+        self._ends.append(end)
+        return step_id
 
     def add_delivery(self, request_id: int, arrival: float, hops: int) -> None:
         """Record that a request was satisfied.
@@ -218,12 +253,12 @@ class Schedule:
     def steps_for_item(self, item_id: int) -> Tuple[CommunicationStep, ...]:
         """All steps transferring one data item, in scheduling order."""
         return tuple(
-            step for step in self._steps if step.item_id == item_id
+            step for step in self.steps if step.item_id == item_id
         )
 
     def total_bytes_transferred(self, item_sizes: Mapping[int, float]) -> float:
         """Total bytes moved, given a map from item id to size."""
-        return sum(item_sizes[step.item_id] for step in self._steps)
+        return sum(item_sizes[item_id] for item_id in self._item_ids)
 
     def average_hops_per_delivery(self) -> float:
         """Mean number of links traversed per satisfied request.
@@ -249,7 +284,7 @@ class Schedule:
 
     def __repr__(self) -> str:
         return (
-            f"Schedule({self._name!r}, steps={len(self._steps)}, "
+            f"Schedule({self._name!r}, steps={self.step_count}, "
             f"deliveries={len(self._deliveries)})"
         )
 

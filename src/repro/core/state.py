@@ -110,6 +110,7 @@ class MutationRecord:
         residency: the receiver-storage reservation interval (bookings
             only).
         cutoff: the new completion cutoff (cutoff records only).
+        item_id: the booked item (bookings only, else ``-1``).
     """
 
     kind: str
@@ -118,6 +119,7 @@ class MutationRecord:
     machine: int = -1
     residency: Optional[Interval] = None
     cutoff: float = float("inf")
+    item_id: int = -1
 
 
 @dataclass(frozen=True)
@@ -738,9 +740,10 @@ class NetworkState:
                 busy=busy_interval,
                 machine=link.destination,
                 residency=residency,
+                item_id=plan.item_id,
             )
         )
-        step = self._schedule.add_step(
+        step_id = self._schedule.add_step(
             item_id=plan.item_id,
             source=link.source,
             destination=link.destination,
@@ -762,7 +765,7 @@ class NetworkState:
         # satisfaction precedes it in every trace.
         satisfied = self._record_deliveries(plan.item_id, copy)
         return BookingResult(
-            step_id=step.step_id,
+            step_id=step_id,
             copy=copy,
             satisfied_request_ids=satisfied,
         )

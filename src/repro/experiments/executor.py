@@ -88,7 +88,10 @@ logger = logging.getLogger(__name__)
 #: Version 12: records are written by the shared document codec (stamped
 #: ``run_record`` schema 1; embedded metrics schema 3 and profiles schema
 #: 2 write the 0.0 ``min``/``max`` of empty timing stats).
-CACHE_FORMAT_VERSION = 12
+#: Version 13: a booking rebases the booked item's tree instead of
+#: searching it again, so a cached ``dijkstra_runs`` is stale for the
+#: same key.
+CACHE_FORMAT_VERSION = 13
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

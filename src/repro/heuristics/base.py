@@ -20,7 +20,9 @@ reservation breaking a planned storage residency, or a cutoff undercutting
 a planned completion.  Bookings only ever remove availability, so a tree
 that survives the journal replay has labels byte-identical to a fresh
 recompute — the engine's decisions match the recompute-every-iteration
-algorithm.
+algorithm.  The item's own bookings of its planned hops do not force a
+recompute either: the tree is rebased onto the new copies
+(:meth:`TreeCache.rebase`).
 
 The cache also remembers which items have *no* candidate (§4.8 gives no
 resources to a step whose every destination misses its deadline).  Every
@@ -237,6 +239,10 @@ class TreeCache:
     destinations (:meth:`entry_for`), so a tree holds, and its footprint
     covers, only the paths that can still satisfy a request.
 
+    An item's own planned bookings cost no search either: the drain
+    calls :meth:`rebase` after each decision, which carries the tree
+    over the new copies exactly as a search would now find it.
+
     Each record is replayed once per cache, through a link index and a
     machine index, and every request first replays to the journal's end
     (so a fresh entry never sees an older record).
@@ -441,6 +447,55 @@ class TreeCache:
             self._store(item_id, entry)
         return entry
 
+    def rebase(self, item_id: int) -> bool:
+        """Carry the item's entry over its own bookings; True on success.
+
+        Called right after the engine booked hops of the item's cached
+        tree: §4.5 makes each receiver an additional source, and a search
+        would now find the cached tree rebased onto the new copies
+        (:meth:`~repro.routing.paths.ShortestPathTree.rebased`).  The new
+        entry is current at the journal's end, so the next request reads
+        ``clean``.  The next request searches instead after a disabled
+        cache, a journal record since the entry's position that is not a
+        booking of this item, any other revision change, a moved epoch,
+        or seeds the tree cannot vouch for.
+        """
+        cached = self._trees.get(item_id) if self._enabled else None
+        if cached is None:
+            return False
+        state = self._state
+        tracer = state.tracer
+        with span(PHASE_TREE, tracer):
+            records = state.journal_since(cached.journal_position)
+            if self._replay_position < state.journal_length():
+                self._replay()
+            not_before = self._not_before
+            seeds = {
+                machine: max(copy.available_from, not_before)
+                for machine, copy in state.copies(item_id).items()
+                if copy.release > not_before
+            }
+            if (
+                not records
+                or state.item_revision(item_id)
+                != cached.item_revision + len(records)
+                or state.capacity_epoch != cached.capacity_epoch
+                or state.degradation_epoch != cached.degradation_epoch
+                or any(
+                    record.item_id != item_id or record.machine not in seeds
+                    for record in records
+                )
+            ):
+                return False
+            targets = deadline_targets(state, item_id)
+            tree = cached.tree.rebased(seeds, targets)
+            if tree is None:
+                return False
+            self._store(item_id, self._snapshot(item_id, tree, targets))
+        if tracer.enabled:
+            tracer.emit("tree_rebased", item_id, len(seeds))
+        return True
+
     def _replay(self) -> None:
         """Fold the new journal records into the entries they touch.
 
@@ -627,6 +682,10 @@ class StagingHeuristic(abc.ABC):
         item and the filters are fixed.  An item whose payload comes out
         empty leaves the list (:meth:`_live_payloads`).
 
+        After each decision the booked item's tree is rebased onto its
+        new copies (:meth:`TreeCache.rebase`), so its next request is a
+        clean hit instead of a search.
+
         Raises:
             ConfigurationError: when ``cache`` was built for a different
                 state than ``state`` (e.g. the parent of a ``clone()``).
@@ -652,6 +711,7 @@ class StagingHeuristic(abc.ABC):
             stats.iterations += 1
             with span(PHASE_BOOKING, tracer):
                 hops = self._execute(state, cache, group, result)
+            cache.rebase(group.item_id)
             stats.hops_booked += hops
             if not has_visible_request(
                 state, group.item_id, priorities, request_filter

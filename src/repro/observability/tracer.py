@@ -133,6 +133,10 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     # TREE_CACHE_REASONS: how a hit was justified (``clean`` /
     # ``revalidated``) or which mutation class forced the recompute.
     "tree_cache": ("item_id", "hit", "reason"),
+    # ``TreeCache.rebase`` carried the booked item's tree over its new
+    # copies (``seeds`` machines now hold it) instead of searching again;
+    # the item's next ``tree_cache`` request reads ``clean``.
+    "tree_rebased": ("item_id", "seeds"),
     # An item's candidate groups were enumerated and priced.
     "item_scored": ("item_id", "candidates"),
     # One outer-loop decision was taken (choose + execute wall time).

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
+from repro.core.units import time_eq
 from repro.errors import SchedulingError
 
 
@@ -208,6 +209,47 @@ class ShortestPathTree:
             frozenset(hop.link_id for hop in hops.values()),
             frozenset(hops),
         )
+
+    def rebased(
+        self, seeds: Mapping[int, float], targets: Mapping[int, float]
+    ) -> Optional["ShortestPathTree"]:
+        """This tree once the item also sits on some of its machines.
+
+        ``seeds`` must keep every seed of this tree at its availability
+        and add only machines this tree finalized, each available at its
+        label here; otherwise the answer is ``None``.  A search from those
+        seeds pops the same ``(label, machine)`` sequence, and only the
+        relaxations into the new seeds change, so every other machine
+        keeps its label and parent.  The result keeps each reachable
+        target's path from its last seed (``targets`` are the search's,
+        with their deadlines), and reports a seed target past its
+        deadline unreachable, as the search does.
+        """
+        if any(machine not in seeds for machine in self._seeds):
+            return None
+        for machine, available in seeds.items():
+            known = self._seeds.get(machine)
+            if known is None and machine in self._parents:
+                known = self._parents[machine][3]
+            if known is None or not time_eq(known, available):
+                return None
+        labels = {
+            machine: available
+            for machine, available in seeds.items()
+            if not available > targets.get(machine, float("inf"))
+        }
+        parents: Dict[int, Tuple[int, int, float, float]] = {}
+        for target in targets:
+            if target not in self._labels:
+                continue
+            cursor = target
+            while cursor not in seeds and cursor not in parents:
+                parent = self._parents[cursor]
+                parents[cursor] = parent
+                if cursor in self._labels:
+                    labels[cursor] = self._labels[cursor]
+                cursor = parent[0]
+        return ShortestPathTree(self._item_id, seeds, labels, parents)
 
     def reachable_machines(self) -> Tuple[int, ...]:
         """All machines with a finite label, ascending."""

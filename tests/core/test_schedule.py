@@ -66,8 +66,33 @@ class TestSchedule:
         schedule = Schedule("s")
         first = schedule.add_step(0, 0, 1, 0, 0.0, 1.0)
         second = schedule.add_step(0, 1, 2, 1, 1.0, 2.0)
-        assert (first.step_id, second.step_id) == (0, 1)
+        assert (first, second) == (0, 1)
+        assert [step.step_id for step in schedule.steps] == [0, 1]
         assert schedule.step_count == 2
+
+    def test_steps_are_rebuilt_from_their_rows(self):
+        schedule = Schedule("s")
+        schedule.add_step(4, 0, 1, 7, 0.5, 1.25)
+        assert schedule.steps == (CommunicationStep(0, 4, 0, 1, 7, 0.5, 1.25),)
+
+    @pytest.mark.parametrize(
+        "row", [(0, 0, 1, 0, 2.0, 1.0), (0, 1, 1, 0, 0.0, 1.0)],
+        ids=["inverted-times", "self-transfer"],
+    )
+    def test_add_step_keeps_the_step_checks(self, row):
+        schedule = Schedule()
+        with pytest.raises(ModelError):
+            schedule.add_step(*row)
+        assert schedule.step_count == 0
+
+    def test_pickle_round_trip_keeps_steps_and_deliveries(self):
+        schedule = Schedule("s")
+        schedule.add_step(0, 0, 1, 0, 0.0, 1.0)
+        schedule.add_delivery(3, arrival=1.0, hops=1)
+        restored = pickle.loads(pickle.dumps(schedule))
+        assert restored.name == "s"
+        assert restored.steps == schedule.steps
+        assert restored.deliveries == schedule.deliveries
 
     def test_deliveries(self):
         schedule = Schedule()

@@ -43,8 +43,11 @@ from tests.routing.reference_kernel import use_reference_kernel
 _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
 
 #: A draw (scenario, faults, losses and outage) in which every fault kind
-#: fires and every inline rejection reason is emitted.
-SEED_WITH_EVERY_FAULT = 0
+#: fires and every inline rejection reason is emitted.  (Seed 0 stopped
+#: emitting ``already_at_destination`` once a booking rebased the booked
+#: item's tree instead of searching it again: those rejections came from
+#: searching the item right after its own booking.)
+SEED_WITH_EVERY_FAULT = 11
 
 
 def _run(scenario, events, plan, heuristic, reference):

@@ -492,6 +492,14 @@ class TestPinnedEventStream:
     recompute.  Only search events went; ``tests/experiments/
     test_deadline_horizon_differential.py`` checks both pinned runs
     against the unbounded-search oracle.
+
+    Both digests were re-pinned again (static 3,045 -> 2,617 events,
+    faulted dynamic 531 -> 472) when a booking started rebasing the
+    booked item's tree onto its new copies instead of searching it
+    again: each decision adds one ``tree_rebased`` event inside a
+    ``tree`` span, and the item's next ``tree_cache`` request reads
+    ``clean`` with no search behind it.  ``tests/experiments/test_rebase_differential.py`` checks both
+    pinned runs against the search-again oracle.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -502,8 +510,8 @@ class TestPinnedEventStream:
             )
 
         assert _stream_digest(run) == (
-            3045,
-            "e0af48b4ee65ca1704216f8cd8c6d301af5fafbe8c51eddd15f5efec0cd79f8c",
+            2617,
+            "bcd869c6c725b2ba645676e289092f9f75d7ee89fa561a50b77bf9f86591e92b",
         )
 
     def test_faulted_dynamic_run_with_churn_and_losses(self):
@@ -514,6 +522,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            531,
-            "28a7bb6541d15fd07b19d8a4f33dcf52062ae0628a9c3cf4668be3e90a9c49a4",
+            472,
+            "155b983a3b587c453c7d52392468dd0e409a8878e9d470858ec956ef3e349465",
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from repro.core import units
 from repro.errors import ModelError
@@ -125,10 +125,12 @@ class Schedule:
     :meth:`add_delivery`; afterwards the object is treated as immutable
     result data.
 
-    Steps are stored as rows of flat ``array`` columns (one per
-    :class:`CommunicationStep` field but the implicit ``step_id``), and
-    :attr:`steps` builds the step records on demand: a run keeps its
-    schedule, and a caller may keep many runs.
+    Steps and deliveries are stored as rows of flat ``array`` columns
+    (one per :class:`CommunicationStep` field but the implicit
+    ``step_id``, one per :class:`Delivery` field), and :attr:`steps` and
+    :attr:`deliveries` build the records on demand: a run keeps its
+    schedule, and a caller may keep many runs.  Deliveries keep their
+    insertion order; a lookup by request id scans its column.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -139,7 +141,9 @@ class Schedule:
         self._link_ids = array("l")
         self._starts = array("d")
         self._ends = array("d")
-        self._deliveries: Dict[int, Delivery] = {}
+        self._request_ids = array("l")
+        self._arrivals = array("d")
+        self._hops = array("l")
 
     @property
     def name(self) -> str:
@@ -165,8 +169,13 @@ class Schedule:
 
     @property
     def deliveries(self) -> Mapping[int, Delivery]:
-        """Deliveries keyed by ``request_id``."""
-        return dict(self._deliveries)
+        """Deliveries keyed by ``request_id``, in insertion order."""
+        return {
+            request_id: Delivery(request_id, arrival, hops)
+            for request_id, arrival, hops in zip(
+                self._request_ids, self._arrivals, self._hops
+            )
+        }
 
     @property
     def step_count(self) -> int:
@@ -175,15 +184,19 @@ class Schedule:
 
     def satisfied_request_ids(self) -> Tuple[int, ...]:
         """Ids of satisfied requests, ascending."""
-        return tuple(sorted(self._deliveries))
+        return tuple(sorted(self._request_ids))
 
     def is_satisfied(self, request_id: int) -> bool:
         """True if the request has a delivery record."""
-        return request_id in self._deliveries
+        return request_id in self._request_ids
 
     def delivery(self, request_id: int) -> Optional[Delivery]:
         """The delivery record for a request, or ``None``."""
-        return self._deliveries.get(request_id)
+        try:
+            row = self._request_ids.index(request_id)
+        except ValueError:
+            return None
+        return Delivery(request_id, self._arrivals[row], self._hops[row])
 
     def add_step(
         self,
@@ -224,15 +237,21 @@ class Schedule:
 
         Raises:
             ModelError: if the request already has a delivery record (each
-                request is satisfied at most once).
+                request is satisfied at most once), or on a negative hop
+                count (the check of :class:`Delivery`).
         """
-        if request_id in self._deliveries:
+        if request_id in self._request_ids:
             raise ModelError(
                 f"request {request_id} already has a delivery record"
             )
-        self._deliveries[request_id] = Delivery(
-            request_id=request_id, arrival=arrival, hops=hops
-        )
+        if hops < 0:
+            raise ModelError(
+                f"delivery for request {request_id} has negative hop "
+                f"count {hops}"
+            )
+        self._request_ids.append(request_id)
+        self._arrivals.append(arrival)
+        self._hops.append(hops)
 
     def remove_delivery(self, request_id: int) -> None:
         """Retract a delivery record (dynamic copy-loss events only).
@@ -244,11 +263,14 @@ class Schedule:
         Raises:
             ModelError: if the request has no delivery record.
         """
-        if request_id not in self._deliveries:
+        try:
+            row = self._request_ids.index(request_id)
+        except ValueError:
             raise ModelError(
                 f"request {request_id} has no delivery record to remove"
-            )
-        del self._deliveries[request_id]
+            ) from None
+        for column in (self._request_ids, self._arrivals, self._hops):
+            del column[row]
 
     def steps_for_item(self, item_id: int) -> Tuple[CommunicationStep, ...]:
         """All steps transferring one data item, in scheduling order."""
@@ -265,10 +287,9 @@ class Schedule:
 
         Returns 0.0 when nothing was delivered.
         """
-        if not self._deliveries:
+        if not self._hops:
             return 0.0
-        total = sum(d.hops for d in self._deliveries.values())
-        return total / len(self._deliveries)
+        return sum(self._hops) / len(self._hops)
 
     def extend_from(self, steps: Iterable[CommunicationStep]) -> None:
         """Re-append foreign steps (renumbering); used by serialization."""
@@ -285,7 +306,7 @@ class Schedule:
     def __repr__(self) -> str:
         return (
             f"Schedule({self._name!r}, steps={self.step_count}, "
-            f"deliveries={len(self._deliveries)})"
+            f"deliveries={len(self._request_ids)})"
         )
 
 

@@ -182,6 +182,9 @@ class NetworkState:
         if plan is not None and plan.is_empty():
             plan = None
         self._faults = plan
+        # A state built from its scenario alone (no fault plan, not a
+        # clone) starts at its opening; see at_opening.
+        self._scenario_only = plan is None
         network = scenario.network
         # Per-physical-link degradation factors (sub-1.0 only) and the
         # epoch counting their changes.  The per-virtual-link delivered
@@ -300,6 +303,7 @@ class NetworkState:
         clone._scenario = self._scenario
         clone._tracer = self._tracer
         clone._faults = self._faults
+        clone._scenario_only = False
         # The cached bandwidth list is shared (a degradation in either
         # state rebuilds a fresh list rather than mutating the old one);
         # the factor table is copied because degrade_physical_link
@@ -466,6 +470,22 @@ class NetworkState:
         changed capacity epoch as a global invalidation.
         """
         return self._capacity_epoch
+
+    @property
+    def at_opening(self) -> bool:
+        """True while the state is what its scenario alone defines.
+
+        That is: built without a fault plan, not a clone, nothing
+        journalled (no booking, no cutoff) and neither epoch moved (no
+        copy loss, no degradation).  Every copy, busy set, timeline,
+        cutoff and bandwidth is then a pure function of the scenario.
+        """
+        return (
+            self._scenario_only
+            and not self._journal
+            and self._capacity_epoch == 0
+            and self._degradation_epoch == 0
+        )
 
     def journal_length(self) -> int:
         """Number of availability-removing mutations journalled so far."""

@@ -32,6 +32,12 @@ cutoffs and a later "now" can only delay an item's labels.  An item with
 no candidate keeps having none until its copies or open requests change
 (its revision), storage is freed (the capacity epoch), bandwidth degrades
 (the degradation epoch) or one of its requests becomes visible.
+
+Every run of a scenario opens with the same searches: a state at its
+opening (:attr:`~repro.core.state.NetworkState.at_opening`) is a pure
+function of its scenario, and so are its deadline targets and the trees
+found from it.  The caches of one process therefore share those opening
+trees through one memo, weakly keyed on the scenario object.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from __future__ import annotations
 import abc
 import logging
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.intervals import Interval
@@ -134,7 +141,9 @@ class EngineStats:
 
     Attributes:
         iterations: number of outer-loop iterations (scheduled choices).
-        dijkstra_runs: number of shortest-path-tree computations.
+        dijkstra_runs: number of shortest-path trees the run needed,
+            whether searched or served from the opening memo (so the
+            count does not depend on what the process ran before).
         hops_booked: number of communication steps booked.
         cache_hits: tree requests answered from the cache (clean hits
             plus revalidated keeps).
@@ -220,6 +229,32 @@ class CacheEntry:
     suspects: FrozenSet[int] = frozenset()
 
 
+#: A scenario's opening entries by ``(item_id, not_before)``.  Each holds
+#: the search's projection onto its targets (the only paths a run reads)
+#: and its footprint; it is never handed out, only copied.
+OpeningEntries = Dict[Tuple[int, float], CacheEntry]
+
+#: The process's opening memo: scenario id -> (weak reference, entries).
+#: Keyed by identity, because hashing a frozen ``Scenario`` by value costs
+#: O(size) per lookup; an entry goes when its scenario is collected.
+_OPENING_MEMO: Dict[int, Tuple["weakref.ref[Scenario]", OpeningEntries]] = {}
+
+
+def _opening_entries(scenario: Scenario) -> OpeningEntries:
+    """The scenario's entries in the opening memo, made on first use."""
+    memo = _OPENING_MEMO
+    key = id(scenario)
+    slot = memo.get(key)
+    if slot is None or slot[0]() is not scenario:
+
+        def forget(ref: "weakref.ref[Scenario]") -> None:
+            if key in memo and memo[key][0] is ref:
+                del memo[key]
+
+        slot = memo[key] = (weakref.ref(scenario, forget), {})
+    return slot[1]
+
+
 class TreeCache:
     """Journal-revalidated cache of per-item shortest-path trees.
 
@@ -260,6 +295,12 @@ class TreeCache:
     :meth:`advanced` makes the cache for a later pass with fresh trees and
     the same marks.  A disabled cache records no mark, so it stays the
     recompute-everything oracle.
+
+    A search from a state at its opening is shared with every later run
+    of the same scenario in the process (the module's opening memo): a
+    hit serves a fresh copy of the stored projection and still counts in
+    ``dijkstra_runs``.  A disabled cache and a traced state neither read
+    nor write the memo, so the oracle and every event stream search.
 
     Args:
         state: the scheduling state trees are computed against.
@@ -438,11 +479,25 @@ class TreeCache:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
             targets = deadline_targets(state, item_id)
-            tree = compute_shortest_path_tree(
-                state, item_id, targets, not_before=self._not_before
+            opening = (
+                _opening_entries(state.scenario)
+                if self._enabled and not tracer.enabled and state.at_opening
+                else None
             )
+            key = (item_id, self._not_before)
+            shared = opening.get(key) if opening is not None else None
+            if shared is not None:
+                entry = replace(shared, tree=shared.tree.projected(targets))
+            else:
+                tree = compute_shortest_path_tree(
+                    state, item_id, targets, not_before=self._not_before
+                )
+                entry = self._snapshot(item_id, tree, targets)
+                if opening is not None:
+                    opening[key] = replace(
+                        entry, tree=tree.projected(targets)
+                    )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree, targets)
         if self._enabled:
             self._store(item_id, entry)
         return entry

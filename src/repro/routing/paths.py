@@ -233,6 +233,22 @@ class ShortestPathTree:
                 known = self._parents[machine][3]
             if known is None or not time_eq(known, available):
                 return None
+        return self._keeping(seeds, targets)
+
+    def projected(self, targets: Mapping[int, float]) -> "ShortestPathTree":
+        """A fresh tree holding only this tree's paths to ``targets``.
+
+        This tree rebased onto its own seeds: each reachable target keeps
+        its label and path, every other machine but a seed reads
+        unreachable, and the path memo starts empty.
+        """
+        return self._keeping(self._seeds, targets)
+
+    def _keeping(
+        self, seeds: Mapping[int, float], targets: Mapping[int, float]
+    ) -> "ShortestPathTree":
+        """The tree from ``seeds`` that keeps each reachable target's
+        path from its last seed (see :meth:`rebased`)."""
         labels = {
             machine: available
             for machine, available in seeds.items()

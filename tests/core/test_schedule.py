@@ -108,6 +108,33 @@ class TestSchedule:
         schedule.add_delivery(3, arrival=5.0, hops=2)
         with pytest.raises(ModelError):
             schedule.add_delivery(3, arrival=6.0, hops=1)
+        assert schedule.delivery(3) == Delivery(3, 5.0, 2)
+
+    def test_negative_delivery_hops_rejected(self):
+        schedule = Schedule()
+        with pytest.raises(ModelError, match="negative hop count"):
+            schedule.add_delivery(3, arrival=5.0, hops=-1)
+        assert not schedule.deliveries
+
+    def test_deliveries_keep_insertion_order_across_removal(self):
+        """Deliveries live in columns; a removal closes the gap and a
+        re-added delivery goes last, as in a dict."""
+        schedule = Schedule()
+        for request_id, arrival in ((5, 1.0), (2, 2.0), (9, 3.5)):
+            schedule.add_delivery(request_id, arrival=arrival, hops=1)
+        schedule.remove_delivery(2)
+        assert list(schedule.deliveries) == [5, 9]
+        assert schedule.delivery(2) is None
+        schedule.add_delivery(2, arrival=4.0, hops=3)
+        assert list(schedule.deliveries.values()) == [
+            Delivery(5, 1.0, 1),
+            Delivery(9, 3.5, 1),
+            Delivery(2, 4.0, 3),
+        ]
+        assert schedule.satisfied_request_ids() == (2, 5, 9)
+        assert schedule.average_hops_per_delivery() == 5 / 3
+        with pytest.raises(ModelError):
+            schedule.remove_delivery(7)
 
     def test_steps_for_item(self):
         schedule = Schedule()

@@ -1,10 +1,15 @@
 """Tests for the markdown report assembler."""
 
+from pathlib import Path
+
 from repro.experiments.report import (
     REPORT_SECTIONS,
     ReportSection,
     build_report,
 )
+
+
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 class TestSectionsCatalog:
@@ -51,3 +56,11 @@ class TestBuildReport:
         assert "## X1: custom artifact" in report
         assert "payload" in report
         assert "FIG2" not in report
+
+
+def test_committed_full_report_matches_its_artifacts():
+    """``benchmarks/results/full/REPORT.md`` is what ``datastage report
+    --scale full`` assembles from the committed artifacts, so refreshing
+    an artifact without the report fails here."""
+    committed = (RESULTS / "full" / "REPORT.md").read_text(encoding="utf-8")
+    assert committed == build_report(RESULTS, "full")

@@ -22,6 +22,7 @@ from typing import Dict, Iterator, Mapping, Optional, Set, Tuple
 from unittest import mock
 
 from repro.core.state import NetworkState
+from repro.heuristics import base
 from repro.routing.paths import ShortestPathTree, make_tree
 
 
@@ -31,11 +32,14 @@ def use_reference_kernel() -> Iterator[None]:
 
     :func:`~repro.routing.dijkstra.compute_shortest_path_tree` looks up
     ``compute_tree_compiled`` in its module namespace at call time, so
-    patching that one name reroutes every caller.
+    patching that one name reroutes every caller.  The tree caches'
+    opening memo is swapped for an empty one for the duration, so a
+    state at its opening is searched by the reference kernel too instead
+    of being served trees the compiled kernel found earlier.
     """
     with mock.patch(
         "repro.routing.dijkstra.compute_tree_compiled", reference_tree
-    ):
+    ), mock.patch.object(base, "_OPENING_MEMO", {}):
         yield
 
 

@@ -8,10 +8,17 @@ Subcommands:
 * ``bounds`` — print the §5.2 bounds of a scenario;
 * ``figure`` — reproduce one of Figures 2–5 as an ASCII table;
 * ``validate`` — check a saved schedule against a saved scenario;
-* ``bench`` — run the pinned perf matrix under the span profiler and
-  emit a schema-versioned ``BENCH_*.json`` document; ``bench compare``
-  diffs two documents against regression thresholds (exit 0 flat /
-  3 improved / 4 regressed).
+* ``stats`` / ``gantt`` / ``describe`` — summarize a saved schedule or
+  scenario;
+* ``sweep`` / ``chaos`` — E-U and fault-intensity sweeps over random
+  cases;
+* ``report`` — assemble recorded benchmark artifacts, or render a
+  timeline document;
+* ``lint`` — the ``repro.staticcheck`` domain lint.
+
+Scheduler performance is measured outside the CLI, by the end-to-end
+benchmark under ``bench/`` (see ``bench/README.md``) and by the exact
+work counts pinned in ``tests/integration/test_work_counts.py``.
 
 The ``sweep`` and ``figure`` subcommands accept ``--workers`` (process
 fan-out), ``--cache-dir`` (persistent run-record cache), and
@@ -335,103 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_executor_flags(chaos)
 
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run the pinned perf matrix under the span profiler and "
-            "emit a BENCH JSON document; 'bench compare A B' diffs two "
-            "documents (exit 0 flat / 3 improved / 4 regressed)"
-        ),
-    )
-    bench.add_argument(
-        "--scale",
-        default="ci",
-        choices=("ci", "full", "paper"),
-        help="experiment scale of the matrix (default: ci)",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the bench document to PATH as JSON",
-    )
-    bench.add_argument(
-        "--label",
-        default=None,
-        help="document label (default: the scale name)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the matrix (default: 1, serial)",
-    )
-    bench.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "run-record cache directory; replayed cells contribute "
-            "their original phase timings"
-        ),
-    )
-    bench.add_argument(
-        "--fault-intensity",
-        type=float,
-        default=0.0,
-        help=(
-            "run the matrix under generated fault plans of this "
-            "intensity (default: 0, healthy)"
-        ),
-    )
-    bench.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="base seed for generated fault plans (default: 0)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command")
-    compare = bench_sub.add_parser(
-        "compare",
-        help="diff two bench documents against regression thresholds",
-    )
-    compare.add_argument("baseline", help="baseline bench JSON path")
-    compare.add_argument("candidate", help="candidate bench JSON path")
-    compare.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="fractional slowdown classified REGRESSED (default: 0.20)",
-    )
-    compare.add_argument(
-        "--min-improvement",
-        type=float,
-        default=0.20,
-        help="fractional speedup classified IMPROVED (default: 0.20)",
-    )
-    compare.add_argument(
-        "--noise-floor",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help=(
-            "phases under this wall time on both sides are always FLAT "
-            "(default: 0.05)"
-        ),
-    )
-    compare.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (CI smoke mode)",
-    )
-    compare.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help=(
-            "exit nonzero only on a REGRESSED verdict — IMPROVED and "
-            "FLAT both map to 0 (the CI perf gate)"
-        ),
-    )
-
     report = sub.add_parser(
         "report",
         help=(
@@ -725,69 +635,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchmarks import (
-        BenchMatrix,
-        render_bench,
-        run_bench,
-        validate_bench_document,
-    )
-
-    if getattr(args, "bench_command", None) == "compare":
-        return _cmd_bench_compare(args)
-    matrix = BenchMatrix.pinned(
-        args.scale,
-        fault_intensity=args.fault_intensity,
-        fault_seed=args.fault_seed,
-    )
-    document = run_bench(
-        matrix,
-        label=args.label or args.scale,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-    )
-    validate_bench_document(document)
-    print(render_bench(document))
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"bench document written to {args.out}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.benchmarks import (
-        EXIT_FLAT,
-        EXIT_REGRESSED,
-        Thresholds,
-        compare_documents,
-        load_bench_document,
-        render_comparison,
-        verdict_exit_code,
-    )
-
-    baseline = load_bench_document(args.baseline)
-    candidate = load_bench_document(args.candidate)
-    comparison = compare_documents(
-        baseline,
-        candidate,
-        Thresholds(
-            max_regression=args.max_regression,
-            min_improvement=args.min_improvement,
-            noise_floor_seconds=args.noise_floor,
-        ),
-    )
-    print(render_comparison(comparison, baseline, candidate))
-    if args.warn_only:
-        return EXIT_FLAT
-    code = verdict_exit_code(comparison.verdict)
-    if args.fail_on_regression and code != EXIT_REGRESSED:
-        return EXIT_FLAT
-    return code
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.timeline is not None:
         return _cmd_report_timeline(args)
@@ -847,7 +694,6 @@ _COMMANDS = {
     "describe": _cmd_describe,
     "sweep": _cmd_sweep,
     "chaos": _cmd_chaos,
-    "bench": _cmd_bench,
     "report": _cmd_report,
     "lint": run_lint,
 }

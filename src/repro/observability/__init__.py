@@ -44,7 +44,6 @@ from repro.observability.profiling import (
     PHASE_NAMES,
     PHASE_SCENARIO_GENERATION,
     PHASE_SCORING,
-    PHASE_SERIALIZATION,
     PHASE_TREE,
     Hotspot,
     Profile,
@@ -95,7 +94,6 @@ __all__ = [
     "PHASE_NAMES",
     "PHASE_SCENARIO_GENERATION",
     "PHASE_SCORING",
-    "PHASE_SERIALIZATION",
     "PHASE_TREE",
     "Hotspot",
     "Profile",

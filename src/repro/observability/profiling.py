@@ -36,7 +36,6 @@ tree                    ``TreeCache.entry_for`` recompute (miss path)
 dijkstra                ``compute_shortest_path_tree`` (nests under tree)
 scoring                 candidate enumeration + pricing for one item
 booking                 executing one chosen candidate group
-serialization           scenario/record codec work in the bench harness
 ======================  ===================================================
 
 Profiling is observation only: enabling it never changes scheduling
@@ -69,8 +68,6 @@ PHASE_DIJKSTRA = "dijkstra"
 PHASE_SCORING = "scoring"
 #: Executing (booking) one chosen candidate group.
 PHASE_BOOKING = "booking"
-#: Scenario/record codec work.
-PHASE_SERIALIZATION = "serialization"
 
 #: The phase names the library instruments out of the box.
 PHASE_NAMES: Tuple[str, ...] = (
@@ -80,7 +77,6 @@ PHASE_NAMES: Tuple[str, ...] = (
     PHASE_DIJKSTRA,
     PHASE_SCORING,
     PHASE_BOOKING,
-    PHASE_SERIALIZATION,
 )
 
 

@@ -563,7 +563,7 @@ class Timeline:
         )
 
     def summary(self) -> Dict[str, Any]:
-        """The compact digest bench documents embed per entry."""
+        """The compact digest the text and HTML reports print."""
         peak_link, peak = self.peak_link_utilization()
         requests = self.total_requests()
         satisfied = self.total_satisfied()

@@ -94,6 +94,13 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _string(value: Any, what: str) -> str:
+    """``value`` when it is a string."""
+    if not isinstance(value, str):
+        raise ModelError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _entries(value: Any, what: str) -> Any:
     """``value`` when it is a list of document entries."""
     if not isinstance(value, (list, tuple)):
@@ -174,8 +181,9 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
             that is not an object, an entry collection that is not a
             list, a missing key, a quantity or weight that is not a number
             (or is NaN), an id, index, machine or priority that is not an
-            integer, a wrong document kind, or a physical link whose
-            windows are malformed, inverted, unsorted or overlapping.
+            integer, a name that is not a string, a wrong document kind,
+            or a physical link whose windows are malformed, inverted,
+            unsorted or overlapping.
     """
     if _require(document, "kind") != "scenario":
         raise ModelError(
@@ -191,7 +199,9 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
                 _require(entry, "capacity", f"machine entry {index}"),
                 f"machine entry {index} capacity",
             ),
-            name=entry.get("name", ""),
+            name=_string(
+                entry.get("name", ""), f"machine entry {index} name"
+            ),
         )
         for index, entry in enumerate(
             _entries(_require(document, "machines"), "machines")
@@ -230,11 +240,12 @@ def scenario_from_dict(document: Dict[str, Any]) -> Scenario:
         items=items,
         requests=requests,
         weighting=PriorityWeighting(
-            weights, name=weighting_doc.get("name", "")
+            weights,
+            name=_string(weighting_doc.get("name", ""), "weighting name"),
         ),
         gc_delay=_number(_require(document, "gc_delay"), "gc_delay"),
         horizon=_number(_require(document, "horizon"), "horizon"),
-        name=document.get("name", "scenario"),
+        name=_string(document.get("name", "scenario"), "scenario name"),
     )
 
 
@@ -250,7 +261,7 @@ def _item_from_dict(index: int, entry: Dict[str, Any]) -> DataItem:
         item_id=_integer(
             _require(entry, "item_id", where), f"{where} item_id"
         ),
-        name=_require(entry, "name", where),
+        name=_string(_require(entry, "name", where), f"{where} name"),
         size=_number(_require(entry, "size", where), f"{where} size"),
         sources=tuple(
             SourceLocation(

@@ -12,6 +12,7 @@ from repro.baselines.bounds import possible_satisfy, upper_bound
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.baselines.single_dijkstra_random import SingleDijkstraRandomBaseline
 from repro.core.evaluation import evaluate_schedule
+from repro.exhaustive.search import ExhaustiveSearch, SearchLimits
 from repro.experiments.runner import run_pair
 from repro.experiments.sweep import sweep_pair
 from repro.heuristics.registry import make_heuristic
@@ -125,3 +126,44 @@ class TestOversubscription:
             for scenario in suite
         ]
         assert _mean(gaps) > 0
+
+
+class TestClaim10NearOptimal:
+    """EXPERIMENTS.md claim 10: on tiny instances the heuristics reach
+    the exhaustive optimum (ABL-O, ``benchmarks/bench_optimality_gap.py``
+    at ci scale)."""
+
+    PAIRS = (
+        ("partial", "C4"),
+        ("full_one", "C4"),
+        ("full_all", "C4"),
+        ("full_one", "C3"),
+    )
+
+    def test_claim_10_heuristics_equal_the_exhaustive_optimum(self):
+        config = GeneratorConfig(
+            machines=(4, 5),
+            out_degree=(1, 2),
+            requests_per_machine=(2, 3),
+            sources_per_item=(1, 1),
+            destinations_per_item=(1, 2),
+        )
+        # No wall-clock budget: completeness depends on the expansion
+        # budget alone, so the claim holds on any host.
+        search = ExhaustiveSearch(
+            SearchLimits(
+                max_expansions=60_000, time_limit_seconds=float("inf")
+            )
+        )
+        for scenario in ScenarioGenerator(config).generate_suite(
+            6, base_seed=4000
+        ):
+            exact = search.solve(scenario)
+            assert exact.complete, scenario.name
+            assert exact.weighted_sum > 0.0, scenario.name
+            for heuristic, criterion in self.PAIRS:
+                run = make_heuristic(heuristic, criterion, 2.0).run(scenario)
+                value = evaluate_schedule(scenario, run.schedule).weighted_sum
+                assert value == exact.weighted_sum, (
+                    scenario.name, heuristic, criterion
+                )

@@ -353,6 +353,17 @@ class TestErrors:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_string_item_name_is_an_error_not_a_traceback(
+        self, scenario_path, capsys
+    ):
+        document = json.loads(scenario_path.read_text(encoding="utf-8"))
+        document["items"][0]["name"] = {"a": 1}
+        scenario_path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["bounds", str(scenario_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: item entry 0 name must be a string")
+        assert "Traceback" not in err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

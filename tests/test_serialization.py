@@ -179,6 +179,13 @@ class TestScenarioRoundTrip:
                 float("nan"),
                 "request entry 2 deadline",
             ),
+            (("items", 0), "name", {"a": 1}, "item entry 0 name"),
+            (("items", 1), "name", [1], "item entry 1 name"),
+            (("items", 0), "name", 7, "item entry 0 name"),
+            (("machines", 0), "name", 3, "machine entry 0 name"),
+            (("machines", 1), "name", {"a": 1}, "machine entry 1 name"),
+            ((), "name", None, "scenario name"),
+            (("weighting",), "name", 10, "weighting name"),
         ],
         ids=[
             "machines-not-a-list",
@@ -189,6 +196,13 @@ class TestScenarioRoundTrip:
             "capacity-nan",
             "size-nan",
             "deadline-nan",
+            "item-name-dict",
+            "item-name-list",
+            "item-name-int",
+            "machine-name-int",
+            "machine-name-dict",
+            "scenario-name-none",
+            "weighting-name-int",
         ],
     )
     def test_malformed_entry_rejected(

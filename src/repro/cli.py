@@ -398,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help=(
-            "run the repro.staticcheck domain lint (rules R0-R9, "
-            "SARIF export, baseline ratchet)"
+            "run the repro.staticcheck domain lint (rules R0, R1, R2, "
+            "R5, R7, R9; baseline ratchet)"
         ),
     )
     add_lint_arguments(lint)

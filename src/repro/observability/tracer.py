@@ -97,8 +97,9 @@ TREE_CACHE_BANDWIDTH_DEGRADED = "bandwidth_degraded"
 #: Every event a tracer may receive, mapped to its field names in the order
 #: emission sites pass the values.  This is the source of truth for the
 #: event taxonomy: the materializing tracers check emissions against it,
-#: ``RecordingTracer.named`` accepts only its keys, and the
-#: ``repro.staticcheck`` R3 rule checks ``emit("...")`` literals against it.
+#: ``RecordingTracer.named`` accepts only its keys, and
+#: ``tests/observability/test_tracer.py`` checks every ``emit("...")``
+#: literal in the package against it.
 EVENTS: Dict[str, Tuple[str, ...]] = {
     # -- booking (NetworkState) -------------------------------------------
     # ``earliest_transfer`` entry: a feasibility search started on one

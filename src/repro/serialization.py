@@ -63,6 +63,8 @@ from repro.faults.plan import (
 #: Format version written into every serialized document.
 FORMAT_VERSION = 1
 
+_T = TypeVar("_T")
+
 
 def _require(
     document: Dict[str, Any], key: str, where: str = "serialized document"
@@ -108,6 +110,41 @@ def _entries(value: Any, what: str) -> Any:
             f"{what} must be a list, got {type(value).__name__}"
         )
     return value
+
+
+def _built_entries(
+    document: Dict[str, Any],
+    key: str,
+    what: str,
+    build: Callable[..., _T],
+    integers: Tuple[str, ...],
+    numbers: Tuple[str, ...],
+) -> Tuple[_T, ...]:
+    """``build(**fields)`` for each entry of the list ``document[key]``.
+
+    ``integers`` and ``numbers`` name the entry's fields and their types.
+
+    Raises:
+        ModelError: naming the entry (``"<what> entry <index>"``), when
+            the list or an entry is malformed, a field is missing or has
+            the wrong type, or ``build`` rejects the fields.
+    """
+    built: List[_T] = []
+    for index, entry in enumerate(_entries(_require(document, key), key)):
+        where = f"{what} entry {index}"
+        fields: Dict[str, Any] = {
+            name: _integer(_require(entry, name, where), f"{where} {name}")
+            for name in integers
+        }
+        for name in numbers:
+            fields[name] = _number(
+                _require(entry, name, where), f"{where} {name}"
+            )
+        try:
+            built.append(build(**fields))
+        except ModelError as exc:
+            raise ModelError(f"{where}: {exc}") from exc
+    return tuple(built)
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +421,36 @@ def schedule_from_dict(document: Dict[str, Any]) -> Schedule:
     """Rebuild a schedule from :func:`schedule_to_dict` output.
 
     Raises:
-        ModelError: on missing keys or a wrong document kind.
+        ModelError: naming the offending entry, on a document or entry
+            that is not an object, a step or delivery collection that is
+            not a list, a missing key, a time that is not a number (or is
+            NaN), an id, machine or hop count that is not an integer, a
+            name that is not a string, a wrong document kind, or a step
+            or delivery the schedule rejects.
     """
     if _require(document, "kind") != "schedule":
         raise ModelError(
             f"expected a schedule document, got kind={document.get('kind')!r}"
         )
-    schedule = Schedule(name=document.get("name", ""))
-    for entry in _require(document, "steps"):
-        schedule.add_step(
-            item_id=entry["item_id"],
-            source=entry["source"],
-            destination=entry["destination"],
-            link_id=entry["link_id"],
-            start=entry["start"],
-            end=entry["end"],
-        )
-    for entry in _require(document, "deliveries"):
-        schedule.add_delivery(
-            request_id=entry["request_id"],
-            arrival=entry["arrival"],
-            hops=entry["hops"],
-        )
+    schedule = Schedule(
+        name=_string(document.get("name", ""), "schedule name")
+    )
+    _built_entries(
+        document,
+        "steps",
+        "step",
+        schedule.add_step,
+        ("item_id", "source", "destination", "link_id"),
+        ("start", "end"),
+    )
+    _built_entries(
+        document,
+        "deliveries",
+        "delivery",
+        schedule.add_delivery,
+        ("request_id", "hops"),
+        ("arrival",),
+    )
     return schedule
 
 
@@ -742,8 +787,12 @@ def fault_plan_from_dict(document: Dict[str, Any]) -> FaultPlan:
     """Rebuild a :class:`FaultPlan` serialized by :func:`fault_plan_to_dict`.
 
     Raises:
-        ModelError: on missing keys, a wrong document kind, or an
-            unsupported schema version.
+        ModelError: naming the offending entry, on a document or entry
+            that is not an object, an entry collection that is not a
+            list, a missing key, a time or factor that is not a number
+            (or is NaN), an id that is not an integer, a name that is not
+            a string, a wrong document kind, an unsupported schema
+            version, or an entry the fault plan rejects.
     """
     if _require(document, "kind") != "fault_plan":
         raise ModelError(
@@ -757,34 +806,39 @@ def fault_plan_from_dict(document: Dict[str, Any]) -> FaultPlan:
             f"(expected {FAULTS_SCHEMA_VERSION})"
         )
     return FaultPlan(
-        outages=tuple(
-            OutageWindow(
-                physical_id=entry["physical_id"],
-                start=entry["start"],
-                end=entry["end"],
-            )
-            for entry in _require(document, "outages")
+        outages=_built_entries(
+            document,
+            "outages",
+            "outage",
+            OutageWindow,
+            ("physical_id",),
+            ("start", "end"),
         ),
-        degradations=tuple(
-            BandwidthDegradation(
-                physical_id=entry["physical_id"],
-                factor=entry["factor"],
-            )
-            for entry in _require(document, "degradations")
+        degradations=_built_entries(
+            document,
+            "degradations",
+            "degradation",
+            BandwidthDegradation,
+            ("physical_id",),
+            ("factor",),
         ),
-        cancellations=tuple(
-            CancellationFault(
-                request_id=entry["request_id"], time=entry["time"]
-            )
-            for entry in _require(document, "cancellations")
+        cancellations=_built_entries(
+            document,
+            "cancellations",
+            "cancellation",
+            CancellationFault,
+            ("request_id",),
+            ("time",),
         ),
-        late_arrivals=tuple(
-            LateArrivalFault(
-                request_id=entry["request_id"], time=entry["time"]
-            )
-            for entry in _require(document, "late_arrivals")
+        late_arrivals=_built_entries(
+            document,
+            "late_arrivals",
+            "late arrival",
+            LateArrivalFault,
+            ("request_id",),
+            ("time",),
         ),
-        name=_require(document, "name"),
+        name=_string(_require(document, "name"), "fault plan name"),
     )
 
 

@@ -3,8 +3,8 @@
 A zero-dependency static-analysis subsystem enforcing the invariants
 the run cache, parallel executor, and mergeable artifacts rely on:
 deterministic wall-clock-free scheduling code, no raw float equality on
-simulated times, registered tracer event/reason literals, and
-schema-versioned codecs.  See ``docs/STATICCHECK.md``.
+simulated times, pure fingerprint and codec call trees, and a public
+surface that raises only documented errors.  See ``docs/STATICCHECK.md``.
 
 Run it as ``datastage lint`` or ``python -m repro.staticcheck``.
 """

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.staticcheck.baseline import (
     DEFAULT_BASELINE_NAME,
@@ -81,7 +81,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         dest="output_format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="findings output format (default: text)",
     )
@@ -118,26 +118,23 @@ def _stats_payload(total: CheckResult) -> Dict[str, object]:
     }
 
 
-def _print_stats(total: CheckResult, stream: "TextIO") -> None:
+def _print_stats(total: CheckResult) -> None:
     payload = _stats_payload(total)
-    print("stats:", file=stream)
+    print("stats:")
     by_rule = payload["findings_by_rule"]
     assert isinstance(by_rule, dict)
     if by_rule:
         for rule_id, count in by_rule.items():
-            print(f"  findings[{rule_id}]: {count}", file=stream)
+            print(f"  findings[{rule_id}]: {count}")
     else:
-        print("  findings: 0", file=stream)
-    print(f"  suppressed: {payload['suppressed']}", file=stream)
-    print(f"  baselined: {payload['baselined']}", file=stream)
-    print(
-        f"  baseline entries: {payload['baseline_entries']}", file=stream
-    )
+        print("  findings: 0")
+    print(f"  suppressed: {payload['suppressed']}")
+    print(f"  baselined: {payload['baselined']}")
+    print(f"  baseline entries: {payload['baseline_entries']}")
     print(
         f"  call graph: {payload['resolved_calls']}/"
         f"{payload['call_sites']} call sites resolved "
-        f"({payload['call_graph_coverage_percent']}%)",
-        file=stream,
+        f"({payload['call_graph_coverage_percent']}%)"
     )
 
 
@@ -245,18 +242,6 @@ def run_lint(args: argparse.Namespace) -> int:
         if args.stats:
             payload["stats"] = _stats_payload(total)
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.output_format == "sarif":
-        from repro.staticcheck.sarif import (
-            build_sarif,
-            render_sarif,
-            validate_sarif,
-        )
-
-        document = build_sarif(total.findings, rules)
-        validate_sarif(document)
-        sys.stdout.write(render_sarif(document))
-        if args.stats:
-            _print_stats(total, sys.stderr)
     else:
         for finding in total.findings:
             print(finding.render())
@@ -267,7 +252,7 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         print(summary)
         if args.stats:
-            _print_stats(total, sys.stdout)
+            _print_stats(total)
     if args.ratchet_check and stale_entries:
         print(
             f"ratchet: baseline carries {stale_entries} stale entr"

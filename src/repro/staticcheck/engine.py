@@ -3,8 +3,8 @@
 ``repro.staticcheck`` is a zero-dependency AST linter for the *domain*
 invariants the test suite cannot see syntactically: scheduling code must
 stay deterministic and wall-clock-free, simulated times must never be
-compared with raw float ``==``, event/reason literals must exist in the
-tracer registry, and serialized codecs must stay schema-versioned.  The
+compared with raw float ``==``, fingerprint and codec call trees must
+stay pure, and the public surface may raise only documented errors.  The
 engine walks a source tree, parses every module once, and hands the
 parsed :class:`Module` to each registered :class:`Rule`.
 
@@ -53,7 +53,7 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        rule: the rule id (``"R1"`` .. ``"R6"``).
+        rule: the rule id (``"R0"`` .. ``"R9"``).
         path: path of the offending module, relative to the scanned root,
             always with POSIX separators (stable across platforms, used
             for baseline matching).
@@ -148,13 +148,6 @@ class CheckContext:
 
     Attributes:
         root: the scanned root directory.
-        events: the tracer event registry in force, event name to field
-            names (extracted from the scanned tree's
-            ``observability/tracer.py`` when present, else the installed
-            package's ``EVENTS``).
-        reason_codes: likewise for reason codes — the union of the
-            rejection/failure codes (``REASON_*``) and the tree-cache
-            outcome codes (``TREE_CACHE_*``).
         modules: every parsed module of the scanned tree, in path order
             (project-scope rules iterate these).
         graph: the project call graph (see
@@ -163,8 +156,6 @@ class CheckContext:
     """
 
     root: Path
-    events: Dict[str, Tuple[str, ...]]
-    reason_codes: frozenset
     modules: Tuple[Module, ...] = ()
     graph: Optional["ProjectGraph"] = None
 
@@ -318,65 +309,6 @@ def load_module(path: Path, root: Path) -> Module:
     )
 
 
-def _str_constants(nodes: Iterable[Optional[ast.expr]]) -> List[str]:
-    """The string constants among ``nodes``, in order."""
-    return [
-        node.value
-        for node in nodes
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    ]
-
-
-def _registry_from_tree(
-    root: Path,
-) -> Tuple[Dict[str, Tuple[str, ...]], frozenset]:
-    """Extract the tracer event/reason registries for R3.
-
-    Events come from the keys of the ``EVENTS`` dict, each with the field
-    names of its tuple value.  Prefers the scanned tree's own
-    ``observability/tracer.py`` (so a vendored or fixture tree is checked
-    against *its* registry); falls back to the installed package's
-    registry when the tree carries none.
-    """
-    tracer_path = root / "observability" / "tracer.py"
-    if tracer_path.is_file():
-        tree = ast.parse(tracer_path.read_text(encoding="utf-8"))
-        events: Dict[str, Tuple[str, ...]] = {}
-        reasons: List[str] = []
-        for node in tree.body:
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if not names:
-                continue
-            value = node.value
-            if "EVENTS" in names and isinstance(value, ast.Dict):
-                for key, fields in zip(value.keys, value.values):
-                    elements = (
-                        fields.elts if isinstance(fields, ast.Tuple) else []
-                    )
-                    for name in _str_constants([key]):
-                        events[name] = tuple(_str_constants(elements))
-            if any(
-                name.startswith(("REASON_", "TREE_CACHE_"))
-                and not name.endswith(("_CODES", "_REASONS"))
-                for name in names
-            ):
-                reasons.extend(_str_constants([value]))
-        if events or reasons:
-            return events, frozenset(reasons)
-    from repro.observability.tracer import (
-        EVENTS,
-        REASON_CODES,
-        TREE_CACHE_REASONS,
-    )
-
-    return dict(EVENTS), frozenset(REASON_CODES + TREE_CACHE_REASONS)
-
-
 @dataclass
 class CheckResult:
     """The outcome of one :func:`run_check` invocation.
@@ -489,7 +421,6 @@ def run_check(
         raise ConfigurationError(f"lint root {root} is not a directory")
     active_rules = tuple(rules) if rules is not None else default_rules()
     active_ids = frozenset(rule.id for rule in active_rules)
-    events, reason_codes = _registry_from_tree(root)
     modules = tuple(
         load_module(path, root) for path in _iter_source_files(root)
     )
@@ -498,13 +429,7 @@ def run_check(
         from repro.staticcheck.graph import build_graph as _build
 
         graph = _build(modules)
-    context = CheckContext(
-        root=root,
-        events=events,
-        reason_codes=reason_codes,
-        modules=modules,
-        graph=graph,
-    )
+    context = CheckContext(root=root, modules=modules, graph=graph)
     budget: Dict[Tuple[str, str, str], int] = {}
     baseline_entries = 0
     for fingerprint in baseline or ():

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Sequence,
@@ -73,17 +72,6 @@ def solve(
                 queued.add(caller)
                 pending.append(caller)
     return facts
-
-
-def callee_facts(
-    graph: ProjectGraph, qname: str, facts: Mapping[str, F]
-) -> Iterable[Tuple[str, F]]:
-    """The ``(target, fact)`` pairs a transfer function joins over."""
-    for site in graph.callees(qname):
-        for target in site.targets:
-            fact = facts.get(target)
-            if fact is not None:
-                yield target, fact
 
 
 def reachable_from(

@@ -1,9 +1,9 @@
 """Project symbol table and call graph for the interprocedural rules.
 
-The file-local rules (R1-R6) see one module at a time; the invariants
-that matter most to the run cache — no RNG reachable from a fingerprint,
-no mutation after publishing into a cache, only :mod:`repro.errors`
-types escaping the public surface — are *whole-program* properties.
+The file-local rules (R1, R2, R5) see one module at a time; the
+invariants that matter most to the run cache — no RNG reachable from a
+fingerprint, only :mod:`repro.errors` types escaping the public
+surface — are *whole-program* properties.
 This module builds the shared substrate those rules query:
 
 * a per-module symbol table (top-level functions, classes with their

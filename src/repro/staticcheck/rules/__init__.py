@@ -7,29 +7,21 @@ Importing this package registers every rule with
 R0    no stale ``# staticcheck: disable=`` suppressions
 R1    no unseeded RNG / wall-clock reads in scheduling code
 R2    no raw float ``==``/``!=`` on time or bandwidth values
-R3    tracer event/reason literals must be registered
-R4    codec modules: schema versions + field-set agreement
 R5    no iteration over unordered sets in scheduling code
-R6    public ``core``/``heuristics`` signatures fully typed
 R7    no impurity reachable from fingerprint/codec entry points
-R8    no mutation after publishing into a cache/record/tracer
 R9    public surface leaks only repro.errors / documented builtins
 ====  =====================================================
 
-R1–R6 are per-module; R7 and R9 are whole-program rules driven by the
-project call graph (:mod:`repro.staticcheck.graph`) and the worklist
+R1, R2 and R5 are per-module; R7 and R9 are whole-program rules driven
+by the project call graph (:mod:`repro.staticcheck.graph`) and the worklist
 dataflow engine (:mod:`repro.staticcheck.flow`); R0 is emitted by the
 engine itself from its suppression-usage ledger.
 
 See ``docs/STATICCHECK.md`` for rationale and examples.
 """
 
-from repro.staticcheck.rules import annotations  # noqa: F401
-from repro.staticcheck.rules import codec_schema  # noqa: F401
 from repro.staticcheck.rules import determinism  # noqa: F401
 from repro.staticcheck.rules import exceptions  # noqa: F401
 from repro.staticcheck.rules import floatcmp  # noqa: F401
-from repro.staticcheck.rules import frozen  # noqa: F401
 from repro.staticcheck.rules import purity  # noqa: F401
 from repro.staticcheck.rules import suppressions  # noqa: F401
-from repro.staticcheck.rules import tracer_registry  # noqa: F401

@@ -33,6 +33,7 @@ from repro.observability.tracer import (
     REASON_NO_SENDER_COPY,
     REASON_WINDOW_CLOSED,
     TREE_CACHE_CLEAN,
+    TREE_CACHE_REASONS,
 )
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.workload.config import GeneratorConfig
@@ -439,6 +440,25 @@ class TestRegistryMatchesEmissionSites:
     def test_every_registered_event_has_an_emission_site(self):
         emitted = {name for _, name, _ in _emission_sites()}
         assert sorted(set(EVENTS) - emitted) == []
+
+    def test_every_reason_literal_is_registered(self):
+        # A string literal in an event's ``reason`` position must be a
+        # registered code; names of the REASON_* constants pass unseen.
+        reasons = set(REASON_CODES + TREE_CACHE_REASONS)
+        unknown = []
+        for where, name, values in _emission_sites():
+            fields = EVENTS.get(name, ())
+            if "reason" not in fields:
+                continue
+            position = fields.index("reason")
+            for value in values[position:position + 1]:
+                if (
+                    isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)
+                    and value.value not in reasons
+                ):
+                    unknown.append((where, name, value.value))
+        assert unknown == []
 
 
 def _stream_digest(run):

@@ -18,25 +18,6 @@ from repro.staticcheck.engine import CheckResult, resolve_rules, run_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: A minimal tracer registry so R3 resolves against the fixture tree
-#: itself instead of the installed package.
-TRACER_FIXTURE = """
-EVENTS = {
-    "transfer_booked": ("item_id", "link_id"),
-    "transfer_rejected": ("item_id", "link_id", "reason"),
-    "run_end": ("label", "elapsed_seconds"),
-}
-
-REASON_WINDOW_CLOSED = "window_closed"
-REASON_LINK_BUSY = "link_busy"
-
-REASON_CODES = (REASON_WINDOW_CLOSED, REASON_LINK_BUSY)
-
-TREE_CACHE_REVALIDATED = "revalidated"
-
-TREE_CACHE_REASONS = (TREE_CACHE_REVALIDATED,)
-"""
-
 
 @pytest.fixture
 def lint_files(tmp_path):
@@ -45,12 +26,8 @@ def lint_files(tmp_path):
     def _lint(
         files: Dict[str, str],
         rules: Optional[Sequence[str]] = None,
-        with_tracer: bool = True,
     ) -> CheckResult:
-        tree = dict(files)
-        if with_tracer:
-            tree.setdefault("observability/tracer.py", TRACER_FIXTURE)
-        for relpath, source in tree.items():
+        for relpath, source in files.items():
             target = tmp_path / relpath
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(textwrap.dedent(source), encoding="utf-8")

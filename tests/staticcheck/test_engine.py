@@ -41,12 +41,8 @@ def test_resolve_rules_returns_full_registry_by_default():
         "R0",
         "R1",
         "R2",
-        "R3",
-        "R4",
         "R5",
-        "R6",
         "R7",
-        "R8",
         "R9",
     ]
 

@@ -1,4 +1,4 @@
-"""R7/R8/R9 semantics: reachability, publish freezing, escape contracts."""
+"""R7/R9 semantics: reachability and escape contracts."""
 
 from __future__ import annotations
 
@@ -196,103 +196,6 @@ def test_r7_memo_wrappers_stay_outside_the_pure_core(lint_files):
             """
         },
         rules=["R7"],
-    )
-    assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# R8: frozen after publish
-# ---------------------------------------------------------------------------
-
-def test_r8_flags_mutation_after_store(lint_files):
-    result = lint_files(
-        {
-            "core/cache.py": """
-            def keep(cache, record) -> None:
-                cache.store(record)
-                record.elapsed = 1.0
-            """
-        },
-        rules=["R8"],
-    )
-    assert len(result.findings) == 1
-    assert ".store(...)" in result.findings[0].message
-
-
-def test_r8_flags_mutation_after_tracer_hook(lint_files):
-    result = lint_files(
-        {
-            "observability/emit.py": """
-            def emit(tracer, payload) -> None:
-                tracer.emit("cell", payload)
-                payload.append(1)
-            """
-        },
-        rules=["R8"],
-    )
-    assert len(result.findings) == 1
-    assert "tracer .emit(...)" in result.findings[0].message
-
-
-def test_r8_flags_mutation_after_self_container_insert(lint_files):
-    result = lint_files(
-        {
-            "core/cache.py": """
-            class Cache:
-                def __init__(self) -> None:
-                    self._trees = {}
-
-                def put_entry(self, key, entry) -> None:
-                    self._trees[key] = entry
-                    entry.position = 0
-            """
-        },
-        rules=["R8"],
-    )
-    assert len(result.findings) == 1
-    assert "container insert self._trees[...]" in result.findings[0].message
-
-
-def test_r8_rebinding_unfreezes_the_name(lint_files):
-    result = lint_files(
-        {
-            "core/cache.py": """
-            def keep(cache, record, fresh) -> None:
-                cache.store(record)
-                record = fresh
-                record.elapsed = 1.0
-            """
-        },
-        rules=["R8"],
-    )
-    assert result.clean
-
-
-def test_r8_mutate_then_publish_is_clean(lint_files):
-    result = lint_files(
-        {
-            "core/cache.py": """
-            def keep(cache, record) -> None:
-                record.elapsed = 1.0
-                cache.store(record)
-            """
-        },
-        rules=["R8"],
-    )
-    assert result.clean
-
-
-def test_r8_publishing_a_copy_is_clean(lint_files):
-    result = lint_files(
-        {
-            "core/cache.py": """
-            def keep(tracer, payload) -> None:
-                snapshot = list(payload)
-                tracer.emit("cell", snapshot)
-                payload.append(1)
-            """
-        },
-        rules=["R8"],
     )
     assert result.clean
 
@@ -504,7 +407,7 @@ def test_r9_private_functions_are_not_surface(lint_files):
 # ---------------------------------------------------------------------------
 
 def test_fixture_trees_per_interprocedural_rule(capsys):
-    for rule_id in ("R7", "R8", "R9"):
+    for rule_id in ("R7", "R9"):
         bad = lint_main(
             [
                 str(FIXTURES / "bad_tree"),

@@ -364,6 +364,26 @@ class TestErrors:
         assert err.startswith("error: item entry 0 name must be a string")
         assert "Traceback" not in err
 
+    def test_malformed_schedule_entry_is_an_error_not_a_traceback(
+        self, scenario_path, tmp_path, capsys
+    ):
+        schedule_path = tmp_path / "schedule.json"
+        schedule_path.write_text(
+            json.dumps(
+                {
+                    "kind": "schedule",
+                    "steps": [{"item_id": 0}],
+                    "deliveries": [],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main(["validate", str(scenario_path), str(schedule_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step entry 0 is missing key 'source'")
+        assert "Traceback" not in err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

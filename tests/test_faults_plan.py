@@ -221,6 +221,51 @@ class TestCodec:
         with pytest.raises(ModelError):
             fault_plan_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "corrupt, where",
+        [
+            (
+                lambda doc: doc["degradations"][0].pop("physical_id"),
+                "degradation entry 0 is missing key 'physical_id'",
+            ),
+            (
+                lambda doc: doc["outages"].__setitem__(0, 3),
+                "outage entry 0 must be an object",
+            ),
+            (lambda doc: doc.update(outages={}), "outages must be a list"),
+            (
+                lambda doc: doc["cancellations"][0].update(time="soon"),
+                "cancellation entry 0 time must be a number",
+            ),
+            (
+                lambda doc: doc["late_arrivals"][0].update(request_id=4.0),
+                "late arrival entry 0 request_id must be an integer",
+            ),
+            (
+                lambda doc: doc["outages"][0].update(start=-1.0),
+                "outage entry 0: outage start must be >= 0",
+            ),
+            (
+                lambda doc: doc.update(name=None),
+                "fault plan name must be a string",
+            ),
+        ],
+        ids=[
+            "key-missing",
+            "entry-not-an-object",
+            "outages-not-a-list",
+            "time-string",
+            "request-id-float",
+            "negative-start",
+            "name-none",
+        ],
+    )
+    def test_malformed_entry_rejected(self, corrupt, where):
+        document = fault_plan_to_dict(self._sample())
+        corrupt(document)
+        with pytest.raises(ModelError, match=where):
+            fault_plan_from_dict(document)
+
     def test_fingerprint_is_stable_across_round_trips(self):
         plan = self._sample()
         replayed = fault_plan_from_dict(fault_plan_to_dict(plan))

@@ -337,21 +337,92 @@ class TestSuiteRoundTrip:
             load_suite(tmp_path)
 
 
+#: Every field a schedule document carries per step and per delivery.
+STEP_FIELDS = ("item_id", "source", "destination", "link_id", "start", "end")
+DELIVERY_FIELDS = ("request_id", "arrival", "hops")
+
+def _rows(records, fields):
+    return [
+        tuple(getattr(record, name) for name in fields) for record in records
+    ]
+
+
 class TestScheduleRoundTrip:
     def test_round_trip_and_validation(self, tiny_scenarios, tmp_path):
         scenario = tiny_scenarios[0]
         result = make_heuristic("partial", "C4", 0.0).run(scenario)
+        original = result.schedule
+        assert original.step_count and original.deliveries
         path = tmp_path / "schedule.json"
-        save_schedule(result.schedule, path)
+        save_schedule(original, path)
         restored = load_schedule(path)
-        assert restored.name == result.schedule.name
-        assert restored.step_count == result.schedule.step_count
-        assert (
-            restored.satisfied_request_ids()
-            == result.schedule.satisfied_request_ids()
+        assert restored.name == original.name
+        assert _rows(restored.steps, STEP_FIELDS) == _rows(
+            original.steps, STEP_FIELDS
         )
+        assert _rows(
+            restored.deliveries.values(), DELIVERY_FIELDS
+        ) == _rows(original.deliveries.values(), DELIVERY_FIELDS)
         # The deserialized schedule still passes independent validation.
         ScheduleValidator(scenario).validate(restored)
+
+    @pytest.mark.parametrize(
+        "corrupt, where",
+        [
+            (
+                lambda doc: doc["steps"][0].pop("source"),
+                "step entry 0 is missing key 'source'",
+            ),
+            (
+                lambda doc: doc["steps"].__setitem__(0, 7),
+                "step entry 0 must be an object",
+            ),
+            (lambda doc: doc.update(steps=5), "steps must be a list"),
+            (
+                lambda doc: doc["steps"][0].update(link_id=1.5),
+                "step entry 0 link_id must be an integer",
+            ),
+            (
+                lambda doc: doc["steps"][0].update(start=float("nan")),
+                "step entry 0 start must be a number",
+            ),
+            (
+                lambda doc: doc["deliveries"][0].update(arrival="soon"),
+                "delivery entry 0 arrival must be a number",
+            ),
+            (
+                lambda doc: doc["deliveries"][0].update(hops=None),
+                "delivery entry 0 hops must be an integer",
+            ),
+            (
+                lambda doc: doc.update(name=3),
+                "schedule name must be a string",
+            ),
+            (
+                lambda doc: doc["steps"][0].update(
+                    destination=doc["steps"][0]["source"]
+                ),
+                "step entry 0: step 0 sends item",
+            ),
+        ],
+        ids=[
+            "step-key-missing",
+            "step-not-an-object",
+            "steps-not-a-list",
+            "link-id-float",
+            "start-nan",
+            "arrival-string",
+            "hops-none",
+            "name-int",
+            "step-to-itself",
+        ],
+    )
+    def test_malformed_entry_rejected(self, tiny_scenarios, corrupt, where):
+        result = make_heuristic("partial", "C4", 0.0).run(tiny_scenarios[0])
+        document = schedule_to_dict(result.schedule)
+        corrupt(document)
+        with pytest.raises(ModelError, match=where):
+            schedule_from_dict(document)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ModelError):

@@ -85,9 +85,10 @@ def probe_heavy_state():
         if booked == 50:
             break
         tree = compute_shortest_path_tree(state, request.item_id)
-        hop = tree.next_hop_toward(request.destination)
-        if hop is None:
+        path = tree.path_to(request.destination)
+        if path is None or not path.hops:
             continue
+        hop = path.hops[0]
         plan = state.earliest_transfer(
             request.item_id,
             network.link(hop.link_id),

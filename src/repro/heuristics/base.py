@@ -46,8 +46,8 @@ import abc
 import logging
 import time
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -169,16 +169,31 @@ class HeuristicResult:
     stats: EngineStats
 
 
+def _overlaps(interval: Interval, start: float, end: float) -> bool:
+    """``interval.overlaps(Interval(start, end))``, building no interval."""
+    return (
+        interval.start < end
+        and start < interval.end
+        and start < end
+        and interval.start < interval.end
+    )
+
+
 @dataclass
 class CacheEntry:
-    """A cached tree, its interval footprint, and a derived payload.
+    """A cached tree, which is its own interval footprint, and a payload.
 
-    The footprint records *when* the tree relies on each resource, not
-    just *which* resources it touches: per footprint link the planned
-    transfer interval, per receiving machine the planned storage
-    residency.  The owning :class:`TreeCache` indexes the entry under
-    those links and machines, and its journal replay leaves its verdict
-    on the entry (``conflict``, ``suspects``) for the next request.
+    The tree is projected onto its search's targets
+    (:meth:`~repro.routing.paths.ShortestPathTree.projected`), so its
+    parent tuples are exactly the hops of its target paths.  They record
+    *when* the tree relies on each resource, not just *which* resources
+    it touches: each planned hop ``(sender, link_id, start, end)`` holds
+    its link over ``[start, end)``, and its receiver's storage from
+    ``start`` to the item's release time there
+    (:meth:`~repro.core.state.NetworkState.release_time_at`, fixed per
+    scenario).  The owning :class:`TreeCache` indexes the entry under
+    the tree's receivers, and its journal replay leaves its verdict on
+    the entry (``conflict``, ``suspects``) for the next request.
 
     The footprint covers only the paths to destinations that meet their
     deadline: the tree reports the others unreachable, and since bookings,
@@ -193,7 +208,7 @@ class CacheEntry:
     is stored on the entry, keyed by the filters, and discarded with it.
 
     Attributes:
-        tree: the cached shortest-path tree.
+        tree: the cached shortest-path tree, projected onto its targets.
         item_revision: the item's revision at snapshot time (covers seeds
             and the unsatisfied-destination targets with their deadlines).
         journal_position: how much of the state's mutation journal the
@@ -204,10 +219,6 @@ class CacheEntry:
         degradation_epoch: the state's bandwidth-degradation epoch at
             snapshot time (degradations change durations globally and are
             not journalled, so they too invalidate globally).
-        hop_intervals: planned transfer interval per footprint link id.
-        residencies: planned storage residency per receiving machine.
-        item_size: the routed item's size in bytes (for residency
-            rechecks).
         payload: ``(priorities, request_filter, value)``: the heuristic's
             cached value for the item under those filters (see above).
         conflict: the first ``link_conflict`` or ``cutoff_tightened``
@@ -221,27 +232,23 @@ class CacheEntry:
     journal_position: int
     capacity_epoch: int
     degradation_epoch: int = 0
-    hop_intervals: Dict[int, Interval] = field(default_factory=dict)
-    residencies: Dict[int, Interval] = field(default_factory=dict)
-    item_size: float = 0.0
     payload: Optional[Tuple[Priorities, RequestFilter, Any]] = None
     conflict: str = ""
     suspects: FrozenSet[int] = frozenset()
 
 
-#: A scenario's opening entries by ``(item_id, not_before)``.  Each holds
-#: the search's projection onto its targets (the only paths a run reads)
-#: and its footprint; it is never handed out, only copied.
-OpeningEntries = Dict[Tuple[int, float], CacheEntry]
+#: A scenario's opening trees by ``(item_id, not_before)``: each the
+#: search's projection onto its targets, shared by every entry it serves.
+OpeningTrees = Dict[Tuple[int, float], ShortestPathTree]
 
-#: The process's opening memo: scenario id -> (weak reference, entries).
+#: The process's opening memo: scenario id -> (weak reference, trees).
 #: Keyed by identity, because hashing a frozen ``Scenario`` by value costs
 #: O(size) per lookup; an entry goes when its scenario is collected.
-_OPENING_MEMO: Dict[int, Tuple["weakref.ref[Scenario]", OpeningEntries]] = {}
+_OPENING_MEMO: Dict[int, Tuple["weakref.ref[Scenario]", OpeningTrees]] = {}
 
 
-def _opening_entries(scenario: Scenario) -> OpeningEntries:
-    """The scenario's entries in the opening memo, made on first use."""
+def _opening_trees(scenario: Scenario) -> OpeningTrees:
+    """The scenario's trees in the opening memo, made on first use."""
     memo = _OPENING_MEMO
     key = id(scenario)
     slot = memo.get(key)
@@ -278,9 +285,10 @@ class TreeCache:
     calls :meth:`rebase` after each decision, which carries the tree
     over the new copies exactly as a search would now find it.
 
-    Each record is replayed once per cache, through a link index and a
-    machine index, and every request first replays to the journal's end
-    (so a fresh entry never sees an older record).
+    Each record is replayed once per cache, through one index from each
+    receiving machine to the entries whose trees plan a hop into it, and
+    every request first replays to the journal's end (so a fresh entry
+    never sees an older record).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
     .epoch` token at construction; serving a different state — whose
@@ -298,8 +306,8 @@ class TreeCache:
 
     A search from a state at its opening is shared with every later run
     of the same scenario in the process (the module's opening memo): a
-    hit serves a fresh copy of the stored projection and still counts in
-    ``dijkstra_runs``.  A disabled cache and a traced state neither read
+    hit serves the stored projection in a fresh entry, and still counts
+    in ``dijkstra_runs``.  A disabled cache and a traced state neither read
     nor write the memo, so the oracle and every event stream search.
 
     Args:
@@ -326,9 +334,9 @@ class TreeCache:
         self._trees: Dict[int, CacheEntry] = {}
         #: How many journal records the entries' flags already reflect.
         self._replay_position = state.journal_length()
-        #: Footprint indexes: link / machine -> {item id: entry}.
-        self._link_index: Dict[int, Dict[int, CacheEntry]] = {}
-        self._machine_index: Dict[int, Dict[int, CacheEntry]] = {}
+        #: Receiver index: machine -> {item id: entry whose tree plans a
+        #: hop into the machine}.
+        self._receiver_index: Dict[int, Dict[int, CacheEntry]] = {}
         self._marks: Dict[int, NoCandidateMark] = {}
 
     @property
@@ -433,10 +441,11 @@ class TreeCache:
         The search targets the item's unsatisfied destinations, each
         bounded by its deadline (:func:`deadline_targets`): it
         stops once no pending target can still meet its deadline, and a
-        target that misses it is reported unreachable.  Labels for other
-        machines are never consulted (candidate enumeration and
-        footprints only walk destination paths), and a missed destination
-        has ``Sat = 0``, so it contributes nothing to any decision.
+        target that misses it is reported unreachable.  The entry keeps
+        the tree projected onto those targets: labels for other machines
+        are never consulted (candidate enumeration and booking only walk
+        destination paths), and a missed destination has ``Sat = 0``, so
+        it contributes nothing to any decision.
         """
         state = self._state
         tracer = state.tracer
@@ -478,25 +487,21 @@ class TreeCache:
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
         with span(PHASE_TREE, tracer):
-            targets = deadline_targets(state, item_id)
             opening = (
-                _opening_entries(state.scenario)
+                _opening_trees(state.scenario)
                 if self._enabled and not tracer.enabled and state.at_opening
                 else None
             )
             key = (item_id, self._not_before)
-            shared = opening.get(key) if opening is not None else None
-            if shared is not None:
-                entry = replace(shared, tree=shared.tree.projected(targets))
-            else:
+            tree = opening.get(key) if opening is not None else None
+            if tree is None:
+                targets = deadline_targets(state, item_id)
                 tree = compute_shortest_path_tree(
                     state, item_id, targets, not_before=self._not_before
-                )
-                entry = self._snapshot(item_id, tree, targets)
+                ).projected(targets)
                 if opening is not None:
-                    opening[key] = replace(
-                        entry, tree=tree.projected(targets)
-                    )
+                    opening[key] = tree
+            entry = self._snapshot(tree)
             self._stats.dijkstra_runs += 1
         if self._enabled:
             self._store(item_id, entry)
@@ -546,7 +551,7 @@ class TreeCache:
             tree = cached.tree.rebased(seeds, targets)
             if tree is None:
                 return False
-            self._store(item_id, self._snapshot(item_id, tree, targets))
+            self._store(item_id, self._snapshot(tree))
         if tracer.enabled:
             tracer.emit("tree_rebased", item_id, len(seeds))
         return True
@@ -554,88 +559,78 @@ class TreeCache:
     def _replay(self) -> None:
         """Fold the new journal records into the entries they touch.
 
-        An entry keeps its first conflict.  A reservation overlapping a
+        A record touches only the entries indexed under its link's
+        receiver: a tree plans one hop into each receiver, and a link has
+        one receiver, so those are the entries that plan a hop over the
+        link or a residency the record's reservation can overlap.  An
+        entry keeps its first conflict.  A reservation overlapping a
         planned residency only makes the machine a suspect: reservations
         only subtract, so a passing live recheck proves the planned start
         still the earliest.
         """
-        records = self._state.journal_since(self._replay_position)
+        state = self._state
+        link = state.scenario.network.link
+        records = state.journal_since(self._replay_position)
         self._replay_position += len(records)
         for record in records:
-            link_id, busy = record.link_id, record.busy
-            for entry in self._link_index.get(link_id, {}).values():
-                planned = entry.hop_intervals[link_id]
+            link_id = record.link_id
+            busy, residency = record.busy, record.residency
+            receiver = link(link_id).destination
+            for entry in self._receiver_index.get(receiver, {}).values():
                 if entry.conflict:
                     continue
-                if busy is not None and busy.overlaps(planned):
-                    entry.conflict = TREE_CACHE_LINK_CONFLICT
-                elif record.kind == MUTATION_CUTOFF and (
-                    record.cutoff < planned.end
+                tree = entry.tree
+                __, planned_link, start, end = tree.planned_hops[receiver]
+                if planned_link == link_id:
+                    if busy is not None and _overlaps(busy, start, end):
+                        entry.conflict = TREE_CACHE_LINK_CONFLICT
+                        continue
+                    if record.kind == MUTATION_CUTOFF and record.cutoff < end:
+                        entry.conflict = TREE_CACHE_CUTOFF_TIGHTENED
+                        continue
+                if residency is not None and _overlaps(
+                    residency,
+                    start,
+                    state.release_time_at(tree.item_id, receiver),
                 ):
-                    entry.conflict = TREE_CACHE_CUTOFF_TIGHTENED
-            machine, residency = record.machine, record.residency
-            if residency is None:
-                continue
-            for entry in self._machine_index.get(machine, {}).values():
-                if not entry.conflict and residency.overlaps(
-                    entry.residencies[machine]
-                ):
-                    entry.suspects |= {machine}
+                    entry.suspects |= {receiver}
 
     def _recheck(self, cached: CacheEntry) -> bool:
         """True when every suspect can still hold its planned residency
         (``can_reserve``, in sorted machine order)."""
         state = self._state
+        item_id = cached.tree.item_id
+        planned = cached.tree.planned_hops
+        size = state.scenario.item(item_id).size
         for machine in sorted(cached.suspects):
-            residency = cached.residencies[machine]
             free = state.machine_timeline(machine).min_free_span(
-                residency.start, residency.end
+                planned[machine][2], state.release_time_at(item_id, machine)
             )
-            if not free >= cached.item_size:
+            if not free >= size:
                 return False
         return True
 
     def _store(self, item_id: int, entry: CacheEntry) -> None:
-        """Replace the item's entry and move it in the footprint indexes."""
+        """Replace the item's entry and move it in the receiver index."""
+        index = self._receiver_index
         old = self._trees.get(item_id)
         if old is not None:
-            for link_id in old.hop_intervals:
-                del self._link_index[link_id][item_id]
-            for machine in old.residencies:
-                del self._machine_index[machine][item_id]
+            for receiver in old.tree.planned_hops:
+                del index[receiver][item_id]
         self._trees[item_id] = entry
-        for link_id in entry.hop_intervals:
-            self._link_index.setdefault(link_id, {})[item_id] = entry
-        for machine in entry.residencies:
-            self._machine_index.setdefault(machine, {})[item_id] = entry
+        for receiver in entry.tree.planned_hops:
+            index.setdefault(receiver, {})[item_id] = entry
 
-    def _snapshot(
-        self,
-        item_id: int,
-        tree: ShortestPathTree,
-        targets: Mapping[int, float],
-    ) -> CacheEntry:
-        """The entry for a fresh tree over the search's targets; only the
-        paths to targets that meet their deadline enter the footprint."""
+    def _snapshot(self, tree: ShortestPathTree) -> CacheEntry:
+        """A fresh entry for a tree projected onto its targets, current
+        at the replay position."""
         state = self._state
-        hops = tree.destination_hops(targets)
         return CacheEntry(
             tree=tree,
-            item_revision=state.item_revision(item_id),
+            item_revision=state.item_revision(tree.item_id),
             journal_position=self._replay_position,
             capacity_epoch=state.capacity_epoch,
             degradation_epoch=state.degradation_epoch,
-            hop_intervals={
-                hop.link_id: Interval(hop.start, hop.end)
-                for hop in hops.values()
-            },
-            residencies={
-                receiver: Interval(
-                    hop.start, state.release_time_at(item_id, receiver)
-                )
-                for receiver, hop in hops.items()
-            },
-            item_size=state.scenario.item(item_id).size,
         )
 
 

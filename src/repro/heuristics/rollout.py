@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.core.evaluation import evaluate_satisfied
 from repro.core.scenario import Scenario
-from repro.core.state import NetworkState, TransferPlan
+from repro.core.state import NetworkState
 from repro.cost.criteria import CostCriterion
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError, SchedulingError
@@ -156,17 +156,4 @@ class RolloutScheduler:
                 f"no path to committed destination M[{destination}] for "
                 f"item {group.item_id}"
             )
-        network = state.scenario.network
-        for hop in path.hops:
-            state.book_transfer(
-                TransferPlan(
-                    item_id=group.item_id,
-                    link=network.link(hop.link_id),
-                    start=hop.start,
-                    end=hop.end,
-                    release=state.release_time_at(
-                        group.item_id, hop.receiver
-                    ),
-                )
-            )
-        return len(path.hops)
+        return self._inner._book_paths(state, group.item_id, [path.hops])

@@ -6,12 +6,11 @@ along which hops?*  See :func:`compute_shortest_path_tree`.
 """
 
 from repro.routing.dijkstra import compute_shortest_path_tree
-from repro.routing.paths import Hop, Path, ShortestPathTree, make_tree
+from repro.routing.paths import Hop, Path, ShortestPathTree
 
 __all__ = [
     "Hop",
     "Path",
     "ShortestPathTree",
     "compute_shortest_path_tree",
-    "make_tree",
 ]

@@ -69,7 +69,7 @@ from repro.observability.tracer import (
     REASON_NO_LINK_SLOT,
     REASON_WINDOW_CLOSED,
 )
-from repro.routing.paths import ShortestPathTree, make_tree
+from repro.routing.paths import ShortestPathTree
 
 
 class CompiledScenario:
@@ -434,6 +434,4 @@ def compute_tree_compiled(
             "dijkstra",
             item_id, relaxations, pruned, finalized_count, len(seeds)
         )
-    return make_tree(
-        item_id=item_id, seeds=seeds, labels=labels, parents=parents
-    )
+    return ShortestPathTree(item_id, seeds, labels, parents)

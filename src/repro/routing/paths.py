@@ -3,16 +3,18 @@
 The adapted Dijkstra of §4.2 produces, for one requested data item, the
 earliest time a copy could reach every machine (the ``A_T`` values of §4.8)
 together with parent pointers.  :class:`ShortestPathTree` packages those
-labels, reconstructs hop-by-hop :class:`Path` objects toward requesting
-destinations, and reports the *resource footprint* of the tree — the links
-and storage machines its destination paths rely on — which the heuristics
-use to decide when a cached tree must be recomputed.
+labels and reconstructs hop-by-hop :class:`Path` objects toward requesting
+destinations.  A tree projected onto its search's targets
+(:meth:`ShortestPathTree.projected`) holds only the hops of its target
+paths, so its parent tuples are the planned link occupations and storage
+residencies its labels rest on: the heuristics' tree cache reads them
+straight from :attr:`ShortestPathTree.planned_hops`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.units import time_eq
 from repro.errors import SchedulingError
@@ -52,32 +54,6 @@ class Path:
     origin: int
     hops: Tuple[Hop, ...]
 
-    @property
-    def target(self) -> int:
-        """The machine the path delivers to."""
-        if not self.hops:
-            return self.origin
-        return self.hops[-1].receiver
-
-    @property
-    def arrival(self) -> Optional[float]:
-        """Arrival time at the target (``None`` for an empty path)."""
-        if not self.hops:
-            return None
-        return self.hops[-1].end
-
-    @property
-    def first_hop(self) -> Optional[Hop]:
-        """The next transfer to book, or ``None`` for an empty path."""
-        return self.hops[0] if self.hops else None
-
-    def machines(self) -> Tuple[int, ...]:
-        """All machines on the path, origin first."""
-        return (self.origin,) + tuple(hop.receiver for hop in self.hops)
-
-    def __len__(self) -> int:
-        return len(self.hops)
-
 
 class ShortestPathTree:
     """Earliest-arrival labels plus parent pointers for one data item.
@@ -87,8 +63,9 @@ class ShortestPathTree:
     ``(sender, link_id, start, end)`` tuples; :meth:`path_to` turns the
     ones on a requested path into :class:`Hop` objects.
 
-    Attributes are exposed through methods so the internal dictionaries stay
-    private and the object can be safely shared across heuristic iterations.
+    The tree is immutable: attributes are exposed through methods so the
+    internal dictionaries stay private, and one tree can be shared across
+    heuristic iterations, cache entries and runs.
     """
 
     def __init__(
@@ -102,15 +79,21 @@ class ShortestPathTree:
         self._seeds = dict(seeds)
         self._labels = dict(labels)
         self._parents = dict(parents)
-        # The tree is immutable, so reconstructed paths are memoized:
-        # candidate enumeration, footprint capture, and booking all walk
-        # the same destination paths every engine iteration.
-        self._paths: Dict[int, Optional[Path]] = {}
 
     @property
     def item_id(self) -> int:
         """The data item this tree routes."""
         return self._item_id
+
+    @property
+    def planned_hops(self) -> Mapping[int, Tuple[int, int, float, float]]:
+        """Every non-seed labelled machine's inbound hop, by receiver, as
+        ``(sender, link_id, start, end)``; read only.
+
+        A tree has one inbound hop per receiver, and each virtual link
+        has one receiver, so a link appears here at most once.
+        """
+        return self._parents
 
     def seed_machines(self) -> Tuple[int, ...]:
         """Machines that already hold a copy (the multi-source set)."""
@@ -133,10 +116,7 @@ class ShortestPathTree:
         Raises:
             SchedulingError: if the parent pointers are cyclic (tree bug).
         """
-        if machine in self._paths:
-            return self._paths[machine]
         if machine not in self._labels:
-            self._paths[machine] = None
             return None
         hops = []
         cursor = machine
@@ -158,57 +138,7 @@ class ShortestPathTree:
                 )
             visited.add(cursor)
         hops.reverse()
-        path = Path(item_id=self._item_id, origin=cursor, hops=tuple(hops))
-        self._paths[machine] = path
-        return path
-
-    def next_hop_toward(self, machine: int) -> Optional[Hop]:
-        """The first transfer on the path to ``machine``.
-
-        ``None`` when the machine is unreachable or already holds the item.
-        """
-        path = self.path_to(machine)
-        if path is None:
-            return None
-        return path.first_hop
-
-    def destination_hops(
-        self, destinations: Iterable[int]
-    ) -> Dict[int, Hop]:
-        """Every planned hop on the paths to ``destinations``, by receiver.
-
-        A tree has at most one inbound edge per machine, so the union of
-        the destination paths is a receiver-keyed hop map; paths sharing a
-        prefix contribute each shared hop once.  Unreachable destinations
-        contribute nothing.  This is the cache's *interval footprint*: the
-        concrete link occupations and storage residencies the tree's
-        labels depend on.
-        """
-        hops: Dict[int, Hop] = {}
-        for destination in destinations:
-            path = self.path_to(destination)
-            if path is None:
-                continue
-            for hop in path.hops:
-                hops.setdefault(hop.receiver, hop)
-        return hops
-
-    def footprint(
-        self, destinations: Iterable[int]
-    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """Resources the tree's paths to ``destinations`` depend on.
-
-        Returns:
-            ``(link_ids, storage_machines)`` where ``storage_machines`` are
-            the machines that would *receive* a copy along any of the paths
-            (their free capacity influenced the labels).  Unreachable
-            destinations contribute nothing.
-        """
-        hops = self.destination_hops(destinations)
-        return (
-            frozenset(hop.link_id for hop in hops.values()),
-            frozenset(hops),
-        )
+        return Path(item_id=self._item_id, origin=cursor, hops=tuple(hops))
 
     def rebased(
         self, seeds: Mapping[int, float], targets: Mapping[int, float]
@@ -239,8 +169,9 @@ class ShortestPathTree:
         """A fresh tree holding only this tree's paths to ``targets``.
 
         This tree rebased onto its own seeds: each reachable target keeps
-        its label and path, every other machine but a seed reads
-        unreachable, and the path memo starts empty.
+        its label and path, and every other machine but a seed or one on
+        a kept path reads unreachable.  So :attr:`planned_hops` is then
+        the union of the target paths, each shared hop once.
         """
         return self._keeping(self._seeds, targets)
 
@@ -277,22 +208,3 @@ class ShortestPathTree:
             f"seeds={sorted(self._seeds)}, reachable={len(self._labels)})"
         )
 
-
-def make_tree(
-    item_id: int,
-    seeds: Mapping[int, float],
-    labels: Mapping[int, float],
-    parents: Mapping[int, Tuple[int, int, float, float]],
-) -> ShortestPathTree:
-    """Assemble a tree from plain tuples (used by the Dijkstra driver).
-
-    Args:
-        item_id: the routed item.
-        seeds: machine -> availability time for current copy holders.
-        labels: machine -> earliest arrival (must include the seeds).
-        parents: machine -> ``(sender, link_id, start, end)`` for every
-            non-seed labelled machine.
-    """
-    return ShortestPathTree(
-        item_id=item_id, seeds=seeds, labels=labels, parents=parents
-    )

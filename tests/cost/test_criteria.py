@@ -18,7 +18,7 @@ from repro.cost.criteria import (
 from repro.cost.terms import evaluate_destination
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
-from repro.routing.paths import make_tree
+from repro.routing.paths import ShortestPathTree
 
 
 def _evaluation(request_id, arrival, deadline, priority=2, destination=1):
@@ -29,7 +29,7 @@ def _evaluation(request_id, arrival, deadline, priority=2, destination=1):
         priority=priority,
         deadline=deadline,
     )
-    tree = make_tree(
+    tree = ShortestPathTree(
         item_id=0,
         seeds={destination: arrival},
         labels={destination: arrival},

@@ -8,7 +8,7 @@ from repro.cost.terms import (
     evaluate_destination,
     most_urgent_satisfiable,
 )
-from repro.routing.paths import make_tree
+from repro.routing.paths import ShortestPathTree
 
 
 def _request(request_id=0, destination=1, priority=2, deadline=50.0):
@@ -25,7 +25,9 @@ def _tree(arrivals):
     """A degenerate tree exposing fixed arrival labels."""
     labels = dict(arrivals)
     seeds = {machine: t for machine, t in labels.items()}
-    return make_tree(item_id=0, seeds=seeds, labels=labels, parents={})
+    return ShortestPathTree(
+        item_id=0, seeds=seeds, labels=labels, parents={}
+    )
 
 
 class TestEvaluateDestination:

@@ -6,16 +6,21 @@ revision counters and epochs, then replays every journal record appended
 since the entry was last validated (``journal_since``) against that
 entry's footprint.  So each booking is replayed once per cached item.
 
-Production code replays the journal once per cache, through footprint
-indexes, and reads the verdict each entry collected.  The tests drive both
-caches through the same mutations and compare their reason sequences —
-they must be identical.
+Production code replays the journal once per cache, through its receiver
+index, reads each planned hop from the cached tree's parent tuples, and
+reads the verdict each entry collected.  This oracle keeps its own
+footprint instead, built as production once did: the search's destination
+paths (:meth:`~repro.routing.paths.ShortestPathTree.path_to`) turned into
+one :class:`~repro.core.intervals.Interval` per planned hop and per
+planned residency.  The tests drive both caches through the same mutations
+and compare their reason sequences — they must be identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.intervals import Interval
 from repro.core.state import MUTATION_BOOKING, MUTATION_CUTOFF
 from repro.heuristics.base import CacheEntry, TreeCache, deadline_targets
 from repro.observability.profiling import PHASE_TREE, span
@@ -34,13 +39,22 @@ from repro.observability.tracer import (
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.routing.paths import ShortestPathTree
 
+#: An entry's footprint: the planned transfer interval per link id, the
+#: planned storage residency per receiving machine, and the item's size.
+Footprint = Tuple[Dict[int, Interval], Dict[int, Interval], float]
+
 
 class ReferenceTreeCache(TreeCache):
     """A tree cache that replays the journal once per entry and request.
 
     Same constructor, hits, misses and trees as :class:`TreeCache`; only
-    the bookkeeping differs.  Entries never enter the footprint indexes.
+    the bookkeeping differs.  Entries never enter the receiver index; each
+    item's footprint is kept beside its entry.
     """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._footprints: Dict[int, Footprint] = {}
 
     def entry_for(self, item_id: int) -> CacheEntry:
         """The item's cache entry, recomputing the tree only when necessary.
@@ -69,9 +83,11 @@ class ReferenceTreeCache(TreeCache):
                 self._state, item_id, targets, not_before=self._not_before
             )
             self._stats.dijkstra_runs += 1
-            entry = self._snapshot(item_id, tree, targets)
+            entry = self._snapshot(tree.projected(targets))
+            entry.journal_position = self._state.journal_length()
         if self._enabled:
             self._trees[item_id] = entry
+            self._footprints[item_id] = self._footprint(tree, targets)
         return entry
 
     def _validity(self, item_id: int, cached: Optional[CacheEntry]) -> str:
@@ -105,8 +121,9 @@ class ReferenceTreeCache(TreeCache):
         parents with the same tie-breaks.
         """
         state = self._state
-        hop_intervals = cached.hop_intervals
-        residencies = cached.residencies
+        hop_intervals, residencies, item_size = self._footprints[
+            cached.tree.item_id
+        ]
         # Receiving machines whose storage gained a reservation that
         # overlaps a planned residency; rechecked against the live
         # timeline after the scan (reservations only subtract, so a
@@ -135,19 +152,35 @@ class ReferenceTreeCache(TreeCache):
         for machine in sorted(suspect_machines):
             timeline = state.machine_timeline(machine)
             if not timeline.can_reserve(
-                cached.item_size, residencies[machine]
+                item_size, residencies[machine]
             ):
                 return TREE_CACHE_RESIDENCY_CONFLICT
         cached.journal_position = journal_size
         return TREE_CACHE_REVALIDATED
 
-    def _snapshot(
-        self,
-        item_id: int,
-        tree: ShortestPathTree,
-        destinations: List[int],
-    ) -> CacheEntry:
-        """The production snapshot, positioned at the journal's end."""
-        entry = super()._snapshot(item_id, tree, destinations)
-        entry.journal_position = self._state.journal_length()
-        return entry
+    def _footprint(
+        self, tree: ShortestPathTree, targets: Mapping[int, float]
+    ) -> Footprint:
+        """The footprint of the search's paths to ``targets``: each
+        reachable target's path hops, each shared hop once."""
+        state = self._state
+        item_id = tree.item_id
+        hops = {}
+        for target in targets:
+            path = tree.path_to(target)
+            if path is not None:
+                for hop in path.hops:
+                    hops.setdefault(hop.receiver, hop)
+        return (
+            {
+                hop.link_id: Interval(hop.start, hop.end)
+                for hop in hops.values()
+            },
+            {
+                receiver: Interval(
+                    hop.start, state.release_time_at(item_id, receiver)
+                )
+                for receiver, hop in hops.items()
+            },
+            state.scenario.item(item_id).size,
+        )

@@ -24,9 +24,10 @@ from repro.dynamic.driver import DynamicDriver
 from repro.experiments.runner import record_result
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.heuristics import base
-from repro.heuristics.base import EngineStats, TreeCache
+from repro.heuristics.base import EngineStats, TreeCache, deadline_targets
 from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.observability.tracer import RecordingTracer
+from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.serialization import (
     document_to_dict,
     scenario_from_dict,
@@ -234,12 +235,20 @@ class TestGuards:
         entry, searches = _entry_for_item_zero(NetworkState(scenario))
         again, _ = _entry_for_item_zero(NetworkState(scenario))
         assert searches == 0
-        # Each hit is a fresh tree, so no path memo grows across runs.
-        assert len({id(cold.tree), id(entry.tree), id(again.tree)}) == 3
-        assert entry.hop_intervals == cold.hop_intervals
-        assert entry.residencies == cold.residencies
-        assert entry.tree.arrival(2) == cold.tree.arrival(2)
-        assert entry.tree.path_to(2) == cold.tree.path_to(2)
+        # Each hit is a fresh entry sharing the one immutable tree.
+        assert len({id(cold), id(entry), id(again)}) == 3
+        assert entry.tree is cold.tree and again.tree is cold.tree
+        state = NetworkState(scenario)
+        targets = deadline_targets(state, 0)
+        projection = compute_shortest_path_tree(state, 0, targets).projected(
+            targets
+        )
+        assert entry.tree.reachable_machines() == (
+            projection.reachable_machines()
+        )
+        for machine in projection.reachable_machines():
+            assert entry.tree.arrival(machine) == projection.arrival(machine)
+        assert entry.tree.planned_hops == projection.planned_hops
 
     def test_a_later_instant_is_its_own_entry(self, memo):
         scenario = _guard_scenario()

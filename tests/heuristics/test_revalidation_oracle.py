@@ -1,10 +1,11 @@
 """Differential: the index-driven tree cache against per-entry replay.
 
 :class:`~repro.heuristics.base.TreeCache` replays the mutation journal
-once per cache and routes each record to the entries it touches through
-two footprint indexes.  The oracle
+once per cache, routes each record through its receiver index, and reads
+each planned hop from the cached tree's parent tuples.  The oracle
 (:mod:`tests.heuristics.reference_revalidation`) replays, on every
-request, every record since the entry was last validated.  Hypothesis
+request, every record since the entry was last validated, against an
+``Interval`` footprint of its own.  Hypothesis
 interleaves bookings, cutoffs, degradations, copy losses, reopens and
 tree requests on small scenarios with tight storage; every request must
 get the oracle's reason and the oracle's tree.

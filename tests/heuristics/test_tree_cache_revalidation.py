@@ -5,19 +5,25 @@ every hit/miss reason in ``TREE_CACHE_REASONS`` is driven by a concrete
 mutation, and the clone-epoch guard rejects serving a ``clone()``'d state.
 ``earliest_transfer`` keeps no memo, so its probes are pinned directly:
 repeated probes agree, a booking changes the next probe, and each probe
-emits one attempt event plus at most one rejection.
+emits one attempt event plus at most one rejection.  The receiver index
+is pinned to list exactly the live entries' receivers.
 """
+
+from unittest import mock
 
 import pytest
 
+from repro.baselines.priority_tier import PriorityTierScheduler
 from repro.core.evaluation import evaluate_schedule
 from repro.core.state import NetworkState
 from repro.cost.criteria import get_criterion
 from repro.cost.weights import EUWeights
+from repro.dynamic.driver import DynamicDriver
 from repro.errors import ConfigurationError
 from repro.exhaustive.search import ExhaustiveSearch, SearchLimits
 from repro.heuristics.base import EngineStats, TreeCache
 from repro.heuristics.partial_path import PartialPathHeuristic
+from repro.heuristics.registry import make_heuristic
 from repro.heuristics.rollout import RolloutScheduler
 from repro.observability.tracer import (
     REASON_ALREADY_AT_DESTINATION,
@@ -36,8 +42,16 @@ from repro.observability.tracer import (
     RecordingTracer,
     use_tracer,
 )
+from repro.workload.config import GeneratorConfig
+from repro.workload.generator import ScenarioGenerator
 
-from tests.helpers import make_item, make_link, make_network, make_scenario
+from tests.helpers import (
+    dynamic_fault_events,
+    make_item,
+    make_link,
+    make_network,
+    make_scenario,
+)
 
 #: Link ids of the revalidation scenario (virtual ids follow physical ids
 #: because every link has a single always-open window).
@@ -333,3 +347,56 @@ class TestTransferProbes:
         clone_plan = clone.earliest_transfer(0, link, 0.0)
         assert parent_plan is not None and clone_plan is not None
         assert clone_plan.start > parent_plan.start
+
+
+# -- the receiver index -------------------------------------------------------
+
+
+def _assert_index_exact(cache):
+    """Each non-empty slot of the receiver index holds exactly the live
+    entries whose trees plan a hop into its machine, and each such entry
+    is in the slot: a stale slot would only waste replay time, so no
+    differential of decisions can catch it."""
+    expected = {}
+    for item_id, entry in cache._trees.items():
+        for receiver in entry.tree.planned_hops:
+            expected.setdefault(receiver, {})[item_id] = entry
+    actual = {
+        receiver: slot
+        for receiver, slot in cache._receiver_index.items()
+        if slot
+    }
+    assert actual.keys() == expected.keys()
+    for receiver, slot in actual.items():
+        assert slot.keys() == expected[receiver].keys()
+        for item_id, entry in slot.items():
+            assert entry is expected[receiver][item_id]
+
+
+def _index_checked_runs(seed):
+    """Static drains and a dynamic run under churn, losses and an outage,
+    with the index checked after every store."""
+    scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(seed)
+    events, _static_plan = dynamic_fault_events(scenario, seed, 0.5)
+    stores = []
+    store = TreeCache._store
+
+    def checked_store(cache, item_id, entry):
+        store(cache, item_id, entry)
+        _assert_index_exact(cache)
+        stores.append(item_id)
+
+    with mock.patch.object(TreeCache, "_store", checked_store):
+        for heuristic in ("partial", "full_one", "full_all"):
+            make_heuristic(heuristic, "C4", 1.0).run(scenario)
+        PriorityTierScheduler("full_one", "C4", 0.0).run(scenario)
+        DynamicDriver("partial", "C4", 2.0).run(scenario, events)
+    return stores
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_receiver_index_lists_exactly_the_live_receivers(seed):
+    stores = _index_checked_runs(seed)
+    # Entries are replaced (searches after a conflict, rebases), not only
+    # added, so stale slots had a chance to appear.
+    assert len(stores) > len(set(stores))

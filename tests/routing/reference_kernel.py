@@ -23,7 +23,7 @@ from unittest import mock
 
 from repro.core.state import NetworkState
 from repro.heuristics import base
-from repro.routing.paths import ShortestPathTree, make_tree
+from repro.routing.paths import ShortestPathTree
 
 
 @contextmanager
@@ -156,6 +156,4 @@ def reference_tree(
             "dijkstra",
             item_id, relaxations, pruned, len(finalized), len(seeds)
         )
-    return make_tree(
-        item_id=item_id, seeds=seeds, labels=labels, parents=parents
-    )
+    return ShortestPathTree(item_id, seeds, labels, parents)

@@ -66,7 +66,7 @@ def _book_a_first_hop(state, item_id, pick, not_before):
     tree = compute_shortest_path_tree(state, item_id, None, not_before)
     hops = sorted(
         {
-            path.first_hop
+            path.hops[0]
             for path in map(tree.path_to, tree.reachable_machines())
             if path.hops
         },

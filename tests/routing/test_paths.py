@@ -3,40 +3,13 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.routing.paths import Hop, Path, make_tree
-
-
-def _hop(sender, receiver, link_id, start, end):
-    return Hop(
-        sender=sender, receiver=receiver, link_id=link_id, start=start, end=end
-    )
-
-
-class TestPath:
-    def test_target_and_arrival(self):
-        path = Path(
-            item_id=0,
-            origin=0,
-            hops=(_hop(0, 1, 0, 0.0, 1.0), _hop(1, 2, 1, 1.0, 2.0)),
-        )
-        assert path.target == 2
-        assert path.arrival == 2.0
-        assert path.first_hop.receiver == 1
-        assert path.machines() == (0, 1, 2)
-        assert len(path) == 2
-
-    def test_empty_path(self):
-        path = Path(item_id=0, origin=3, hops=())
-        assert path.target == 3
-        assert path.arrival is None
-        assert path.first_hop is None
-        assert path.machines() == (3,)
+from repro.routing.paths import ShortestPathTree
 
 
 class TestShortestPathTree:
     def _tree(self):
         # Seeds {0}; 0 -> 1 -> 2 and 0 -> 3.
-        return make_tree(
+        return ShortestPathTree(
             item_id=7,
             seeds={0: 0.0},
             labels={0: 0.0, 1: 1.0, 2: 2.0, 3: 4.0},
@@ -67,24 +40,25 @@ class TestShortestPathTree:
     def test_path_to_unreachable_is_none(self):
         assert self._tree().path_to(9) is None
 
-    def test_next_hop_toward(self):
-        tree = self._tree()
-        assert tree.next_hop_toward(2).link_id == 10
-        assert tree.next_hop_toward(0) is None
-        assert tree.next_hop_toward(9) is None
+    @staticmethod
+    def _footprint(tree, targets):
+        """``(links, receivers)`` of the tree projected onto ``targets``."""
+        projection = tree.projected(dict.fromkeys(targets, float("inf")))
+        hops = projection.planned_hops
+        return {hop[1] for hop in hops.values()}, set(hops)
 
     def test_footprint_covers_destination_paths_only(self):
         tree = self._tree()
-        links, machines = tree.footprint([2])
+        links, machines = self._footprint(tree, [2])
         assert links == {10, 11}
         assert machines == {1, 2}
-        links, machines = tree.footprint([3])
+        links, machines = self._footprint(tree, [3])
         assert links == {12}
         assert machines == {3}
 
     def test_footprint_union_and_unreachable(self):
         tree = self._tree()
-        links, machines = tree.footprint([2, 3, 9])
+        links, machines = self._footprint(tree, [2, 3, 9])
         assert links == {10, 11, 12}
         assert machines == {1, 2, 3}
 
@@ -92,14 +66,14 @@ class TestShortestPathTree:
         assert self._tree().reachable_machines() == (0, 1, 2, 3)
 
     def test_missing_parent_raises(self):
-        tree = make_tree(
+        tree = ShortestPathTree(
             item_id=0, seeds={0: 0.0}, labels={0: 0.0, 1: 1.0}, parents={}
         )
         with pytest.raises(SchedulingError):
             tree.path_to(1)
 
     def test_cyclic_parents_raise(self):
-        tree = make_tree(
+        tree = ShortestPathTree(
             item_id=0,
             seeds={9: 0.0},
             labels={1: 1.0, 2: 2.0, 9: 0.0},

@@ -16,7 +16,7 @@ from repro.core.state import NetworkState
 from repro.cost.criteria import Cost4, CostResult
 from repro.cost.terms import most_urgent_satisfiable
 from repro.cost.weights import EUWeights
-from repro.heuristics.base import HeuristicResult, TreeCache
+from repro.heuristics.base import HeuristicResult, Shortlist, TreeCache
 from repro.heuristics.candidates import (
     CandidateGroup,
     Priorities,
@@ -69,13 +69,13 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
         self,
         state: NetworkState,
         cache: TreeCache,
-        items: List[int],
+        shortlist: Shortlist,
         priorities: Priorities = None,
         request_filter: RequestFilter = None,
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
         groups: List[CandidateGroup] = []
         for payload in self._live_payloads(
-            state, cache, items, priorities, request_filter
+            state, cache, shortlist, priorities, request_filter
         ):
             groups.extend(payload)
         if not groups:

@@ -46,13 +46,13 @@ import abc
 import logging
 import time
 import weakref
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
 from repro.core.schedule import Schedule
-from repro.core.state import MUTATION_CUTOFF, NetworkState, TransferPlan
+from repro.core.state import NetworkState, TransferPlan
 from repro.cost.criteria import CostCriterion, CostResult
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
@@ -193,7 +193,7 @@ class CacheEntry:
     (:meth:`~repro.core.state.NetworkState.release_time_at`, fixed per
     scenario).  The owning :class:`TreeCache` indexes the entry under
     the tree's receivers, and its journal replay leaves its verdict on
-    the entry (``conflict``, ``suspects``) for the next request.
+    the entry (``conflict``) for the next request.
 
     The footprint covers only the paths to destinations that meet their
     deadline: the tree reports the others unreachable, and since bookings,
@@ -201,30 +201,24 @@ class CacheEntry:
     stays missed while the entry's counters hold.  A booking that delays
     only a missed path therefore leaves the entry valid.
 
-    The payload (the heuristic's scored candidate choice for the item) has
-    exactly the same validity as the tree — it is derived from the tree, the
-    item's unsatisfied-request set (which only changes with the item
-    revision), the drain's filters, and run-constant configuration — so it
-    is stored on the entry, keyed by the filters, and discarded with it.
+    An entry without a conflict stays valid while its counters hold,
+    requested or not, so a drain keeps what it scored from the tree
+    (:class:`Shortlist`) until the replay reports a conflict.
 
     Attributes:
         tree: the cached shortest-path tree, projected onto its targets.
         item_revision: the item's revision at snapshot time (covers seeds
             and the unsatisfied-destination targets with their deadlines).
         journal_position: how much of the state's mutation journal the
-            entry has been validated against; advanced on every
-            successful revalidation.
+            entry has been validated against; advanced when a request
+            finds it revalidated.
         capacity_epoch: the state's capacity epoch at snapshot time
             (capacity-adding mutations invalidate globally).
         degradation_epoch: the state's bandwidth-degradation epoch at
             snapshot time (degradations change durations globally and are
             not journalled, so they too invalidate globally).
-        payload: ``(priorities, request_filter, value)``: the heuristic's
-            cached value for the item under those filters (see above).
-        conflict: the first ``link_conflict`` or ``cutoff_tightened``
-            replayed past ``journal_position``, else ``""``.
-        suspects: machines whose planned residency a replayed
-            reservation overlapped (rechecked live on the next request).
+        conflict: the first ``link_conflict``, ``cutoff_tightened`` or
+            ``residency_conflict`` the replay found, else ``""``.
     """
 
     tree: ShortestPathTree
@@ -232,9 +226,7 @@ class CacheEntry:
     journal_position: int
     capacity_epoch: int
     degradation_epoch: int = 0
-    payload: Optional[Tuple[Priorities, RequestFilter, Any]] = None
     conflict: str = ""
-    suspects: FrozenSet[int] = frozenset()
 
 
 #: A scenario's opening trees by ``(item_id, not_before)``: each the
@@ -288,7 +280,8 @@ class TreeCache:
     Each record is replayed once per cache, through one index from each
     receiving machine to the entries whose trees plan a hop into it, and
     every request first replays to the journal's end (so a fresh entry
-    never sees an older record).
+    never sees an older record).  The replay reports the items whose
+    entries it found in conflict (:meth:`touched`).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
     .epoch` token at construction; serving a different state — whose
@@ -337,6 +330,8 @@ class TreeCache:
         #: Receiver index: machine -> {item id: entry whose tree plans a
         #: hop into the machine}.
         self._receiver_index: Dict[int, Dict[int, CacheEntry]] = {}
+        #: Items the replay found in conflict since :meth:`touched`.
+        self._touched: Set[int] = set()
         self._marks: Dict[int, NoCandidateMark] = {}
 
     @property
@@ -431,6 +426,14 @@ class TreeCache:
             ) <= covered
         )
 
+    def touched(self) -> Set[int]:
+        """The items whose entries the replay found in conflict since the
+        last call, after replaying to the journal's end."""
+        if self._replay_position < self._state.journal_length():
+            self._replay()
+        touched, self._touched = self._touched, set()
+        return touched
+
     def tree_for(self, item_id: int) -> ShortestPathTree:
         """The item's current tree, recomputing only when necessary."""
         return self.entry_for(item_id).tree
@@ -468,11 +471,8 @@ class TreeCache:
             reason = TREE_CACHE_CLEAN
         elif cached.conflict:
             reason = cached.conflict
-        elif cached.suspects and not self._recheck(cached):
-            reason = TREE_CACHE_RESIDENCY_CONFLICT
         else:
             cached.journal_position = self._replay_position
-            cached.suspects = frozenset()
             reason = TREE_CACHE_REVALIDATED
         if cached is not None and reason in (
             TREE_CACHE_CLEAN,
@@ -516,9 +516,11 @@ class TreeCache:
         (:meth:`~repro.routing.paths.ShortestPathTree.rebased`).  The new
         entry is current at the journal's end, so the next request reads
         ``clean``.  The next request searches instead after a disabled
-        cache, a journal record since the entry's position that is not a
-        booking of this item, any other revision change, a moved epoch,
-        or seeds the tree cannot vouch for.
+        cache, a conflict, a journal record since the replay position
+        that is not a booking of this item (an entry without a conflict
+        is valid there, however far its ``journal_position`` lags), any
+        other revision change, a moved epoch, or seeds the tree cannot
+        vouch for.
         """
         cached = self._trees.get(item_id) if self._enabled else None
         if cached is None:
@@ -526,9 +528,7 @@ class TreeCache:
         state = self._state
         tracer = state.tracer
         with span(PHASE_TREE, tracer):
-            records = state.journal_since(cached.journal_position)
-            if self._replay_position < state.journal_length():
-                self._replay()
+            records = state.journal_since(self._replay_position)
             not_before = self._not_before
             seeds = {
                 machine: max(copy.available_from, not_before)
@@ -536,7 +536,8 @@ class TreeCache:
                 if copy.release > not_before
             }
             if (
-                not records
+                cached.conflict
+                or not records
                 or state.item_revision(item_id)
                 != cached.item_revision + len(records)
                 or state.capacity_epoch != cached.capacity_epoch
@@ -547,6 +548,7 @@ class TreeCache:
                 )
             ):
                 return False
+            self._replay()
             targets = deadline_targets(state, item_id)
             tree = cached.tree.rebased(seeds, targets)
             if tree is None:
@@ -562,53 +564,44 @@ class TreeCache:
         A record touches only the entries indexed under its link's
         receiver: a tree plans one hop into each receiver, and a link has
         one receiver, so those are the entries that plan a hop over the
-        link or a residency the record's reservation can overlap.  An
-        entry keeps its first conflict.  A reservation overlapping a
-        planned residency only makes the machine a suspect: reservations
-        only subtract, so a passing live recheck proves the planned start
-        still the earliest.
+        link or a residency the record's reservation can overlap.  A
+        reservation overlapping a planned residency is settled against
+        the live timeline: reservations only subtract until a copy loss
+        moves the capacity epoch, so the verdict is final.  A conflict
+        puts the entry's item in :meth:`touched`; a link or cutoff
+        conflict also replaces a residency one, so the reason does not
+        depend on when the replay ran.
         """
         state = self._state
-        link = state.scenario.network.link
+        link, item = state.scenario.network.link, state.scenario.item
         records = state.journal_since(self._replay_position)
         self._replay_position += len(records)
         for record in records:
             link_id = record.link_id
             busy, residency = record.busy, record.residency
             receiver = link(link_id).destination
+            free = state.machine_timeline(receiver).min_free_span
             for entry in self._receiver_index.get(receiver, {}).values():
-                if entry.conflict:
+                if entry.conflict not in ("", TREE_CACHE_RESIDENCY_CONFLICT):
                     continue
                 tree = entry.tree
                 __, planned_link, start, end = tree.planned_hops[receiver]
+                conflict = ""
                 if planned_link == link_id:
                     if busy is not None and _overlaps(busy, start, end):
-                        entry.conflict = TREE_CACHE_LINK_CONFLICT
-                        continue
-                    if record.kind == MUTATION_CUTOFF and record.cutoff < end:
-                        entry.conflict = TREE_CACHE_CUTOFF_TIGHTENED
-                        continue
-                if residency is not None and _overlaps(
-                    residency,
-                    start,
-                    state.release_time_at(tree.item_id, receiver),
-                ):
-                    entry.suspects |= {receiver}
-
-    def _recheck(self, cached: CacheEntry) -> bool:
-        """True when every suspect can still hold its planned residency
-        (``can_reserve``, in sorted machine order)."""
-        state = self._state
-        item_id = cached.tree.item_id
-        planned = cached.tree.planned_hops
-        size = state.scenario.item(item_id).size
-        for machine in sorted(cached.suspects):
-            free = state.machine_timeline(machine).min_free_span(
-                planned[machine][2], state.release_time_at(item_id, machine)
-            )
-            if not free >= size:
-                return False
-        return True
+                        conflict = TREE_CACHE_LINK_CONFLICT
+                    elif record.cutoff < end:  # +inf unless a cutoff
+                        conflict = TREE_CACHE_CUTOFF_TIGHTENED
+                if not (conflict or entry.conflict) and residency is not None:
+                    item_id = tree.item_id
+                    release = state.release_time_at(item_id, receiver)
+                    if _overlaps(residency, start, release) and not (
+                        free(start, release) >= item(item_id).size
+                    ):
+                        conflict = TREE_CACHE_RESIDENCY_CONFLICT
+                if conflict:
+                    entry.conflict = conflict
+                    self._touched.add(tree.item_id)
 
     def _store(self, item_id: int, entry: CacheEntry) -> None:
         """Replace the item's entry and move it in the receiver index."""
@@ -632,6 +625,28 @@ class TreeCache:
             capacity_epoch=state.capacity_epoch,
             degradation_epoch=state.degradation_epoch,
         )
+
+
+@dataclass
+class Shortlist:
+    """A drain's live items, in order, and the payload each scored to.
+
+    After a decision only the booked item and the items the replay found
+    in conflict (:meth:`TreeCache.touched`) are scored again: any other
+    entry would read ``clean`` or ``revalidated``, because within a
+    drain the epochs hold and only the booked item's revision moves.
+    """
+
+    items: List[int]
+    payloads: Dict[int, Any] = field(default_factory=dict)
+
+    def forget(self, item_ids: Iterable[int]) -> None:
+        """Drop these items' payloads, except empty ones: an item with no
+        candidate keeps having none within a drain (it is never booked,
+        the filters are fixed, bookings only delay arrivals)."""
+        for item_id in item_ids:
+            if self.payloads.get(item_id):
+                del self.payloads[item_id]
 
 
 class StagingHeuristic(abc.ABC):
@@ -727,14 +742,11 @@ class StagingHeuristic(abc.ABC):
         Only items with a request the filters let through are searched
         (:func:`has_visible_request`), and not those the cache has proven
         to have no candidate (:meth:`TreeCache.has_no_candidate`).  The
-        list is built once; after each decision only the booked item is
-        rechecked, because deliveries are recorded only for the booked
-        item and the filters are fixed.  An item whose payload comes out
-        empty leaves the list (:meth:`_live_payloads`).
-
-        After each decision the booked item's tree is rebased onto its
-        new copies (:meth:`TreeCache.rebase`), so its next request is a
-        clean hit instead of a search.
+        :class:`Shortlist` is built once and keeps each item's payload
+        across decisions; each choice scans the payloads in item order.
+        After a decision only the booked item is rechecked (deliveries
+        are recorded only for it, and the filters are fixed), and its
+        tree is rebased onto its new copies (:meth:`TreeCache.rebase`).
 
         Raises:
             ConfigurationError: when ``cache`` was built for a different
@@ -750,19 +762,21 @@ class StagingHeuristic(abc.ABC):
             if has_visible_request(state, item_id, priorities, request_filter)
             and not cache.has_no_candidate(item_id, priorities, request_filter)
         ]
+        shortlist = Shortlist(items)
         while True:
             decision_started = time.perf_counter() if tracing else 0.0
             choice = self._best_choice(
-                state, cache, items, priorities, request_filter
+                state, cache, shortlist, priorities, request_filter
             )
             if choice is None:
                 break
             group, result = choice
             stats.iterations += 1
             with span(PHASE_BOOKING, tracer):
-                hops = self._execute(state, cache, group, result)
+                hops = self._execute(state, group, result)
             cache.rebase(group.item_id)
             stats.hops_booked += hops
+            shortlist.forget((group.item_id,))
             if not has_visible_request(
                 state, group.item_id, priorities, request_filter
             ):
@@ -792,16 +806,16 @@ class StagingHeuristic(abc.ABC):
         self,
         state: NetworkState,
         cache: TreeCache,
-        items: List[int],
+        shortlist: Shortlist,
         priorities: Priorities = None,
         request_filter: RequestFilter = None,
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
-        """The cheapest scored candidate over ``items``; the first item in
-        order wins a tie."""
+        """The cheapest scored candidate over the shortlist; the first
+        item in order wins a tie."""
         best_key = None
         best: Optional[Tuple[CandidateGroup, CostResult]] = None
         for key, group, result in self._live_payloads(
-            state, cache, items, priorities, request_filter
+            state, cache, shortlist, priorities, request_filter
         ):
             if best_key is None or key < best_key:
                 best_key = key
@@ -812,59 +826,33 @@ class StagingHeuristic(abc.ABC):
         self,
         state: NetworkState,
         cache: TreeCache,
-        items: List[int],
+        shortlist: Shortlist,
         priorities: Priorities,
         request_filter: RequestFilter,
     ) -> List[Any]:
-        """The non-empty payloads of ``items``, in order.
+        """The non-empty payloads of the shortlist's items, in order.
 
-        An item whose payload is empty has no candidate, and within a
-        drain it keeps having none: it is never booked, the filters are
-        fixed, and other bookings only delay its arrivals.  So, unless the
-        cache is disabled, it is dropped from ``items``.
+        Touched items lose their payload (:meth:`Shortlist.forget`), and
+        every item does when the cache is disabled.  Each item without
+        one is scored now, in order; an empty payload marks the item
+        (:meth:`TreeCache.mark_no_candidate`).
         """
-        payloads = [
-            self._payload(state, cache, item_id, priorities, request_filter)
-            for item_id in items
-        ]
-        if cache.enabled and not all(payloads):
-            items[:] = [
-                item_id
-                for item_id, payload in zip(items, payloads)
-                if payload
-            ]
-        return [payload for payload in payloads if payload]
-
-    def _payload(
-        self,
-        state: NetworkState,
-        cache: TreeCache,
-        item_id: int,
-        priorities: Priorities,
-        request_filter: RequestFilter,
-    ) -> Any:
-        """The item's :meth:`_item_payload`, memoized on its cache entry.
-
-        The memo key carries the tier filter by value and the request
-        filter by identity (one filter object per drain pass).  A freshly
-        computed empty payload (no candidate group) marks the item in the
-        cache (:meth:`TreeCache.mark_no_candidate`).
-        """
-        entry = cache.entry_for(item_id)
-        payload = entry.payload
-        if (
-            payload is None
-            or payload[0] != priorities
-            or payload[1] is not request_filter
-        ):
-            value = self._item_payload(
-                state, item_id, entry.tree, priorities, request_filter
-            )
-            if not value:
-                cache.mark_no_candidate(item_id, priorities, request_filter)
-            payload = (priorities, request_filter, value)
-            entry.payload = payload
-        return payload[2]
+        payloads = shortlist.payloads
+        if cache.enabled:
+            shortlist.forget(cache.touched())
+        else:
+            payloads.clear()
+        for item_id in shortlist.items:
+            if item_id not in payloads:
+                tree = cache.entry_for(item_id).tree
+                payloads[item_id] = self._item_payload(
+                    state, item_id, tree, priorities, request_filter
+                )
+                if not payloads[item_id]:
+                    cache.mark_no_candidate(
+                        item_id, priorities, request_filter
+                    )
+        return [payloads[i] for i in shortlist.items if payloads[i]]
 
     def _item_payload(
         self,
@@ -943,11 +931,11 @@ class StagingHeuristic(abc.ABC):
     def _execute(
         self,
         state: NetworkState,
-        cache: TreeCache,
         group: CandidateGroup,
         result: CostResult,
     ) -> int:
-        """Schedule the chosen candidate; return the number of hops booked."""
+        """Schedule the chosen candidate, booking hops of the tree it was
+        read from (``group.tree``); return the number of hops booked."""
 
     def _requires_group_cost(self) -> bool:
         """True when the heuristic schedules toward multiple destinations."""

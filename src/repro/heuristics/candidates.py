@@ -8,23 +8,22 @@ Destinations sharing the same next machine ``M[r]`` form the paper's
 the §4.8 destination evaluations — is one :class:`CandidateGroup` that the
 cost criteria price and the heuristics schedule.
 
-Enumeration is *dirty-set driven*: the engine caches each item's scored
-groups on its :class:`~repro.heuristics.base.CacheEntry`, so this module
-only runs again for items whose trees were actually recomputed — items
-whose cached trees survived journal revalidation keep their scored
-candidates untouched.  Only requests that pass a drain's filters
-(:func:`visible_requests`) contribute destinations.
+A drain keeps each item's groups across decisions and enumerates them
+again only for items it booked or whose trees the journal replay found
+in conflict (:class:`~repro.heuristics.base.Shortlist`).  Only requests
+that pass a drain's filters (:func:`visible_requests`) contribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
 from repro.core.state import NetworkState
 from repro.cost.terms import DestinationEvaluation, evaluate_destination
+from repro.errors import SchedulingError
 from repro.routing.paths import Hop, ShortestPathTree
 
 #: A drain's request filters: the tier's priority classes and a predicate.
@@ -43,12 +42,14 @@ class CandidateGroup:
         evaluations: §4.8 terms for every unsatisfied destination whose
             current shortest path starts with ``first_hop`` (the ``Drq[i,r]``
             set), ordered by request id.
+        tree: the tree the step was read from (not part of its identity).
     """
 
     item_id: int
     next_machine: int
     first_hop: Hop
     evaluations: Tuple[DestinationEvaluation, ...]
+    tree: ShortestPathTree = field(compare=False, repr=False)
 
     @property
     def has_satisfiable_destination(self) -> bool:
@@ -107,23 +108,37 @@ def enumerate_groups(
         weighting: the scenario's priority weighting.
         priorities, request_filter: the drain's filters (see
             :func:`visible_requests`).
+
+    Raises:
+        SchedulingError: if a destination's path is cyclic or does not
+            start at a seed (a tree bug).
     """
+    parents = tree.planned_hops
+    seeds = tree.seed_machines()
     grouped: Dict[int, List[DestinationEvaluation]] = {}
     first_hops: Dict[int, Hop] = {}
     for request in visible_requests(
         state, item_id, priorities, request_filter
     ):
-        if not tree.is_reachable(request.destination):
+        receiver, sender = None, request.destination
+        if not tree.is_reachable(sender):
             continue
-        path = tree.path_to(request.destination)
-        if path is None or not path.hops:
-            # Unreachable, or the destination already holds a (late) copy:
-            # either way there is no communication step to schedule for it.
-            continue
-        hop = path.hops[0]
+        for _ in range(len(parents)):  # up to the path's first hop
+            if sender not in parents:
+                break
+            receiver, sender = sender, parents[sender][0]
+        if sender in parents or sender not in seeds:
+            raise SchedulingError(
+                f"the path to M[{request.destination}] of item {item_id} "
+                f"is cyclic or does not start at a seed"
+            )
+        if receiver is None:
+            continue  # the destination already holds a (late) copy
+        if receiver not in first_hops:
+            __, link_id, start, end = parents[receiver]
+            first_hops[receiver] = Hop(sender, receiver, link_id, start, end)
         evaluation = evaluate_destination(request, tree, weighting)
-        grouped.setdefault(hop.receiver, []).append(evaluation)
-        first_hops[hop.receiver] = hop
+        grouped.setdefault(receiver, []).append(evaluation)
     groups = []
     for next_machine in sorted(grouped):
         evaluations = tuple(
@@ -137,6 +152,7 @@ def enumerate_groups(
             next_machine=next_machine,
             first_hop=first_hops[next_machine],
             evaluations=evaluations,
+            tree=tree,
         )
         if group.has_satisfiable_destination:
             groups.append(group)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.state import NetworkState
 from repro.cost.criteria import CostResult
 from repro.errors import SchedulingError
-from repro.heuristics.base import StagingHeuristic, TreeCache
+from repro.heuristics.base import StagingHeuristic
 from repro.heuristics.candidates import CandidateGroup
 
 
@@ -30,15 +30,13 @@ class FullPathAllDestinationsHeuristic(StagingHeuristic):
     def _execute(
         self,
         state: NetworkState,
-        cache: TreeCache,
         group: CandidateGroup,
         result: CostResult,
     ) -> int:
-        tree = cache.tree_for(group.item_id)
         paths = []
         for evaluation in group.satisfiable_evaluations():
             destination = evaluation.request.destination
-            path = tree.path_to(destination)
+            path = group.tree.path_to(destination)
             if path is None or not path.hops:
                 raise SchedulingError(
                     f"satisfiable destination M[{destination}] has no path "

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.state import NetworkState
 from repro.cost.criteria import CostResult
 from repro.errors import SchedulingError
-from repro.heuristics.base import StagingHeuristic, TreeCache
+from repro.heuristics.base import StagingHeuristic
 from repro.heuristics.candidates import CandidateGroup
 
 
@@ -30,7 +30,6 @@ class FullPathOneDestinationHeuristic(StagingHeuristic):
     def _execute(
         self,
         state: NetworkState,
-        cache: TreeCache,
         group: CandidateGroup,
         result: CostResult,
     ) -> int:
@@ -38,9 +37,8 @@ class FullPathOneDestinationHeuristic(StagingHeuristic):
             raise SchedulingError(
                 "full_one chose a group without a satisfiable destination"
             )
-        tree = cache.tree_for(group.item_id)
         destination = result.selected.request.destination
-        path = tree.path_to(destination)
+        path = group.tree.path_to(destination)
         if path is None or not path.hops:
             raise SchedulingError(
                 f"selected destination M[{destination}] has no path for item "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.state import NetworkState
 from repro.cost.criteria import CostResult
-from repro.heuristics.base import StagingHeuristic, TreeCache
+from repro.heuristics.base import StagingHeuristic
 from repro.heuristics.candidates import CandidateGroup
 
 
@@ -26,7 +26,6 @@ class PartialPathHeuristic(StagingHeuristic):
     def _execute(
         self,
         state: NetworkState,
-        cache: TreeCache,
         group: CandidateGroup,
         result: CostResult,
     ) -> int:

@@ -5,8 +5,10 @@ resources to a step whose every destination misses its deadline), the
 tree cache marks it with its revision, the capacity and degradation
 epochs, and the visible requests the proof covered
 (:meth:`~repro.heuristics.base.TreeCache.mark_no_candidate`).  A drain
-drops the item at once, and the dynamic driver's later passes leave it
-out while the mark holds (``TreeCache.advanced`` carries the marks over).
+never scores the item again (:meth:`~repro.heuristics.base.Shortlist
+.forget` keeps its empty payload), and the dynamic driver's later passes
+leave it out while the mark holds (``TreeCache.advanced`` carries the
+marks over).
 Bookings, outage cutoffs and a later "now" can only delay arrivals, so
 no decision may change.
 
@@ -52,8 +54,8 @@ from tests.heuristics.reference_selection import (
     assert_skips_only_searches,
     traced,
     traced_both,
-    tree_requests,
     without_searches,
+    without_the_drop,
 )
 
 _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
@@ -62,6 +64,10 @@ HEURISTICS = ("partial", "full_one", "full_all")
 
 #: The draw pinned in ``TestPinnedEventStream`` (tests/observability).
 PINNED_SEED = 0
+
+#: A tiny draw on which a priority-tier drain drops an item with no
+#: candidate whose tree a later booking conflicts with.
+DROP_SEED = 11
 
 _SETTINGS = settings(
     max_examples=20,
@@ -185,24 +191,30 @@ def test_a_disabled_cache_drops_nothing(seed, heuristic):
 
 
 def test_the_skips_fire_on_the_pinned_draws():
-    """The two runs pinned in ``TestPinnedEventStream`` skip only
-    searches, and request fewer trees than the oracle (a dead item's
-    deadline-bounded tree has an empty footprint and revalidates, so the
-    saving shows in requests, not in recomputes); the faulted run must
-    reopen requests and leave out marked items in later passes — else
-    the properties above would pass vacuously."""
-    scenario = ScenarioGenerator(GeneratorConfig.reduced()).generate(
-        PINNED_SEED
-    )
-    (oracle_result, oracle_schedule, oracle), (result, schedule, stream) = (
-        traced_both(
-            lambda: make_heuristic("full_one", "C4", 2.0).run(scenario)
-        )
+    """On a pinned priority-tier draw the within-drain drop saves
+    searches, and the faulted run pinned in ``TestPinnedEventStream``
+    must reopen requests and leave out marked items in later passes —
+    else the properties above would pass vacuously.
+
+    A tier drain's item with no candidate can still have a tree: it
+    plans paths to the other tiers' requests, and bookings conflict with
+    them.  Without the drop the drain would search it again after each
+    such conflict.  (In an unfiltered drain such an item's tree has an
+    empty footprint, which the journal replay never touches, so there
+    the dirty set alone leaves it unrequested.)"""
+    scenario = _GENERATOR.generate(DROP_SEED)
+    scheduler = PriorityTierScheduler("partial", "C4", 0.0)
+    (_, oracle_schedule, oracle), (result, schedule, stream) = traced_both(
+        lambda: scheduler.run(scenario)
     )
     assert schedule == oracle_schedule
-    assert_skips_only_searches(stream, oracle)
-    assert tree_requests(result.stats) < tree_requests(oracle_result.stats)
-    assert result.stats.dijkstra_runs <= oracle_result.stats.dijkstra_runs
+    assert without_searches(stream) == without_searches(oracle)
+    with without_the_drop():
+        rescored, rescored_schedule, _ = traced(
+            lambda: scheduler.run(scenario), reference=False
+        )
+    assert rescored_schedule == schedule
+    assert result.stats.dijkstra_runs < rescored.stats.dijkstra_runs
 
     left_out = []
     has_no_candidate = TreeCache.has_no_candidate

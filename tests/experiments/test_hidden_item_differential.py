@@ -18,9 +18,9 @@ streams lose only search events:
   later tier starts cold where the oracle may hit its cache.  With
   ``SEARCH_EVENTS`` dropped the two streams are equal, and the change
   computes no more trees;
-- unfiltered drains hide nothing, but they drop the items proven to have
-  no candidate (``tests/experiments/test_dead_item_differential.py``), so
-  their streams are a subsequence too, and shorter on the pinned seed.
+- unfiltered drains hide nothing, but they request only their dirty set
+  (``tests/heuristics/test_dirty_selection_differential.py``), so their
+  streams are a subsequence too, and shorter on the pinned seed.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -39,9 +39,11 @@ from tests.helpers import dynamic_fault_events
 from tests.heuristics.reference_selection import (
     CHOOSERS,
     assert_skips_only_searches,
+    traced,
     traced_both,
     tree_requests,
     without_searches,
+    without_the_drop,
 )
 
 _GENERATOR = ScenarioGenerator(GeneratorConfig.tiny())
@@ -138,8 +140,13 @@ def test_random_dijkstra_skips_only_searches(seed):
 
 
 def test_unfiltered_random_dijkstra_searches_less_on_the_pinned_seed():
-    """Unfiltered drains hide nothing, but they drop every item with no
-    candidate, so the pinned run requests fewer trees than the oracle."""
+    """Unfiltered drains hide nothing, yet the pinned run requests fewer
+    trees than the oracle: it requests only its dirty set.  What its
+    within-drain drop saves there is nothing: an item with no candidate
+    in an unfiltered drain has a tree with an empty footprint, which the
+    journal replay never touches, so with the drop switched off the run
+    requests exactly as many trees (a touched set reporting such items
+    would break this)."""
     scenario = _GENERATOR.generate(PINNED_SEED)
     (oracle_result, oracle_schedule, _), (result, schedule, _) = traced_both(
         lambda: RandomDijkstraBaseline(PINNED_SEED).run(scenario)
@@ -147,6 +154,13 @@ def test_unfiltered_random_dijkstra_searches_less_on_the_pinned_seed():
     assert schedule == oracle_schedule
     assert tree_requests(result.stats) < tree_requests(oracle_result.stats)
     assert result.stats.dijkstra_runs <= oracle_result.stats.dijkstra_runs
+    with without_the_drop():
+        rescored, rescored_schedule, _ = traced(
+            lambda: RandomDijkstraBaseline(PINNED_SEED).run(scenario),
+            reference=False,
+        )
+    assert rescored_schedule == schedule
+    assert tree_requests(rescored.stats) == tree_requests(result.stats)
 
 
 def test_the_oracle_patches_every_chooser():

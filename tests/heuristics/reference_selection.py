@@ -1,22 +1,29 @@
-"""The engine's item selection before any item was skipped.
+"""The engine's item selection before any item was skipped or kept.
 
 A drain searches only the items with an open request its filters let
 through (:func:`repro.heuristics.base.has_visible_request`) that the tree
 cache has not proven to have no candidate
 (:meth:`~repro.heuristics.base.TreeCache.has_no_candidate`).  After each
-decision it rechecks only the booked item, and it drops every item whose
-payload came out empty.  Before that, every decision routed and scored
-every item with any open request, in ``requested_item_ids()`` order, and
-dropped those whose candidates the filters all removed.
-:func:`use_reference_selection` restores that selection for the duration
-of a ``with`` block, so the tests can show the skips change no decision.
-It bypasses all three: the hidden-item skip, the within-drain drop and
-the no-candidate marks carried across dynamic passes (the marks are still
-recorded, but only the drain's list reads them).
+decision it rechecks only the booked item.  It keeps each item's payload
+across decisions and requests again only the booked item and the items
+whose entries the cache's replay found in conflict (the dirty set,
+:class:`~repro.heuristics.base.Shortlist`), and never an item whose
+payload came out empty (the within-drain drop).  Before all that, every
+decision routed and scored every item with any open request, in
+``requested_item_ids()`` order, and dropped those whose candidates the
+filters all removed.  :func:`use_reference_selection` restores that
+selection for the duration of a ``with`` block, so the tests can show the
+skips change no decision.  It bypasses all four: the hidden-item skip,
+the within-drain drop, the no-candidate marks carried across dynamic
+passes (the marks are still recorded, but only the drain's shortlist
+reads them) and the dirty set: every decision requests and scores every
+open item afresh.
 
-It patches the ``_best_choice`` methods to ignore the drain's item list,
+It patches the ``_best_choice`` methods to ignore the drain's shortlist,
 so the switch holds only in this process: run reference schedules
-serially and in-process.
+serially and in-process.  :func:`rescore_shortlist` patches them the
+same way to bypass only the dirty set, and :func:`without_the_drop`
+switches off only the within-drain drop.
 
 The stream helpers below compare a run against the oracle: a skipped
 search may only remove :data:`SEARCH_EVENTS` from the event stream.
@@ -26,12 +33,21 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack, contextmanager, nullcontext
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 from unittest import mock
 
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.core.state import NetworkState
-from repro.heuristics.base import EngineStats, StagingHeuristic
+from repro.heuristics.base import EngineStats, Shortlist, StagingHeuristic
 from repro.observability.tracer import RecordingTracer, use_tracer
 from repro.serialization import schedule_to_dict
 
@@ -60,16 +76,28 @@ StreamEvent = Tuple[str, Any]
 Traced = Tuple[Any, str, List[StreamEvent]]
 
 
+def use_reference_selection() -> ContextManager[None]:
+    """Make every decision request and score every item with an open
+    request."""
+    return _wrapping_choosers(_every_open_item)
+
+
+def rescore_shortlist() -> ContextManager[None]:
+    """Make every decision request and score every item on the drain's
+    shortlist that has a candidate, as drains did before the dirty set
+    (an item whose payload came out empty stays dropped)."""
+    return _wrapping_choosers(_every_shortlisted_item)
+
+
 @contextmanager
-def use_reference_selection() -> Iterator[None]:
-    """Make every decision walk every item with an open request."""
+def _wrapping_choosers(
+    wrap: Callable[[Callable[..., Any]], Callable[..., Any]]
+) -> Iterator[None]:
     with ExitStack() as stack:
         for owner in CHOOSERS:
             stack.enter_context(
                 mock.patch.object(
-                    owner,
-                    "_best_choice",
-                    _every_open_item(owner.__dict__["_best_choice"]),
+                    owner, "_best_choice", wrap(owner.__dict__["_best_choice"])
                 )
             )
         yield
@@ -80,18 +108,48 @@ def _every_open_item(best_choice: Callable[..., Any]) -> Callable[..., Any]:
         self: StagingHeuristic,
         state: NetworkState,
         cache: Any,
-        items: Any,
+        shortlist: Any,
         *filters: Any,
     ) -> Any:
         open_requests = state.open_request_counts()
-        every_open_item = [
-            item_id
-            for item_id in state.scenario.requested_item_ids()
-            if open_requests[item_id]
-        ]
+        every_open_item = Shortlist(
+            [
+                item_id
+                for item_id in state.scenario.requested_item_ids()
+                if open_requests[item_id]
+            ]
+        )
         return best_choice(self, state, cache, every_open_item, *filters)
 
     return reference_best_choice
+
+
+def _every_shortlisted_item(
+    best_choice: Callable[..., Any]
+) -> Callable[..., Any]:
+    def rescoring_best_choice(
+        self: StagingHeuristic,
+        state: NetworkState,
+        cache: Any,
+        shortlist: Shortlist,
+        *filters: Any,
+    ) -> Any:
+        shortlist.forget(list(shortlist.payloads))
+        return best_choice(self, state, cache, shortlist, *filters)
+
+    return rescoring_best_choice
+
+
+def _forget_every_payload(self: Shortlist, item_ids: Iterable[int]) -> None:
+    for item_id in item_ids:
+        self.payloads.pop(item_id, None)
+
+
+def without_the_drop() -> Any:
+    """Make drains score again every touched item, also one whose kept
+    payload is empty: the within-drain drop switched off
+    (:meth:`~repro.heuristics.base.Shortlist.forget`)."""
+    return mock.patch.object(Shortlist, "forget", _forget_every_payload)
 
 
 def traced(run: Callable[[], Any], reference: bool) -> Traced:

@@ -1,8 +1,14 @@
 """Unit tests for candidate-group enumeration (the ``Drq[i,r]`` sets)."""
 
+import pytest
+
 from repro.core.state import NetworkState
+from repro.errors import SchedulingError
 from repro.heuristics.candidates import enumerate_groups
 from repro.routing.dijkstra import compute_shortest_path_tree
+from repro.routing.paths import ShortestPathTree
+from repro.workload.config import GeneratorConfig
+from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import make_item, make_link, make_network, make_scenario
 
@@ -126,3 +132,50 @@ class TestDeterminism:
         assert [g.tie_break_key() for g in a] == [
             g.tie_break_key() for g in b
         ]
+
+
+class TestFirstHopWalk:
+    """Groups read their first hop off the tree's parent tuples; each must
+    be the first hop of the destination's ``path_to`` path, and the walk
+    keeps ``path_to``'s guards against tree bugs."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_hops_match_the_paths(self, seed):
+        scenario = ScenarioGenerator(GeneratorConfig.reduced()).generate(seed)
+        state = NetworkState(scenario)
+        grouped = 0
+        for item_id in scenario.requested_item_ids():
+            tree = compute_shortest_path_tree(state, item_id)
+            for group in enumerate_groups(
+                state, item_id, tree, scenario.weighting
+            ):
+                assert group.tree is tree
+                for evaluation in group.evaluations:
+                    path = tree.path_to(evaluation.request.destination)
+                    assert path.hops[0] == group.first_hop
+                    grouped += 1
+        assert grouped
+
+    def _groups_of(self, parents, labels):
+        scenario = _star_scenario()
+        tree = ShortestPathTree(0, {0: 0.0}, labels, parents)
+        state = NetworkState(scenario)
+        return enumerate_groups(state, 0, tree, scenario.weighting)
+
+    def test_a_cyclic_parent_chain_is_rejected(self):
+        with pytest.raises(SchedulingError, match="cyclic"):
+            self._groups_of(
+                {1: (2, 0, 0.0, 1.0), 2: (1, 1, 1.0, 2.0)},
+                {0: 0.0, 1: 1.0, 2: 2.0},
+            )
+
+    def test_a_first_hop_from_a_non_seed_is_rejected(self):
+        with pytest.raises(SchedulingError, match="seed"):
+            self._groups_of(
+                {1: (4, 0, 0.0, 1.0), 2: (1, 1, 1.0, 2.0)},
+                {0: 0.0, 1: 1.0, 2: 2.0, 4: 0.0},
+            )
+
+    def test_a_labelled_destination_without_a_parent_is_rejected(self):
+        with pytest.raises(SchedulingError, match="seed"):
+            self._groups_of({}, {0: 0.0, 2: 2.0})

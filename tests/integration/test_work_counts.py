@@ -67,12 +67,12 @@ LOSS_LEAD_SECONDS = 60.0
 Row = Tuple[int, ...]
 
 EXPECTED: Dict[str, Row] = {
-    "healthy full_all/C4": (297, 3607, 178780, 4194, 297, 3607, 258, 404, 297),
-    "healthy full_one/C4": (298, 3615, 179301, 4466, 298, 3615, 291, 404, 298),
-    "healthy partial/C4": (306, 3725, 184444, 6121, 306, 3725, 404, 404, 306),
-    "faulted full_all/C4": (294, 3609, 175097, 3973, 294, 3609, 253, 397, 294),
-    "faulted full_one/C4": (294, 3609, 175097, 4237, 294, 3609, 283, 397, 294),
-    "faulted partial/C4": (302, 3745, 180336, 5776, 302, 3745, 397, 397, 302),
+    "healthy full_all/C4": (297, 3607, 178780, 156, 297, 3607, 258, 404, 297),
+    "healthy full_one/C4": (298, 3615, 179301, 189, 298, 3615, 291, 404, 298),
+    "healthy partial/C4": (306, 3725, 184444, 302, 306, 3725, 404, 404, 306),
+    "faulted full_all/C4": (294, 3609, 175097, 156, 294, 3609, 253, 397, 294),
+    "faulted full_one/C4": (294, 3609, 175097, 186, 294, 3609, 283, 397, 294),
+    "faulted partial/C4": (302, 3745, 180336, 300, 302, 3745, 397, 397, 302),
     "dynamic partial/C4": (1174, 2358, 200318, 216, 1174, 2358, 326, 326, 1174),
 }
 

@@ -520,6 +520,17 @@ class TestPinnedEventStream:
     ``tree`` span, and the item's next ``tree_cache`` request reads
     ``clean`` with no search behind it.  ``tests/experiments/test_rebase_differential.py`` checks both
     pinned runs against the search-again oracle.
+
+    The static digest was re-pinned (2,617 -> 1,823 events) when drains
+    started keeping each item's scored payload across decisions and
+    requesting only the booked item and the items the journal replay
+    found in conflict.  Only ``tree_cache`` hits went (881 -> 87
+    requests: ``clean`` 92 -> 37, ``revalidated`` 739 -> 0); the misses
+    and their reasons (25 ``cold``, 25 ``link_conflict``) did not change.
+    ``tests/heuristics/test_dirty_selection_differential.py`` checks the
+    dirty set against both the every-open-item and the
+    rescore-every-shortlisted-item oracles.  The faulted dynamic stream
+    did not change.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -530,8 +541,8 @@ class TestPinnedEventStream:
             )
 
         assert _stream_digest(run) == (
-            2617,
-            "bcd869c6c725b2ba645676e289092f9f75d7ee89fa561a50b77bf9f86591e92b",
+            1823,
+            "e278909ffed1da004cf8cb565c5b331ab136478a4d2de5388e24c28c835a27ad",
         )
 
     def test_faulted_dynamic_run_with_churn_and_losses(self):

@@ -12,11 +12,10 @@ a schedule is being built.  It tracks:
 * a monotonically increasing *revision counter* per item, which the
   heuristics use to decide whether a cached shortest-path tree is still
   valid;
-* an append-only *mutation journal* of availability-removing changes
-  (bookings and outage cutoffs) plus a global *capacity epoch* for
-  availability-adding ones, which the
-  :class:`~repro.heuristics.base.TreeCache` replays to revalidate cached
-  trees lazily instead of recomputing them.
+* an append-only *mutation journal* of bookings, outage cutoffs and
+  storage releases, which the :class:`~repro.heuristics.base.TreeCache`
+  replays to revalidate cached trees lazily instead of recomputing them,
+  plus a global *capacity epoch* counting copy losses.
 
 All transfers are booked through :meth:`book_transfer`, which enforces every
 model constraint (window containment, link exclusivity, receiver capacity
@@ -88,29 +87,35 @@ _IDLE = IntervalSet()
 MUTATION_BOOKING = "booking"
 #: Journal kind: a dynamic outage tightened a virtual link's cutoff.
 MUTATION_CUTOFF = "cutoff"
+#: Journal kind: a lost copy released the rest of its storage reservation
+#: to its machine.
+MUTATION_LOSS = "loss"
 
 
 @dataclass(frozen=True)
 class MutationRecord:
-    """One availability-removing state mutation, for lazy cache revalidation.
+    """One journalled state mutation, for lazy cache revalidation.
 
-    Only mutations that *remove* availability are journalled — bookings
-    (link busy time plus a storage reservation at the receiver) and
-    outage cutoffs.  Mutations that can *add* availability back
-    (:meth:`NetworkState.remove_copy` releasing storage) instead bump the
-    state's global :attr:`~NetworkState.capacity_epoch`, because freed
-    capacity can improve paths through machines a cached tree never
-    touched and therefore cannot be checked against a footprint.
+    Bookings (link busy time plus a storage reservation at the receiver)
+    and outage cutoffs remove availability.  A release
+    (:meth:`NetworkState.remove_copy` of a scheduler-made copy) adds
+    storage back at one machine; it can improve only a relaxation into
+    that machine whose outcome storage decided, so a cache checks it
+    against the machines where its search fell back to the full storage
+    probe.
 
     Attributes:
-        kind: :data:`MUTATION_BOOKING` or :data:`MUTATION_CUTOFF`.
-        link_id: the virtual link the mutation touched.
+        kind: :data:`MUTATION_BOOKING`, :data:`MUTATION_CUTOFF` or
+            :data:`MUTATION_LOSS`.
+        link_id: the virtual link the mutation touched (``-1`` for a
+            release).
         busy: the booked transfer interval (bookings only).
-        machine: the receiving machine (bookings only, else ``-1``).
-        residency: the receiver-storage reservation interval (bookings
-            only).
+        machine: the receiving machine of a booking, or the machine a
+            release frees storage on; ``-1`` for a cutoff.
+        residency: the receiver-storage reservation interval of a
+            booking, or the freed interval of a release.
         cutoff: the new completion cutoff (cutoff records only).
-        item_id: the booked item (bookings only, else ``-1``).
+        item_id: the booked or lost item (``-1`` for a cutoff).
     """
 
     kind: str
@@ -218,6 +223,11 @@ class NetworkState:
             len(scenario.requests_for_item(item.item_id))
             for item in scenario.items
         ]
+        # Each item's unsatisfied-request tuple, kept until a delivery or
+        # a reopen changes the item's satisfied set (None: not built).
+        self._unsatisfied: List[Optional[Tuple[Request, ...]]] = [
+            None
+        ] * len(scenario.items)
         # Per-virtual-link availability cutoff (dynamic outages): no new
         # transfer may *complete* after the cutoff.  inf = never cut.
         self._link_cutoff: List[float] = (
@@ -266,12 +276,13 @@ class NetworkState:
         if factors:
             self._degradation_factors.update(factors)
             self._degradation_epoch += 1
+        outages = plan.outages_by_link()
         masked = 0
         degraded = 0
         for link in self._scenario.network.virtual_links:
             if link.physical_id in factors:
                 degraded += 1
-            for outage in plan.outage_intervals(link.physical_id):
+            for outage in outages.get(link.physical_id, ()):
                 clipped = outage.intersection(link.window)
                 if clipped is not None and not clipped.is_empty():
                     self._busy_set(link.link_id).add(clipped)
@@ -321,6 +332,7 @@ class NetworkState:
         clone._copies = [dict(copies) for copies in self._copies]
         clone._satisfied = dict(self._satisfied)
         clone._open_requests = list(self._open_requests)
+        clone._unsatisfied = list(self._unsatisfied)
         clone._link_cutoff = list(self._link_cutoff)
         clone._item_revision = [0] * len(self._item_revision)
         clone._epoch = next(NetworkState._epoch_source)
@@ -419,12 +431,20 @@ class NetworkState:
         return self._open_requests
 
     def unsatisfied_requests_for_item(self, item_id: int) -> Tuple[Request, ...]:
-        """The item's requests that still lack a delivery."""
-        return tuple(
-            request
-            for request in self._scenario.requests_for_item(item_id)
-            if request.request_id not in self._satisfied
-        )
+        """The item's requests that still lack a delivery.
+
+        Built on first use and kept until a delivery or a reopen changes
+        the item's satisfied set.
+        """
+        unsatisfied = self._unsatisfied[item_id]
+        if unsatisfied is None:
+            satisfied = self._satisfied
+            unsatisfied = self._unsatisfied[item_id] = tuple(
+                request
+                for request in self._scenario.requests_for_item(item_id)
+                if request.request_id not in satisfied
+            )
+        return unsatisfied
 
     def link_busy_intervals(self, link_id: int) -> Tuple[Interval, ...]:
         """Booked busy intervals of one virtual link (snapshot)."""
@@ -463,11 +483,12 @@ class NetworkState:
 
     @property
     def capacity_epoch(self) -> int:
-        """Bumped whenever storage capacity is *returned* to a machine.
+        """Bumped by every copy loss (:meth:`remove_copy`).
 
-        Freed capacity (a dynamic copy loss) can improve shortest paths
-        through machines outside any cached footprint, so caches treat a
-        changed capacity epoch as a global invalidation.
+        Freed capacity can give an item a candidate it was proven not to
+        have, so the tree cache's no-candidate marks hold only while this
+        epoch does.  Cached trees instead replay the loss's release record
+        (see :class:`MutationRecord`).
         """
         return self._capacity_epoch
 
@@ -488,7 +509,7 @@ class NetworkState:
         )
 
     def journal_length(self) -> int:
-        """Number of availability-removing mutations journalled so far."""
+        """Number of mutations journalled so far."""
         return len(self._journal)
 
     def journal_since(self, position: int) -> Sequence[MutationRecord]:
@@ -870,9 +891,11 @@ class NetworkState:
         """Delete a resident copy at ``at_time`` (a dynamic loss event).
 
         The copy's remaining storage reservation ``[at_time, release)`` is
-        returned to the machine and the copy disappears from the item's
-        location table; the item revision and the capacity epoch bump so
-        cached trees recompute.
+        returned to the machine and journalled there as a release record
+        (a source copy holds no reservation, so its loss journals
+        nothing), and the copy disappears from the item's location table.
+        The item revision bumps, so the item's cached tree recomputes, and
+        so does the capacity epoch, which no-candidate marks check.
         Used only by :mod:`repro.dynamic` — the static model never loses
         copies.
 
@@ -897,14 +920,19 @@ class NetworkState:
                 # Only scheduler-created copies carry a storage reservation;
                 # initial source copies are not charged against Cap
                 # (DESIGN.md decision 3).
-                self._timelines[machine].release(
-                    item.size, Interval(at_time, copy.release)
+                freed = Interval(at_time, copy.release)
+                self._timelines[machine].release(item.size, freed)
+                self._journal.append(
+                    MutationRecord(
+                        kind=MUTATION_LOSS,
+                        link_id=-1,
+                        machine=machine,
+                        residency=freed,
+                        item_id=item_id,
+                    )
                 )
             del self._copies[item_id][machine]
             self._item_revision[item_id] += 1
-            # Freed storage can improve paths through machines outside any
-            # cached footprint — bump the global capacity epoch instead of
-            # journalling a footprint-checkable record.
             self._capacity_epoch += 1
             if self._tracer.enabled:
                 self._tracer.emit("copy_removed", item_id, machine, at_time)
@@ -927,6 +955,7 @@ class NetworkState:
         self._schedule.remove_delivery(request_id)
         request = self._scenario.request(request_id)
         self._open_requests[request.item_id] += 1
+        self._unsatisfied[request.item_id] = None
         self._item_revision[request.item_id] += 1
         if self._tracer.enabled:
             self._tracer.emit("request_reopened", request_id)
@@ -943,6 +972,7 @@ class NetworkState:
             return ()
         self._satisfied[request_id] = copy.available_from
         self._open_requests[item_id] -= 1
+        self._unsatisfied[item_id] = None
         self._schedule.add_delivery(
             request_id=request_id,
             arrival=copy.available_from,

@@ -109,11 +109,16 @@ class DynamicDriver:
         criterion: criterion name or instance for the inner heuristic.
         weights: E-U weights or raw ``log10`` ratio.
 
-    Each pass gets its own tree cache (:meth:`TreeCache.advanced`): plans
-    from an earlier "now" are never reused, but the no-candidate marks
-    carry over.  A later "now", bookings and outages only delay arrivals,
-    so an item proven to have no candidate is not searched again until
-    its revision, an epoch or its visible requests change.
+    Each pass gets its tree cache from the pass before
+    (:meth:`TreeCache.advanced`), so a pass costs what changed since the
+    last one.  A tree planned at an earlier "now" is carried, re-seeded
+    at the new "now", unless the journal replay found it in conflict
+    (bookings, outage cutoffs, storage freed by a loss where its search
+    depended on storage), its item changed, or the new "now" overtakes a
+    planned hop.  The no-candidate marks carry over too: a later "now",
+    bookings and outages only delay arrivals, so an item proven to have
+    no candidate is not searched again until its revision, an epoch or
+    its visible requests change.
     """
 
     def __init__(

@@ -221,6 +221,17 @@ class FaultPlan:
             if outage.physical_id == physical_id
         )
 
+    def outages_by_link(self) -> Dict[int, Tuple[Interval, ...]]:
+        """:meth:`outage_intervals` of every physical link with an outage,
+        keyed by physical link id, from one scan of the plan."""
+        grouped: Dict[int, List[Interval]] = {}
+        for outage in self.outages:
+            grouped.setdefault(outage.physical_id, []).append(outage.interval)
+        return {
+            physical_id: tuple(intervals)
+            for physical_id, intervals in grouped.items()
+        }
+
     def bandwidth_factor(self, physical_id: int) -> float:
         """Capacity multiplier for one physical link (1.0 = healthy)."""
         for degradation in self.degradations:

@@ -16,13 +16,15 @@ sketches but does not use (§4.5), sharpened to interval granularity: an
 item's tree is recomputed only when the item's own copy set changed or
 when a journalled mutation *provably intersects* the tree's interval
 footprint — a booking overlapping a planned hop on a footprint link, a
-reservation breaking a planned storage residency, or a cutoff undercutting
-a planned completion.  Bookings only ever remove availability, so a tree
-that survives the journal replay has labels byte-identical to a fresh
+reservation breaking a planned storage residency, a cutoff undercutting
+a planned completion, or storage freed where the search's storage probe
+ran.  Bookings and cutoffs only ever remove availability, so a tree that
+survives the journal replay has labels byte-identical to a fresh
 recompute — the engine's decisions match the recompute-every-iteration
 algorithm.  The item's own bookings of its planned hops do not force a
 recompute either: the tree is rebased onto the new copies
-(:meth:`TreeCache.rebase`).
+(:meth:`TreeCache.rebase`), and a dynamic pass at a later "now" carries
+the trees of the pass before (:meth:`TreeCache.advanced`).
 
 The cache also remembers which items have *no* candidate (§4.8 gives no
 resources to a step whose every destination misses its deadline).  Every
@@ -52,7 +54,13 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
 from repro.core.schedule import Schedule
-from repro.core.state import NetworkState, TransferPlan
+from repro.core.units import time_ne
+from repro.core.state import (
+    MUTATION_BOOKING,
+    MUTATION_LOSS,
+    NetworkState,
+    TransferPlan,
+)
 from repro.cost.criteria import CostCriterion, CostResult
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
@@ -72,12 +80,14 @@ from repro.observability.profiling import (
 from repro.observability.tracer import (
     TREE_CACHE_BANDWIDTH_DEGRADED,
     TREE_CACHE_CAPACITY_RELEASED,
+    TREE_CACHE_CARRIED,
     TREE_CACHE_CLEAN,
     TREE_CACHE_COLD,
     TREE_CACHE_CUTOFF_TIGHTENED,
     TREE_CACHE_DISABLED,
     TREE_CACHE_ITEM_CHANGED,
     TREE_CACHE_LINK_CONFLICT,
+    TREE_CACHE_PLAN_EXPIRED,
     TREE_CACHE_RESIDENCY_CONFLICT,
     TREE_CACHE_REVALIDATED,
 )
@@ -145,8 +155,8 @@ class EngineStats:
             whether searched or served from the opening memo (so the
             count does not depend on what the process ran before).
         hops_booked: number of communication steps booked.
-        cache_hits: tree requests answered from the cache (clean hits
-            plus revalidated keeps).
+        cache_hits: tree requests answered from the cache (clean hits,
+            revalidated keeps and trees carried into a later pass).
         revalidations: the subset of ``cache_hits`` where mutations had
             occurred but the journal scan proved they miss the tree's
             footprint (the incremental-revalidation win).
@@ -192,8 +202,10 @@ class CacheEntry:
     ``start`` to the item's release time there
     (:meth:`~repro.core.state.NetworkState.release_time_at`, fixed per
     scenario).  The owning :class:`TreeCache` indexes the entry under
-    the tree's receivers, and its journal replay leaves its verdict on
-    the entry (``conflict``) for the next request.
+    the tree's receivers and under its
+    :attr:`~repro.routing.paths.ShortestPathTree.fallback_receivers`, and
+    its journal replay leaves its verdict on the entry (``conflict``) for
+    the next request.
 
     The footprint covers only the paths to destinations that meet their
     deadline: the tree reports the others unreachable, and since bookings,
@@ -212,19 +224,20 @@ class CacheEntry:
         journal_position: how much of the state's mutation journal the
             entry has been validated against; advanced when a request
             finds it revalidated.
-        capacity_epoch: the state's capacity epoch at snapshot time
-            (capacity-adding mutations invalidate globally).
+        not_before: the "now" the tree was planned at; an entry from an
+            earlier pass is carried (:meth:`TreeCache.entry_for`).
         degradation_epoch: the state's bandwidth-degradation epoch at
             snapshot time (degradations change durations globally and are
-            not journalled, so they too invalidate globally).
-        conflict: the first ``link_conflict``, ``cutoff_tightened`` or
-            ``residency_conflict`` the replay found, else ``""``.
+            not journalled, so they invalidate globally).
+        conflict: the first ``link_conflict``, ``cutoff_tightened``,
+            ``capacity_released`` or ``residency_conflict`` the replay
+            found, else ``""``.
     """
 
     tree: ShortestPathTree
     item_revision: int
     journal_position: int
-    capacity_epoch: int
+    not_before: float
     degradation_epoch: int = 0
     conflict: str = ""
 
@@ -263,11 +276,16 @@ class TreeCache:
     journal against the entry's interval footprint: a booking invalidates
     only when its busy interval overlaps a planned hop on a footprint
     link, or when its storage reservation breaks a planned residency; a
-    cutoff only when it undercuts a planned hop's completion.  Bookings
-    only ever remove availability, so a tree that survives the replay has
-    byte-identical labels and parent pointers along every destination
-    path — the engine's decisions match the recompute-every-iteration
-    algorithm exactly (pinned by the differential test suites).
+    cutoff only when it undercuts a planned hop's completion; a release
+    of storage (a copy loss) only at a machine the tree plans a hop into
+    or one of its search's
+    :attr:`~repro.routing.paths.ShortestPathTree.fallback_receivers`.
+    Bookings and cutoffs only ever remove availability, and freed storage
+    can move only a relaxation that storage decided, so a tree that
+    survives the replay has byte-identical labels and parent pointers
+    along every destination path — the engine's decisions match the
+    recompute-every-iteration algorithm exactly (pinned by the
+    differential test suites).
 
     Each search is bounded by the deadlines of the item's unsatisfied
     destinations (:meth:`entry_for`), so a tree holds, and its footprint
@@ -277,11 +295,13 @@ class TreeCache:
     calls :meth:`rebase` after each decision, which carries the tree
     over the new copies exactly as a search would now find it.
 
-    Each record is replayed once per cache, through one index from each
-    receiving machine to the entries whose trees plan a hop into it, and
-    every request first replays to the journal's end (so a fresh entry
-    never sees an older record).  The replay reports the items whose
-    entries it found in conflict (:meth:`touched`).
+    Each record is replayed once per cache, through two indexes from
+    machines to entries: the receiver index (the entries whose trees plan
+    a hop into the machine) and the release index (the entries whose
+    searches fell back to the full storage probe there).  Every request
+    first replays to the journal's end (so a fresh entry never sees an
+    older record).  The replay reports the items whose entries it found
+    in conflict (:meth:`touched`).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
     .epoch` token at construction; serving a different state — whose
@@ -292,10 +312,13 @@ class TreeCache:
     No-candidate marks (:meth:`mark_no_candidate`) record the counters
     under which an item was proven to have no candidate, and the visible
     requests the proof covered.  A drain leaves out an item whose mark
-    still holds (:meth:`has_no_candidate`).  Marks outlive the trees:
-    :meth:`advanced` makes the cache for a later pass with fresh trees and
-    the same marks.  A disabled cache records no mark, so it stays the
-    recompute-everything oracle.
+    still holds (:meth:`has_no_candidate`).  A disabled cache records no
+    mark, so it stays the recompute-everything oracle.
+
+    A dynamic driver makes each pass's cache with :meth:`advanced`, which
+    keeps the trees, both indexes, the replay position and the marks.  A
+    tree planned at an earlier "now" is carried on its first request in
+    the later pass (:meth:`entry_for`).
 
     A search from a state at its opening is shared with every later run
     of the same scenario in the process (the module's opening memo): a
@@ -330,6 +353,9 @@ class TreeCache:
         #: Receiver index: machine -> {item id: entry whose tree plans a
         #: hop into the machine}.
         self._receiver_index: Dict[int, Dict[int, CacheEntry]] = {}
+        #: Release index: machine -> {item id: entry whose search fell
+        #: back to the full storage probe into the machine}.
+        self._release_index: Dict[int, Dict[int, CacheEntry]] = {}
         #: Items the replay found in conflict since :meth:`touched`.
         self._touched: Set[int] = set()
         self._marks: Dict[int, NoCandidateMark] = {}
@@ -368,10 +394,13 @@ class TreeCache:
             )
 
     def advanced(self, now: float) -> "TreeCache":
-        """The cache for a later pass at ``now``: no trees, the same marks.
+        """The cache for a later pass at ``now``.
 
-        Plans from an earlier "now" are never reused, but a later "now"
-        only delays labels, so a mark stays as valid as its counters.
+        The entries, both indexes, the replay position and the marks move
+        to the new cache; this one keeps only its marks.  Each entry is
+        carried on its first request at ``now`` (:meth:`entry_for`), and
+        a later "now" only delays labels, so a mark stays as valid as its
+        counters.
 
         Raises:
             ConfigurationError: when ``now`` is earlier than (or not
@@ -383,6 +412,10 @@ class TreeCache:
                 f"to the earlier t={now}"
             )
         cache = type(self)(self._state, self._stats, self._enabled, now)
+        cache._trees, self._trees = self._trees, {}
+        cache._receiver_index, self._receiver_index = self._receiver_index, {}
+        cache._release_index, self._release_index = self._release_index, {}
+        cache._replay_position = self._replay_position
         cache._marks = dict(self._marks)
         return cache
 
@@ -409,22 +442,30 @@ class TreeCache:
         item_id: int,
         priorities: Priorities,
         request_filter: RequestFilter,
+        visible: Optional[FrozenSet[int]] = None,
     ) -> bool:
         """True when the item's mark still holds: the same revision and
-        epochs, and no visible request the mark does not cover."""
+        epochs, and no visible request the mark does not cover.
+
+        ``visible`` is the item's visible request ids under the filters,
+        when the caller already read them.
+        """
         mark = self._marks.get(item_id)
         if mark is None:
             return False
         state = self._state
         revision, capacity_epoch, degradation_epoch, covered = mark
-        return (
+        if not (
             revision == state.item_revision(item_id)
             and capacity_epoch == state.capacity_epoch
             and degradation_epoch == state.degradation_epoch
-            and _visible_request_ids(
+        ):
+            return False
+        if visible is None:
+            visible = _visible_request_ids(
                 state, item_id, priorities, request_filter
-            ) <= covered
-        )
+            )
+        return visible <= covered
 
     def touched(self) -> Set[int]:
         """The items whose entries the replay found in conflict since the
@@ -449,6 +490,13 @@ class TreeCache:
         are never consulted (candidate enumeration and booking only walk
         destination paths), and a missed destination has ``Sat = 0``, so
         it contributes nothing to any decision.
+
+        An entry planned at an earlier "now" that the replay left without
+        a conflict is carried: re-seeded at this cache's "now"
+        (:meth:`~repro.routing.paths.ShortestPathTree.carried`), a
+        ``carried`` hit.  Its tree searches again (``plan_expired``) when
+        a planned hop starts before the new "now" or the new seed labels
+        reorder the seeds.
         """
         state = self._state
         tracer = state.tracer
@@ -461,22 +509,28 @@ class TreeCache:
             reason = TREE_CACHE_COLD
         elif state.item_revision(item_id) != cached.item_revision:
             reason = TREE_CACHE_ITEM_CHANGED
-        elif state.capacity_epoch != cached.capacity_epoch:
-            reason = TREE_CACHE_CAPACITY_RELEASED
         elif state.degradation_epoch != cached.degradation_epoch:
             # Degradations lengthen durations globally and are not
             # journalled, so no footprint replay can vouch for the tree.
             reason = TREE_CACHE_BANDWIDTH_DEGRADED
-        elif cached.journal_position == self._replay_position:
-            reason = TREE_CACHE_CLEAN
         elif cached.conflict:
             reason = cached.conflict
+        elif time_ne(cached.not_before, self._not_before):
+            carried = self._carried(cached)
+            if carried is None:
+                reason = TREE_CACHE_PLAN_EXPIRED
+            else:
+                cached = carried
+                reason = TREE_CACHE_CARRIED
+        elif cached.journal_position == self._replay_position:
+            reason = TREE_CACHE_CLEAN
         else:
             cached.journal_position = self._replay_position
             reason = TREE_CACHE_REVALIDATED
         if cached is not None and reason in (
             TREE_CACHE_CLEAN,
             TREE_CACHE_REVALIDATED,
+            TREE_CACHE_CARRIED,
         ):
             self._stats.cache_hits += 1
             if reason == TREE_CACHE_REVALIDATED:
@@ -516,11 +570,11 @@ class TreeCache:
         (:meth:`~repro.routing.paths.ShortestPathTree.rebased`).  The new
         entry is current at the journal's end, so the next request reads
         ``clean``.  The next request searches instead after a disabled
-        cache, a conflict, a journal record since the replay position
-        that is not a booking of this item (an entry without a conflict
-        is valid there, however far its ``journal_position`` lags), any
-        other revision change, a moved epoch, or seeds the tree cannot
-        vouch for.
+        cache, a conflict, an entry planned at an earlier "now", a
+        journal record since the replay position that is not a booking of
+        this item (an entry without a conflict is valid there, however far
+        its ``journal_position`` lags), any other revision change, a moved
+        degradation epoch, or seeds the tree cannot vouch for.
         """
         cached = self._trees.get(item_id) if self._enabled else None
         if cached is None:
@@ -529,21 +583,18 @@ class TreeCache:
         tracer = state.tracer
         with span(PHASE_TREE, tracer):
             records = state.journal_since(self._replay_position)
-            not_before = self._not_before
-            seeds = {
-                machine: max(copy.available_from, not_before)
-                for machine, copy in state.copies(item_id).items()
-                if copy.release > not_before
-            }
+            seeds = self._seeds(item_id)
             if (
                 cached.conflict
                 or not records
+                or time_ne(cached.not_before, self._not_before)
                 or state.item_revision(item_id)
                 != cached.item_revision + len(records)
-                or state.capacity_epoch != cached.capacity_epoch
                 or state.degradation_epoch != cached.degradation_epoch
                 or any(
-                    record.item_id != item_id or record.machine not in seeds
+                    record.kind != MUTATION_BOOKING
+                    or record.item_id != item_id
+                    or record.machine not in seeds
                     for record in records
                 )
             ):
@@ -558,25 +609,55 @@ class TreeCache:
             tracer.emit("tree_rebased", item_id, len(seeds))
         return True
 
+    def _carried(self, cached: CacheEntry) -> Optional[CacheEntry]:
+        """The entry's tree carried to this cache's "now" and stored, or
+        ``None`` when the new "now" overtakes its plan."""
+        item_id = cached.tree.item_id
+        tree = cached.tree.carried(
+            self._seeds(item_id),
+            deadline_targets(self._state, item_id),
+            self._not_before,
+        )
+        if tree is None:
+            return None
+        entry = self._snapshot(tree)
+        self._store(item_id, entry)
+        return entry
+
+    def _seeds(self, item_id: int) -> Dict[int, float]:
+        """The item's search seeds at this cache's "now", as the kernel
+        finds them: each copy not released by then, available at the
+        later of its availability and "now"."""
+        not_before = self._not_before
+        return {
+            machine: max(copy.available_from, not_before)
+            for machine, copy in self._state.copies(item_id).items()
+            if copy.release > not_before
+        }
+
     def _replay(self) -> None:
         """Fold the new journal records into the entries they touch.
 
-        A record touches only the entries indexed under its link's
-        receiver: a tree plans one hop into each receiver, and a link has
-        one receiver, so those are the entries that plan a hop over the
-        link or a residency the record's reservation can overlap.  A
-        reservation overlapping a planned residency is settled against
-        the live timeline: reservations only subtract until a copy loss
-        moves the capacity epoch, so the verdict is final.  A conflict
-        puts the entry's item in :meth:`touched`; a link or cutoff
-        conflict also replaces a residency one, so the reason does not
-        depend on when the replay ran.
+        A booking or cutoff touches only the entries indexed under its
+        link's receiver: a tree plans one hop into each receiver, and a
+        link has one receiver, so those are the entries that plan a hop
+        over the link or a residency the record's reservation can
+        overlap.  A reservation overlapping a planned residency is settled
+        against the live timeline: reservations only subtract until a
+        release at the machine, which invalidates the entry anyway
+        (:meth:`_replay_release`), so the verdict is final.  A conflict
+        puts the entry's item in :meth:`touched`; a link, cutoff or
+        release conflict also replaces a residency one, so the reason
+        does not depend on when the replay ran.
         """
         state = self._state
         link, item = state.scenario.network.link, state.scenario.item
         records = state.journal_since(self._replay_position)
         self._replay_position += len(records)
         for record in records:
+            if record.kind == MUTATION_LOSS:
+                self._replay_release(record.machine)
+                continue
             link_id = record.link_id
             busy, residency = record.busy, record.residency
             receiver = link(link_id).destination
@@ -603,26 +684,46 @@ class TreeCache:
                     entry.conflict = conflict
                     self._touched.add(tree.item_id)
 
+    def _replay_release(self, machine: int) -> None:
+        """Fold storage freed at ``machine`` into the entries it touches.
+
+        Freed storage moves a search only through a relaxation into the
+        machine that storage rejected or delayed, and the kernel records
+        every such receiver in the tree's ``fallback_receivers`` (the
+        release index).  An entry that plans a hop into the machine (the
+        receiver index) is released too, which keeps the replay's
+        residency verdicts final.
+        """
+        for index in (self._receiver_index, self._release_index):
+            for entry in index.get(machine, {}).values():
+                if entry.conflict in ("", TREE_CACHE_RESIDENCY_CONFLICT):
+                    entry.conflict = TREE_CACHE_CAPACITY_RELEASED
+                    self._touched.add(entry.tree.item_id)
+
     def _store(self, item_id: int, entry: CacheEntry) -> None:
-        """Replace the item's entry and move it in the receiver index."""
-        index = self._receiver_index
+        """Replace the item's entry and move it in both indexes."""
+        receivers, releases = self._receiver_index, self._release_index
         old = self._trees.get(item_id)
         if old is not None:
-            for receiver in old.tree.planned_hops:
-                del index[receiver][item_id]
+            for machine in old.tree.planned_hops:
+                del receivers[machine][item_id]
+            for machine in old.tree.fallback_receivers:
+                del releases[machine][item_id]
         self._trees[item_id] = entry
-        for receiver in entry.tree.planned_hops:
-            index.setdefault(receiver, {})[item_id] = entry
+        for machine in entry.tree.planned_hops:
+            receivers.setdefault(machine, {})[item_id] = entry
+        for machine in entry.tree.fallback_receivers:
+            releases.setdefault(machine, {})[item_id] = entry
 
     def _snapshot(self, tree: ShortestPathTree) -> CacheEntry:
         """A fresh entry for a tree projected onto its targets, current
-        at the replay position."""
+        at the replay position and this cache's "now"."""
         state = self._state
         return CacheEntry(
             tree=tree,
             item_revision=state.item_revision(tree.item_id),
             journal_position=self._replay_position,
-            capacity_epoch=state.capacity_epoch,
+            not_before=self._not_before,
             degradation_epoch=state.degradation_epoch,
         )
 
@@ -741,7 +842,8 @@ class StagingHeuristic(abc.ABC):
 
         Only items with a request the filters let through are searched
         (:func:`has_visible_request`), and not those the cache has proven
-        to have no candidate (:meth:`TreeCache.has_no_candidate`).  The
+        to have no candidate (:meth:`TreeCache.has_no_candidate`); the
+        scan reads each open item's visible request ids once, for both.  The
         :class:`Shortlist` is built once and keeps each item's payload
         across decisions; each choice scans the payloads in item order.
         After a decision only the booked item is rechecked (deliveries
@@ -756,12 +858,7 @@ class StagingHeuristic(abc.ABC):
         debug = logger.isEnabledFor(logging.DEBUG)
         tracer = state.tracer
         tracing = tracer.enabled
-        items = [
-            item_id
-            for item_id in state.scenario.requested_item_ids()
-            if has_visible_request(state, item_id, priorities, request_filter)
-            and not cache.has_no_candidate(item_id, priorities, request_filter)
-        ]
+        items = self._drain_items(state, cache, priorities, request_filter)
         shortlist = Shortlist(items)
         while True:
             decision_started = time.perf_counter() if tracing else 0.0
@@ -801,6 +898,36 @@ class StagingHeuristic(abc.ABC):
                     result.cost,
                     hops,
                 )
+
+    @staticmethod
+    def _drain_items(
+        state: NetworkState,
+        cache: TreeCache,
+        priorities: Priorities,
+        request_filter: RequestFilter,
+    ) -> List[int]:
+        """The items a drain starts with, in ``requested_item_ids()``
+        order: each with an open request the filters let through, and no
+        mark that still holds.  Without filters every open request is
+        visible, so the ids are read only for a marked item."""
+        open_counts = state.open_request_counts()
+        filtered = priorities is not None or request_filter is not None
+        items: List[int] = []
+        for item_id in state.scenario.requested_item_ids():
+            if not open_counts[item_id]:
+                continue
+            visible: Optional[FrozenSet[int]] = None
+            if filtered:
+                visible = _visible_request_ids(
+                    state, item_id, priorities, request_filter
+                )
+                if not visible:
+                    continue
+            if not cache.has_no_candidate(
+                item_id, priorities, request_filter, visible
+            ):
+                items.append(item_id)
+        return items
 
     def _best_choice(
         self,

@@ -74,13 +74,17 @@ REASON_NEVER_ATTEMPTED = "never_attempted"
 TREE_CACHE_CLEAN = "clean"
 #: Hit: mutations occurred but provably miss the tree's footprint.
 TREE_CACHE_REVALIDATED = "revalidated"
+#: Hit: a tree planned at an earlier dynamic pass's "now", re-seeded at
+#: the later "now" (the replay found no conflict and its plan still holds).
+TREE_CACHE_CARRIED = "carried"
 #: Miss: the item had no cached tree yet.
 TREE_CACHE_COLD = "cold"
 #: Miss: caching is disabled (recompute-every-iteration mode).
 TREE_CACHE_DISABLED = "disabled"
 #: Miss: the item's own copy/request set changed (seeds or targets moved).
 TREE_CACHE_ITEM_CHANGED = "item_changed"
-#: Miss: storage capacity was returned somewhere (global invalidation).
+#: Miss: a copy loss freed storage at a machine the tree plans a hop into
+#: or where its search fell back to the full storage probe.
 TREE_CACHE_CAPACITY_RELEASED = "capacity_released"
 #: Miss: a booking's busy interval overlaps a planned hop on a footprint
 #: link.
@@ -93,6 +97,9 @@ TREE_CACHE_RESIDENCY_CONFLICT = "residency_conflict"
 #: Miss: a bandwidth degradation changed transfer durations globally
 #: (degradation epoch moved — not journalled, not footprint-checkable).
 TREE_CACHE_BANDWIDTH_DEGRADED = "bandwidth_degraded"
+#: Miss: a tree from an earlier dynamic pass plans a hop that starts before
+#: the later "now", or the later "now" reorders the seeds its search pops.
+TREE_CACHE_PLAN_EXPIRED = "plan_expired"
 
 #: Every event a tracer may receive, mapped to its field names in the order
 #: emission sites pass the values.  This is the source of truth for the
@@ -132,7 +139,7 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     # -- engine -------------------------------------------------------------
     # ``TreeCache.entry_for`` answered; ``reason`` is one of
     # TREE_CACHE_REASONS: how a hit was justified (``clean`` /
-    # ``revalidated``) or which mutation class forced the recompute.
+    # ``revalidated`` / ``carried``) or what forced the recompute.
     "tree_cache": ("item_id", "hit", "reason"),
     # ``TreeCache.rebase`` carried the booked item's tree over its new
     # copies (``seeds`` machines now hold it) instead of searching again;
@@ -205,11 +212,12 @@ REASON_CODES: Tuple[str, ...] = (
     REASON_NEVER_ATTEMPTED,
 )
 
-#: All outcome codes a ``tree_cache`` event may carry.  The first two are
-#: hits; the rest explain why a tree was recomputed.
+#: All outcome codes a ``tree_cache`` event may carry.  The first three
+#: are hits; the rest explain why a tree was recomputed.
 TREE_CACHE_REASONS: Tuple[str, ...] = (
     TREE_CACHE_CLEAN,
     TREE_CACHE_REVALIDATED,
+    TREE_CACHE_CARRIED,
     TREE_CACHE_COLD,
     TREE_CACHE_DISABLED,
     TREE_CACHE_ITEM_CHANGED,
@@ -218,6 +226,7 @@ TREE_CACHE_REASONS: Tuple[str, ...] = (
     TREE_CACHE_CUTOFF_TIGHTENED,
     TREE_CACHE_RESIDENCY_CONFLICT,
     TREE_CACHE_BANDWIDTH_DEGRADED,
+    TREE_CACHE_PLAN_EXPIRED,
 )
 
 #: The registry each event's ``reason`` field must come from.

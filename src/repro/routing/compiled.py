@@ -49,7 +49,8 @@ the same ``transfer_attempt`` / ``transfer_rejected`` events.  The
 feasible probes are answered inline too, by the first pass of
 ``earliest_transfer``'s loop over the busy and capacity columns; every
 other edge calls ``earliest_transfer`` with the reference arguments in
-the reference sequence.
+the reference sequence, and its receiver joins the tree's
+:attr:`~repro.routing.paths.ShortestPathTree.fallback_receivers`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.network import Network
@@ -222,7 +223,9 @@ def compute_tree_compiled(
     A ``window_closed`` caused by the edge's own cutoff, and every
     ``no_link_slot``, rejects only that edge; the edges left are probed
     inline, and only those that probe cannot settle reach
-    ``earliest_transfer``.  Everything observable —
+    ``earliest_transfer``; the tree records their receivers
+    (``fallback_receivers``), the only machines where storage can have
+    rejected or delayed a relaxation.  Everything observable —
     seed order, heap contents, per-edge probe order, tracer events, the
     ``dijkstra`` event's counts, result dict insertion order — replicates
     the object-walking reference search the test suite keeps as its
@@ -258,6 +261,7 @@ def compute_tree_compiled(
         labels_list[machine] = available
         discovered[machine] = 1
     parents: Dict[int, Tuple[int, int, float, float]] = {}
+    fallbacks: Set[int] = set()
     infinity = float("inf")
     pending_targets = dict(targets) if targets is not None else None
     # The latest useful arrival: no label past it can serve a target.
@@ -395,6 +399,7 @@ def compute_tree_compiled(
                     if tracing:
                         tracer.emit("transfer_attempt", item_id, link_id)
                 else:
+                    fallbacks.add(receiver)
                     plan = earliest_transfer(
                         item_id, links[link_id], label, duration
                     )
@@ -434,4 +439,4 @@ def compute_tree_compiled(
             "dijkstra",
             item_id, relaxations, pruned, finalized_count, len(seeds)
         )
-    return ShortestPathTree(item_id, seeds, labels, parents)
+    return ShortestPathTree(item_id, seeds, labels, parents, fallbacks)

@@ -8,13 +8,15 @@ destinations.  A tree projected onto its search's targets
 (:meth:`ShortestPathTree.projected`) holds only the hops of its target
 paths, so its parent tuples are the planned link occupations and storage
 residencies its labels rest on: the heuristics' tree cache reads them
-straight from :attr:`ShortestPathTree.planned_hops`.
+straight from :attr:`ShortestPathTree.planned_hops`, and reads the
+machines where freed storage could change the search from
+:attr:`ShortestPathTree.fallback_receivers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.core.units import time_eq
 from repro.errors import SchedulingError
@@ -74,11 +76,13 @@ class ShortestPathTree:
         seeds: Mapping[int, float],
         labels: Mapping[int, float],
         parents: Mapping[int, Tuple[int, int, float, float]],
+        fallback_receivers: Iterable[int] = (),
     ) -> None:
         self._item_id = item_id
         self._seeds = dict(seeds)
         self._labels = dict(labels)
         self._parents = dict(parents)
+        self._fallback_receivers = frozenset(fallback_receivers)
 
     @property
     def item_id(self) -> int:
@@ -94,6 +98,20 @@ class ShortestPathTree:
         has one receiver, so a link appears here at most once.
         """
         return self._parents
+
+    @property
+    def fallback_receivers(self) -> FrozenSet[int]:
+        """The receivers of the search's relaxations that the kernel's
+        inline probe did not settle and handed to
+        :meth:`~repro.core.state.NetworkState.earliest_transfer`.
+
+        Every relaxation that storage rejected or delayed is among them:
+        one the inline probe settles starts at the link's first free slot,
+        which no amount of storage could move earlier.  So freeing
+        storage at any other machine leaves the search as it was.  A
+        projected, rebased or carried tree keeps its search's set.
+        """
+        return self._fallback_receivers
 
     def seed_machines(self) -> Tuple[int, ...]:
         """Machines that already hold a copy (the multi-source set)."""
@@ -165,6 +183,38 @@ class ShortestPathTree:
                 return None
         return self._keeping(seeds, targets)
 
+    def carried(
+        self,
+        seeds: Mapping[int, float],
+        targets: Mapping[int, float],
+        now: float,
+    ) -> Optional["ShortestPathTree"]:
+        """This tree as a search from a later ``now`` would find it.
+
+        ``seeds`` are the item's seeds at ``now``, each available at
+        ``max(available_from, now)``: this tree's seeds less those
+        released by then.  The answer is ``None`` when a planned hop
+        starts before ``now``, or when the later seed labels change the
+        order in which a search pops the seeds (labels that tie at
+        ``now`` pop by machine id).  Otherwise a later "now" only raises
+        labels (every link is FIFO), every planned hop still starts no
+        earlier than its sender's label, and every competing relaxation
+        pops in the same order as before, so each reachable target keeps
+        its label and path; the result is :meth:`projected` at the new
+        seeds, provided nothing else changed since this tree's search.
+        """
+        if any(machine not in self._seeds for machine in seeds):
+            return None
+        for parent in self._parents.values():
+            if parent[2] < now:
+                return None
+        old = self._seeds
+        if sorted(seeds, key=lambda machine: (old[machine], machine)) != (
+            sorted(seeds, key=lambda machine: (seeds[machine], machine))
+        ):
+            return None
+        return self._keeping(seeds, targets)
+
     def projected(self, targets: Mapping[int, float]) -> "ShortestPathTree":
         """A fresh tree holding only this tree's paths to ``targets``.
 
@@ -196,7 +246,9 @@ class ShortestPathTree:
                 if cursor in self._labels:
                     labels[cursor] = self._labels[cursor]
                 cursor = parent[0]
-        return ShortestPathTree(self._item_id, seeds, labels, parents)
+        return ShortestPathTree(
+            self._item_id, seeds, labels, parents, self._fallback_receivers
+        )
 
     def reachable_machines(self) -> Tuple[int, ...]:
         """All machines with a finite label, ascending."""

@@ -63,8 +63,8 @@ MUTATOR_METHODS = frozenset(
 
 #: Method names marking a function as a cache/codec entry point when a
 #: ``*Cache`` class defines them: the run cache's key derivation, and the
-#: tree cache's journal replay and its live residency recheck.
-_CACHE_ENTRY_METHODS = frozenset({"key_for", "_replay", "_recheck"})
+#: tree cache's journal replay and its replay of a storage release.
+_CACHE_ENTRY_METHODS = frozenset({"key_for", "_replay", "_replay_release"})
 
 #: Module-scoped entry points: per relpath suffix, module-level functions
 #: whose call trees must stay pure.  The compiled-scenario constructor is

@@ -16,9 +16,14 @@ no decision may change.
 walks every open item at every decision, bypassing both skips.  Against
 it, every schedule must be byte-identical, and:
 
-- dynamic runs (drawn faults with churn, losses and reopens), static runs
-  and :class:`~repro.baselines.random_dijkstra.RandomDijkstraBaseline`
-  emit a subsequence of the oracle's stream, missing only search events;
+- dynamic runs (drawn faults with churn, losses and reopens) with a tree
+  cache of its own per pass (``tests/heuristics/reference_advance.py``),
+  static runs and
+  :class:`~repro.baselines.random_dijkstra.RandomDijkstraBaseline` emit a
+  subsequence of the oracle's stream, missing only search events;
+- dynamic runs whose passes carry trees have streams equal to the
+  oracle's once search events are dropped: an item the oracle searched
+  in a pass the change skipped may be carried where the change searches;
 - :class:`~repro.baselines.priority_tier.PriorityTierScheduler`'s streams
   are equal once search events are dropped, and it computes no more trees;
 - with the tree cache disabled nothing is marked or dropped: the stream
@@ -27,6 +32,7 @@ it, every schedule must be byte-identical, and:
 The unit tests below pin what clears a mark and what it survives.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -50,6 +56,7 @@ from tests.helpers import (
     make_item,
     make_scenario,
 )
+from tests.heuristics.reference_advance import use_reference_advance
 from tests.heuristics.reference_selection import (
     assert_skips_only_searches,
     traced,
@@ -76,14 +83,19 @@ _SETTINGS = settings(
 )
 
 
-def _dynamic_run(seed, fault_seed, heuristic, intensity, loss_fraction):
+def _dynamic_run(
+    seed, fault_seed, heuristic, intensity, loss_fraction, carried=False
+):
+    """A traceable dynamic run, each pass with a tree cache of its own
+    unless ``carried``."""
     scenario = _GENERATOR.generate(seed)
     events, plan = dynamic_fault_events(
         scenario, fault_seed, intensity, loss_fraction
     )
 
     def run():
-        with use_faults(plan):
+        advance = nullcontext() if carried else use_reference_advance()
+        with use_faults(plan), advance:
             return DynamicDriver(heuristic, "C4", 2.0).run(scenario, events)
 
     return run
@@ -105,6 +117,13 @@ def test_dynamic_runs_skip_only_searches(
     )
     assert schedule == oracle_schedule
     assert_skips_only_searches(stream, oracle)
+    (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(
+        _dynamic_run(
+            seed, fault_seed, heuristic, intensity, loss_fraction, True
+        )
+    )
+    assert schedule == oracle_schedule
+    assert without_searches(stream) == without_searches(oracle)
 
 
 @given(
@@ -129,7 +148,10 @@ def test_static_runs_skip_only_searches(seed, heuristic, criterion):
 @_SETTINGS
 def test_random_dijkstra_skips_only_searches(seed):
     """A static run, and two drains over one state whose second cache is
-    ``advanced`` from the first (so marks cross the passes)."""
+    ``advanced`` from the first (so marks cross the passes): with a tree
+    cache of its own per drain, and carrying the trees, where an item the
+    oracle searched in the first drain may hit where the change searches,
+    so the streams are compared with search events dropped."""
     scenario = _GENERATOR.generate(seed)
     (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(
         lambda: RandomDijkstraBaseline(seed).run(scenario)
@@ -151,11 +173,20 @@ def test_random_dijkstra_skips_only_searches(seed):
         baseline.drain(state, cache.advanced(0.0), stats)
         return state
 
+    def two_passes_per_pass():
+        with use_reference_advance():
+            return two_passes()
+
+    (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(
+        two_passes_per_pass
+    )
+    assert schedule == oracle_schedule
+    assert_skips_only_searches(stream, oracle)
     (_, oracle_schedule, oracle), (_, schedule, stream) = traced_both(
         two_passes
     )
     assert schedule == oracle_schedule
-    assert_skips_only_searches(stream, oracle)
+    assert without_searches(stream) == without_searches(oracle)
 
 
 @given(

@@ -11,9 +11,14 @@ restores the old selection, which routed every item with an open request.
 Against that oracle, every schedule must be byte-identical.  The event
 streams lose only search events:
 
-- a dynamic pass (one drain per tree cache) and a single filtered drain
-  emit a subsequence of the oracle's stream, and every missing event is
-  one of the oracle module's ``SEARCH_EVENTS``;
+- a dynamic pass with a tree cache of its own
+  (``tests/heuristics/reference_advance.py``) and a single filtered
+  drain emit a subsequence of the oracle's stream, and every missing
+  event is one of the oracle module's ``SEARCH_EVENTS``;
+- the passes of a dynamic run carry trees from pass to pass, so an item
+  the oracle searched in a pass the change skipped may be carried where
+  the change searches: with ``SEARCH_EVENTS`` dropped the streams are
+  equal;
 - the tier drains share one tree cache, so an item first searched in a
   later tier starts cold where the oracle may hit its cache.  With
   ``SEARCH_EVENTS`` dropped the two streams are equal, and the change
@@ -22,6 +27,8 @@ streams lose only search events:
   (``tests/heuristics/test_dirty_selection_differential.py``), so their
   streams are a subsequence too, and shorter on the pinned seed.
 """
+
+from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +43,7 @@ from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import dynamic_fault_events
+from tests.heuristics.reference_advance import use_reference_advance
 from tests.heuristics.reference_selection import (
     CHOOSERS,
     assert_skips_only_searches,
@@ -58,12 +66,15 @@ _SETTINGS = settings(
 )
 
 
-def _dynamic(seed, heuristic, intensity):
+def _dynamic(seed, heuristic, intensity, carried=False):
+    """Both sides' traced runs, each pass with a tree cache of its own
+    unless ``carried``."""
     scenario = _GENERATOR.generate(seed)
     events, plan = dynamic_fault_events(scenario, seed, intensity)
 
     def run():
-        with use_faults(plan):
+        advance = nullcontext() if carried else use_reference_advance()
+        with use_faults(plan), advance:
             return DynamicDriver(heuristic, "C4", 2.0).run(scenario, events)
 
     return traced_both(run)
@@ -81,6 +92,11 @@ def test_dynamic_runs_skip_only_searches(seed, heuristic, intensity):
     )
     assert schedule == oracle_schedule
     assert_skips_only_searches(stream, oracle)
+    (_, oracle_schedule, oracle), (_, schedule, stream) = _dynamic(
+        seed, heuristic, intensity, carried=True
+    )
+    assert schedule == oracle_schedule
+    assert without_searches(stream) == without_searches(oracle)
 
 
 def test_the_skip_fires_on_the_pinned_draw():

@@ -2,13 +2,14 @@
 
 :class:`ReferenceTreeCache` is the :class:`~repro.heuristics.base.TreeCache`
 whose every request classifies the item's entry on its own: it checks the
-revision counters and epochs, then replays every journal record appended
-since the entry was last validated (``journal_since``) against that
-entry's footprint.  So each booking is replayed once per cached item.
+item revision and the degradation epoch, then replays every journal
+record appended since the entry was last validated (``journal_since``)
+against that entry's footprint.  So each booking is replayed once per
+cached item.
 
 Production code replays the journal once per cache, through its receiver
-index, reads each planned hop from the cached tree's parent tuples, and
-reads the verdict each entry collected.  This oracle keeps its own
+and release indexes, reads each planned hop from the cached tree's parent
+tuples, and reads the verdict each entry collected.  This oracle keeps its own
 footprint instead, built as production once did: the search's destination
 paths (:meth:`~repro.routing.paths.ShortestPathTree.path_to`) turned into
 one :class:`~repro.core.intervals.Interval` per planned hop and per
@@ -21,7 +22,11 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.intervals import Interval
-from repro.core.state import MUTATION_BOOKING, MUTATION_CUTOFF
+from repro.core.state import (
+    MUTATION_BOOKING,
+    MUTATION_CUTOFF,
+    MUTATION_LOSS,
+)
 from repro.heuristics.base import CacheEntry, TreeCache, deadline_targets
 from repro.observability.profiling import PHASE_TREE, span
 from repro.observability.tracer import (
@@ -99,8 +104,6 @@ class ReferenceTreeCache(TreeCache):
         state = self._state
         if state.item_revision(item_id) != cached.item_revision:
             return TREE_CACHE_ITEM_CHANGED
-        if state.capacity_epoch != cached.capacity_epoch:
-            return TREE_CACHE_CAPACITY_RELEASED
         if state.degradation_epoch != cached.degradation_epoch:
             # Degradations lengthen durations globally and are not
             # journalled, so no footprint replay can vouch for the tree.
@@ -118,7 +121,9 @@ class ReferenceTreeCache(TreeCache):
         fits at exactly its planned time (link slot free, residency
         reservable, cutoff clear), and competing offers can only have
         worsened — so the label-setting search reconstructs the same
-        parents with the same tie-breaks.
+        parents with the same tie-breaks.  Storage freed at a planned
+        receiver, or at a machine where the search fell back to the full
+        storage probe, releases the tree.
         """
         state = self._state
         hop_intervals, residencies, item_size = self._footprints[
@@ -149,6 +154,12 @@ class ReferenceTreeCache(TreeCache):
                 planned = hop_intervals.get(record.link_id)
                 if planned is not None and record.cutoff < planned.end:
                     return TREE_CACHE_CUTOFF_TIGHTENED
+            elif record.kind == MUTATION_LOSS:
+                if (
+                    record.machine in residencies
+                    or record.machine in cached.tree.fallback_receivers
+                ):
+                    return TREE_CACHE_CAPACITY_RELEASED
         for machine in sorted(suspect_machines):
             timeline = state.machine_timeline(machine)
             if not timeline.can_reserve(

@@ -21,10 +21,16 @@ and 0.5, schedules and ``RunRecord``s are byte-identical to both
 oracles', and the event streams lose only search events.  (Priority
 tiers share one tree cache, so against the every-open-item oracle their
 streams are compared with search events dropped, as in the hidden-item
-differential.)  Against the shortlist oracle the records match
-including ``dijkstra_runs``; the every-open-item oracle also searches
-hidden items and items proven to have no candidate, so against it
-``dijkstra_runs`` may only fall, and must match on unfiltered drains.
+differential.  So do the passes of a dynamic run, which carry trees
+from pass to pass: an item the oracle searched in a pass the change
+skipped may be carried where the change searches.  Dynamic runs are
+compared once more with a tree cache holding no tree at the start of
+each pass (``tests/heuristics/reference_advance.py``), where every
+assertion below holds as for a single drain.)  Against the shortlist
+oracle the records match including ``dijkstra_runs``; the
+every-open-item oracle also searches hidden items and items proven to
+have no candidate, so against it ``dijkstra_runs`` may only fall (but
+for carried dynamic runs), and must match on unfiltered drains.
 
 The property below checks the dirty set's premise directly: after each
 decision, a fresh request for every item outside it reads ``clean`` or
@@ -68,6 +74,7 @@ from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import dynamic_fault_events, neutral_fields
+from tests.heuristics.reference_advance import use_reference_advance
 from tests.heuristics.reference_selection import (
     assert_skips_only_searches,
     rescore_shortlist,
@@ -170,6 +177,19 @@ def test_dirty_set_selection_matches_both_oracles(
     kind, scale, seed, intensity
 ):
     scenario, run, label = _run_of(kind, scale, seed, intensity)
+    _match_both_oracles(kind, scenario, run, label, carried=True)
+    if kind[0] == "dynamic":
+
+        def per_pass():
+            with use_reference_advance():
+                return run()
+
+        _match_both_oracles(kind, scenario, per_pass, label, carried=False)
+
+
+def _match_both_oracles(kind, scenario, run, label, carried):
+    """The run against the shortlist and the every-open-item oracles;
+    ``carried`` when a dynamic run's passes carry trees."""
     schedule, record, stream = _traced(scenario, run, label, nullcontext())
 
     shortlist_schedule, shortlist_record, shortlist_stream = _traced(
@@ -187,13 +207,15 @@ def test_dirty_set_selection_matches_both_oracles(
         "dijkstra_runs"
     )
     assert record == oracle_record
+    shared = kind[0] == "priority_tier" or (kind[0] == "dynamic" and carried)
     if kind[0] in _UNFILTERED:
         assert runs == oracle_runs
-    else:
+    elif not (kind[0] == "dynamic" and carried):
         assert runs <= oracle_runs
-    if kind[0] == "priority_tier":
-        # The tiers share one tree cache, so an item first searched in a
-        # later tier starts cold where the oracle may hit its cache.
+    if shared:
+        # The tiers (and carried passes) share one tree cache, so an
+        # item first searched in a later drain starts cold where the
+        # oracle may hit its cache.
         assert without_searches(stream) == without_searches(oracle_stream)
     else:
         assert_skips_only_searches(stream, oracle_stream)

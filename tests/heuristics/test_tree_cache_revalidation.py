@@ -2,11 +2,14 @@
 
 Unit coverage for the incremental :class:`~repro.heuristics.base.TreeCache`:
 every hit/miss reason in ``TREE_CACHE_REASONS`` is driven by a concrete
-mutation, and the clone-epoch guard rejects serving a ``clone()``'d state.
+mutation (the two a dynamic pass's carry reports, ``carried`` and
+``plan_expired``, in ``tests/heuristics/test_carried_trees.py``), and the
+clone-epoch guard rejects serving a ``clone()``'d state.
 ``earliest_transfer`` keeps no memo, so its probes are pinned directly:
 repeated probes agree, a booking changes the next probe, and each probe
 emits one attempt event plus at most one rejection.  The receiver index
-is pinned to list exactly the live entries' receivers.
+is pinned to list exactly the live entries' receivers, and the release
+index exactly their searches' fallback receivers.
 """
 
 from unittest import mock
@@ -196,18 +199,53 @@ class TestRevalidationReasons:
         cache.entry_for(0)
         assert _last_probe(tracer) == (False, TREE_CACHE_ITEM_CHANGED)
 
-    def test_capacity_release_invalidates_globally(self):
+    def test_capacity_release_at_a_planned_receiver_is_a_miss(self):
         state, cache, stats, tracer = _state_and_cache(_reval_scenario())
+        _book(state, 1, PARALLEL)
         cache.entry_for(0)
-        # GC of an unrelated copy *adds* availability, which can only
-        # improve labels — the interval footprint cannot prove the tree
-        # still optimal, so the epoch bump forces a recompute.
-        state.remove_copy(2, 3, 10.0)
+        assert 1 in cache.tree_for(0).planned_hops
+        # Item 1's copy on the hub frees its storage: the hub receives
+        # item 0's planned hop, so the tree is released.
+        state.remove_copy(1, 1, state.copy_at(1, 1).available_from)
         cache.entry_for(0)
         assert _last_probe(tracer) == (
             False,
             TREE_CACHE_CAPACITY_RELEASED,
         )
+
+    def test_capacity_release_where_storage_decided_is_a_miss(self):
+        state, cache, stats, tracer = _state_and_cache(
+            _reval_scenario(hub_capacity=1500.0)
+        )
+        _book(state, 1, PARALLEL)
+        # The hub holds item 1 until the horizon, so item 0 finds no
+        # storage there: the kernel hands both relaxations into the hub
+        # to earliest_transfer, and the tree plans no hop at all.
+        tree = cache.tree_for(0)
+        assert dict(tree.planned_hops) == {}
+        assert tree.fallback_receivers == {1}
+        state.remove_copy(1, 1, state.copy_at(1, 1).available_from)
+        cache.entry_for(0)
+        assert _last_probe(tracer) == (
+            False,
+            TREE_CACHE_CAPACITY_RELEASED,
+        )
+
+    def test_capacity_release_elsewhere_keeps_the_tree(self):
+        state, cache, stats, tracer = _state_and_cache(_reval_scenario())
+        _book(state, 2, DISJOINT)
+        cache.entry_for(0)
+        # Freed storage on machine 4, which item 0's search never
+        # probed, cannot move its labels.
+        state.remove_copy(2, 4, state.copy_at(2, 4).available_from)
+        cache.entry_for(0)
+        assert _last_probe(tracer) == (True, TREE_CACHE_REVALIDATED)
+        # A source copy holds no reservation: its loss journals nothing.
+        length = state.journal_length()
+        state.remove_copy(2, 3, 10.0)
+        assert state.journal_length() == length
+        cache.entry_for(0)
+        assert _last_probe(tracer) == (True, TREE_CACHE_CLEAN)
 
     def test_disabled_cache_recomputes_every_probe(self):
         state, cache, stats, tracer = _state_and_cache(
@@ -352,20 +390,20 @@ class TestTransferProbes:
 # -- the receiver index -------------------------------------------------------
 
 
-def _assert_index_exact(cache):
+def _assert_index_exact(cache, release=False):
     """Each non-empty slot of the receiver index holds exactly the live
     entries whose trees plan a hop into its machine, and each such entry
     is in the slot: a stale slot would only waste replay time, so no
-    differential of decisions can catch it."""
+    differential of decisions can catch it.  With ``release``, the same
+    for the release index and the trees' fallback receivers."""
     expected = {}
     for item_id, entry in cache._trees.items():
-        for receiver in entry.tree.planned_hops:
+        tree = entry.tree
+        machines = tree.fallback_receivers if release else tree.planned_hops
+        for receiver in machines:
             expected.setdefault(receiver, {})[item_id] = entry
-    actual = {
-        receiver: slot
-        for receiver, slot in cache._receiver_index.items()
-        if slot
-    }
+    index = cache._release_index if release else cache._receiver_index
+    actual = {receiver: slot for receiver, slot in index.items() if slot}
     assert actual.keys() == expected.keys()
     for receiver, slot in actual.items():
         assert slot.keys() == expected[receiver].keys()
@@ -373,9 +411,10 @@ def _assert_index_exact(cache):
             assert entry is expected[receiver][item_id]
 
 
-def _index_checked_runs(seed):
+def _index_checked_runs(seed, release=False, fallbacks=None):
     """Static drains and a dynamic run under churn, losses and an outage,
-    with the index checked after every store."""
+    with the index checked after every store; ``fallbacks`` collects how
+    many fallback receivers each stored tree has."""
     scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(seed)
     events, _static_plan = dynamic_fault_events(scenario, seed, 0.5)
     stores = []
@@ -383,8 +422,10 @@ def _index_checked_runs(seed):
 
     def checked_store(cache, item_id, entry):
         store(cache, item_id, entry)
-        _assert_index_exact(cache)
+        _assert_index_exact(cache, release)
         stores.append(item_id)
+        if fallbacks is not None:
+            fallbacks.append(len(entry.tree.fallback_receivers))
 
     with mock.patch.object(TreeCache, "_store", checked_store):
         for heuristic in ("partial", "full_one", "full_all"):
@@ -400,3 +441,12 @@ def test_the_receiver_index_lists_exactly_the_live_receivers(seed):
     # Entries are replaced (searches after a conflict, rebases), not only
     # added, so stale slots had a chance to appear.
     assert len(stores) > len(set(stores))
+
+
+def test_the_release_index_lists_exactly_the_live_fallback_receivers():
+    fallbacks = []
+    for seed in range(4):
+        stores = _index_checked_runs(seed, release=True, fallbacks=fallbacks)
+        assert len(stores) > len(set(stores))
+    # Some stored tree fell back somewhere, so slots were filled at all.
+    assert any(fallbacks)

@@ -73,7 +73,7 @@ EXPECTED: Dict[str, Row] = {
     "faulted full_all/C4": (294, 3609, 175097, 156, 294, 3609, 253, 397, 294),
     "faulted full_one/C4": (294, 3609, 175097, 186, 294, 3609, 283, 397, 294),
     "faulted partial/C4": (302, 3745, 180336, 300, 302, 3745, 397, 397, 302),
-    "dynamic partial/C4": (1174, 2358, 200318, 216, 1174, 2358, 326, 326, 1174),
+    "dynamic partial/C4": (253, 1867, 131681, 1137, 253, 1867, 326, 326, 253),
 }
 
 

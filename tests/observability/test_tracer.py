@@ -531,6 +531,16 @@ class TestPinnedEventStream:
     dirty set against both the every-open-item and the
     rescore-every-shortlisted-item oracles.  The faulted dynamic stream
     did not change.
+
+    The faulted dynamic digest was re-pinned (472 -> 431 events) when
+    dynamic passes started carrying the trees of the pass before instead
+    of searching every requested item again.  Its 33 ``tree_cache``
+    requests went from 24 ``cold`` and 9 ``clean`` to 13 ``cold``, 9
+    ``clean``, 7 ``carried``, 2 ``plan_expired``, 1 ``link_conflict``
+    and 1 ``item_changed``; ``dijkstra`` events fell 24 -> 17, and only
+    search events went.  ``tests/experiments/test_carry_differential.py``
+    checks carried runs against per-pass tree caches.  The static stream
+    did not change.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -553,6 +563,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            472,
-            "155b983a3b587c453c7d52392468dd0e409a8878e9d470858ec956ef3e349465",
+            431,
+            "aa0af8a59e3882e34389df224a4a52dbaeba786f91398e8ee73dc76de764c58e",
         )

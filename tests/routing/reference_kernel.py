@@ -21,7 +21,9 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional, Set, Tuple
 from unittest import mock
 
-from repro.core.state import NetworkState
+from repro.core.intervals import IntervalSet
+from repro.core.link import VirtualLink
+from repro.core.state import NetworkState, TransferPlan
 from repro.heuristics import base
 from repro.routing.paths import ShortestPathTree
 
@@ -54,7 +56,9 @@ def reference_tree(
     Walks :meth:`~repro.core.network.Network.outgoing` link objects and
     calls :meth:`~repro.core.state.NetworkState.earliest_transfer` for
     every edge that survives the prune test.  Same signature and result
-    as :func:`~repro.routing.compiled.compute_tree_compiled`.
+    as :func:`~repro.routing.compiled.compute_tree_compiled`, including
+    the receivers whose relaxation the compiled kernel hands to
+    ``earliest_transfer`` (:func:`falls_back`).
     """
     network = state.scenario.network
     item_size = state.scenario.item(item_id).size
@@ -65,6 +69,7 @@ def reference_tree(
     }
     labels: Dict[int, float] = dict(seeds)
     parents: Dict[int, Tuple[int, int, float, float]] = {}
+    fallbacks: Set[int] = set()
     finalized: Set[int] = set()
     infinity = float("inf")
     pending_targets = dict(targets) if targets is not None else None
@@ -124,6 +129,8 @@ def reference_tree(
             if tracing:
                 relaxations += 1
             plan = state.earliest_transfer(item_id, link, label, duration)
+            if falls_back(state, item_id, link, label, duration, plan):
+                fallbacks.add(receiver)
             if plan is None:
                 continue
             if plan.end < receiver_label:
@@ -156,4 +163,44 @@ def reference_tree(
             "dijkstra",
             item_id, relaxations, pruned, len(finalized), len(seeds)
         )
-    return ShortestPathTree(item_id, seeds, labels, parents)
+    return ShortestPathTree(item_id, seeds, labels, parents, fallbacks)
+
+
+def falls_back(
+    state: NetworkState,
+    item_id: int,
+    link: VirtualLink,
+    label: float,
+    duration: float,
+    plan: Optional[TransferPlan],
+) -> bool:
+    """Whether a relaxation's outcome rests on more than the link's first
+    free slot: ``earliest_transfer``'s probe loop ran, and its first pass
+    did not return a plan at that slot.
+
+    False for the edges rejected before the loop (the receiver holds the
+    item, the window is closed, or even an uncontended start misses it)
+    and for a plan of positive length starting at the link's first free
+    slot from ``label``; true otherwise, whether storage or the link
+    decided.
+    """
+    receiver = link.destination
+    window_end = min(
+        link.end,
+        state.release_time_at(item_id, link.source),
+        state.release_time_at(item_id, receiver),
+        state.link_cutoff(link.link_id),
+    )
+    start_floor = link.start if link.start > label else label
+    if (
+        state.holds(item_id, receiver)
+        or window_end <= link.start
+        or start_floor + duration > window_end
+    ):
+        return False
+    if plan is None or not plan.start < plan.end:
+        return True
+    busy = IntervalSet(state.link_busy_intervals(link.link_id))
+    return plan.start != busy.first_fit(
+        duration, link.start, window_end, label
+    )

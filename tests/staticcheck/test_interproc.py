@@ -71,7 +71,7 @@ def test_r7_flags_wall_clock_and_global_write_from_cache_entry(lint_files):
     assert all("cache entry point" in message for message in messages)
 
 
-def test_r7_covers_the_tree_cache_replay_and_recheck(lint_files):
+def test_r7_covers_the_tree_cache_replay_and_release_replay(lint_files):
     result = lint_files(
         {
             "heuristics/cache.py": """
@@ -86,7 +86,7 @@ def test_r7_covers_the_tree_cache_replay_and_recheck(lint_files):
                 def _replay(self) -> float:
                     return jitter()
 
-                def _recheck(self) -> bool:
+                def _replay_release(self, machine: int) -> bool:
                     return random.random() < 0.5
             """
         },
@@ -96,7 +96,19 @@ def test_r7_covers_the_tree_cache_replay_and_recheck(lint_files):
     assert len(messages) == 2
     assert all("cache entry point" in message for message in messages)
     assert any("_replay -> jitter" in message for message in messages)
-    assert any("_recheck" in message for message in messages)
+    assert any("_replay_release" in message for message in messages)
+
+
+def test_r7_entry_methods_are_defined_by_the_tree_cache():
+    """Every tree-cache entry name R7 lists is a method the shipped
+    ``TreeCache`` defines, so the rule cannot go on naming a method that
+    no longer exists."""
+    from repro.heuristics.base import TreeCache
+    from repro.staticcheck.rules.purity import _CACHE_ENTRY_METHODS
+
+    assert {"_replay", "_replay_release"} <= _CACHE_ENTRY_METHODS
+    tree_cache_names = _CACHE_ENTRY_METHODS - {"key_for"}
+    assert all(name in vars(TreeCache) for name in tree_cache_names)
 
 
 def test_r7_ignores_impurity_outside_the_entry_call_tree(lint_files):

@@ -8,17 +8,15 @@ EXPERIMENTS.md can reference the exact artifacts.
 
 The figure benchmarks additionally honour ``REPRO_WORKERS`` (process
 fan-out of the sweep grid; default 1, the serial path),
-``REPRO_CACHE_DIR`` (persistent run-record cache, so repeated benchmark
-runs replay unchanged cells), and ``REPRO_PROFILE`` (any non-empty value
-enables per-cell span profiling; the merged per-scheduler profile is
-written under ``benchmarks/results/<scale>/``) through a shared
+and ``REPRO_CACHE_DIR`` (persistent run-record cache, so repeated
+benchmark runs replay unchanged cells) through a shared
 :class:`~repro.experiments.executor.SweepExecutor` — output is
-byte-identical at any worker count, profiled or not.
+byte-identical at any worker count.  Per-layer timings come from the
+end-to-end benchmark (``python3 bench/run.py --trace 1``), not from here.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -26,7 +24,6 @@ import pytest
 
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.scale import current_scale
-from repro.serialization import document_to_dict
 from repro.workload.generator import ScenarioGenerator
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -47,29 +44,13 @@ def scenarios(scale):
 
 
 @pytest.fixture(scope="session")
-def executor(scale):
-    """The shared sweep executor (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``
-    / ``REPRO_PROFILE``)."""
+def executor():
+    """The shared sweep executor (``REPRO_WORKERS`` /
+    ``REPRO_CACHE_DIR``)."""
     workers = int(os.environ.get("REPRO_WORKERS", "1"))
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    profile = bool(os.environ.get("REPRO_PROFILE"))
-    with SweepExecutor(
-        workers=workers, cache_dir=cache_dir, profile=profile
-    ) as instance:
+    with SweepExecutor(workers=workers, cache_dir=cache_dir) as instance:
         yield instance
-    if profile and instance.profile_by_scheduler:
-        directory = RESULTS_DIR / scale.name
-        directory.mkdir(parents=True, exist_ok=True)
-        document = {
-            scheduler: document_to_dict(merged)
-            for scheduler, merged in sorted(
-                instance.profile_by_scheduler.items()
-            )
-        }
-        (directory / "profiles.json").write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 @pytest.fixture(scope="session")

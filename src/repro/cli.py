@@ -34,8 +34,7 @@ scheduler events as JSON lines); see ``docs/OBSERVABILITY.md``.
 The ``report`` subcommand doubles as the telemetry exporter: with
 ``--timeline TL.json`` it prints the plain-text digest and can render a
 self-contained HTML report (``--html``) and a Perfetto-compatible
-Chrome trace (``--chrome-trace``), optionally unified with a profile
-document (``--profile``).
+Chrome trace (``--chrome-trace``).
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.experiments.tables import render_figure
 from repro.heuristics.registry import heuristic_names, make_heuristic
 from repro.observability import (
     JsonlTracer,
-    Profile,
     Timeline,
     render_link_utilization,
     render_scheduler_summaries,
@@ -371,15 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     report.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help=(
-            "optional profile JSON unified into the Chrome trace as an "
-            "aggregate flame (telemetry mode only)"
-        ),
-    )
-    report.add_argument(
         "--html",
         default=None,
         metavar="PATH",
@@ -638,9 +627,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.timeline is not None:
         return _cmd_report_timeline(args)
-    if args.html or args.chrome_trace or args.profile:
+    if args.html or args.chrome_trace:
         raise ConfigurationError(
-            "--html/--chrome-trace/--profile require --timeline PATH"
+            "--html/--chrome-trace require --timeline PATH"
         )
     text = build_report(args.results_dir, args.scale)
     if args.output:
@@ -668,17 +657,12 @@ def _load_json(path: str) -> dict:
 def _cmd_report_timeline(args: argparse.Namespace) -> int:
     """Telemetry mode: render a saved timeline document."""
     timeline = document_from_dict(Timeline, _load_json(args.timeline))
-    profile = (
-        document_from_dict(Profile, _load_json(args.profile))
-        if args.profile
-        else None
-    )
     print(render_timeline(timeline))
     if args.html:
-        write_html_report(timeline, args.html, profile=profile)
+        write_html_report(timeline, args.html)
         print(f"HTML report written to {args.html}")
     if args.chrome_trace:
-        write_chrome_trace(timeline, args.chrome_trace, profile=profile)
+        write_chrome_trace(timeline, args.chrome_trace)
         print(f"Chrome trace written to {args.chrome_trace}")
     return 0
 

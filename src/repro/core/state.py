@@ -51,7 +51,6 @@ from repro.observability.tracer import (
     Tracer,
     current_tracer,
 )
-from repro.observability.profiling import PHASE_GC, span
 from repro.faults.context import current_faults
 from repro.faults.plan import FaultPlan
 
@@ -247,17 +246,16 @@ class NetworkState:
         # Copy release times are static (DESIGN.md decision 3/4), and the
         # routing layer asks for them on every edge relaxation — precompute
         # the full item × machine matrix once.
-        with span(PHASE_GC, self._tracer):
-            machine_count = network.machine_count
-            self._release_matrix: List[List[float]] = []
-            for item in scenario.items:
-                gc_release = scenario.gc_release_time(item.item_id)
-                row = [gc_release] * machine_count
-                for machine in item.source_machines:
-                    row[machine] = scenario.horizon
-                for request in scenario.requests_for_item(item.item_id):
-                    row[request.destination] = scenario.horizon
-                self._release_matrix.append(row)
+        machine_count = network.machine_count
+        self._release_matrix: List[List[float]] = []
+        for item in scenario.items:
+            gc_release = scenario.gc_release_time(item.item_id)
+            row = [gc_release] * machine_count
+            for machine in item.source_machines:
+                row[machine] = scenario.horizon
+            for request in scenario.requests_for_item(item.item_id):
+                row[request.destination] = scenario.horizon
+            self._release_matrix.append(row)
         if self._faults is not None:
             self._apply_faults(self._faults)
 
@@ -903,39 +901,38 @@ class NetworkState:
             InfeasibleTransferError: if the machine holds no copy, or the
                 loss time falls outside the copy's residency.
         """
-        with span(PHASE_GC, self._tracer):
-            copy = self._copies[item_id].get(machine)
-            if copy is None:
-                raise InfeasibleTransferError(
-                    f"machine {machine} holds no copy of item {item_id} "
-                    f"to lose"
+        copy = self._copies[item_id].get(machine)
+        if copy is None:
+            raise InfeasibleTransferError(
+                f"machine {machine} holds no copy of item {item_id} "
+                f"to lose"
+            )
+        if not copy.available_from <= at_time < copy.release:
+            raise InfeasibleTransferError(
+                f"loss at {at_time} outside copy residency "
+                f"[{copy.available_from}, {copy.release})"
+            )
+        item = self._scenario.item(item_id)
+        if copy.hops > 0:
+            # Only scheduler-created copies carry a storage reservation;
+            # initial source copies are not charged against Cap
+            # (DESIGN.md decision 3).
+            freed = Interval(at_time, copy.release)
+            self._timelines[machine].release(item.size, freed)
+            self._journal.append(
+                MutationRecord(
+                    kind=MUTATION_LOSS,
+                    link_id=-1,
+                    machine=machine,
+                    residency=freed,
+                    item_id=item_id,
                 )
-            if not copy.available_from <= at_time < copy.release:
-                raise InfeasibleTransferError(
-                    f"loss at {at_time} outside copy residency "
-                    f"[{copy.available_from}, {copy.release})"
-                )
-            item = self._scenario.item(item_id)
-            if copy.hops > 0:
-                # Only scheduler-created copies carry a storage reservation;
-                # initial source copies are not charged against Cap
-                # (DESIGN.md decision 3).
-                freed = Interval(at_time, copy.release)
-                self._timelines[machine].release(item.size, freed)
-                self._journal.append(
-                    MutationRecord(
-                        kind=MUTATION_LOSS,
-                        link_id=-1,
-                        machine=machine,
-                        residency=freed,
-                        item_id=item_id,
-                    )
-                )
-            del self._copies[item_id][machine]
-            self._item_revision[item_id] += 1
-            self._capacity_epoch += 1
-            if self._tracer.enabled:
-                self._tracer.emit("copy_removed", item_id, machine, at_time)
+            )
+        del self._copies[item_id][machine]
+        self._item_revision[item_id] += 1
+        self._capacity_epoch += 1
+        if self._tracer.enabled:
+            self._tracer.emit("copy_removed", item_id, machine, at_time)
 
     def reopen_request(self, request_id: int) -> None:
         """Mark a previously satisfied request as unsatisfied again.

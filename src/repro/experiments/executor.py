@@ -50,7 +50,6 @@ from repro.experiments.runner import RunRecord, run_pair, run_scheduler
 from repro.faults.context import use_faults
 from repro.faults.plan import FaultPlan
 from repro.observability.metrics import MetricsCollector, RunMetrics
-from repro.observability.profiling import Profile, ProfileCollector
 from repro.observability.timeline import Timeline, TimelineCollector
 from repro.observability.tracer import TeeTracer, current_tracer, use_tracer
 from repro.serialization import (
@@ -91,7 +90,9 @@ logger = logging.getLogger(__name__)
 #: Version 13: a booking rebases the booked item's tree instead of
 #: searching it again, so a cached ``dijkstra_runs`` is stale for the
 #: same key.
-CACHE_FORMAT_VERSION = 13
+#: Version 14: records drop the span ``profile`` field (``run_record``
+#: schema 2).
+CACHE_FORMAT_VERSION = 14
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")
@@ -190,15 +191,12 @@ def _dispatch_cell(cell: SweepCell) -> RunRecord:
 def _run_cell(
     cell: SweepCell,
     collect_metrics: bool = False,
-    collect_profile: bool = False,
     collect_timeline: bool = False,
 ) -> RunRecord:
     """Execute one cell in-process, optionally under observability sinks.
 
     With ``collect_metrics`` the cell runs inside an ambient
-    :class:`~repro.observability.metrics.MetricsCollector`, with
-    ``collect_profile`` inside an ambient
-    :class:`~repro.observability.profiling.ProfileCollector`, and with
+    :class:`~repro.observability.metrics.MetricsCollector`, and with
     ``collect_timeline`` inside an ambient
     :class:`~repro.observability.timeline.TimelineCollector`; the
     finalized aggregates ride back on the record (they cross process
@@ -212,25 +210,19 @@ def _run_cell(
     plan = cell.effective_faults()
     if plan is not None:
         with use_faults(plan):
-            return _run_observed_cell(
-                cell, collect_metrics, collect_profile, collect_timeline
-            )
-    return _run_observed_cell(
-        cell, collect_metrics, collect_profile, collect_timeline
-    )
+            return _run_observed_cell(cell, collect_metrics, collect_timeline)
+    return _run_observed_cell(cell, collect_metrics, collect_timeline)
 
 
 def _run_observed_cell(
     cell: SweepCell,
     collect_metrics: bool,
-    collect_profile: bool,
     collect_timeline: bool,
 ) -> RunRecord:
     """The observability-sink half of :func:`_run_cell`."""
-    if not collect_metrics and not collect_profile and not collect_timeline:
+    if not collect_metrics and not collect_timeline:
         return _dispatch_cell(cell)
     metrics = MetricsCollector() if collect_metrics else None
-    profiler = ProfileCollector() if collect_profile else None
     timeline = (
         TimelineCollector(cell.scenario) if collect_timeline else None
     )
@@ -238,7 +230,7 @@ def _run_observed_cell(
     # Keep an already-installed tracer (e.g. a --trace-out stream) in the
     # loop instead of shadowing it for the cell's duration.
     sinks: List[Any] = [
-        sink for sink in (metrics, profiler, timeline) if sink is not None
+        sink for sink in (metrics, timeline) if sink is not None
     ]
     if ambient.enabled:
         sinks.append(ambient)
@@ -248,7 +240,6 @@ def _run_observed_cell(
     return dataclasses.replace(
         record,
         metrics=metrics.finalize() if metrics is not None else None,
-        profile=profiler.finalize() if profiler is not None else None,
         timeline=timeline.finalize() if timeline is not None else None,
     )
 
@@ -263,7 +254,6 @@ _CellPayload = Tuple[
     float,
     float,
     str,
-    bool,
     bool,
     bool,
     Optional[Dict[str, Any]],
@@ -287,7 +277,6 @@ def _execute_payload(payload: _CellPayload) -> Tuple[int, Dict[str, Any]]:
         urgency,
         kind,
         collect_metrics,
-        collect_profile,
         collect_timeline,
         faults_doc,
     ) = payload
@@ -304,7 +293,7 @@ def _execute_payload(payload: _CellPayload) -> Tuple[int, Dict[str, Any]]:
         ),
     )
     return index, document_to_dict(
-        _run_cell(cell, collect_metrics, collect_profile, collect_timeline)
+        _run_cell(cell, collect_metrics, collect_timeline)
     )
 
 
@@ -539,15 +528,6 @@ class SweepExecutor:
             :attr:`metrics_by_scheduler`, and merge into
             :meth:`metrics_total`.  Collection never changes scheduling
             results (pinned by a property test).
-        profile: collect per-cell span profiles.  Each computed cell runs
-            under a
-            :class:`~repro.observability.profiling.ProfileCollector`;
-            the per-run profiles ride back on the records (crossing the
-            process boundary and the run cache, so replayed cells
-            contribute their *original* phase timings), accumulate into
-            :attr:`profile_by_scheduler`, and merge into
-            :meth:`profile_total`.  Like metrics, profiling never changes
-            scheduling results.
         timeline: collect per-cell simulated-time telemetry.  Each
             computed cell runs under a
             :class:`~repro.observability.timeline.TimelineCollector`;
@@ -570,7 +550,6 @@ class SweepExecutor:
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         metrics: bool = False,
-        profile: bool = False,
         timeline: bool = False,
     ) -> None:
         if workers < 1:
@@ -582,12 +561,9 @@ class SweepExecutor:
         self.stats = ExecutorStats()
         self.last_summary: Optional[SweepSummary] = None
         self.metrics = bool(metrics)
-        self.profile = bool(profile)
         self.timeline = bool(timeline)
         #: Merged per-run aggregates keyed by scheduler label.
         self.metrics_by_scheduler: Dict[str, RunMetrics] = {}
-        #: Merged per-run span profiles keyed by scheduler label.
-        self.profile_by_scheduler: Dict[str, Profile] = {}
         #: Merged per-run timelines keyed by scheduler label.
         self.timeline_by_scheduler: Dict[str, Timeline] = {}
         self._collector = MetricsCollector() if self.metrics else None
@@ -623,10 +599,6 @@ class SweepExecutor:
         if self._collector is not None:
             total = total.merged(self._collector.finalize())
         return total
-
-    def profile_total(self) -> Profile:
-        """Every collected per-scheduler profile merged into one."""
-        return merge_documents(Profile, self.profile_by_scheduler.values())
 
     def timeline_total(self) -> Timeline:
         """Every collected per-scheduler timeline merged into one.
@@ -744,7 +716,6 @@ class SweepExecutor:
                 record = _run_cell(
                     cell,
                     collect_metrics=self.metrics,
-                    collect_profile=self.profile,
                     collect_timeline=self.timeline,
                 )
                 return record, attempt
@@ -782,7 +753,6 @@ class SweepExecutor:
                 cells[index].weights.urgency,
                 cells[index].kind,
                 self.metrics,
-                self.profile,
                 self.timeline,
                 (
                     fault_plan_to_dict(plan)
@@ -865,17 +835,16 @@ class SweepExecutor:
 
         Cell events go to both the ambient tracer (so ``--trace-out``
         captures executor activity) and, when metrics collection is on,
-        the executor's own collector; per-run aggregates and profiles
+        the executor's own collector; per-run aggregates and timelines
         riding on the records (including replayed cache entries, which
         report the *original* run's work, exactly like their timing)
         merge into :attr:`metrics_by_scheduler` /
-        :attr:`profile_by_scheduler`.
+        :attr:`timeline_by_scheduler`.
         """
         tracer = current_tracer()
         if (
             not tracer.enabled
             and self._collector is None
-            and not self.profile
             and not self.timeline
         ):
             return
@@ -887,15 +856,6 @@ class SweepExecutor:
                     record.scheduler,
                     record.cache_hit,
                     record.elapsed_seconds,
-                )
-            if self.profile and record.profile is not None:
-                existing_profile = self.profile_by_scheduler.get(
-                    record.scheduler
-                )
-                self.profile_by_scheduler[record.scheduler] = (
-                    record.profile.merged(Profile())
-                    if existing_profile is None
-                    else existing_profile.merged(record.profile)
                 )
             if self.timeline and record.timeline is not None:
                 existing_timeline = self.timeline_by_scheduler.get(

@@ -20,7 +20,6 @@ from repro.cost.weights import EUWeights, as_weights
 from repro.heuristics.base import HeuristicResult
 from repro.heuristics.registry import make_heuristic
 from repro.observability.metrics import RunMetrics
-from repro.observability.profiling import Profile
 from repro.observability.timeline import Timeline
 
 
@@ -46,10 +45,6 @@ class RunRecord:
         metrics: optional observability aggregate for the run; populated
             only when metrics collection was requested, and — like
             timing — excluded from result identity.
-        profile: optional per-phase span profile for the run; populated
-            only when profiling was requested, and — like timing —
-            excluded from result identity.  Cache replays restore the
-            *original* run's profile.
         timeline: optional simulated-time telemetry document for the
             run; populated only when timeline collection was requested,
             and — like timing — excluded from result identity.  Cache
@@ -59,7 +54,7 @@ class RunRecord:
     """
 
     KIND: ClassVar[str] = "run_record"
-    SCHEMA_VERSION: ClassVar[int] = 1
+    SCHEMA_VERSION: ClassVar[int] = 2
 
     scenario: str
     scheduler: str
@@ -73,7 +68,6 @@ class RunRecord:
     average_hops: float
     cache_hit: bool = False
     metrics: Optional[RunMetrics] = None
-    profile: Optional[Profile] = None
     timeline: Optional[Timeline] = None
 
     @property
@@ -93,7 +87,6 @@ class RunRecord:
             elapsed_seconds=0.0,
             cache_hit=False,
             metrics=None,
-            profile=None,
             timeline=None,
         )
 
@@ -104,7 +97,6 @@ def record_result(
     scheduler: str,
     eu_label: str = "-",
     metrics: Optional[RunMetrics] = None,
-    profile: Optional[Profile] = None,
     timeline: Optional[Timeline] = None,
 ) -> RunRecord:
     """Convert a finished :class:`HeuristicResult` into a record."""
@@ -121,7 +113,6 @@ def record_result(
         elapsed_seconds=result.stats.elapsed_seconds,
         average_hops=result.schedule.average_hops_per_delivery(),
         metrics=metrics,
-        profile=profile,
         timeline=timeline,
     )
 

@@ -71,12 +71,6 @@ from repro.heuristics.candidates import (
     enumerate_groups,
     visible_requests,
 )
-from repro.observability.profiling import (
-    PHASE_BOOKING,
-    PHASE_SCORING,
-    PHASE_TREE,
-    span,
-)
 from repro.observability.tracer import (
     TREE_CACHE_BANDWIDTH_DEGRADED,
     TREE_CACHE_CAPACITY_RELEASED,
@@ -540,23 +534,22 @@ class TreeCache:
             return cached
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
-        with span(PHASE_TREE, tracer):
-            opening = (
-                _opening_trees(state.scenario)
-                if self._enabled and not tracer.enabled and state.at_opening
-                else None
-            )
-            key = (item_id, self._not_before)
-            tree = opening.get(key) if opening is not None else None
-            if tree is None:
-                targets = deadline_targets(state, item_id)
-                tree = compute_shortest_path_tree(
-                    state, item_id, targets, not_before=self._not_before
-                ).projected(targets)
-                if opening is not None:
-                    opening[key] = tree
-            entry = self._snapshot(tree)
-            self._stats.dijkstra_runs += 1
+        opening = (
+            _opening_trees(state.scenario)
+            if self._enabled and not tracer.enabled and state.at_opening
+            else None
+        )
+        key = (item_id, self._not_before)
+        tree = opening.get(key) if opening is not None else None
+        if tree is None:
+            targets = deadline_targets(state, item_id)
+            tree = compute_shortest_path_tree(
+                state, item_id, targets, not_before=self._not_before
+            ).projected(targets)
+            if opening is not None:
+                opening[key] = tree
+        entry = self._snapshot(tree)
+        self._stats.dijkstra_runs += 1
         if self._enabled:
             self._store(item_id, entry)
         return entry
@@ -581,30 +574,29 @@ class TreeCache:
             return False
         state = self._state
         tracer = state.tracer
-        with span(PHASE_TREE, tracer):
-            records = state.journal_since(self._replay_position)
-            seeds = self._seeds(item_id)
-            if (
-                cached.conflict
-                or not records
-                or time_ne(cached.not_before, self._not_before)
-                or state.item_revision(item_id)
-                != cached.item_revision + len(records)
-                or state.degradation_epoch != cached.degradation_epoch
-                or any(
-                    record.kind != MUTATION_BOOKING
-                    or record.item_id != item_id
-                    or record.machine not in seeds
-                    for record in records
-                )
-            ):
-                return False
-            self._replay()
-            targets = deadline_targets(state, item_id)
-            tree = cached.tree.rebased(seeds, targets)
-            if tree is None:
-                return False
-            self._store(item_id, self._snapshot(tree))
+        records = state.journal_since(self._replay_position)
+        seeds = self._seeds(item_id)
+        if (
+            cached.conflict
+            or not records
+            or time_ne(cached.not_before, self._not_before)
+            or state.item_revision(item_id)
+            != cached.item_revision + len(records)
+            or state.degradation_epoch != cached.degradation_epoch
+            or any(
+                record.kind != MUTATION_BOOKING
+                or record.item_id != item_id
+                or record.machine not in seeds
+                for record in records
+            )
+        ):
+            return False
+        self._replay()
+        targets = deadline_targets(state, item_id)
+        tree = cached.tree.rebased(seeds, targets)
+        if tree is None:
+            return False
+        self._store(item_id, self._snapshot(tree))
         if tracer.enabled:
             tracer.emit("tree_rebased", item_id, len(seeds))
         return True
@@ -869,8 +861,7 @@ class StagingHeuristic(abc.ABC):
                 break
             group, result = choice
             stats.iterations += 1
-            with span(PHASE_BOOKING, tracer):
-                hops = self._execute(state, group, result)
+            hops = self._execute(state, group, result)
             cache.rebase(group.item_id)
             stats.hops_booked += hops
             shortlist.forget((group.item_id,))
@@ -997,25 +988,24 @@ class StagingHeuristic(abc.ABC):
         tracing = tracer.enabled
         candidates = 0
         best: Optional[Tuple[tuple, CandidateGroup, CostResult]] = None
-        with span(PHASE_SCORING, tracer):
-            for group in enumerate_groups(
-                state,
-                item_id,
-                tree,
-                scenario.weighting,
-                priorities,
-                request_filter,
-            ):
-                if tracing:
-                    candidates += 1
-                result = self._criterion.evaluate(
-                    group.evaluations, self._weights
-                )
-                if result.selected is None:
-                    continue
-                key = (result.cost,) + group.tie_break_key()
-                if best is None or key < best[0]:
-                    best = (key, group, result)
+        for group in enumerate_groups(
+            state,
+            item_id,
+            tree,
+            scenario.weighting,
+            priorities,
+            request_filter,
+        ):
+            if tracing:
+                candidates += 1
+            result = self._criterion.evaluate(
+                group.evaluations, self._weights
+            )
+            if result.selected is None:
+                continue
+            key = (result.cost,) + group.tie_break_key()
+            if best is None or key < best[0]:
+                best = (key, group, result)
         if tracing:
             tracer.emit("item_scored", item_id, candidates)
         return best

@@ -1,6 +1,6 @@
 """Lightweight, zero-dependency tracing and metrics for the scheduler core.
 
-The subsystem has three layers:
+The subsystem has five modules:
 
 * :mod:`repro.observability.tracer` — the :class:`Tracer` hook protocol the
   scheduler core calls into.  The default :class:`NullTracer` keeps every
@@ -11,9 +11,6 @@ The subsystem has three layers:
 * :mod:`repro.observability.metrics` — :class:`MetricsCollector`, a tracer
   that aggregates events into counters/timings, and the serializable
   :class:`RunMetrics` aggregate it produces.
-* :mod:`repro.observability.profiling` — the ``span(...)`` context manager
-  phase profiler and :class:`ProfileCollector`, a tracer that folds span
-  events into a hierarchical, mergeable :class:`Profile`.
 * :mod:`repro.observability.report` — plain-text rendering of per-scheduler
   summaries and link-utilization tables from collected metrics.
 * :mod:`repro.observability.timeline` — :class:`TimelineCollector`, a
@@ -30,26 +27,16 @@ current process; :class:`~repro.core.state.NetworkState` captures the
 ambient tracer at construction, so every run started inside the block is
 observed.  Tracers only observe — enabling one never changes scheduling
 decisions (pinned by a property test).
+
+Where the time goes is measured from outside the program:
+``bench/layers.py`` wraps the hot entry points and reports per-layer call
+counts and self times.
 """
 
 from repro.observability.metrics import (
     MetricsCollector,
     RunMetrics,
     TimingStat,
-)
-from repro.observability.profiling import (
-    PHASE_BOOKING,
-    PHASE_DIJKSTRA,
-    PHASE_GC,
-    PHASE_NAMES,
-    PHASE_SCENARIO_GENERATION,
-    PHASE_SCORING,
-    PHASE_TREE,
-    Hotspot,
-    Profile,
-    ProfileCollector,
-    SpanStat,
-    span,
 )
 from repro.observability.export import (
     chrome_trace_events,
@@ -59,7 +46,6 @@ from repro.observability.export import (
 )
 from repro.observability.report import (
     render_link_utilization,
-    render_profile,
     render_run_metrics,
     render_scheduler_summaries,
     render_timeline,
@@ -88,20 +74,7 @@ __all__ = [
     "MetricsCollector",
     "RunMetrics",
     "TimingStat",
-    "PHASE_BOOKING",
-    "PHASE_DIJKSTRA",
-    "PHASE_GC",
-    "PHASE_NAMES",
-    "PHASE_SCENARIO_GENERATION",
-    "PHASE_SCORING",
-    "PHASE_TREE",
-    "Hotspot",
-    "Profile",
-    "ProfileCollector",
-    "SpanStat",
-    "span",
     "render_link_utilization",
-    "render_profile",
     "render_run_metrics",
     "render_scheduler_summaries",
     "render_timeline",

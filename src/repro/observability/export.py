@@ -7,12 +7,7 @@ Two ways out of a :class:`~repro.observability.timeline.Timeline`:
   complete events laned per virtual link under a *simulated time*
   process, and the derived series (network subscription ratio, pending
   queue depth per priority class, storage occupancy) become ``"C"``
-  counter tracks.  An optional
-  :class:`~repro.observability.profiling.Profile` is laid out as an
-  *aggregate* flame under a second process — span profiles carry
-  per-path totals, not per-span timestamps, so the lane shows each
-  path's summed wall time nested inside its parent, which is the useful
-  shape for "where did the time go" even without real start stamps.
+  counter tracks.
 * :func:`render_html_report` — a single self-contained HTML document
   (inline SVG only, no scripts, no external assets) with the
   utilization/occupancy/slack charts, the rejection breakdown, and a
@@ -33,9 +28,8 @@ from __future__ import annotations
 
 import html
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.observability.profiling import Profile
 from repro.observability.timeline import (
     REASON_DESCRIPTIONS,
     Timeline,
@@ -47,9 +41,6 @@ SIMULATED_US_PER_SECOND = 1_000_000.0
 
 #: The ``pid`` lane carrying simulated-time activity.
 SIMULATED_PID = 1
-
-#: The ``pid`` lane carrying the aggregate solver profile.
-PROFILE_PID = 2
 
 #: Buckets used for the exported counter tracks and report charts.
 SERIES_POINTS = 64
@@ -84,71 +75,11 @@ def _counter_events(
     ]
 
 
-def _profile_tree(
-    profile: Profile,
-) -> Dict[str, List[str]]:
-    """Immediate-children map of the profile's span-path forest."""
-    children: Dict[str, List[str]] = {"": []}
-    for path in sorted(profile.spans):
-        parent, _, _ = path.rpartition("/")
-        children.setdefault(parent, []).append(path)
-        children.setdefault(path, [])
-    # A child may exist without its parent ever being recorded (collector
-    # installed mid-span); hoist such orphans to the root lane.
-    for path in sorted(children):
-        if path and path not in profile.spans:
-            children[""].extend(children.pop(path))
-    children[""].sort()
-    return children
-
-
-def _profile_events(profile: Profile) -> List[Dict[str, Any]]:
-    """The aggregate profile flame as nested ``"X"`` events.
-
-    Each path occupies its total wall seconds; children are packed
-    left-to-right inside the parent's interval starting at the parent's
-    start, which renders as a flame graph in trace viewers.
-    """
-    children = _profile_tree(profile)
-    events: List[Dict[str, Any]] = []
-
-    def emit(path: str, start: float) -> float:
-        stat = profile.spans[path]
-        duration = stat.wall.total
-        events.append(
-            {
-                "name": path.rpartition("/")[2],
-                "cat": "profile",
-                "ph": "X",
-                "ts": start * SIMULATED_US_PER_SECOND,
-                "dur": duration * SIMULATED_US_PER_SECOND,
-                "pid": PROFILE_PID,
-                "tid": 0,
-                "args": {
-                    "path": path,
-                    "count": stat.count,
-                    "wall_seconds": stat.wall.total,
-                    "cpu_seconds": stat.cpu.total,
-                },
-            }
-        )
-        cursor = start
-        for child in children.get(path, []):
-            cursor = emit(child, cursor)
-        return start + duration
-
-    cursor = 0.0
-    for root in children[""]:
-        cursor = emit(root, cursor)
-    return events
-
-
 def chrome_trace_events(
     timeline: Timeline,
-    profile: Optional[Profile] = None,
     points: int = SERIES_POINTS,
 ) -> Dict[str, Any]:
-    """The timeline (and optional profile) as a trace-event document.
+    """The timeline as a trace-event document.
 
     Returns the ``{"traceEvents": [...], "displayTimeUnit": "ms"}``
     object; serialize with ``json.dumps`` and load the file in Perfetto
@@ -207,26 +138,15 @@ def chrome_trace_events(
                 0,
             )
         )
-    if profile is not None and not profile.empty:
-        events.append(
-            _meta_event(
-                PROFILE_PID, 0, "process_name", "solver profile (aggregate)"
-            )
-        )
-        events.append(
-            _meta_event(PROFILE_PID, 0, "thread_name", "span totals")
-        )
-        events.extend(_profile_events(profile))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(
     timeline: Timeline,
     path: str,
-    profile: Optional[Profile] = None,
 ) -> None:
     """Serialize :func:`chrome_trace_events` to ``path`` (compact JSON)."""
-    document = chrome_trace_events(timeline, profile)
+    document = chrome_trace_events(timeline)
     with open(path, "w", encoding="utf-8") as stream:
         json.dump(document, stream, separators=(",", ":"), sort_keys=True)
 
@@ -410,7 +330,6 @@ def _forensics_section(timeline: Timeline, samples: int = 5) -> str:
 
 def render_html_report(
     timeline: Timeline,
-    profile: Optional[Profile] = None,
     title: str = "Simulated-time telemetry report",
     points: int = SERIES_POINTS,
 ) -> str:
@@ -511,20 +430,6 @@ def render_html_report(
     parts.append(_rejection_table(timeline))
     parts.append("<h2>Request forensics</h2>")
     parts.append(_forensics_section(timeline))
-    if profile is not None and not profile.empty:
-        parts.append("<h2>Solver hotspots (aggregate)</h2>")
-        cells = [
-            "<tr><th>span path</th><th>count</th><th>wall (s)</th>"
-            "<th>self (s)</th></tr>"
-        ]
-        for spot in profile.hotspots(limit=10):
-            stat = profile.spans[spot.path]
-            cells.append(
-                f"<tr><td>{html.escape(spot.path)}</td>"
-                f"<td>{stat.count}</td><td>{stat.wall.total:.3f}</td>"
-                f"<td>{spot.self_wall_seconds:.3f}</td></tr>"
-            )
-        parts.append("<table>" + "".join(cells) + "</table>")
     parts.append("</body></html>")
     return "\n".join(parts)
 
@@ -532,9 +437,8 @@ def render_html_report(
 def write_html_report(
     timeline: Timeline,
     path: str,
-    profile: Optional[Profile] = None,
     title: str = "Simulated-time telemetry report",
 ) -> None:
     """Render :func:`render_html_report` to ``path``."""
     with open(path, "w", encoding="utf-8") as stream:
-        stream.write(render_html_report(timeline, profile, title=title))
+        stream.write(render_html_report(timeline, title=title))

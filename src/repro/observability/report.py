@@ -1,6 +1,6 @@
-"""Plain-text rendering of collected scheduler metrics and profiles.
+"""Plain-text rendering of collected scheduler metrics and timelines.
 
-Five renderers, all returning aligned ASCII tables (via the same
+Four renderers, all returning aligned ASCII tables (via the same
 :func:`~repro.experiments.tables.render_table` the figure output uses):
 
 * :func:`render_run_metrics` — one aggregate's counters, rejection
@@ -9,8 +9,6 @@ Five renderers, all returning aligned ASCII tables (via the same
   (bookings, attempts, rejection rate, search effort, cache behavior);
 * :func:`render_link_utilization` — the busiest virtual links with their
   mean per-run busy time and utilization fraction;
-* :func:`render_profile` — one span profile's per-phase wall/CPU
-  breakdown, ranked hottest (self wall time) first;
 * :func:`render_timeline` — one simulated-time telemetry document's
   digest (saturation, per-class outcomes, worst-off requests).
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.observability.metrics import RunMetrics
-from repro.observability.profiling import Profile
 from repro.observability.timeline import Timeline
 
 
@@ -117,37 +114,6 @@ def render_scheduler_summaries(
             "tree-hit",
             "decision-ms",
         ],
-        rows,
-        title=title,
-    )
-
-
-def render_profile(
-    profile: Profile,
-    top: int = 10,
-    title: str = "phase profile",
-) -> str:
-    """The profile's hotspot table: one row per span path.
-
-    Rows rank by self wall time (time in the phase excluding its direct
-    children), so a hot parent whose cost lives entirely in a nested
-    phase sorts below the child.
-    """
-    rows = []
-    for hotspot in profile.hotspots(top):
-        stat = profile.stat(hotspot.path)
-        rows.append(
-            [
-                hotspot.path,
-                str(hotspot.count),
-                f"{hotspot.self_wall_seconds:.3f}",
-                f"{hotspot.total_wall_seconds:.3f}",
-                f"{stat.cpu.total:.3f}",
-                f"{100.0 * hotspot.share:.1f}%",
-            ]
-        )
-    return render_table(
-        ["phase", "count", "self-s", "total-s", "cpu-s", "share"],
         rows,
         title=title,
     )

@@ -1,7 +1,7 @@
 """Simulated-time telemetry: the mergeable :class:`Timeline` document.
 
-The tracer/metrics/profiler stack measures the *solver* — which phase
-burned CPU, how many searches ran.  This module measures the *simulated
+The tracer/metrics stack measures the *solver* — how many searches ran,
+how many bookings were tried and why they were rejected.  This module measures the *simulated
 network*: how saturated each virtual link was at simulated time ``t``,
 how receiver storage filled up, how deadline slack eroded per priority
 class, and — request by request — *why* a data request ended up
@@ -11,8 +11,7 @@ satisfied, cancelled, or unscheduled.
 :class:`~repro.observability.tracer.Tracer` observing one scheduler run
 on one scenario.  :meth:`TimelineCollector.finalize` snapshots a
 :class:`Timeline`, which merges associatively (like
-:class:`~repro.observability.metrics.RunMetrics` and
-:class:`~repro.observability.profiling.Profile`) so per-cell timelines
+:class:`~repro.observability.metrics.RunMetrics`) so per-cell timelines
 from parallel workers combine into sweep totals, and round-trips through
 :func:`repro.serialization.document_to_dict` /
 :func:`~repro.serialization.document_from_dict` (schema-versioned by

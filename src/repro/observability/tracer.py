@@ -12,9 +12,9 @@ zip the registered names with the values.  They raise
 :class:`~repro.errors.ConfigurationError` at the point of emission for an
 unregistered event, a wrong number of values, or a ``reason`` outside
 :data:`REASON_CODES` / :data:`TREE_CACHE_REASONS`.  The aggregating
-tracers (:class:`~repro.observability.metrics.MetricsCollector`, the
-timeline and profile collectors) look each event up in one dict of bound
-handlers and ignore the events they have no handler for.
+tracers (:class:`~repro.observability.metrics.MetricsCollector` and the
+timeline collector) look each event up in one dict of bound handlers and
+ignore the events they have no handler for.
 
 Values are positional, not keywords: an event builds no dict on its way
 in, so a collector can bump plain integers straight from the arguments.
@@ -160,13 +160,6 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     # -- executor -----------------------------------------------------------
     # One sweep grid cell was resolved (computed or replayed).
     "cell": ("index", "scheduler", "cache_hit", "elapsed_seconds"),
-    # -- profiling ----------------------------------------------------------
-    # ``repro.observability.profiling.span`` entry.  Starts and ends pair
-    # up even when the spanned code raises, and spans nest, so a
-    # collector may keep a stack.
-    "span_start": ("span",),
-    # The matching span closed (wall + CPU duration).
-    "span_end": ("span", "wall_seconds", "cpu_seconds"),
     # -- fault injection and robustness -------------------------------------
     # A FaultPlan was applied to a state: ``masked_windows`` busy
     # intervals pre-booked by outage windows, ``degraded_links`` virtual

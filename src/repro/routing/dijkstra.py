@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.core.state import NetworkState
-from repro.observability.profiling import PHASE_DIJKSTRA, span
 from repro.routing.compiled import compute_tree_compiled
 from repro.routing.paths import ShortestPathTree
 
@@ -39,8 +38,7 @@ def compute_shortest_path_tree(
     """Earliest-arrival tree for one data item over the current state.
 
     The search runs in the array-backed kernel
-    :func:`~repro.routing.compiled.compute_tree_compiled`, inside the
-    ``dijkstra`` profiling span.
+    :func:`~repro.routing.compiled.compute_tree_compiled`.
 
     Args:
         state: the scheduling state to plan against (not mutated).
@@ -61,5 +59,4 @@ def compute_shortest_path_tree(
         The :class:`~repro.routing.paths.ShortestPathTree` with exact
         earliest arrivals for every reachable machine.
     """
-    with span(PHASE_DIJKSTRA, state.tracer):
-        return compute_tree_compiled(state, item_id, targets, not_before)
+    return compute_tree_compiled(state, item_id, targets, not_before)

@@ -7,7 +7,6 @@ Two kinds of codec live here:
   decoders run domain checks through the model constructors.
 * **Output documents** — :class:`~repro.experiments.runner.RunRecord`,
   :class:`~repro.observability.metrics.RunMetrics`,
-  :class:`~repro.observability.profiling.Profile`,
   :class:`~repro.observability.timeline.Timeline` and
   :class:`~repro.experiments.chaos.ChaosReport` — share one codec derived
   from their dataclass field types: :func:`document_to_dict`,

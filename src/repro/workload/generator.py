@@ -21,7 +21,6 @@ from repro.core.priority import PriorityWeighting, WEIGHTING_1_10_100
 from repro.core.request import Request
 from repro.core.scenario import Scenario
 from repro.errors import ConfigurationError
-from repro.observability.profiling import PHASE_SCENARIO_GENERATION, span
 from repro.workload.config import GeneratorConfig
 from repro.workload.connectivity import (
     is_strongly_connected,
@@ -60,27 +59,26 @@ class ScenarioGenerator:
 
     def generate(self, seed: int, name: str = "") -> Scenario:
         """Draw one scenario, deterministically from ``seed``."""
-        with span(PHASE_SCENARIO_GENERATION):
-            rng = random.Random(seed)
-            cfg = self._config
-            machine_count = rng.randint(*cfg.machines)
-            machines = tuple(
-                Machine(index=i, capacity=rng.uniform(*cfg.capacity_bytes))
-                for i in range(machine_count)
-            )
-            physical_links = self._generate_links(rng, machine_count)
-            network = Network(machines, physical_links)
-            items, requests = self._generate_requests(rng, machine_count)
-            latest_deadline = max(request.deadline for request in requests)
-            return Scenario(
-                network=network,
-                items=tuple(items),
-                requests=tuple(requests),
-                weighting=self._weighting,
-                gc_delay=cfg.gc_delay_seconds,
-                horizon=latest_deadline + cfg.gc_delay_seconds + 1.0,
-                name=name or f"badd-{seed}",
-            )
+        rng = random.Random(seed)
+        cfg = self._config
+        machine_count = rng.randint(*cfg.machines)
+        machines = tuple(
+            Machine(index=i, capacity=rng.uniform(*cfg.capacity_bytes))
+            for i in range(machine_count)
+        )
+        physical_links = self._generate_links(rng, machine_count)
+        network = Network(machines, physical_links)
+        items, requests = self._generate_requests(rng, machine_count)
+        latest_deadline = max(request.deadline for request in requests)
+        return Scenario(
+            network=network,
+            items=tuple(items),
+            requests=tuple(requests),
+            weighting=self._weighting,
+            gc_delay=cfg.gc_delay_seconds,
+            horizon=latest_deadline + cfg.gc_delay_seconds + 1.0,
+            name=name or f"badd-{seed}",
+        )
 
     def generate_suite(
         self, count: int, base_seed: int = 0

@@ -105,6 +105,34 @@ class TestCacheQuarantine:
         assert not records[0].cache_hit
 
 
+class TestOlderCacheFormat:
+    def test_entries_of_an_older_format_read_as_misses(
+        self, tiny_scenarios, tmp_path, monkeypatch
+    ):
+        cells = _cells(tiny_scenarios[:2])
+        # Format 13 entries held run_record schema 1, with a profile field.
+        with monkeypatch.context() as patch:
+            patch.setattr(executor_module, "CACHE_FORMAT_VERSION", 13)
+            with SweepExecutor(workers=1, cache_dir=tmp_path) as executor:
+                originals = executor.run_cells(cells)
+        for path in tmp_path.glob("*/*.json"):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry["record"]["schema_version"] = 1
+            entry["record"]["profile"] = None
+            path.write_text(json.dumps(entry), encoding="utf-8")
+
+        with SweepExecutor(workers=1, cache_dir=tmp_path) as executor:
+            records = executor.run_cells(cells)
+            summary = executor.last_summary
+        assert summary is not None
+        assert summary.cache_hits == 0
+        assert summary.quarantined == 0
+        assert summary.computed == len(cells)
+        assert [_canonical(r) for r in records] == [
+            _canonical(r) for r in originals
+        ]
+
+
 class _Flaky:
     """A stand-in for ``_run_cell`` failing transiently N times."""
 
@@ -117,7 +145,6 @@ class _Flaky:
         self,
         cell,
         collect_metrics=False,
-        collect_profile=False,
         collect_timeline=False,
     ):
         self.calls += 1

@@ -31,9 +31,7 @@ ALWAYS = Interval(0.0, 1_000_000.0)
 #: Trace-event fields that legitimately differ between two runs of the
 #: same schedule (for example the compiled routing kernel and its
 #: reference oracle): wall timing.
-VOLATILE_TRACE_FIELDS = frozenset(
-    {"elapsed_seconds", "wall_seconds", "cpu_seconds"}
-)
+VOLATILE_TRACE_FIELDS = frozenset({"elapsed_seconds"})
 
 
 def neutral_fields(event: TraceEvent) -> Tuple[Tuple[str, Any], ...]:

@@ -28,7 +28,6 @@ from repro.core.state import (
     MUTATION_LOSS,
 )
 from repro.heuristics.base import CacheEntry, TreeCache, deadline_targets
-from repro.observability.profiling import PHASE_TREE, span
 from repro.observability.tracer import (
     TREE_CACHE_BANDWIDTH_DEGRADED,
     TREE_CACHE_CAPACITY_RELEASED,
@@ -82,14 +81,13 @@ class ReferenceTreeCache(TreeCache):
             return cached
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
-        with span(PHASE_TREE, tracer):
-            targets = deadline_targets(self._state, item_id)
-            tree = compute_shortest_path_tree(
-                self._state, item_id, targets, not_before=self._not_before
-            )
-            self._stats.dijkstra_runs += 1
-            entry = self._snapshot(tree.projected(targets))
-            entry.journal_position = self._state.journal_length()
+        targets = deadline_targets(self._state, item_id)
+        tree = compute_shortest_path_tree(
+            self._state, item_id, targets, not_before=self._not_before
+        )
+        self._stats.dijkstra_runs += 1
+        entry = self._snapshot(tree.projected(targets))
+        entry.journal_position = self._state.journal_length()
         if self._enabled:
             self._trees[item_id] = entry
             self._footprints[item_id] = self._footprint(tree, targets)

@@ -64,8 +64,6 @@ SEARCH_EVENTS = frozenset(
         "transfer_attempt",
         "transfer_rejected",
         "item_scored",
-        "span_start",
-        "span_end",
     }
 )
 

@@ -14,6 +14,11 @@ from repro.baselines.single_dijkstra_random import SingleDijkstraRandomBaseline
 from repro.core.evaluation import evaluate_schedule
 from repro.exhaustive.search import ExhaustiveSearch, SearchLimits
 from repro.experiments.runner import run_pair
+from repro.experiments.scale import scale_by_name
+from repro.experiments.studies import (
+    priority_tier_comparison,
+    weighting_comparison,
+)
 from repro.experiments.sweep import sweep_pair
 from repro.heuristics.registry import make_heuristic
 from repro.workload.config import GeneratorConfig
@@ -167,3 +172,42 @@ class TestClaim10NearOptimal:
                 assert value == exact.weighted_sum, (
                     scenario.name, heuristic, criterion
                 )
+
+
+class TestClaims8And9AtCiScale:
+    """EXPERIMENTS.md claims 8 and 9 on the cells behind
+    ``benchmarks/results/ci/tab_weightings.txt`` and
+    ``tab_priority_tier.txt``: full_one/C4 at log10(E-U)=2 on the ci
+    cases."""
+
+    @pytest.fixture(scope="class")
+    def ci(self):
+        return scale_by_name("ci")
+
+    def test_claim_8_steeper_weighting_favours_high_priority(self, ci):
+        seeds = range(ci.base_seed, ci.base_seed + ci.cases)
+        outcomes = {
+            outcome.weighting: outcome
+            for outcome in weighting_comparison(
+                ScenarioGenerator(ci.config),
+                seeds,
+                heuristic="full_one",
+                criterion="C4",
+                weights=2.0,
+            )
+        }
+        light = outcomes["1-5-10"].mean_satisfied_by_priority
+        heavy = outcomes["1-10-100"].mean_satisfied_by_priority
+        high, low = 2, 0
+        assert heavy[high] >= light[high]
+        assert heavy[low] <= light[low]
+
+    def test_claim_9_heuristic_never_loses_to_the_tier_scheme(self, ci):
+        scenarios = ScenarioGenerator(ci.config).generate_suite(
+            ci.cases, ci.base_seed
+        )
+        comparison = priority_tier_comparison(
+            scenarios, heuristic="full_one", criterion="C4", weights=2.0
+        )
+        assert comparison.cases == ci.cases
+        assert comparison.wins + comparison.ties == comparison.cases

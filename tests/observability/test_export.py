@@ -4,8 +4,6 @@ import json
 
 from repro.heuristics.registry import make_heuristic
 from repro.observability import (
-    ProfileCollector,
-    TeeTracer,
     TimelineCollector,
     chrome_trace_events,
     render_html_report,
@@ -14,25 +12,23 @@ from repro.observability import (
     write_html_report,
 )
 from repro.observability.export import (
-    PROFILE_PID,
     SIMULATED_PID,
     SIMULATED_US_PER_SECOND,
 )
 
 
 def observed_run(scenario):
-    """One profiled, timeline-collected run; returns (timeline, profile)."""
+    """One timeline-collected run; returns its timeline."""
     timeline = TimelineCollector(scenario)
-    profiler = ProfileCollector()
-    with use_tracer(TeeTracer((timeline, profiler))):
+    with use_tracer(timeline):
         make_heuristic("full_one", "C4", 0.0).run(scenario)
-    return timeline.finalize(), profiler.finalize()
+    return timeline.finalize()
 
 
 class TestChromeTrace:
     def test_document_shape_and_phases(self, tiny_scenarios):
-        timeline, profile = observed_run(tiny_scenarios[0])
-        document = chrome_trace_events(timeline, profile)
+        timeline = observed_run(tiny_scenarios[0])
+        document = chrome_trace_events(timeline)
         assert document["displayTimeUnit"] == "ms"
         events = document["traceEvents"]
         assert events
@@ -40,13 +36,13 @@ class TestChromeTrace:
         assert phases <= {"X", "C", "M"}
         for event in events:
             assert isinstance(event["name"], str)
-            assert event["pid"] in (SIMULATED_PID, PROFILE_PID)
+            assert event["pid"] == SIMULATED_PID
             if event["ph"] == "X":
                 assert event["ts"] >= 0.0
                 assert event["dur"] >= 0.0
 
     def test_bookings_map_to_simulated_microseconds(self, line_scenario):
-        timeline, _ = observed_run(line_scenario)
+        timeline = observed_run(line_scenario)
         document = chrome_trace_events(timeline)
         lanes = [
             event
@@ -60,33 +56,18 @@ class TestChromeTrace:
             (SIMULATED_US_PER_SECOND, SIMULATED_US_PER_SECOND),
         ]
 
-    def test_profile_flame_rides_its_own_process(self, tiny_scenarios):
-        timeline, profile = observed_run(tiny_scenarios[0])
-        with_flame = chrome_trace_events(timeline, profile)
-        without = chrome_trace_events(timeline)
-        flame = [
-            event
-            for event in with_flame["traceEvents"]
-            if event["pid"] == PROFILE_PID and event["ph"] == "X"
-        ]
-        assert flame
-        assert not any(
-            event["pid"] == PROFILE_PID and event["ph"] == "X"
-            for event in without["traceEvents"]
-        )
-
     def test_written_file_is_valid_json(self, line_scenario, tmp_path):
-        timeline, profile = observed_run(line_scenario)
+        timeline = observed_run(line_scenario)
         path = tmp_path / "trace.json"
-        write_chrome_trace(timeline, str(path), profile=profile)
+        write_chrome_trace(timeline, str(path))
         document = json.loads(path.read_text(encoding="utf-8"))
         assert document["traceEvents"]
 
 
 class TestHtmlReport:
     def test_self_contained_document(self, tiny_scenarios):
-        timeline, profile = observed_run(tiny_scenarios[0])
-        html = render_html_report(timeline, profile)
+        timeline = observed_run(tiny_scenarios[0])
+        html = render_html_report(timeline)
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         # Self-contained: no external fetches, no scripting.
@@ -94,14 +75,14 @@ class TestHtmlReport:
         assert "http://" not in html and "https://" not in html
 
     def test_forensics_transcripts_are_embedded(self, tiny_scenarios):
-        timeline, _ = observed_run(tiny_scenarios[0])
+        timeline = observed_run(tiny_scenarios[0])
         html = render_html_report(timeline)
         unsatisfied = timeline.summary()["unsatisfied"]
         if unsatisfied:
             assert "causal chain" in html or "dominant cause" in html
 
     def test_scenario_names_are_escaped(self, line_scenario):
-        timeline, _ = observed_run(line_scenario)
+        timeline = observed_run(line_scenario)
         for ledger in timeline.forensics.values():
             ledger.scenario = "<script>alert(1)</script>"
             ledger.satisfied = 0  # force it into the forensics section
@@ -109,7 +90,7 @@ class TestHtmlReport:
         assert "<script>alert(1)</script>" not in html
 
     def test_written_file_round_trips(self, line_scenario, tmp_path):
-        timeline, _ = observed_run(line_scenario)
+        timeline = observed_run(line_scenario)
         path = tmp_path / "report.html"
         write_html_report(timeline, str(path))
         assert path.read_text(encoding="utf-8") == render_html_report(

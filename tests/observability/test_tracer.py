@@ -263,21 +263,25 @@ class TestJsonlTracer:
             "run_end"
         )
 
-    def test_span_events_stream_as_json_lines(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
+    def test_each_event_streams_as_one_json_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
         with JsonlTracer(path) as tracer:
-            tracer.emit("span_start", "tree")
-            tracer.emit("span_end", "tree", 0.25, 0.125)
+            tracer.emit("tree_cache", 3, False, "cold")
+            tracer.emit("run_end", "label", 0.25)
         documents = [
             json.loads(line)
             for line in path.read_text(encoding="utf-8").splitlines()
         ]
-        assert documents[0] == {"event": "span_start", "span": "tree"}
+        assert documents[0] == {
+            "event": "tree_cache",
+            "item_id": 3,
+            "hit": False,
+            "reason": "cold",
+        }
         assert documents[1] == {
-            "event": "span_end",
-            "span": "tree",
-            "wall_seconds": 0.25,
-            "cpu_seconds": 0.125,
+            "event": "run_end",
+            "label": "label",
+            "elapsed_seconds": 0.25,
         }
 
     def test_accepts_an_open_stream(self, tmp_path):
@@ -493,7 +497,7 @@ class TestPinnedEventStream:
     when drains stopped searching items whose open requests are all
     hidden (unrevealed or cancelled).  Only search events went
     (``tree_cache``, ``dijkstra``, ``transfer_attempt``,
-    ``transfer_rejected``, ``item_scored`` and the spans); the
+    ``transfer_rejected``, ``item_scored`` and the span events); the
     differential in ``tests/experiments/test_hidden_item_differential.py``
     checks that the new stream is a subsequence of the old selection's.
 
@@ -541,6 +545,12 @@ class TestPinnedEventStream:
     search events went.  ``tests/experiments/test_carry_differential.py``
     checks carried runs against per-pass tree caches.  The static stream
     did not change.
+
+    Both digests were re-pinned again (static 1,823 -> 1,225 events,
+    faulted dynamic 431 -> 235) when span profiling was deleted: the
+    ``span_start`` and ``span_end`` events went and nothing else moved.
+    Each new digest equals the old stream's digest with those two events
+    filtered out, computed on the code before the deletion.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -551,8 +561,8 @@ class TestPinnedEventStream:
             )
 
         assert _stream_digest(run) == (
-            1823,
-            "e278909ffed1da004cf8cb565c5b331ab136478a4d2de5388e24c28c835a27ad",
+            1225,
+            "12efc0a6c014e9f78cbd6dfc60178ec6447741116195376cb9d5528828efef17",
         )
 
     def test_faulted_dynamic_run_with_churn_and_losses(self):
@@ -563,6 +573,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            431,
-            "aa0af8a59e3882e34389df224a4a52dbaeba786f91398e8ee73dc76de764c58e",
+            235,
+            "723e0b934588a231f6b4118127108ce15a908563b047d250bcc16bcab9c3b670",
         )

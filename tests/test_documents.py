@@ -30,10 +30,8 @@ from repro.experiments.runner import RunRecord
 from repro.observability import (
     ClassSeries,
     LinkSeries,
-    Profile,
     RequestForensics,
     RunMetrics,
-    SpanStat,
     StorageSeries,
     Timeline,
     TimingStat,
@@ -45,10 +43,10 @@ from repro.serialization import (
 )
 
 #: Every top-level output document class.
-DOCUMENTS = (RunRecord, RunMetrics, Profile, Timeline, ChaosReport)
+DOCUMENTS = (RunRecord, RunMetrics, Timeline, ChaosReport)
 
 #: The kinds ``merge_documents`` folds.
-MERGEABLE = (RunMetrics, Profile, Timeline)
+MERGEABLE = (RunMetrics, Timeline)
 
 
 def canonical(document):
@@ -102,10 +100,6 @@ def _metrics():
     )
 
 
-def _profile():
-    return Profile(spans={"tree": SpanStat(wall=_stat(1.0), cpu=_stat(0.5))})
-
-
 def _record():
     return RunRecord(
         scenario="s",
@@ -140,7 +134,6 @@ def _chaos():
 _VALID = {
     RunRecord: _record,
     RunMetrics: _metrics,
-    Profile: _profile,
     Timeline: _timeline,
     ChaosReport: _chaos,
 }
@@ -230,12 +223,6 @@ MALFORMED = [
         "run_metrics.counters['bookings']",
     ),
     (Timeline, "bool-counter", _set("runs", True), "timeline.runs"),
-    (
-        Profile,
-        "bool-counter",
-        _set("spans", "tree", "wall", "count", True),
-        "profile.spans['tree'].wall.count",
-    ),
     (RunRecord, "bool-counter", _set("steps", False), "run_record.steps"),
     (ChaosReport, "bool-counter", _set("cases", True), "chaos_report.cases"),
     (
@@ -260,7 +247,6 @@ MALFORMED = [
 for _cls, _missing in (
     (RunRecord, "weighted_sum"),
     (RunMetrics, "workers"),
-    (Profile, "spans"),
     (Timeline, "forensics"),
     (ChaosReport, "points"),
 ):
@@ -427,6 +413,7 @@ def layout_digest(cls):
 #: ``SCHEMA_VERSION`` and pins the new digest under the new key.
 PINNED_LAYOUTS = {
     ("run_record", 1): "91f44f4d732d93b8",
+    ("run_record", 2): "e45c1dc0ebf7547e",
     ("run_metrics", 3): "1cbb8d13713f6090",
     ("profile", 2): "cb181fa926babca7",
     ("timeline", 1): "470135f541643464",

@@ -73,7 +73,7 @@ def render_gantt(
         for step in steps:
             if step.link_id != link_id:
                 continue
-            first = int(step.start / bucket)
+            first = max(int(step.start / bucket), 0)
             last = max(int(step.end / bucket), first)
             for column in range(first, min(last + 1, width)):
                 row[column] = symbol_of[step.item_id]

@@ -131,6 +131,9 @@ def storage_peaks(
     transfer start until the copy's release (garbage collection for
     intermediates, the horizon for sources/destinations) — the same
     residency rule the scheduler booked against.
+
+    Raises:
+        ModelError: when a step names a machine the scenario lacks.
     """
     events: Dict[int, List[Tuple[float, float]]] = {
         machine.index: [] for machine in scenario.network.machines
@@ -147,8 +150,9 @@ def storage_peaks(
             release = scenario.horizon
         else:
             release = scenario.gc_release_time(step.item_id)
-        events[step.destination].append((step.start, item.size))
-        events[step.destination].append((release, -item.size))
+        receiver = scenario.network.machine(step.destination).index
+        events[receiver].append((step.start, item.size))
+        events[receiver].append((release, -item.size))
     peaks = {}
     for machine in scenario.network.machines:
         level = 0.0

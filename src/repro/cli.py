@@ -79,6 +79,7 @@ from repro.serialization import (
     document_to_dict,
     load_scenario,
     load_schedule,
+    read_document,
     save_scenario,
     save_schedule,
 )
@@ -388,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the repro.staticcheck domain lint (rules R0, R1, R2, "
-            "R5, R7, R9; baseline ratchet)"
+            "R5, R7; baseline ratchet)"
         ),
     )
     add_lint_arguments(lint)
@@ -501,6 +502,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
+    if args.width < 10:
+        raise ConfigurationError(
+            f"--width must be at least 10 columns, got {args.width}"
+        )
     scenario = load_scenario(args.scenario)
     schedule = load_schedule(args.schedule)
     print(render_gantt(scenario, schedule, width=args.width))
@@ -642,21 +647,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
-    from repro.errors import ModelError
-
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ModelError(f"{path} must hold a JSON object")
-    return document
-
-
 def _cmd_report_timeline(args: argparse.Namespace) -> int:
     """Telemetry mode: render a saved timeline document."""
-    timeline = document_from_dict(Timeline, _load_json(args.timeline))
+    timeline = document_from_dict(Timeline, read_document(args.timeline))
     print(render_timeline(timeline))
     if args.html:
         write_html_report(timeline, args.html)

@@ -10,6 +10,7 @@ lives in :mod:`repro.core.validation` and all scoring in
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Tuple
@@ -212,12 +213,18 @@ class Schedule:
         Raises:
             ModelError: on a step that ends before it starts, or that
                 sends an item from a machine to itself (the checks of
-                :class:`CommunicationStep`).
+                :class:`CommunicationStep`), or whose start or end is
+                infinite.
         """
         step_id = len(self._item_ids)
         if end < start:
             raise ModelError(
                 f"step {step_id} ends ({end}) before it starts ({start})"
+            )
+        if math.isinf(start) or math.isinf(end):
+            raise ModelError(
+                f"step {step_id} runs over [{start}, {end}], not a finite "
+                f"span"
             )
         if source == destination:
             raise ModelError(

@@ -88,10 +88,17 @@ def _number(value: Any, what: str) -> float:
     return value
 
 
+#: The integers a document may hold: ids, indices and counts live in
+#: signed 64-bit columns (``array("l")``) once decoded.
+_INT64 = range(-(2**63), 2**63)
+
+
 def _integer(value: Any, what: str) -> int:
-    """``value`` when it is an integer (bools excluded)."""
+    """``value`` when it is a signed 64-bit integer (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelError(f"{what} must be an integer, got {value!r}")
+    if value not in _INT64:
+        raise ModelError(f"{what} is out of the 64-bit range: {value}")
     return value
 
 
@@ -577,7 +584,9 @@ def _decode_bool(value: Any) -> bool:
 
 def _decode_int(value: Any) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        if value in _INT64:
+            return value
+        raise _Malformed(f"is out of the 64-bit range: {value}")
     raise _Malformed(f"must be an integer, got {_shown(value)}")
 
 
@@ -595,8 +604,10 @@ def _decode_str(value: Any) -> str:
 
 def _int_key(key: Any) -> int:
     """A stringified integer dict key, parsed back (canonical form only)."""
-    if isinstance(key, str) and _INTEGER_KEY.fullmatch(key):
-        return int(key)
+    # No 64-bit integer has more than 20 characters; longer digit strings
+    # can pass the limit on what int() will parse.
+    if isinstance(key, str) and len(key) <= 20 and _INTEGER_KEY.fullmatch(key):
+        return _decode_int(int(key))
     raise _Malformed("has a non-integer key")
 
 
@@ -899,11 +910,34 @@ def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
     )
 
 
+def read_document(path: Union[str, Path]) -> Dict[str, Any]:
+    """The JSON object stored in the file at ``path``.
+
+    Raises:
+        ModelError: naming the path, when the file is not UTF-8 text,
+            not JSON (or nested or numbered past what the parser
+            takes), or holds something other than an object.
+        OSError: when the file cannot be read.
+    """
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"{path} is not a JSON document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ModelError(
+            f"{path} must hold a JSON object, got {type(document).__name__}"
+        )
+    return document
+
+
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    """Read a scenario from a JSON file."""
-    return scenario_from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8"))
-    )
+    """Read a scenario from a JSON file.
+
+    Raises:
+        ModelError: when the file is not a valid scenario document.
+        OSError: when the file cannot be read.
+    """
+    return scenario_from_dict(read_document(path))
 
 
 def save_schedule(schedule: Schedule, path: Union[str, Path]) -> None:
@@ -914,10 +948,13 @@ def save_schedule(schedule: Schedule, path: Union[str, Path]) -> None:
 
 
 def load_schedule(path: Union[str, Path]) -> Schedule:
-    """Read a schedule from a JSON file."""
-    return schedule_from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8"))
-    )
+    """Read a schedule from a JSON file.
+
+    Raises:
+        ModelError: when the file is not a valid schedule document.
+        OSError: when the file cannot be read.
+    """
+    return schedule_from_dict(read_document(path))
 
 
 def save_suite(scenarios, directory: Union[str, Path]) -> None:
@@ -937,7 +974,8 @@ def load_suite(directory: Union[str, Path]):
     """Read back a suite written by :func:`save_suite`, in case order.
 
     Raises:
-        ModelError: when the directory contains no suite files.
+        ModelError: when the directory contains no suite files, or one
+            of them is not a valid scenario document.
     """
     base = Path(directory)
     paths = sorted(base.glob("case-*.json"))

@@ -53,7 +53,7 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        rule: the rule id (``"R0"`` .. ``"R9"``).
+        rule: the rule id (``"R0"``, ``"R1"``, ...).
         path: path of the offending module, relative to the scanned root,
             always with POSIX separators (stable across platforms, used
             for baseline matching).

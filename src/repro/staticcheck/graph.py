@@ -1,10 +1,9 @@
-"""Project symbol table and call graph for the interprocedural rules.
+"""Project symbol table and call graph for the whole-program rule.
 
 The file-local rules (R1, R2, R5) see one module at a time; the
-invariants that matter most to the run cache — no RNG reachable from a
-fingerprint, only :mod:`repro.errors` types escaping the public
-surface — are *whole-program* properties.
-This module builds the shared substrate those rules query:
+invariant that matters most to the run cache — no RNG reachable from a
+fingerprint — is a *whole-program* property.
+This module builds the substrate that rule (R7) queries:
 
 * a per-module symbol table (top-level functions, classes with their
   methods, import aliases, module-level names);
@@ -110,15 +109,6 @@ class FunctionInfo:
     node: FunctionNode
     lineno: int
 
-    @property
-    def is_public(self) -> bool:
-        """True when neither the function nor its class is underscored."""
-        if self.name.startswith("_"):
-            return False
-        if self.class_name is not None and self.class_name.startswith("_"):
-            return False
-        return True
-
 
 @dataclass(eq=False)
 class CallSite:
@@ -191,10 +181,10 @@ class GraphCoverage:
 def walk_body(node: FunctionNode) -> Iterator[ast.AST]:
     """Every AST node of a function body, *excluding* nested defs.
 
-    Nested function and class definitions open their own scopes — a
-    ``raise`` inside a closure does not escape when the closure is merely
-    defined — so intraprocedural scans stop at them.  (The call graph
-    itself attributes nested calls to the outer function; see
+    Nested function and class definitions open their own scopes — an
+    assignment inside a closure types nothing in the outer function — so
+    intraprocedural scans stop at them.  (The call graph itself
+    attributes nested calls to the outer function; see
     :func:`_walk_calls`.)
     """
     queue: List[ast.AST] = list(ast.iter_child_nodes(node))
@@ -402,7 +392,6 @@ class ProjectGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self.call_sites: List[CallSite] = []
         self._calls_by_caller: Dict[str, List[CallSite]] = {}
-        self._callers: Dict[str, List[str]] = {}
         self._classes_by_name: Dict[str, List[ClassInfo]] = {}
         self._methods_by_name: Dict[str, List[str]] = {}
 
@@ -475,45 +464,12 @@ class ProjectGraph:
         """The call sites inside one function, in source order."""
         return tuple(self._calls_by_caller.get(qname, ()))
 
-    def callers(self, qname: str) -> Tuple[str, ...]:
-        """Functions with at least one site targeting ``qname``, sorted."""
-        return tuple(self._callers.get(qname, ()))
-
     def coverage(self) -> GraphCoverage:
         """Resolution accounting over every call site."""
         return GraphCoverage(
             call_sites=len(self.call_sites),
             resolved=sum(1 for site in self.call_sites if site.resolved),
         )
-
-    def chain(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
-        """Shortest call chain from ``source`` to ``target`` (inclusive).
-
-        Breadth-first over sorted successor sets, so the returned chain
-        is deterministic.  ``None`` when ``target`` is unreachable.
-        """
-        if source == target:
-            return (source,)
-        parents: Dict[str, str] = {}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[str] = []
-            for current in frontier:
-                successors: Set[str] = set()
-                for site in self.callees(current):
-                    successors.update(site.targets)
-                for successor in sorted(successors):
-                    if successor in parents or successor == source:
-                        continue
-                    parents[successor] = current
-                    if successor == target:
-                        chain = [target]
-                        while chain[-1] != source:
-                            chain.append(parents[chain[-1]])
-                        return tuple(reversed(chain))
-                    next_frontier.append(successor)
-            frontier = next_frontier
-        return None
 
 
 def _local_types(
@@ -585,13 +541,6 @@ def build_graph(modules: Sequence[Module]) -> ProjectGraph:
             _resolve_function_calls(graph, module, info, owner)
     for qname in graph.functions:
         graph._calls_by_caller.setdefault(qname, [])
-    callers: Dict[str, Set[str]] = {}
-    for site in graph.call_sites:
-        for target in site.targets:
-            callers.setdefault(target, set()).add(site.caller)
-    graph._callers = {
-        target: sorted(names) for target, names in sorted(callers.items())
-    }
     return graph
 
 

@@ -43,7 +43,6 @@ def test_resolve_rules_returns_full_registry_by_default():
         "R2",
         "R5",
         "R7",
-        "R9",
     ]
 
 

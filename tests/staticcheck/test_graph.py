@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Dict, Tuple
 
 from repro.staticcheck.engine import load_module
+from repro.staticcheck.flow import reachable_from
 from repro.staticcheck.graph import (
     RESOLUTION_DIRECT,
     RESOLUTION_EXTERNAL,
@@ -54,7 +55,6 @@ def test_direct_call_same_module(tmp_path):
     )
     sites = resolutions(graph, "core/a.py::caller")
     assert sites == ((RESOLUTION_DIRECT, ("core/a.py::helper",)),)
-    assert graph.callers("core/a.py::helper") == ("core/a.py::caller",)
 
 
 def test_direct_call_through_from_import(tmp_path):
@@ -222,13 +222,15 @@ def test_chain_is_shortest_and_deterministic(tmp_path):
         """
     }
     graph = graph_of(tmp_path, files)
-    chain = graph.chain("core/a.py::top", "core/a.py::leaf")
-    assert chain == (
+    chains = reachable_from(graph, ["core/a.py::top"])
+    assert chains["core/a.py::leaf"] == (
         "core/a.py::top",
         "core/a.py::middle",
         "core/a.py::leaf",
     )
-    assert graph.chain("core/a.py::leaf", "core/a.py::top") is None
+    assert "core/a.py::top" not in reachable_from(
+        graph, ["core/a.py::leaf"]
+    )
 
 
 def test_two_builds_are_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""R7/R9 semantics: reachability and escape contracts."""
+"""R7 semantics: purity reachability from cache entry points."""
 
 from __future__ import annotations
 
@@ -213,233 +213,11 @@ def test_r7_memo_wrappers_stay_outside_the_pure_core(lint_files):
 
 
 # ---------------------------------------------------------------------------
-# R9: exception contracts
-# ---------------------------------------------------------------------------
-
-def test_r9_flags_broad_swallow_without_reraise(lint_files):
-    result = lint_files(
-        {
-            "core/run.py": """
-            def run(task) -> None:
-                try:
-                    task()
-                except Exception:
-                    pass
-            """
-        },
-        rules=["R9"],
-    )
-    assert len(result.findings) == 1
-    assert "swallows every failure" in result.findings[0].message
-
-
-def test_r9_broad_handler_with_reraise_is_clean(lint_files):
-    result = lint_files(
-        {
-            "core/run.py": """
-            def run(task) -> None:
-                try:
-                    task()
-                except BaseException:
-                    raise
-            """
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-def test_r9_flags_undocumented_builtin_leak_through_helper(lint_files):
-    result = lint_files(
-        {
-            "experiments/api.py": """
-            def run_sweep(count: int) -> int:
-                return scale(count)
-
-
-            def scale(count: int) -> int:
-                if count < 0:
-                    raise ValueError("negative")
-                return count * 2
-            """
-        },
-        rules=["R9"],
-    )
-    flagged = {finding.line: finding for finding in result.findings}
-    assert len(flagged) == 2  # run_sweep (propagated) and scale (origin)
-    assert any(
-        "run_sweep may leak ValueError" in finding.message
-        for finding in result.findings
-    )
-
-
-def test_r9_docstring_raises_discharges_the_contract(lint_files):
-    result = lint_files(
-        {
-            "experiments/api.py": """
-            def run_sweep(count: int) -> int:
-                '''Scale a count.
-
-                Raises:
-                    ValueError: if ``count`` is negative.
-                '''
-                if count < 0:
-                    raise ValueError("negative")
-                return count * 2
-            """
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-def test_r9_documentation_midway_discharges_callers_too(lint_files):
-    result = lint_files(
-        {
-            "experiments/api.py": """
-            def outer(count: int) -> int:
-                return inner(count)
-
-
-            def inner(count: int) -> int:
-                '''Validate.
-
-                Raises:
-                    ValueError: if ``count`` is negative.
-                '''
-                if count < 0:
-                    raise ValueError("negative")
-                return count
-            """
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-def test_r9_caught_types_do_not_propagate(lint_files):
-    result = lint_files(
-        {
-            "experiments/api.py": """
-            def outer(count: int) -> int:
-                try:
-                    return inner(count)
-                except ValueError:
-                    return 0
-
-
-            def inner(count: int) -> int:
-                if count < 0:
-                    raise ValueError("negative")
-                return count
-            """
-        },
-        rules=["R9"],
-    )
-    flagged = [
-        finding
-        for finding in result.findings
-        if "outer may leak" in finding.message
-    ]
-    assert flagged == []
-
-
-def test_r9_project_errors_always_pass(lint_files):
-    result = lint_files(
-        {
-            "errors.py": """
-            class DataStagingError(Exception):
-                pass
-
-
-            class ValidationError(DataStagingError):
-                pass
-            """,
-            "experiments/api.py": """
-            from errors import ValidationError
-
-
-            def run_sweep(count: int) -> int:
-                if count < 0:
-                    raise ValidationError("negative")
-                return count
-            """
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-def test_r9_class_docstring_covers_the_constructor(lint_files):
-    result = lint_files(
-        {
-            "core/model.py": """
-            class Window:
-                '''A validated window.
-
-                Raises:
-                    ValueError: if the window is inverted.
-                '''
-
-                def __init__(self, start: float, end: float) -> None:
-                    if end < start:
-                        raise ValueError("inverted")
-                    self.span = (start, end)
-            """,
-            "experiments/api.py": """
-            from core.model import Window
-
-
-            def build(start: float, end: float) -> Window:
-                return Window(start, end)
-            """,
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-def test_r9_private_functions_are_not_surface(lint_files):
-    result = lint_files(
-        {
-            "experiments/api.py": """
-            def _helper(count: int) -> int:
-                if count < 0:
-                    raise ValueError("negative")
-                return count
-            """
-        },
-        rules=["R9"],
-    )
-    assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# Fixture trees: each new rule catches bad and passes clean.
+# Fixture trees: the rule catches bad and passes clean.
 # ---------------------------------------------------------------------------
 
 def test_fixture_trees_per_interprocedural_rule(capsys):
-    for rule_id in ("R7", "R9"):
-        bad = lint_main(
-            [
-                str(FIXTURES / "bad_tree"),
-                "--no-baseline",
-                "--rules",
-                rule_id,
-            ]
-        )
-        out = capsys.readouterr().out
-        assert bad == 1, rule_id
-        assert rule_id in out
-        assert (
-            lint_main(
-                [
-                    str(FIXTURES / "clean_tree"),
-                    "--no-baseline",
-                    "--rules",
-                    rule_id,
-                ]
-            )
-            == 0
-        ), rule_id
-        capsys.readouterr()
+    args = ["--no-baseline", "--rules", "R7"]
+    assert lint_main([str(FIXTURES / "bad_tree"), *args]) == 1
+    assert "R7" in capsys.readouterr().out
+    assert lint_main([str(FIXTURES / "clean_tree"), *args]) == 0

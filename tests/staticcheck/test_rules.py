@@ -17,15 +17,24 @@ def _rules_hit(result):
 # R0 — no stale suppression comments
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("token", ["R99", "R8"], ids=["never", "retired"])
-def test_r0_flags_unknown_rule_ids(lint_files, token):
+@pytest.mark.parametrize(
+    "tokens", [("R99",), ("R8", "R9")], ids=["never", "retired"]
+)
+def test_r0_flags_unknown_rule_ids(lint_files, tokens):
     # A waiver naming a rule the registry does not carry (never did, or
     # no longer does) silences nothing and is itself a finding.
     result = lint_files(
-        {"core/waiver.py": f"x = 1  # staticcheck: disable={token}\n"}
+        {
+            f"core/waiver{index}.py": (
+                f"x = 1  # staticcheck: disable={token}\n"
+            )
+            for index, token in enumerate(tokens)
+        }
     )
     assert _rules_hit(result) == ["R0"]
-    assert f"unknown rule id {token!r}" in result.findings[0].message
+    assert len(result.findings) == len(tokens)
+    for token, finding in zip(tokens, result.findings):
+        assert f"unknown rule id {token!r}" in finding.message
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,14 @@ class TestStatsAndGantt:
         out = capsys.readouterr().out
         assert "|" in out
 
+    def test_gantt_refuses_a_narrow_width(self, scheduled_paths, capsys):
+        scenario_path, schedule_path = scheduled_paths
+        capsys.readouterr()
+        assert main(
+            ["gantt", str(scenario_path), str(schedule_path), "--width", "5"]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: --width")
+
 
 class TestFigure:
     def test_figure_renders_table(self, capsys, monkeypatch):

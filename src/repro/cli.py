@@ -40,6 +40,7 @@ Chrome trace (``--chrome-trace``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import ExitStack
@@ -75,11 +76,11 @@ from repro.observability import (
     write_html_report,
 )
 from repro.serialization import (
+    decode_file,
     document_from_dict,
     document_to_dict,
     load_scenario,
     load_schedule,
-    read_document,
     save_scenario,
     save_schedule,
 )
@@ -389,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the repro.staticcheck domain lint (rules R0, R1, R2, "
-            "R5, R7; baseline ratchet)"
+            "R5; baseline ratchet)"
         ),
     )
     add_lint_arguments(lint)
@@ -649,7 +650,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_report_timeline(args: argparse.Namespace) -> int:
     """Telemetry mode: render a saved timeline document."""
-    timeline = document_from_dict(Timeline, read_document(args.timeline))
+    timeline = decode_file(
+        args.timeline, functools.partial(document_from_dict, Timeline)
+    )
     print(render_timeline(timeline))
     if args.html:
         write_html_report(timeline, args.html)

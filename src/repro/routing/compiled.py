@@ -13,8 +13,8 @@ order :meth:`~repro.core.network.Network.outgoing` yields edges, so the
 compiled search relaxes edges — and therefore probes, books, and
 tie-breaks — in the reference order.
 
-:func:`compile_network` is a pure function of the network and is
-registered as a staticcheck R7 purity entry point; the memo layer
+:func:`compile_network` is a pure function of the network, which
+``tests/test_purity.py`` pins by calling it under a guard; the memo layer
 (:func:`compiled_for`) lives outside it and keys on object identity via
 a weak reference, so a scenario being dropped releases its compiled
 columns with it.  Transfer durations are not compiled: the kernel reads

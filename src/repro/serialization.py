@@ -930,14 +930,32 @@ def read_document(path: Union[str, Path]) -> Dict[str, Any]:
     return document
 
 
+def decode_file(
+    path: Union[str, Path], decode: Callable[[Dict[str, Any]], _T]
+) -> _T:
+    """``decode`` applied to the JSON object stored at ``path``.
+
+    Raises:
+        ModelError: naming the path, when :func:`read_document` or
+            ``decode`` refuses the file.
+        OSError: when the file cannot be read.
+    """
+    document = read_document(path)
+    try:
+        return decode(document)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
+
+
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """Read a scenario from a JSON file.
 
     Raises:
-        ModelError: when the file is not a valid scenario document.
+        ModelError: naming the path, when the file is not a valid
+            scenario document.
         OSError: when the file cannot be read.
     """
-    return scenario_from_dict(read_document(path))
+    return decode_file(path, scenario_from_dict)
 
 
 def save_schedule(schedule: Schedule, path: Union[str, Path]) -> None:
@@ -951,10 +969,11 @@ def load_schedule(path: Union[str, Path]) -> Schedule:
     """Read a schedule from a JSON file.
 
     Raises:
-        ModelError: when the file is not a valid schedule document.
+        ModelError: naming the path, when the file is not a valid
+            schedule document.
         OSError: when the file cannot be read.
     """
-    return schedule_from_dict(read_document(path))
+    return decode_file(path, schedule_from_dict)
 
 
 def save_suite(scenarios, directory: Union[str, Path]) -> None:

@@ -2,9 +2,9 @@
 
 A zero-dependency static-analysis subsystem enforcing the invariants
 the run cache, parallel executor, and mergeable artifacts rely on:
-deterministic wall-clock-free scheduling code, no raw float equality on
-simulated times, pure fingerprint and codec call trees, and a public
-surface that raises only documented errors.  See ``docs/STATICCHECK.md``.
+no global-RNG draws or wall-clock reads, no iteration over unordered
+sets, and no raw float equality on simulated times.  See
+``docs/STATICCHECK.md``.
 
 Run it as ``datastage lint`` or ``python -m repro.staticcheck``.
 """
@@ -16,7 +16,6 @@ from repro.staticcheck.baseline import (
     save_baseline,
 )
 from repro.staticcheck.engine import (
-    CheckContext,
     CheckResult,
     Finding,
     Module,
@@ -32,7 +31,6 @@ from repro.staticcheck.engine import (
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
-    "CheckContext",
     "CheckResult",
     "DEFAULT_BASELINE_NAME",
     "Finding",

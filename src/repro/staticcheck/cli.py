@@ -86,55 +86,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="findings output format (default: text)",
     )
     parser.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "report per-rule finding counts, suppression/baseline "
-            "totals, and call-graph resolution coverage"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
-    )
-
-
-def _stats_payload(total: CheckResult) -> Dict[str, object]:
-    """The ``--stats`` block shared by the text and JSON renderings."""
-    coverage = (
-        100.0
-        if total.call_sites == 0
-        else 100.0 * total.resolved_calls / total.call_sites
-    )
-    return {
-        "findings_by_rule": total.findings_by_rule(),
-        "suppressed": total.suppressed,
-        "baselined": total.baselined,
-        "baseline_entries": total.baseline_entries,
-        "call_sites": total.call_sites,
-        "resolved_calls": total.resolved_calls,
-        "call_graph_coverage_percent": round(coverage, 1),
-    }
-
-
-def _print_stats(total: CheckResult) -> None:
-    payload = _stats_payload(total)
-    print("stats:")
-    by_rule = payload["findings_by_rule"]
-    assert isinstance(by_rule, dict)
-    if by_rule:
-        for rule_id, count in by_rule.items():
-            print(f"  findings[{rule_id}]: {count}")
-    else:
-        print("  findings: 0")
-    print(f"  suppressed: {payload['suppressed']}")
-    print(f"  baselined: {payload['baselined']}")
-    print(f"  baseline entries: {payload['baseline_entries']}")
-    print(
-        f"  call graph: {payload['resolved_calls']}/"
-        f"{payload['call_sites']} call sites resolved "
-        f"({payload['call_graph_coverage_percent']}%)"
     )
 
 
@@ -177,8 +131,7 @@ def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint with parsed arguments; returns the exit code."""
     if args.list_rules:
         for rule in default_rules():
-            scope = ", ".join(rule.scope) if rule.scope else "all files"
-            print(f"{rule.id}  {rule.title}  [{scope}]")
+            print(f"{rule.id}  {rule.title}")
         return 0
     rule_ids = (
         [token.strip() for token in args.rules.split(",") if token.strip()]
@@ -203,17 +156,12 @@ def run_lint(args: argparse.Namespace) -> int:
     total = CheckResult(baseline_entries=len(fingerprints))
     for root in args.paths:
         result = run_check(
-            Path(root),
-            rules=rules,
-            baseline=run_fingerprints,
-            build_graph=args.stats,
+            Path(root), rules=rules, baseline=run_fingerprints
         )
         total.findings.extend(result.findings)
         total.suppressed += result.suppressed
         total.baselined += result.baselined
         total.files_checked += result.files_checked
-        total.call_sites += result.call_sites
-        total.resolved_calls += result.resolved_calls
     if args.update_baseline:
         target = baseline_path or Path(DEFAULT_BASELINE_NAME)
         if target.is_file():
@@ -239,8 +187,6 @@ def run_lint(args: argparse.Namespace) -> int:
             "suppressed": total.suppressed,
             "baselined": total.baselined,
         }
-        if args.stats:
-            payload["stats"] = _stats_payload(total)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for finding in total.findings:
@@ -251,8 +197,6 @@ def run_lint(args: argparse.Namespace) -> int:
             f"{total.suppressed} suppressed, {total.baselined} baselined"
         )
         print(summary)
-        if args.stats:
-            _print_stats(total)
     if args.ratchet_check and stale_entries:
         print(
             f"ratchet: baseline carries {stale_entries} stale entr"

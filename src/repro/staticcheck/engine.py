@@ -1,12 +1,11 @@
 """The staticcheck engine: findings, suppressions, rule registry, runner.
 
 ``repro.staticcheck`` is a zero-dependency AST linter for the *domain*
-invariants the test suite cannot see syntactically: scheduling code must
-stay deterministic and wall-clock-free, simulated times must never be
-compared with raw float ``==``, fingerprint and codec call trees must
-stay pure, and the public surface may raise only documented errors.  The
-engine walks a source tree, parses every module once, and hands the
-parsed :class:`Module` to each registered :class:`Rule`.
+invariants the test suite cannot see syntactically: code must stay
+deterministic and wall-clock-free, and simulated times must never be
+compared with raw float ``==``.  The engine walks a source tree, parses
+every module once, and hands the parsed :class:`Module` to each
+registered :class:`Rule`.
 
 Rules report :class:`Finding` objects (rule id, location, message, fix
 hint).  Two escape hatches exist:
@@ -26,7 +25,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -38,9 +36,6 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.staticcheck.graph import ProjectGraph
 
 #: Matches a per-line suppression comment anywhere on a physical line.
 _SUPPRESSION_RE = re.compile(
@@ -102,8 +97,8 @@ class Module:
 
     Attributes:
         path: absolute filesystem path.
-        relpath: POSIX path relative to the scanned root (rule scopes and
-            baseline fingerprints key on this).
+        relpath: POSIX path relative to the scanned root (baseline
+            fingerprints key on this).
         source: the full source text.
         tree: the parsed ``ast.Module``.
         lines: the source split into lines (index 0 = line 1).
@@ -142,31 +137,6 @@ class Module:
         )
 
 
-@dataclass
-class CheckContext:
-    """Cross-module facts shared by all rules during one run.
-
-    Attributes:
-        root: the scanned root directory.
-        modules: every parsed module of the scanned tree, in path order
-            (project-scope rules iterate these).
-        graph: the project call graph (see
-            :mod:`repro.staticcheck.graph`), built when at least one
-            active rule sets ``needs_graph`` — ``None`` otherwise.
-    """
-
-    root: Path
-    modules: Tuple[Module, ...] = ()
-    graph: Optional["ProjectGraph"] = None
-
-    def module_for(self, relpath: str) -> Optional[Module]:
-        """The parsed module at ``relpath``, if the tree carries one."""
-        for module in self.modules:
-            if module.relpath == relpath:
-                return module
-        return None
-
-
 class Rule:
     """Base class for staticcheck rules.
 
@@ -176,36 +146,14 @@ class Rule:
         id: short stable id (``"R1"``).
         title: one-line rule name for ``--list-rules`` and docs.
         hint: the standing fix advice attached to findings by default.
-        scope: top-level package directories (relative to the scanned
-            root) the rule applies to; ``None`` means every module.
-        project: ``True`` for whole-program rules — the engine calls
-            :meth:`check_project` once per run instead of
-            :meth:`check` once per module.
-        needs_graph: ``True`` when the rule queries ``context.graph``;
-            the engine builds the call graph only when some active rule
-            asks for it.
     """
 
     id: str = ""
     title: str = ""
     hint: str = ""
-    scope: Optional[Tuple[str, ...]] = None
-    project: bool = False
-    needs_graph: bool = False
 
-    def applies_to(self, module: Module) -> bool:
-        """True when the module lies inside the rule's scope."""
-        if self.scope is None:
-            return True
-        first = module.relpath.split("/", 1)[0]
-        return first in self.scope
-
-    def check(self, module: Module, context: CheckContext) -> Iterator[Finding]:
-        """Yield findings for one module (per-module rules)."""
-        raise NotImplementedError
-
-    def check_project(self, context: CheckContext) -> Iterator[Finding]:
-        """Yield findings across the whole tree (project rules)."""
+    def check(self, module: Module) -> Iterator[Finding]:
+        """Yield findings for one module."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -269,12 +217,6 @@ def suppressed_rules(line_text: str) -> frozenset:
     )
 
 
-def is_suppressed(finding: Finding, module: Module) -> bool:
-    """True when the finding's source line carries a matching suppression."""
-    rules = suppressed_rules(module.line_text(finding.line))
-    return bool(rules) and ("all" in rules or finding.rule in rules)
-
-
 # ---------------------------------------------------------------------------
 # Tree walking
 # ---------------------------------------------------------------------------
@@ -319,11 +261,6 @@ class CheckResult:
         baselined: count of findings matched by the baseline.
         baseline_entries: fingerprints the supplied baseline carried.
         files_checked: number of modules scanned.
-        call_sites: call sites seen by the project call graph (0 when no
-            active rule needed the graph).
-        resolved_calls: call sites whose resolution is exact (direct,
-            method, or provably external; see
-            :mod:`repro.staticcheck.graph`).
     """
 
     findings: List[Finding] = field(default_factory=list)
@@ -331,20 +268,12 @@ class CheckResult:
     baselined: int = 0
     baseline_entries: int = 0
     files_checked: int = 0
-    call_sites: int = 0
-    resolved_calls: int = 0
 
     @property
     def clean(self) -> bool:
         """True when no active findings remain."""
         return not self.findings
 
-    def findings_by_rule(self) -> Dict[str, int]:
-        """Active finding counts keyed by rule id, sorted by id."""
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def _unused_suppression_findings(
@@ -399,7 +328,6 @@ def run_check(
     root: Path,
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Iterable[Tuple[str, str, str]]] = None,
-    build_graph: bool = False,
 ) -> CheckResult:
     """Lint every module under ``root`` with the given rules.
 
@@ -409,8 +337,6 @@ def run_check(
         rules: rule instances to run (default: all registered rules).
         baseline: grandfathered finding fingerprints; each matching
             fingerprint absorbs at most as many findings as it appears.
-        build_graph: force the project call graph even when no active
-            rule needs it (``--stats`` reports its coverage).
 
     Raises:
         ConfigurationError: when ``root`` is not a directory or a module
@@ -424,12 +350,6 @@ def run_check(
     modules = tuple(
         load_module(path, root) for path in _iter_source_files(root)
     )
-    graph = None
-    if build_graph or any(rule.needs_graph for rule in active_rules):
-        from repro.staticcheck.graph import build_graph as _build
-
-        graph = _build(modules)
-    context = CheckContext(root=root, modules=modules, graph=graph)
     budget: Dict[Tuple[str, str, str], int] = {}
     baseline_entries = 0
     for fingerprint in baseline or ():
@@ -437,11 +357,6 @@ def run_check(
         baseline_entries += 1
     result = CheckResult(baseline_entries=baseline_entries)
     result.files_checked = len(modules)
-    if graph is not None:
-        coverage = graph.coverage()
-        result.call_sites = coverage.call_sites
-        result.resolved_calls = coverage.resolved
-    modules_by_path = {module.relpath: module for module in modules}
     #: (relpath, line) -> rule ids actually suppressed there, feeding R0.
     used_suppressions: Dict[str, Dict[int, Set[str]]] = {}
 
@@ -472,19 +387,8 @@ def run_check(
 
     for module in modules:
         for rule in active_rules:
-            if rule.project or not rule.applies_to(module):
-                continue
-            for finding in rule.check(module, context):
+            for finding in rule.check(module):
                 _admit(finding, module)
-    for rule in active_rules:
-        if not rule.project:
-            continue
-        for finding in rule.check_project(context):
-            owner = modules_by_path.get(finding.path)
-            if owner is None:
-                result.findings.append(finding)
-                continue
-            _admit(finding, owner)
     unused_rule = next(
         (rule for rule in active_rules if rule.id == "R0"), None
     )

@@ -1,18 +1,24 @@
 """R1 and R5: the determinism rules.
 
 The run cache and the parallel sweep executor assume a scheduler run is a
-pure function of ``(scenario, scheduler, weights)``.  Two syntactic bug
-classes silently break that purity:
+pure function of ``(scenario, scheduler, weights)``, and the run cache
+and the tree cache's journal replay assume fingerprints, codecs and
+replays are pure functions of their inputs.  Two syntactic bug classes
+silently break that purity, so both rules check every module:
 
 * **R1** — drawing from the process-global RNG (``random.random()``,
   ``numpy.random.*``) or reading the wall clock (``time.time``,
-  ``datetime.now``) inside scheduling code.  Seeded ``random.Random``
-  instances threaded through call sites are fine; ``time.perf_counter``
-  is tolerated because elapsed-time stats are excluded from result
-  fingerprints.
+  ``datetime.now``).  Seeded ``random.Random`` instances threaded
+  through call sites are fine; ``time.perf_counter`` is tolerated
+  because elapsed-time stats are excluded from result fingerprints.
 * **R5** — iterating an unordered ``set`` where the visit order can leak
-  into schedule construction.  CPython set order varies with insertion
-  history and hash seeds across versions; ``sorted(...)`` the set first.
+  into a schedule or a document.  CPython set order varies with
+  insertion history and hash seeds across versions; ``sorted(...)`` the
+  set first.
+
+Module-level state written behind a fingerprint, codec or replay is a
+runtime property; ``tests/test_purity.py`` checks it by calling those
+entry points.
 """
 
 from __future__ import annotations
@@ -20,24 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Set, Tuple
 
-from repro.staticcheck.engine import (
-    CheckContext,
-    Finding,
-    Module,
-    Rule,
-    register,
-)
-
-#: Directories whose code must be deterministic (schedule-affecting).
-DETERMINISM_SCOPE: Tuple[str, ...] = (
-    "core",
-    "routing",
-    "heuristics",
-    "baselines",
-    "dynamic",
-    "faults",
-    "workload",
-)
+from repro.staticcheck.engine import Finding, Module, Rule, register
 
 #: ``random`` module functions that consume the *global* (unseeded) RNG.
 GLOBAL_RNG_FUNCTIONS = frozenset(
@@ -97,20 +86,17 @@ def _from_imports(tree: ast.Module) -> Dict[str, Tuple[str, str]]:
 
 @register
 class UnseededRandomnessRule(Rule):
-    """R1: no global-RNG draws or wall-clock reads in scheduling code."""
+    """R1: no global-RNG draws or wall-clock reads."""
 
     id = "R1"
-    title = "no unseeded RNG or wall-clock reads in scheduling code"
+    title = "no unseeded RNG or wall-clock reads"
     hint = (
         "thread a seeded random.Random through the call site; elapsed "
-        "timing belongs in observability, not in scheduling decisions"
+        "timing uses time.perf_counter and stays out of results"
     )
-    scope = DETERMINISM_SCOPE
 
-    def check(
-        self, module: Module, context: CheckContext
-    ) -> Iterator[Finding]:
-        """Flag unseeded RNG and wall-clock reads in scheduling code."""
+    def check(self, module: Module) -> Iterator[Finding]:
+        """Flag unseeded RNG and wall-clock reads."""
         aliases = _module_aliases(module.tree)
         imported = _from_imports(module.tree)
         random_names = {
@@ -142,14 +128,14 @@ class UnseededRandomnessRule(Rule):
                     yield module.finding(
                         self,
                         node,
-                        f"wall-clock read time.{attr} in scheduling code; "
-                        f"simulated time is the only clock here",
+                        f"wall-clock read time.{attr}; simulated time is the "
+                        f"only clock here",
                     )
                 elif base in numpy_names and attr == "random":
                     yield module.finding(
                         self,
                         node,
-                        "numpy.random global state in scheduling code; "
+                        "numpy.random global state; "
                         "use a seeded Generator threaded from the scenario",
                     )
                 elif (
@@ -165,8 +151,8 @@ class UnseededRandomnessRule(Rule):
                         yield module.finding(
                             self,
                             node,
-                            f"wall-clock read {base}.{attr} in scheduling "
-                            f"code; simulated time is the only clock here",
+                            f"wall-clock read {base}.{attr}; simulated time "
+                            f"is the only clock here",
                         )
             elif isinstance(node, ast.Attribute) and isinstance(
                 node.value, ast.Attribute
@@ -183,8 +169,7 @@ class UnseededRandomnessRule(Rule):
                         yield module.finding(
                             self,
                             node,
-                            f"wall-clock read datetime.{mid}.{attr} in "
-                            f"scheduling code",
+                            f"wall-clock read datetime.{mid}.{attr}",
                         )
                     elif root in numpy_names and mid == "random":
                         yield module.finding(
@@ -219,7 +204,7 @@ class UnseededRandomnessRule(Rule):
                         self,
                         node,
                         f"wall-clock read time.{original} (imported as "
-                        f"{node.func.id}) in scheduling code",
+                        f"{node.func.id})",
                     )
 
 
@@ -276,24 +261,21 @@ def _set_locals(function: ast.AST) -> Set[str]:
 
 @register
 class SetIterationOrderRule(Rule):
-    """R5: no iteration over unordered sets in schedule-affecting code."""
+    """R5: no iteration over unordered sets."""
 
     id = "R5"
-    title = "no iteration over unordered sets in scheduling code"
+    title = "no iteration over unordered sets"
     hint = "wrap the set in sorted(...) to pin the visit order"
-    scope = DETERMINISM_SCOPE
 
     def _flag(self, module: Module, node: ast.AST, what: str) -> Finding:
         return module.finding(
             self,
             node,
             f"iteration over an unordered set ({what}); CPython set order "
-            f"is not stable across runs and leaks into the schedule",
+            f"is not stable across runs and leaks into the result",
         )
 
-    def check(
-        self, module: Module, context: CheckContext
-    ) -> Iterator[Finding]:
+    def check(self, module: Module) -> Iterator[Finding]:
         """Flag iteration over provably unordered set expressions."""
         functions = [
             node

@@ -24,13 +24,7 @@ import ast
 import re
 from typing import Iterator, Optional
 
-from repro.staticcheck.engine import (
-    CheckContext,
-    Finding,
-    Module,
-    Rule,
-    register,
-)
+from repro.staticcheck.engine import Finding, Module, Rule, register
 
 #: Identifier tokens (snake_case fragments) that mark a time quantity.
 TIME_TOKENS = frozenset(
@@ -116,9 +110,7 @@ class FloatTimeComparisonRule(Rule):
         "times_close / duration_is_zero / bandwidth_eq) instead"
     )
 
-    def check(
-        self, module: Module, context: CheckContext
-    ) -> Iterator[Finding]:
+    def check(self, module: Module) -> Iterator[Finding]:
         """Flag raw ==/!= comparisons on time/bandwidth-named operands."""
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):

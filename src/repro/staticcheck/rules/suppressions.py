@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.staticcheck.engine import (
-    CheckContext,
-    Finding,
-    Module,
-    Rule,
-    register,
-)
+from repro.staticcheck.engine import Finding, Module, Rule, register
 
 
 @register
@@ -35,8 +29,6 @@ class UnusedSuppressionRule(Rule):
         "it demonstrably silences"
     )
 
-    def check(
-        self, module: Module, context: CheckContext
-    ) -> Iterator[Finding]:
+    def check(self, module: Module) -> Iterator[Finding]:
         """No-op: the engine emits R0 findings from its usage ledger."""
         return iter(())

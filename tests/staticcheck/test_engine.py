@@ -42,7 +42,6 @@ def test_resolve_rules_returns_full_registry_by_default():
         "R1",
         "R2",
         "R5",
-        "R7",
     ]
 
 

@@ -305,7 +305,7 @@ class TestReportTimeline:
         bad.write_text(json.dumps(document), encoding="utf-8")
         assert main(["report", "--timeline", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: timeline.")
+        assert err.startswith(f"error: {bad}: timeline.")
         assert "Traceback" not in err
 
     def test_exporter_flags_require_a_timeline(self, tmp_path, capsys):
@@ -369,7 +369,9 @@ class TestErrors:
         scenario_path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["bounds", str(scenario_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: item entry 0 name must be a string")
+        assert err.startswith(
+            f"error: {scenario_path}: item entry 0 name must be a string"
+        )
         assert "Traceback" not in err
 
     def test_malformed_schedule_entry_is_an_error_not_a_traceback(
@@ -389,7 +391,9 @@ class TestErrors:
         code = main(["validate", str(scenario_path), str(schedule_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: step entry 0 is missing key 'source'")
+        assert err.startswith(
+            f"error: {schedule_path}: step entry 0 is missing key 'source'"
+        )
         assert "Traceback" not in err
 
     def test_unknown_command_exits(self):

@@ -483,10 +483,8 @@ class NetworkState:
     def capacity_epoch(self) -> int:
         """Bumped by every copy loss (:meth:`remove_copy`).
 
-        Freed capacity can give an item a candidate it was proven not to
-        have, so the tree cache's no-candidate marks hold only while this
-        epoch does.  Cached trees instead replay the loss's release record
-        (see :class:`MutationRecord`).
+        Only :attr:`at_opening` reads it.  Caches replay the loss's
+        release record instead (see :class:`MutationRecord`).
         """
         return self._capacity_epoch
 
@@ -893,7 +891,8 @@ class NetworkState:
         (a source copy holds no reservation, so its loss journals
         nothing), and the copy disappears from the item's location table.
         The item revision bumps, so the item's cached tree recomputes, and
-        so does the capacity epoch, which no-candidate marks check.
+        so does the capacity epoch (the state is no longer at its
+        opening).
         Used only by :mod:`repro.dynamic` — the static model never loses
         copies.
 

@@ -27,10 +27,11 @@ fault plan the run was made under.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from repro.core.evaluation import evaluate_satisfied
 from repro.core.units import time_eq
@@ -48,7 +49,14 @@ from repro.dynamic.events import (
     sorted_events,
 )
 from repro.errors import ModelError
-from repro.heuristics.base import EngineStats, TreeCache
+from repro.heuristics.base import (
+    CacheEntry,
+    EngineStats,
+    Shortlist,
+    TreeCache,
+    has_visible_request,
+)
+from repro.heuristics.candidates import RequestFilter
 from repro.heuristics.registry import make_heuristic
 
 logger = logging.getLogger(__name__)
@@ -100,6 +108,86 @@ class DynamicResult:
         return tuple(sorted(self.schedule.deliveries))
 
 
+class RunShortlist(Shortlist):
+    """One shortlist for every pass of a dynamic run.
+
+    A drain ends only when no listed item has a candidate, so what a
+    pass hands the next is the item set and the empty payloads: the
+    items proven to have no candidate.  A later "now", bookings and
+    outage cutoffs only delay arrivals, so such an item keeps having
+    none, and is not requested again, until one of these drops its
+    payload:
+
+    - a reveal of one of its requests that is open (:meth:`reveal`);
+    - storage released where its search depended on storage (the journal
+      replay, :meth:`~repro.heuristics.base.TreeCache.touched`);
+    - its revision moved (a loss of its copy, or a reopen);
+    - the degradation epoch moved.
+
+    The item set changes only on a reveal (:meth:`reveal`), a
+    cancellation or a reopen (:meth:`follow`), or a delivery (the drain).
+
+    Args:
+        state: the run's state.
+        request_filter: the run's filter of revealed requests; it reads
+            the live set, as the shortlist keeps it for the whole run.
+    """
+
+    def __init__(
+        self, state: NetworkState, request_filter: RequestFilter
+    ) -> None:
+        super().__init__(Shortlist.of(state, None, request_filter).items)
+        self._state = state
+        self._filter = request_filter
+        #: The revision each item's payload was scored at.
+        self._revisions: Dict[int, int] = {}
+        self._degradation_epoch = state.degradation_epoch
+
+    def scored(self, entry: CacheEntry) -> None:
+        """Record the revision the item's payload was scored at."""
+        self._revisions[entry.tree.item_id] = entry.item_revision
+
+    def refresh(self, cache: TreeCache) -> None:
+        """Drop the payloads the pass at ``cache``'s "now" cannot keep:
+        after a release in their footprint (replaying the outages and
+        losses since the pass before), a revision move or a degradation."""
+        state, payloads = self._state, self.payloads
+        if state.degradation_epoch != self._degradation_epoch:
+            self._degradation_epoch = state.degradation_epoch
+            payloads.clear()
+        self.forget(cache.touched())
+        for item_id in list(payloads):
+            if self._revisions[item_id] != state.item_revision(item_id):
+                del payloads[item_id]
+
+    def reveal(self, request_ids: Iterable[int]) -> None:
+        """Follow the requests revealed at this instant."""
+        state = self._state
+        for request_id in request_ids:
+            request = state.scenario.request(request_id)
+            if self._filter(request) and not state.is_satisfied(request_id):
+                self.payloads.pop(request.item_id, None)
+            self.follow((request_id,))
+
+    def follow(self, request_ids: Iterable[int]) -> None:
+        """List each request's item, in ``requested_item_ids()``
+        (ascending) order, exactly while it has a visible open request.
+        Cancellations and reopens drop no payload here: an item with no
+        candidate has none for fewer requests either, and a reopen moves
+        the revision (:meth:`refresh`)."""
+        items = self.items
+        for request_id in request_ids:
+            item_id = self._state.scenario.request(request_id).item_id
+            at = bisect.bisect_left(items, item_id)
+            listed = at < len(items) and items[at] == item_id
+            if has_visible_request(self._state, item_id, None, self._filter):
+                if not listed:
+                    items.insert(at, item_id)
+            elif listed:
+                del items[at]
+                self.payloads.pop(item_id, None)
+
+
 class DynamicDriver:
     """Re-runs a static heuristic at every event instant.
 
@@ -110,15 +198,15 @@ class DynamicDriver:
         weights: E-U weights or raw ``log10`` ratio.
 
     Each pass gets its tree cache from the pass before
-    (:meth:`TreeCache.advanced`), so a pass costs what changed since the
-    last one.  A tree planned at an earlier "now" is carried, re-seeded
-    at the new "now", unless the journal replay found it in conflict
-    (bookings, outage cutoffs, storage freed by a loss where its search
-    depended on storage), its item changed, or the new "now" overtakes a
-    planned hop.  The no-candidate marks carry over too: a later "now",
-    bookings and outages only delay arrivals, so an item proven to have
-    no candidate is not searched again until its revision, an epoch or
-    its visible requests change.
+    (:meth:`TreeCache.advanced`), and every pass drains the run's one
+    :class:`RunShortlist`, so a pass costs what changed since the last
+    one.  A kept payload is scored again only when the shortlist drops
+    it; an empty one (an item with no candidate) is kept through
+    bookings, outages and a later "now", which only delay arrivals.  A
+    tree planned at an earlier "now" is carried, re-seeded at the new
+    "now", unless the journal replay found it in conflict (bookings,
+    outage cutoffs, storage freed by a loss where its search depended on
+    storage), its item changed, or the new "now" overtakes a planned hop.
     """
 
     def __init__(
@@ -163,9 +251,14 @@ class DynamicDriver:
         outcomes: List[EventOutcome] = []
         cache = TreeCache(state, stats)
 
+        def is_revealed(request) -> bool:
+            return request.request_id in revealed
+
+        shortlist = RunShortlist(state, is_revealed)
+
         # Pass 0: everything known at the start.
         outcomes.append(
-            self._pass(state, cache, stats, revealed,
+            self._pass(state, cache, stats, is_revealed, shortlist,
                        newly_revealed=tuple(sorted(revealed)),
                        losses=(), reopened=())
         )
@@ -208,12 +301,16 @@ class DynamicDriver:
                     losses.append((event.item_id, event.machine))
                 index += 1
             cache = cache.advanced(now)
+            shortlist.reveal(newly_revealed)
+            shortlist.follow(cancelled + reopened)
+            shortlist.refresh(cache)
             outcomes.append(
                 self._pass(
                     state,
                     cache,
                     stats,
-                    revealed,
+                    is_revealed,
+                    shortlist,
                     newly_revealed=tuple(newly_revealed),
                     losses=tuple(losses),
                     reopened=tuple(reopened),
@@ -239,21 +336,23 @@ class DynamicDriver:
         state: NetworkState,
         cache: TreeCache,
         stats: EngineStats,
-        revealed: Set[int],
+        request_filter: RequestFilter,
+        shortlist: RunShortlist,
         newly_revealed: Tuple[int, ...],
         losses: Tuple[Tuple[int, int], ...],
         reopened: Tuple[int, ...],
         outages: Tuple[int, ...] = (),
         cancelled: Tuple[int, ...] = (),
     ) -> EventOutcome:
-        visible = frozenset(revealed)
-
-        def request_filter(request) -> bool:
-            return request.request_id in visible
-
         now = cache.not_before
         before = stats.hops_booked
-        self._inner.drain(state, cache, stats, request_filter=request_filter)
+        self._inner.drain(
+            state,
+            cache,
+            stats,
+            request_filter=request_filter,
+            shortlist=shortlist,
+        )
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "pass at t=%.1f: +%d revealed, %d losses, %d outages, "
@@ -311,6 +410,7 @@ class DynamicDriver:
     ) -> None:
         seen_arrivals: Set[int] = set()
         seen_cancellations: Set[int] = set()
+        links = {plink.physical_id for plink in scenario.network.physical_links}
         for event in events:
             if isinstance(event, RequestArrival):
                 scenario.request(event.request_id)  # raises on unknown ids
@@ -321,17 +421,18 @@ class DynamicDriver:
                 seen_arrivals.add(event.request_id)
             elif isinstance(event, CopyLoss):
                 scenario.item(event.item_id)
-                if event.machine >= scenario.network.machine_count:
+                machine = event.machine
+                if (
+                    isinstance(machine, bool)
+                    or not isinstance(machine, int)
+                    or not 0 <= machine < scenario.network.machine_count
+                ):
                     raise ModelError(
-                        f"loss event references unknown machine "
-                        f"{event.machine}"
+                        f"loss event {event!r} references unknown machine "
+                        f"{machine!r}"
                     )
             elif isinstance(event, LinkOutage):
-                known = {
-                    plink.physical_id
-                    for plink in scenario.network.physical_links
-                }
-                if event.physical_id not in known:
+                if event.physical_id not in links:
                     raise ModelError(
                         f"outage event references unknown physical link "
                         f"{event.physical_id}"

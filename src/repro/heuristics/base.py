@@ -26,14 +26,17 @@ recompute either: the tree is rebased onto the new copies
 (:meth:`TreeCache.rebase`), and a dynamic pass at a later "now" carries
 the trees of the pass before (:meth:`TreeCache.advanced`).
 
-The cache also remembers which items have *no* candidate (§4.8 gives no
-resources to a step whose every destination misses its deadline).  Every
-link is FIFO — storage over ``[s, release)`` only gets easier as ``s``
-grows, so a later start never arrives earlier — hence bookings, outage
-cutoffs and a later "now" can only delay an item's labels.  An item with
-no candidate keeps having none until its copies or open requests change
-(its revision), storage is freed (the capacity epoch), bandwidth degrades
-(the degradation epoch) or one of its requests becomes visible.
+A drain keeps what it scored from each item (:class:`Shortlist`), also
+when an item has *no* candidate (§4.8 gives no resources to a step whose
+every destination misses its deadline).  Every link is FIFO — storage
+over ``[s, release)`` only gets easier as ``s`` grows, so a later start
+never arrives earlier — hence bookings, outage cutoffs and a later "now"
+can only delay an item's labels, and an item with no candidate keeps
+having none until its copies or open requests change (its revision),
+storage is freed where its search depended on storage (the journal
+replay), bandwidth degrades (the degradation epoch) or one of its
+requests becomes visible.  A dynamic run keeps one shortlist for all its
+passes (:class:`~repro.dynamic.driver.RunShortlist`).
 
 Every run of a scenario opens with the same searches: a state at its
 opening (:attr:`~repro.core.state.NetworkState.at_opening`) is a pure
@@ -49,7 +52,7 @@ import logging
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -91,11 +94,6 @@ from repro.routing.paths import Hop, ShortestPathTree
 logger = logging.getLogger(__name__)
 
 
-#: A no-candidate mark: the item revision, capacity epoch and degradation
-#: epoch it was proven under, and the visible request ids it covers.
-NoCandidateMark = Tuple[int, int, int, FrozenSet[int]]
-
-
 def has_visible_request(
     state: NetworkState,
     item_id: int,
@@ -123,20 +121,6 @@ def deadline_targets(state: NetworkState, item_id: int) -> Dict[int, float]:
         request.destination: request.deadline
         for request in state.unsatisfied_requests_for_item(item_id)
     }
-
-
-def _visible_request_ids(
-    state: NetworkState,
-    item_id: int,
-    priorities: Priorities,
-    request_filter: RequestFilter,
-) -> FrozenSet[int]:
-    return frozenset(
-        request.request_id
-        for request in visible_requests(
-            state, item_id, priorities, request_filter
-        )
-    )
 
 
 @dataclass
@@ -295,7 +279,7 @@ class TreeCache:
     searches fell back to the full storage probe there).  Every request
     first replays to the journal's end (so a fresh entry never sees an
     older record).  The replay reports the items whose entries it found
-    in conflict (:meth:`touched`).
+    in conflict, and those where it released storage (:meth:`touched`).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
     .epoch` token at construction; serving a different state — whose
@@ -303,16 +287,10 @@ class TreeCache:
     :class:`~repro.errors.ConfigurationError` instead of silently
     validating stale trees.
 
-    No-candidate marks (:meth:`mark_no_candidate`) record the counters
-    under which an item was proven to have no candidate, and the visible
-    requests the proof covered.  A drain leaves out an item whose mark
-    still holds (:meth:`has_no_candidate`).  A disabled cache records no
-    mark, so it stays the recompute-everything oracle.
-
     A dynamic driver makes each pass's cache with :meth:`advanced`, which
-    keeps the trees, both indexes, the replay position and the marks.  A
-    tree planned at an earlier "now" is carried on its first request in
-    the later pass (:meth:`entry_for`).
+    keeps the trees, both indexes and the replay position.  A tree
+    planned at an earlier "now" is carried on its first request in the
+    later pass (:meth:`entry_for`).
 
     A search from a state at its opening is shared with every later run
     of the same scenario in the process (the module's opening memo): a
@@ -350,9 +328,9 @@ class TreeCache:
         #: Release index: machine -> {item id: entry whose search fell
         #: back to the full storage probe into the machine}.
         self._release_index: Dict[int, Dict[int, CacheEntry]] = {}
-        #: Items the replay found in conflict since :meth:`touched`.
-        self._touched: Set[int] = set()
-        self._marks: Dict[int, NoCandidateMark] = {}
+        #: Items the replay touched since :meth:`touched`: True where it
+        #: released storage, else False (a conflict).
+        self._touched: Dict[int, bool] = {}
 
     @property
     def not_before(self) -> float:
@@ -390,11 +368,9 @@ class TreeCache:
     def advanced(self, now: float) -> "TreeCache":
         """The cache for a later pass at ``now``.
 
-        The entries, both indexes, the replay position and the marks move
-        to the new cache; this one keeps only its marks.  Each entry is
-        carried on its first request at ``now`` (:meth:`entry_for`), and
-        a later "now" only delays labels, so a mark stays as valid as its
-        counters.
+        The entries, both indexes and the replay position move to the new
+        cache.  Each entry is carried on its first request at ``now``
+        (:meth:`entry_for`).
 
         Raises:
             ConfigurationError: when ``now`` is earlier than (or not
@@ -410,63 +386,16 @@ class TreeCache:
         cache._receiver_index, self._receiver_index = self._receiver_index, {}
         cache._release_index, self._release_index = self._release_index, {}
         cache._replay_position = self._replay_position
-        cache._marks = dict(self._marks)
         return cache
 
-    def mark_no_candidate(
-        self,
-        item_id: int,
-        priorities: Priorities,
-        request_filter: RequestFilter,
-    ) -> None:
-        """Record that the item has no candidate for its visible requests
-        under the current counters; a disabled cache records nothing."""
-        if not self._enabled:
-            return
-        state = self._state
-        self._marks[item_id] = (
-            state.item_revision(item_id),
-            state.capacity_epoch,
-            state.degradation_epoch,
-            _visible_request_ids(state, item_id, priorities, request_filter),
-        )
-
-    def has_no_candidate(
-        self,
-        item_id: int,
-        priorities: Priorities,
-        request_filter: RequestFilter,
-        visible: Optional[FrozenSet[int]] = None,
-    ) -> bool:
-        """True when the item's mark still holds: the same revision and
-        epochs, and no visible request the mark does not cover.
-
-        ``visible`` is the item's visible request ids under the filters,
-        when the caller already read them.
-        """
-        mark = self._marks.get(item_id)
-        if mark is None:
-            return False
-        state = self._state
-        revision, capacity_epoch, degradation_epoch, covered = mark
-        if not (
-            revision == state.item_revision(item_id)
-            and capacity_epoch == state.capacity_epoch
-            and degradation_epoch == state.degradation_epoch
-        ):
-            return False
-        if visible is None:
-            visible = _visible_request_ids(
-                state, item_id, priorities, request_filter
-            )
-        return visible <= covered
-
-    def touched(self) -> Set[int]:
-        """The items whose entries the replay found in conflict since the
-        last call, after replaying to the journal's end."""
+    def touched(self) -> Dict[int, bool]:
+        """The items the replay touched since the last call, after
+        replaying to the journal's end: each maps to True when storage
+        was released where its search depended on storage (however its
+        entry stood), and to False when the replay found it in conflict."""
         if self._replay_position < self._state.journal_length():
             self._replay()
-        touched, self._touched = self._touched, set()
+        touched, self._touched = self._touched, {}
         return touched
 
     def tree_for(self, item_id: int) -> ShortestPathTree:
@@ -674,7 +603,7 @@ class TreeCache:
                         conflict = TREE_CACHE_RESIDENCY_CONFLICT
                 if conflict:
                     entry.conflict = conflict
-                    self._touched.add(tree.item_id)
+                    self._touched.setdefault(tree.item_id, False)
 
     def _replay_release(self, machine: int) -> None:
         """Fold storage freed at ``machine`` into the entries it touches.
@@ -684,13 +613,15 @@ class TreeCache:
         every such receiver in the tree's ``fallback_receivers`` (the
         release index).  An entry that plans a hop into the machine (the
         receiver index) is released too, which keeps the replay's
-        residency verdicts final.
+        residency verdicts final.  Every such entry is touched, also one
+        already in conflict: a kept empty payload outlives a conflict
+        (:meth:`Shortlist.forget`), but not freed storage.
         """
         for index in (self._receiver_index, self._release_index):
             for entry in index.get(machine, {}).values():
                 if entry.conflict in ("", TREE_CACHE_RESIDENCY_CONFLICT):
                     entry.conflict = TREE_CACHE_CAPACITY_RELEASED
-                    self._touched.add(entry.tree.item_id)
+                self._touched[entry.tree.item_id] = True
 
     def _store(self, item_id: int, entry: CacheEntry) -> None:
         """Replace the item's entry and move it in both indexes."""
@@ -724,22 +655,52 @@ class TreeCache:
 class Shortlist:
     """A drain's live items, in order, and the payload each scored to.
 
-    After a decision only the booked item and the items the replay found
-    in conflict (:meth:`TreeCache.touched`) are scored again: any other
-    entry would read ``clean`` or ``revalidated``, because within a
-    drain the epochs hold and only the booked item's revision moves.
+    After a decision only the booked item and the items the replay
+    touched (:meth:`TreeCache.touched`) are scored again: any other entry
+    would read ``clean`` or ``revalidated``, because within a drain the
+    epochs hold and only the booked item's revision moves.  Each drain
+    makes its own shortlist (:meth:`of`) unless it is handed one; a
+    dynamic run hands every pass the same one.
     """
 
     items: List[int]
     payloads: Dict[int, Any] = field(default_factory=dict)
 
-    def forget(self, item_ids: Iterable[int]) -> None:
-        """Drop these items' payloads, except empty ones: an item with no
-        candidate keeps having none within a drain (it is never booked,
-        the filters are fixed, bookings only delay arrivals)."""
-        for item_id in item_ids:
-            if self.payloads.get(item_id):
-                del self.payloads[item_id]
+    @classmethod
+    def of(
+        cls,
+        state: NetworkState,
+        priorities: Priorities = None,
+        request_filter: RequestFilter = None,
+    ) -> "Shortlist":
+        """The items with an open request the filters let through
+        (:func:`has_visible_request`), in ``requested_item_ids()`` order,
+        none scored yet."""
+        return cls(
+            [
+                item_id
+                for item_id in state.scenario.requested_item_ids()
+                if has_visible_request(
+                    state, item_id, priorities, request_filter
+                )
+            ]
+        )
+
+    def forget(self, touched: Mapping[int, bool]) -> None:
+        """Drop the touched items' payloads (:meth:`TreeCache.touched`).
+
+        An empty payload stays unless storage was released where its
+        item's search depended on storage: an item with no candidate
+        keeps having none through bookings, cutoffs and a later "now",
+        which only delay arrivals.
+        """
+        payloads = self.payloads
+        for item_id, released in touched.items():
+            if released or payloads.get(item_id):
+                payloads.pop(item_id, None)
+
+    def scored(self, entry: CacheEntry) -> None:
+        """Called after the drain scored the entry's item from its tree."""
 
 
 class StagingHeuristic(abc.ABC):
@@ -824,6 +785,7 @@ class StagingHeuristic(abc.ABC):
         stats: EngineStats,
         priorities: Priorities = None,
         request_filter: RequestFilter = None,
+        shortlist: Optional[Shortlist] = None,
     ) -> None:
         """Schedule until no (optionally filtered) candidate remains.
 
@@ -833,14 +795,14 @@ class StagingHeuristic(abc.ABC):
         unrevealed requests through ``request_filter``.
 
         Only items with a request the filters let through are searched
-        (:func:`has_visible_request`), and not those the cache has proven
-        to have no candidate (:meth:`TreeCache.has_no_candidate`); the
-        scan reads each open item's visible request ids once, for both.  The
-        :class:`Shortlist` is built once and keeps each item's payload
-        across decisions; each choice scans the payloads in item order.
-        After a decision only the booked item is rechecked (deliveries
-        are recorded only for it, and the filters are fixed), and its
-        tree is rebased onto its new copies (:meth:`TreeCache.rebase`).
+        (:meth:`Shortlist.of`, unless the caller hands over the
+        ``shortlist`` it keeps for these filters).  The shortlist keeps
+        each item's payload across decisions; each choice scans the
+        payloads in item order.  After a decision only the booked item is
+        rechecked (deliveries are recorded only for it, and the filters
+        are fixed), its tree is rebased onto its new copies
+        (:meth:`TreeCache.rebase`), and the touched items' payloads are
+        dropped (:meth:`Shortlist.forget`).
 
         Raises:
             ConfigurationError: when ``cache`` was built for a different
@@ -850,8 +812,8 @@ class StagingHeuristic(abc.ABC):
         debug = logger.isEnabledFor(logging.DEBUG)
         tracer = state.tracer
         tracing = tracer.enabled
-        items = self._drain_items(state, cache, priorities, request_filter)
-        shortlist = Shortlist(items)
+        if shortlist is None:
+            shortlist = Shortlist.of(state, priorities, request_filter)
         while True:
             decision_started = time.perf_counter() if tracing else 0.0
             choice = self._best_choice(
@@ -864,11 +826,12 @@ class StagingHeuristic(abc.ABC):
             hops = self._execute(state, group, result)
             cache.rebase(group.item_id)
             stats.hops_booked += hops
-            shortlist.forget((group.item_id,))
+            shortlist.payloads.pop(group.item_id, None)
+            shortlist.forget(cache.touched())
             if not has_visible_request(
                 state, group.item_id, priorities, request_filter
             ):
-                items.remove(group.item_id)
+                shortlist.items.remove(group.item_id)
             if tracing:
                 tracer.emit(
                     "decision",
@@ -889,36 +852,6 @@ class StagingHeuristic(abc.ABC):
                     result.cost,
                     hops,
                 )
-
-    @staticmethod
-    def _drain_items(
-        state: NetworkState,
-        cache: TreeCache,
-        priorities: Priorities,
-        request_filter: RequestFilter,
-    ) -> List[int]:
-        """The items a drain starts with, in ``requested_item_ids()``
-        order: each with an open request the filters let through, and no
-        mark that still holds.  Without filters every open request is
-        visible, so the ids are read only for a marked item."""
-        open_counts = state.open_request_counts()
-        filtered = priorities is not None or request_filter is not None
-        items: List[int] = []
-        for item_id in state.scenario.requested_item_ids():
-            if not open_counts[item_id]:
-                continue
-            visible: Optional[FrozenSet[int]] = None
-            if filtered:
-                visible = _visible_request_ids(
-                    state, item_id, priorities, request_filter
-                )
-                if not visible:
-                    continue
-            if not cache.has_no_candidate(
-                item_id, priorities, request_filter, visible
-            ):
-                items.append(item_id)
-        return items
 
     def _best_choice(
         self,
@@ -950,26 +883,20 @@ class StagingHeuristic(abc.ABC):
     ) -> List[Any]:
         """The non-empty payloads of the shortlist's items, in order.
 
-        Touched items lose their payload (:meth:`Shortlist.forget`), and
-        every item does when the cache is disabled.  Each item without
-        one is scored now, in order; an empty payload marks the item
-        (:meth:`TreeCache.mark_no_candidate`).
+        Every item loses its payload when the cache is disabled.  Each
+        item without one is scored now, in order
+        (:meth:`Shortlist.scored`).
         """
         payloads = shortlist.payloads
-        if cache.enabled:
-            shortlist.forget(cache.touched())
-        else:
+        if not cache.enabled:
             payloads.clear()
         for item_id in shortlist.items:
             if item_id not in payloads:
-                tree = cache.entry_for(item_id).tree
+                entry = cache.entry_for(item_id)
                 payloads[item_id] = self._item_payload(
-                    state, item_id, tree, priorities, request_filter
+                    state, item_id, entry.tree, priorities, request_filter
                 )
-                if not payloads[item_id]:
-                    cache.mark_no_candidate(
-                        item_id, priorities, request_filter
-                    )
+                shortlist.scored(entry)
         return [payloads[i] for i in shortlist.items if payloads[i]]
 
     def _item_payload(

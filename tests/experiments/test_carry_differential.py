@@ -50,8 +50,11 @@ _GENERATORS = {
     ),
 }
 
-#: The draw pinned in ``TestPinnedEventStream`` (tests/observability).
-PINNED_SEED = 0
+#: A tiny draw whose passes carry trees.  The draw pinned in
+#: ``TestPinnedEventStream`` (seed 0) carries none: a dynamic run keeps
+#: one shortlist, so a later pass requests an item again only after its
+#: kept payload was dropped, and there each such item had changed.
+CARRY_SEED = 3
 
 
 def _traced(scale, seed, heuristic, intensity, loss_fraction, reference):
@@ -107,7 +110,7 @@ def test_carried_trees_change_only_searches(
 
 
 def test_the_carry_fires_on_the_pinned_draw():
-    oracle, change = _both("tiny", PINNED_SEED, "partial", 0.5, 0.3)
+    oracle, change = _both("tiny", CARRY_SEED, "partial", 0.5, 0.3)
     oracle_result, oracle_schedule, _, oracle_stream = oracle
     result, schedule, _, stream = change
     assert schedule == oracle_schedule

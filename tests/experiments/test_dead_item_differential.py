@@ -2,13 +2,13 @@
 
 When an item's payload comes out empty (no candidate group: §4.8 gives no
 resources to a step whose every destination misses its deadline), the
-tree cache marks it with its revision, the capacity and degradation
-epochs, and the visible requests the proof covered
-(:meth:`~repro.heuristics.base.TreeCache.mark_no_candidate`).  A drain
-never scores the item again (:meth:`~repro.heuristics.base.Shortlist
-.forget` keeps its empty payload), and the dynamic driver's later passes
-leave it out while the mark holds (``TreeCache.advanced`` carries the
-marks over).
+drain keeps the empty payload: it never scores the item again
+(:meth:`~repro.heuristics.base.Shortlist.forget` keeps it through
+conflicts).  A dynamic run keeps one shortlist for all its passes
+(:class:`~repro.dynamic.driver.RunShortlist`), so the empty payload is
+the item's no-candidate mark there: later passes leave the item
+unrequested until a reveal of one of its open requests, storage released
+in its tree's footprint, a revision move or a degradation drops it.
 Bookings, outage cutoffs and a later "now" can only delay arrivals, so
 no decision may change.
 
@@ -17,19 +17,21 @@ walks every open item at every decision, bypassing both skips.  Against
 it, every schedule must be byte-identical, and:
 
 - dynamic runs (drawn faults with churn, losses and reopens) with a tree
-  cache of its own per pass (``tests/heuristics/reference_advance.py``),
-  static runs and
+  cache and a shortlist of their own per pass
+  (``tests/heuristics/reference_advance.py``), static runs and
   :class:`~repro.baselines.random_dijkstra.RandomDijkstraBaseline` emit a
   subsequence of the oracle's stream, missing only search events;
-- dynamic runs whose passes carry trees have streams equal to the
-  oracle's once search events are dropped: an item the oracle searched
-  in a pass the change skipped may be carried where the change searches;
+- dynamic runs whose passes carry trees and keep one shortlist have
+  streams equal to the oracle's once search events are dropped: an item
+  the oracle searched in a pass the change skipped may be carried where
+  the change searches;
 - :class:`~repro.baselines.priority_tier.PriorityTierScheduler`'s streams
   are equal once search events are dropped, and it computes no more trees;
-- with the tree cache disabled nothing is marked or dropped: the stream
-  equals the oracle's.
+- with the tree cache disabled nothing is dropped: the stream equals the
+  oracle's.
 
-The unit tests below pin what clears a mark and what it survives.
+The unit tests below pin what drops a kept empty payload (the mark) and
+what it survives.
 """
 
 from contextlib import nullcontext
@@ -42,7 +44,7 @@ from hypothesis import strategies as st
 from repro.baselines.priority_tier import PriorityTierScheduler
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.core.state import NetworkState
-from repro.dynamic.driver import DynamicDriver
+from repro.dynamic.driver import DynamicDriver, RunShortlist
 from repro.errors import ConfigurationError
 from repro.faults.context import use_faults
 from repro.heuristics.base import EngineStats, TreeCache
@@ -148,8 +150,8 @@ def test_static_runs_skip_only_searches(seed, heuristic, criterion):
 @_SETTINGS
 def test_random_dijkstra_skips_only_searches(seed):
     """A static run, and two drains over one state whose second cache is
-    ``advanced`` from the first (so marks cross the passes): with a tree
-    cache of its own per drain, and carrying the trees, where an item the
+    ``advanced`` from the first: with a tree cache of its own per drain,
+    and carrying the trees, where an item the
     oracle searched in the first drain may hit where the change searches,
     so the streams are compared with search events dropped."""
     scenario = _GENERATOR.generate(seed)
@@ -224,8 +226,8 @@ def test_a_disabled_cache_drops_nothing(seed, heuristic):
 def test_the_skips_fire_on_the_pinned_draws():
     """On a pinned priority-tier draw the within-drain drop saves
     searches, and the faulted run pinned in ``TestPinnedEventStream``
-    must reopen requests and leave out marked items in later passes —
-    else the properties above would pass vacuously.
+    must reopen requests and keep empty payloads across passes — else
+    the properties above would pass vacuously.
 
     A tier drain's item with no candidate can still have a tree: it
     plans paths to the other tiers' requests, and bookings conflict with
@@ -248,26 +250,24 @@ def test_the_skips_fire_on_the_pinned_draws():
     assert result.stats.dijkstra_runs < rescored.stats.dijkstra_runs
 
     left_out = []
-    has_no_candidate = TreeCache.has_no_candidate
+    refresh = RunShortlist.refresh
 
-    def spy(self, item_id, *filters):
-        answer = has_no_candidate(self, item_id, *filters)
-        if answer:
-            left_out.append(item_id)
-        return answer
+    def spy(self, cache):
+        refresh(self, cache)
+        left_out.extend(i for i in self.items if i in self.payloads)
 
-    run = _dynamic_run(PINNED_SEED, PINNED_SEED, "partial", 0.5, 0.3)
+    run = _dynamic_run(PINNED_SEED, PINNED_SEED, "partial", 0.5, 0.3, True)
     oracle_result, oracle_schedule, oracle = traced(run, reference=True)
-    with mock.patch.object(TreeCache, "has_no_candidate", spy):
+    with mock.patch.object(RunShortlist, "refresh", spy):
         result, schedule, stream = traced(run, reference=False)
     assert schedule == oracle_schedule
-    assert_skips_only_searches(stream, oracle)
+    assert without_searches(stream) == without_searches(oracle)
     assert result.stats.dijkstra_runs < oracle_result.stats.dijkstra_runs
     assert left_out
     assert any(outcome.reopened for outcome in result.outcomes)
 
 
-# -- what clears a mark ------------------------------------------------------
+# -- what clears a mark (a kept empty payload) -------------------------------
 
 #: Request ids of the mark scenario.
 DEAD, HIDDEN_LATER, OTHER, LATE_REVEAL, LATE_ITEM = 0, 1, 2, 3, 4
@@ -301,39 +301,77 @@ def _mark_scenario():
     )
 
 
-def _showing(*request_ids):
-    visible = frozenset(request_ids)
-    return lambda request: request.request_id in visible
-
-
 def _marked(enabled=True):
-    """Two passes: the first delivers ``HIDDEN_LATER`` and ``OTHER``; the
-    second sees only ``DEAD`` open and marks item 0."""
+    """Two passes over one run shortlist: the first shows
+    ``HIDDEN_LATER`` and ``OTHER`` and delivers both; the second also
+    shows ``DEAD``, so item 0 scores to an empty payload, which the
+    shortlist keeps.  Returns the state, the second pass's cache, the
+    stats, the heuristic, the shortlist and the live set of shown ids."""
     state = NetworkState(_mark_scenario())
     stats = EngineStats()
     heuristic = make_heuristic("partial", "C4", 2.0)
+    shown = {HIDDEN_LATER, OTHER}
+    shortlist = RunShortlist(state, _showing(shown))
     first = TreeCache(state, stats, enabled=enabled)
     heuristic.drain(
-        state, first, stats, request_filter=_showing(HIDDEN_LATER, OTHER)
+        state, first, stats, request_filter=_showing(shown),
+        shortlist=shortlist,
     )
     assert state.is_satisfied(HIDDEN_LATER) and state.is_satisfied(OTHER)
-    cache = first.advanced(0.5)
-    visible = _showing(DEAD, HIDDEN_LATER, OTHER)
-    heuristic.drain(state, cache, stats, request_filter=visible)
+    cache = _next_pass(shortlist, first, 0.5, shown, revealed=(DEAD,))
+    heuristic.drain(
+        state, cache, stats, request_filter=_showing(shown),
+        shortlist=shortlist,
+    )
     assert not state.is_satisfied(DEAD)
-    return state, cache, stats, heuristic, visible
+    return state, cache, stats, heuristic, shortlist, shown
+
+
+def _showing(shown):
+    return lambda request: request.request_id in shown
+
+
+def _next_pass(shortlist, cache, now, shown, revealed=()):
+    """The cache of the pass at ``now``, and the shortlist told of the
+    requests ``revealed`` there, as the driver does."""
+    shown.update(revealed)
+    later = cache.advanced(now)
+    shortlist.reveal(revealed)
+    shortlist.refresh(later)
+    return later
+
+
+def _kept_empty(shortlist, item_id=0):
+    return item_id in shortlist.items and (
+        item_id in shortlist.payloads and not shortlist.payloads[item_id]
+    )
 
 
 def test_an_item_with_no_candidate_is_marked():
-    _, cache, _, _, visible = _marked()
-    assert cache.has_no_candidate(0, None, visible)
-    assert cache.has_no_candidate(0, None, _showing(DEAD))
+    state, cache, stats, heuristic, shortlist, shown = _marked()
+    assert _kept_empty(shortlist)
+    requests = stats.cache_hits + stats.dijkstra_runs
+    later = _next_pass(shortlist, cache, 1.0, shown)
+    heuristic.drain(
+        state, later, stats, request_filter=_showing(shown),
+        shortlist=shortlist,
+    )
+    assert stats.cache_hits + stats.dijkstra_runs == requests
+    assert _kept_empty(shortlist)
 
 
 def test_a_disabled_cache_records_no_mark():
-    _, cache, _, _, visible = _marked(enabled=False)
+    """A disabled cache scores every item again at every choice, so the
+    next pass requests item 0 again."""
+    state, cache, stats, heuristic, shortlist, shown = _marked(enabled=False)
     assert not cache.enabled
-    assert not cache.has_no_candidate(0, None, visible)
+    runs = stats.dijkstra_runs
+    later = _next_pass(shortlist, cache, 1.0, shown)
+    heuristic.drain(
+        state, later, stats, request_filter=_showing(shown),
+        shortlist=shortlist,
+    )
+    assert stats.dijkstra_runs == runs + 1
 
 
 @pytest.mark.parametrize(
@@ -358,35 +396,47 @@ def test_a_disabled_cache_records_no_mark():
     ],
 )
 def test_a_state_change_clears_the_mark(mutate):
-    state, cache, _, _, _ = _marked()
+    """A reopen or a loss of the item's copy moves its revision; the
+    loss of item 1's copy at machine 2 frees storage where item 0's tree
+    plans a hop (toward ``LATE_REVEAL``); a degradation moves the epoch."""
+    state, cache, _, _, shortlist, shown = _marked()
     mutate(state)
-    # Only DEAD is shown, so the visible set alone cannot clear the mark.
-    assert not cache.has_no_candidate(0, None, _showing(DEAD))
-    assert not cache.advanced(2.0).has_no_candidate(0, None, _showing(DEAD))
+    _next_pass(shortlist, cache, 2.0, shown)
+    assert 0 not in shortlist.payloads
 
 
 def test_a_newly_visible_request_clears_the_mark():
-    _, cache, _, _, visible = _marked()
-    assert not cache.has_no_candidate(
-        0, None, _showing(DEAD, HIDDEN_LATER, OTHER, LATE_REVEAL)
-    )
-    assert cache.has_no_candidate(0, None, visible)
+    _, cache, _, _, shortlist, shown = _marked()
+    # A request revealed once delivered adds no candidate.
+    later = _next_pass(shortlist, cache, 1.0, shown, revealed=(HIDDEN_LATER,))
+    assert _kept_empty(shortlist)
+    _next_pass(shortlist, later, 1.0, shown, revealed=(LATE_REVEAL,))
+    assert 0 not in shortlist.payloads
+
+
+def test_a_cancellation_delists_an_item_with_no_visible_request_left():
+    _, _, _, _, shortlist, shown = _marked()
+    shown.discard(DEAD)
+    shortlist.follow((DEAD,))
+    assert 0 not in shortlist.items and 0 not in shortlist.payloads
 
 
 def test_the_mark_survives_bookings_and_outages_in_later_passes():
-    state, cache, stats, heuristic, _ = _marked()
+    state, cache, stats, heuristic, shortlist, shown = _marked()
     state.disable_link_from(1, 3.0)
-    later = cache.advanced(2.0)
-    shown = _showing(DEAD, HIDDEN_LATER, OTHER, LATE_ITEM)
+    later = _next_pass(shortlist, cache, 2.0, shown, revealed=(LATE_ITEM,))
     runs = stats.dijkstra_runs
-    heuristic.drain(state, later, stats, request_filter=shown)
+    heuristic.drain(
+        state, later, stats, request_filter=_showing(shown),
+        shortlist=shortlist,
+    )
     assert state.is_satisfied(LATE_ITEM)
     assert stats.dijkstra_runs == runs + 1  # item 2 only
-    assert later.has_no_candidate(0, None, shown)
+    assert _kept_empty(shortlist)
 
 
 def test_advancing_to_an_earlier_instant_is_rejected():
-    _, cache, _, _, _ = _marked()
+    _, cache, _, _, _, _ = _marked()
     with pytest.raises(ConfigurationError):
         cache.advanced(0.25)
     with pytest.raises(ConfigurationError):

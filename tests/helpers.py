@@ -20,6 +20,8 @@ from repro.core.network import Network
 from repro.core.priority import PriorityWeighting, WEIGHTING_1_10_100
 from repro.core.request import Request
 from repro.core.scenario import Scenario
+from repro.core.state import NetworkState
+from repro.core.timeline import CapacityTimeline
 from repro.dynamic.driver import reveal_at_item_start
 from repro.dynamic.events import CopyLoss, Event, LinkOutage
 from repro.faults.plan import FaultPlan
@@ -216,3 +218,17 @@ def dynamic_fault_events(
         )
     )
     return tuple(events), plan.static_only()
+
+
+def unbounded_storage_outside(
+    state: NetworkState, kept: frozenset
+) -> NetworkState:
+    """A clone whose machines outside ``kept`` have unlimited free
+    storage: every release that could ever happen there, at once."""
+    clone = state.clone()
+    for machine, timeline in enumerate(clone._timelines):
+        if machine not in kept:
+            unbounded = CapacityTimeline(float("inf"))
+            clone._timelines[machine] = unbounded
+            clone._timeline_columns[machine] = unbounded.columns()
+    return clone

@@ -1,12 +1,12 @@
 """The engine's item selection before any item was skipped or kept.
 
 A drain searches only the items with an open request its filters let
-through (:func:`repro.heuristics.base.has_visible_request`) that the tree
-cache has not proven to have no candidate
-(:meth:`~repro.heuristics.base.TreeCache.has_no_candidate`).  After each
-decision it rechecks only the booked item.  It keeps each item's payload
-across decisions and requests again only the booked item and the items
-whose entries the cache's replay found in conflict (the dirty set,
+through (:func:`repro.heuristics.base.has_visible_request`) that a
+dynamic run's shortlist does not keep as proven to have no candidate
+(:class:`~repro.dynamic.driver.RunShortlist`).  After each decision it
+rechecks only the booked item.  It keeps each item's payload across
+decisions and requests again only the booked item and the items whose
+entries the cache's replay touched (the dirty set,
 :class:`~repro.heuristics.base.Shortlist`), and never an item whose
 payload came out empty (the within-drain drop).  Before all that, every
 decision routed and scored every item with any open request, in
@@ -14,10 +14,10 @@ decision routed and scored every item with any open request, in
 filters all removed.  :func:`use_reference_selection` restores that
 selection for the duration of a ``with`` block, so the tests can show the
 skips change no decision.  It bypasses all four: the hidden-item skip,
-the within-drain drop, the no-candidate marks carried across dynamic
-passes (the marks are still recorded, but only the drain's shortlist
-reads them) and the dirty set: every decision requests and scores every
-open item afresh.
+the within-drain drop, the empty payloads a dynamic run keeps across
+passes (they are still kept, but only the drain's shortlist reads them)
+and the dirty set: every decision requests and scores every open item
+afresh.
 
 It patches the ``_best_choice`` methods to ignore the drain's shortlist,
 so the switch holds only in this process: run reference schedules
@@ -132,7 +132,7 @@ def _every_shortlisted_item(
         shortlist: Shortlist,
         *filters: Any,
     ) -> Any:
-        shortlist.forget(list(shortlist.payloads))
+        shortlist.forget(dict.fromkeys(shortlist.payloads, False))
         return best_choice(self, state, cache, shortlist, *filters)
 
     return rescoring_best_choice

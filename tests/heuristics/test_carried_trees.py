@@ -23,6 +23,7 @@ The unit tests pin each ``tree_cache`` reason a carry reports, and each
 way a later "now" overtakes a plan.
 """
 
+from contextlib import nullcontext
 from typing import Dict, List, Tuple
 from unittest import mock
 
@@ -31,8 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core import units
 from repro.core.state import NetworkState
-from repro.core.timeline import CapacityTimeline
-from repro.dynamic.driver import DynamicDriver
+from repro.dynamic.driver import DynamicDriver, RunShortlist
 from repro.faults.context import use_faults
 from repro.heuristics.base import (
     CacheEntry,
@@ -57,7 +57,9 @@ from tests.helpers import (
     line_network,
     make_item,
     make_scenario,
+    unbounded_storage_outside,
 )
+from tests.heuristics.reference_shortlist import use_reference_shortlist
 
 #: Tiny draws, and tiny draws whose machines hold only one to three large
 #: items, so storage rejects and delays relaxations.
@@ -87,20 +89,6 @@ def _same_tree(tree: ShortestPathTree, fresh: ShortestPathTree) -> bool:
     )
 
 
-def _unbounded_storage_outside(
-    state: NetworkState, kept: frozenset
-) -> NetworkState:
-    """A clone whose machines outside ``kept`` have unlimited free
-    storage: every release that could ever happen there, at once."""
-    clone = state.clone()
-    for machine, timeline in enumerate(clone._timelines):
-        if machine not in kept:
-            unbounded = CapacityTimeline(float("inf"))
-            clone._timelines[machine] = unbounded
-            clone._timeline_columns[machine] = unbounded.columns()
-    return clone
-
-
 def _spying(checked: Dict[str, int], wider: List[Tuple[int, int]]):
     """Patches that check every carried and rebased entry as it is
     stored; ``checked`` counts them by kind, and ``wider`` collects
@@ -116,7 +104,7 @@ def _spying(checked: Dict[str, int], wider: List[Tuple[int, int]]):
         assert _same_tree(entry.tree, fresh), (kind, item_id)
         extra = fresh.fallback_receivers - entry.tree.fallback_receivers
         wider.extend((item_id, machine) for machine in extra)
-        released = _unbounded_storage_outside(
+        released = unbounded_storage_outside(
             state, entry.tree.fallback_receivers
         )
         assert _same_tree(
@@ -177,14 +165,22 @@ def test_the_property_checks_carried_and_rebased_entries():
     """The spies must see both kinds on a few pinned draws, else the
     property above could pass without checking anything; and a fresh
     search must fall back somewhere the entry's search did not, else
-    the release check would add nothing to set containment."""
+    the release check would add nothing to set containment.  A run
+    keeps one shortlist, so it requests (and carries) an item in a later
+    pass only after something dropped its payload; the per-pass
+    shortlists of ``use_reference_shortlist`` request every listed item
+    in every pass, and there the carry meets wider release sets."""
     totals: Dict[str, int] = {}
     wider: List[Tuple[int, int]] = []
-    for seed in range(4):
-        checked, extra = _run_checked("tight", seed, "partial", 0.5, 0.3)
-        wider.extend(extra)
-        for kind, count in checked.items():
-            totals[kind] = totals.get(kind, 0) + count
+    for per_pass in (False, True):
+        for seed in range(4):
+            with use_reference_shortlist() if per_pass else nullcontext():
+                checked, extra = _run_checked(
+                    "tight", seed, "partial", 0.5, 0.3
+                )
+            wider.extend(extra)
+            for kind, count in checked.items():
+                totals[kind] = totals.get(kind, 0) + count
     assert totals.get("carried", 0) > 0
     assert totals.get("rebased", 0) > 0
     assert wider
@@ -265,10 +261,15 @@ def test_a_later_now_that_reorders_the_seeds_overtakes_the_plan():
 
 
 def test_advancing_moves_the_entries_and_keeps_the_marks():
+    """``advanced`` moves the entries to the later cache; what marks an
+    item with no candidate, its kept empty payload, lives in the run's
+    shortlist and stays there."""
     state, cache, stats, tracer = _traced_cache()
     cache.tree_for(0)
-    cache.mark_no_candidate(0, None, None)
+    shortlist = RunShortlist(state, lambda request: True)
+    shortlist.payloads[0] = None
+    shortlist.scored(cache.entry_for(0))
     later = cache.advanced(5.0)
+    shortlist.refresh(later)
     assert list(later._trees) == [0] and cache._trees == {}
-    assert later.has_no_candidate(0, None, None)
-    assert cache.has_no_candidate(0, None, None)
+    assert shortlist.items == [0] and shortlist.payloads == {0: None}

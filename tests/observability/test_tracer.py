@@ -551,6 +551,16 @@ class TestPinnedEventStream:
     ``span_start`` and ``span_end`` events went and nothing else moved.
     Each new digest equals the old stream's digest with those two events
     filtered out, computed on the code before the deletion.
+
+    The faulted dynamic digest was re-pinned (235 -> 215 events) when a
+    dynamic run started keeping one shortlist for all its passes: an
+    item proven to have no candidate is no longer requested again after
+    a copy loss whose released storage misses its tree.  After the loss
+    7 ``carried`` and 2 ``plan_expired`` requests went, each with its
+    ``item_scored`` event (0 candidates), and ``dijkstra`` events fell
+    17 -> 15; only search events went.
+    ``tests/experiments/test_run_shortlist_differential.py`` checks the
+    kept shortlist against per-drain shortlists.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -573,6 +583,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            235,
-            "723e0b934588a231f6b4118127108ce15a908563b047d250bcc16bcab9c3b670",
+            215,
+            "85e2abffa6cd07e6e5fb8eeea19788a09fce377dc7e8588feec82c43427ac08e",
         )

@@ -10,11 +10,12 @@ booked item is the exception: its revision changes, because it gained a
 copy.
 
 Three things rest on this property: the tree cache's journal
-revalidation, the no-candidate marks, and the deadline-bounded search
-(a target that misses its deadline keeps missing it).  Each is keyed on
-the item revision and the capacity and degradation epochs, because a
-copy loss can lower a label and a reopen adds a target back.  The last
-two tests pin both exceptions.
+revalidation, the empty payloads a dynamic run keeps for items with no
+candidate, and the deadline-bounded search (a target that misses its
+deadline keeps missing it).  Each is keyed on the item revision, the
+degradation epoch and the journal's release records, because a copy
+loss can lower a label and a reopen adds a target back.  The last two
+tests pin both exceptions.
 """
 
 import math
@@ -142,7 +143,8 @@ def test_labels_only_move_later(seed, warmup, data):
 def test_a_copy_loss_may_lower_another_items_label():
     """Machine 1 stores one item at a time.  While item 0's copy sits
     there, item 1 cannot pass through it; losing that copy frees the
-    storage, so item 1 arrives earlier — hence the capacity epoch."""
+    storage, so item 1 arrives earlier — hence the release record (and
+    the capacity epoch)."""
     network = make_network(
         3,
         [make_link(0, 0, 1), make_link(1, 1, 2), make_link(2, 2, 0)],

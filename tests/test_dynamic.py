@@ -1,5 +1,7 @@
 """Tests for the dynamic (event-driven) scheduling extension."""
 
+import re
+
 import pytest
 
 from repro.core.state import NetworkState
@@ -215,6 +217,21 @@ class TestDynamicDriver:
             DynamicDriver().run(
                 scenario, [RequestArrival(time=1.0, request_id=99)]
             )
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            pytest.param(-1, id="negative"),
+            pytest.param(3, id="past-the-last"),
+            pytest.param(True, id="bool"),
+            pytest.param(1.0, id="float"),
+        ],
+    )
+    def test_loss_at_an_unknown_machine_rejected(self, machine):
+        scenario = _line_scenario()
+        loss = CopyLoss(time=5.0, item_id=0, machine=machine)
+        with pytest.raises(ModelError, match=re.escape(repr(loss))):
+            DynamicDriver().run(scenario, [loss])
 
     def test_label(self):
         assert DynamicDriver("full_one", "C2").label() == (

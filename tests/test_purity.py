@@ -117,22 +117,27 @@ def digests(seeds: Sequence[int]) -> Dict[str, List[str]]:
 
 # -- the guard ---------------------------------------------------------------
 
-#: Container kinds whose length can change in place.
-MUTABLE_CONTAINERS = (
-    collections.abc.MutableMapping,
-    collections.abc.MutableSequence,
-    collections.abc.MutableSet,
-)
+def _contents(value: object) -> object:
+    """A shallow snapshot of a mutable container: each key's id mapped to
+    its value's id for a mapping, the items' ids in order for a sequence,
+    the members' ids for a set; ``None`` for anything else.  So a write
+    that overwrites an existing memo key changes it, not only one that
+    grows or shrinks the container."""
+    if isinstance(value, collections.abc.MutableMapping):
+        return {id(key): id(item) for key, item in list(value.items())}
+    if isinstance(value, collections.abc.MutableSequence):
+        return tuple(id(item) for item in value)
+    if isinstance(value, collections.abc.MutableSet):
+        return frozenset(id(item) for item in value)
+    return None
 
 
-def _repro_globals() -> Dict[Tuple[str, str], Tuple[int, int]]:
-    """Identity and, for mutable containers, length (else -1) of every
-    non-module global of every loaded ``repro.*`` module."""
+def _repro_globals() -> Dict[Tuple[str, str], Tuple[int, object]]:
+    """Identity and, for mutable containers, shallow contents
+    (:func:`_contents`) of every non-module global of every loaded
+    ``repro.*`` module."""
     return {
-        (module_name, name): (
-            id(value),
-            len(value) if isinstance(value, MUTABLE_CONTAINERS) else -1,
-        )
+        (module_name, name): (id(value), _contents(value))
         for module_name, module in list(sys.modules.items())
         if module_name == "repro" or module_name.startswith("repro.")
         for name, value in vars(module).items()
@@ -143,7 +148,7 @@ def _repro_globals() -> Dict[Tuple[str, str], Tuple[int, int]]:
 @contextlib.contextmanager
 def _pure(entry: str) -> Iterator[None]:
     """Fail when the body draws from the global RNG, reads the wall
-    clock, or rebinds, grows or shrinks a ``repro`` module global.
+    clock, or rebinds or writes into a ``repro`` module global.
 
     A refused call raises and is also recorded, so a body that swallows
     the exception still fails.  Modules first imported by the body are
@@ -199,6 +204,9 @@ def test_the_guard_refuses_rng_clock_and_global_writes(monkeypatch):
     with pytest.raises(AssertionError, match="_PURITY_PROBE"):
         with _pure("rebind"):
             monkeypatch.setattr(repro, "_PURITY_PROBE", {"seen": 1})
+    with pytest.raises(AssertionError, match="_PURITY_PROBE"):
+        with _pure("overwrite"):
+            repro._PURITY_PROBE["seen"] = [2]  # type: ignore[attr-defined]
 
 
 # -- the entry points --------------------------------------------------------

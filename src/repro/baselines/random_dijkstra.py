@@ -58,9 +58,10 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
         The RNG is reset from the stored seed on every invocation so
         repeated runs of one baseline instance produce identical
         schedules — the same-(scenario, scheduler) determinism contract
-        the run cache and the staticcheck R1 rule enforce everywhere
-        else.  (Previously the instance RNG carried state across runs,
-        so a second ``run()`` on the same object diverged.)
+        the run cache relies on, and that rule R1 of
+        ``tests/test_source_rules.py`` holds every module to.
+        (Previously the instance RNG carried state across runs, so a
+        second ``run()`` on the same object diverged.)
         """
         self._rng = random.Random(self._seed)
         return super().run(scenario)

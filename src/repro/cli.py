@@ -13,8 +13,7 @@ Subcommands:
 * ``sweep`` / ``chaos`` — E-U and fault-intensity sweeps over random
   cases;
 * ``report`` — assemble recorded benchmark artifacts, or render a
-  timeline document;
-* ``lint`` — the ``repro.staticcheck`` domain lint.
+  timeline document.
 
 Scheduler performance is measured outside the CLI, by the end-to-end
 benchmark under ``bench/`` (see ``bench/README.md``) and by the exact
@@ -84,7 +83,6 @@ from repro.serialization import (
     save_scenario,
     save_schedule,
 )
-from repro.staticcheck.cli import add_lint_arguments, run_lint
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 from repro.workload.describe import describe, render_description
@@ -386,15 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "run the repro.staticcheck domain lint (rules R0, R1, R2, "
-            "R5; baseline ratchet)"
-        ),
-    )
-    add_lint_arguments(lint)
-
     return parser
 
 
@@ -675,7 +664,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "chaos": _cmd_chaos,
     "report": _cmd_report,
-    "lint": run_lint,
 }
 
 

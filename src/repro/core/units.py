@@ -74,11 +74,12 @@ def gigabytes(value: float) -> float:
 # scheduler's invariants (booking identity, breakpoint splitting, event
 # grouping) rely on *exact* equality of values that were computed by the
 # same expression, never on "close enough".  Raw ``==`` at a call site
-# cannot distinguish the two readings, so the ``repro.staticcheck`` R2
-# rule bans it on time/bandwidth expressions and requires these named
-# comparators instead: ``time_eq`` documents the identical-computation
-# contract, ``times_close`` documents a tolerance.  The raw operators
-# below each carry the one sanctioned suppression.
+# cannot distinguish the two readings, so rule R2 of
+# ``tests/test_source_rules.py`` bans it on time/bandwidth expressions
+# and requires these named comparators instead: ``time_eq`` documents the
+# identical-computation contract, ``times_close`` documents a tolerance.
+# ``duration_is_zero`` is the one comparator R2's name heuristic flags;
+# that test's ``ALLOWED`` lists it by function name.
 
 #: Tolerance for *approximate* time comparisons (analysis/reporting
 #: only — scheduling decisions must use the exact comparators).
@@ -115,7 +116,7 @@ def times_close(a: float, b: float, tolerance: float = TIME_EPSILON) -> bool:
 
 def duration_is_zero(duration: float) -> bool:
     """True for a zero-length duration (e.g. an empty booking)."""
-    return duration == 0.0  # staticcheck: disable=R2
+    return duration == 0.0
 
 
 def size_is_zero(size_bytes: float) -> bool:

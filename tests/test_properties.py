@@ -1,19 +1,25 @@
 """Property-based tests (hypothesis) on the core data structures and
 algorithms: interval sets, capacity timelines, Dijkstra optimality, the
-generator's invariants, and end-to-end schedule feasibility."""
+generator's invariants, end-to-end schedule feasibility, and one
+metamorphic relation: an unreachable request changes no booking."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.data import DataItem, SourceLocation
 from repro.core.evaluation import evaluate_schedule
 from repro.core.intervals import Interval, IntervalSet
+from repro.core.machine import Machine
+from repro.core.network import Network
+from repro.core.request import Request
 from repro.core.state import NetworkState
 from repro.core.timeline import CapacityTimeline
 from repro.core.validation import ScheduleValidator
 from repro.baselines.bounds import possible_satisfy, upper_bound
-from repro.heuristics.registry import make_heuristic
+from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
@@ -240,3 +246,75 @@ def test_generator_invariants_hold_for_any_seed(seed):
         pair_counts[key] = pair_counts.get(key, 0) + 1
         assert plink.source != plink.destination
     assert all(count <= 2 for count in pair_counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: a request no source can reach changes no other booking
+# ---------------------------------------------------------------------------
+
+def _with_unreachable_request(scenario, destination, priority, fractions):
+    """The scenario plus a fresh item sourced on a new, unlinked machine.
+
+    One request for the item is added at an existing machine; no link
+    touches the new machine, so no schedule can deliver it.
+    """
+    size, available, deadline = fractions
+    network = scenario.network
+    isolated = Machine(
+        index=network.machine_count,
+        capacity=max(machine.capacity for machine in network.machines),
+    )
+    item = DataItem(
+        item_id=len(scenario.items),
+        name="unreachable",
+        size=size * max(item.size for item in scenario.items),
+        sources=(
+            SourceLocation(
+                machine=isolated.index,
+                available_from=available * scenario.horizon,
+            ),
+        ),
+    )
+    request = Request(
+        request_id=len(scenario.requests),
+        item_id=item.item_id,
+        destination=destination % network.machine_count,
+        priority=priority % (scenario.weighting.highest_priority + 1),
+        deadline=deadline * scenario.horizon,
+    )
+    return dataclasses.replace(
+        scenario,
+        network=Network(
+            network.machines + (isolated,), network.physical_links
+        ),
+        items=scenario.items + (item,),
+        requests=scenario.requests + (request,),
+    )
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(paper_pairings()),
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=100),
+    st.tuples(
+        st.floats(min_value=0.01, max_value=4.0),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=0.5, max_value=1.0),
+    ),
+)
+def test_unreachable_request_changes_no_booking(
+    seed, pairing, destination, priority, fractions
+):
+    scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(seed)
+    grown = _with_unreachable_request(
+        scenario, destination, priority, fractions
+    )
+    heuristic, criterion = pairing
+    before = make_heuristic(heuristic, criterion, 0.0).run(scenario).schedule
+    after = make_heuristic(heuristic, criterion, 0.0).run(grown).schedule
+    assert after.steps == before.steps
+    assert dict(after.deliveries) == dict(before.deliveries)
+    assert not after.is_satisfied(grown.requests[-1].request_id)
+    ScheduleValidator(grown).validate(after)

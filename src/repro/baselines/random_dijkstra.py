@@ -21,10 +21,8 @@ from repro.heuristics.candidates import (
     CandidateGroup,
     Priorities,
     RequestFilter,
-    enumerate_groups,
 )
 from repro.heuristics.partial_path import PartialPathHeuristic
-from repro.routing.paths import ShortestPathTree
 
 
 class RandomDijkstraBaseline(PartialPathHeuristic):
@@ -89,16 +87,7 @@ class RandomDijkstraBaseline(PartialPathHeuristic):
         self,
         state: NetworkState,
         item_id: int,
-        tree: ShortestPathTree,
-        priorities: Priorities,
-        request_filter: RequestFilter,
+        groups: Tuple[CandidateGroup, ...],
     ) -> Tuple[CandidateGroup, ...]:
         """Every valid candidate of the item (the draw is over all)."""
-        return enumerate_groups(
-            state,
-            item_id,
-            tree,
-            state.scenario.weighting,
-            priorities,
-            request_filter,
-        )
+        return groups

@@ -19,7 +19,7 @@ from repro.core import units
 from repro.errors import ModelError
 
 
-def _reduce_by_fields(record: Any) -> Tuple[type, Tuple[Any, ...]]:
+def reduce_by_fields(record: Any) -> Tuple[type, Tuple[Any, ...]]:
     """Pickle a frozen slotted record through its constructor.
 
     Pickle's default restore of slot state assigns each attribute, which a
@@ -56,7 +56,7 @@ class CommunicationStep:
         "start",
         "end",
     )
-    __reduce__ = _reduce_by_fields
+    __reduce__ = reduce_by_fields
 
     step_id: int
     item_id: int
@@ -105,7 +105,7 @@ class Delivery:
     """
 
     __slots__ = ("request_id", "arrival", "hops")
-    __reduce__ = _reduce_by_fields
+    __reduce__ = reduce_by_fields
 
     request_id: int
     arrival: float

@@ -187,8 +187,8 @@ class NetworkState:
             plan = None
         self._faults = plan
         # A state built from its scenario alone (no fault plan, not a
-        # clone) starts at its opening; see at_opening.
-        self._scenario_only = plan is None
+        # clone) starts at its opening; see only_booked.
+        self._only_booked = plan is None
         network = scenario.network
         # Per-physical-link degradation factors (sub-1.0 only) and the
         # epoch counting their changes.  The per-virtual-link delivered
@@ -312,7 +312,7 @@ class NetworkState:
         clone._scenario = self._scenario
         clone._tracer = self._tracer
         clone._faults = self._faults
-        clone._scenario_only = False
+        clone._only_booked = False
         # The cached bandwidth list is shared (a degradation in either
         # state rebuilds a fresh list rather than mutating the old one);
         # the factor table is copied because degrade_physical_link
@@ -483,26 +483,24 @@ class NetworkState:
     def capacity_epoch(self) -> int:
         """Bumped by every copy loss (:meth:`remove_copy`).
 
-        Only :attr:`at_opening` reads it.  Caches replay the loss's
-        release record instead (see :class:`MutationRecord`).
+        Caches replay the loss's release record instead (see
+        :class:`MutationRecord`).
         """
         return self._capacity_epoch
 
     @property
-    def at_opening(self) -> bool:
-        """True while the state is what its scenario alone defines.
+    def only_booked(self) -> bool:
+        """True while the state is a pure function of its scenario and its
+        journalled bookings: built without a fault plan, not a clone, and
+        changed by nothing but :meth:`book_transfer` (no cutoff, copy
+        loss, degradation or reopened request).  Once false, for good."""
+        return self._only_booked
 
-        That is: built without a fault plan, not a clone, nothing
-        journalled (no booking, no cutoff) and neither epoch moved (no
-        copy loss, no degradation).  Every copy, busy set, timeline,
-        cutoff and bandwidth is then a pure function of the scenario.
-        """
-        return (
-            self._scenario_only
-            and not self._journal
-            and self._capacity_epoch == 0
-            and self._degradation_epoch == 0
-        )
+    @property
+    def at_opening(self) -> bool:
+        """True while the state is what its scenario alone defines:
+        :attr:`only_booked` with nothing journalled."""
+        return self._only_booked and not self._journal
 
     def journal_length(self) -> int:
         """Number of mutations journalled so far."""
@@ -832,6 +830,7 @@ class NetworkState:
                 f"{self._link_cutoff[link_id]}; cannot loosen to {at_time}"
             )
         self._link_cutoff[link_id] = at_time
+        self._only_booked = False
         self._journal.append(
             MutationRecord(
                 kind=MUTATION_CUTOFF, link_id=link_id, cutoff=at_time
@@ -876,6 +875,7 @@ class NetworkState:
             )
         self._degradation_factors[physical_id] = factor
         self._degradation_epoch += 1
+        self._only_booked = False
         degraded = 0
         for link in network.virtual_links:
             if link.physical_id == physical_id:
@@ -930,6 +930,7 @@ class NetworkState:
         del self._copies[item_id][machine]
         self._item_revision[item_id] += 1
         self._capacity_epoch += 1
+        self._only_booked = False
         if self._tracer.enabled:
             self._tracer.emit("copy_removed", item_id, machine, at_time)
 
@@ -953,6 +954,8 @@ class NetworkState:
         self._open_requests[request.item_id] += 1
         self._unsatisfied[request.item_id] = None
         self._item_revision[request.item_id] += 1
+        # Reopening journals nothing and moves no epoch.
+        self._only_booked = False
         if self._tracer.enabled:
             self._tracer.emit("request_reopened", request_id)
 

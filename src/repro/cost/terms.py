@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
+from repro.core.schedule import reduce_by_fields
 from repro.routing.paths import ShortestPathTree
 
 #: Guard against division by zero in ``Cost3`` when slack is exactly zero;
@@ -36,6 +37,12 @@ class DestinationEvaluation:
         effective_priority: ``Efp`` — 0 when unsatisfiable.
         urgency: the (non-positive) urgency term — 0 when unsatisfiable.
     """
+
+    # Slotted: the tree caches' prefix memo holds the groups of a run.
+    __slots__ = (
+        "request", "arrival", "satisfiable", "effective_priority", "urgency"
+    )
+    __reduce__ = reduce_by_fields
 
     request: Request
     arrival: float

@@ -38,11 +38,12 @@ replay), bandwidth degrades (the degradation epoch) or one of its
 requests becomes visible.  A dynamic run keeps one shortlist for all its
 passes (:class:`~repro.dynamic.driver.RunShortlist`).
 
-Every run of a scenario opens with the same searches: a state at its
-opening (:attr:`~repro.core.state.NetworkState.at_opening`) is a pure
-function of its scenario, and so are its deadline targets and the trees
-found from it.  The caches of one process therefore share those opening
-trees through one memo, weakly keyed on the scenario object.
+Runs of one scenario make the same searches and candidate groups while
+their bookings agree: a state changed by bookings alone
+(:attr:`~repro.core.state.NetworkState.only_booked`) is a pure function
+of its scenario and its bookings, and so are the trees found from it and
+the groups read from them.  The caches of one process share them through
+one prefix memo, the chain of the last run's bookings (:class:`MemoNode`).
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class EngineStats:
     Attributes:
         iterations: number of outer-loop iterations (scheduled choices).
         dijkstra_runs: number of shortest-path trees the run needed,
-            whether searched or served from the opening memo (so the
+            whether searched or served from the prefix memo (so the
             count does not depend on what the process ran before).
         hops_booked: number of communication steps booked.
         cache_hits: tree requests answered from the cache (clean hits,
@@ -220,19 +221,42 @@ class CacheEntry:
     conflict: str = ""
 
 
-#: A scenario's opening trees by ``(item_id, not_before)``: each the
-#: search's projection onto its targets, shared by every entry it serves.
-OpeningTrees = Dict[Tuple[int, float], ShortestPathTree]
+class MemoNode:
+    """A state on the last run's path through a scenario: its projected
+    searches and the groups of drains without filters, each by
+    ``(item_id, not_before)``, and the run's next booking (``step``, as
+    ``(item_id, link_id, start, end)``) with the node it leads to
+    (``child``)."""
 
-#: The process's opening memo: scenario id -> (weak reference, trees).
+    __slots__ = ("trees", "groups", "step", "child")
+
+    def __init__(self) -> None:
+        self.trees: Dict[Tuple[int, float], ShortestPathTree] = {}
+        self.groups: Dict[Tuple[int, float], Tuple[CandidateGroup, ...]] = {}
+        self.step: Optional[Tuple[int, int, float, float]] = None
+        self.child: Optional[MemoNode] = None
+
+    def after(self, step: Tuple[int, int, float, float]) -> "MemoNode":
+        """The node ``step`` leads to; another step than the last run's
+        replaces the child, so the chain is one run's path."""
+        child = self.child
+        if child is None or step != self.step:
+            child = self.child = MemoNode()
+            self.step = step
+        return child
+
+
+#: The process's prefix memo: scenario id -> (weak reference, opening node).
 #: Keyed by identity, because hashing a frozen ``Scenario`` by value costs
 #: O(size) per lookup; an entry goes when its scenario is collected.
-_OPENING_MEMO: Dict[int, Tuple["weakref.ref[Scenario]", OpeningTrees]] = {}
+_PREFIX_MEMO: Dict[int, Tuple["weakref.ref[Scenario]", MemoNode]] = {}
 
 
-def _opening_trees(scenario: Scenario) -> OpeningTrees:
-    """The scenario's trees in the opening memo, made on first use."""
-    memo = _OPENING_MEMO
+def _opening_node(scenario: Scenario) -> MemoNode:
+    """The scenario's opening node, made on first use; every other
+    scenario keeps only its opening trees, so the memo holds one run's
+    path."""
+    memo = _PREFIX_MEMO
     key = id(scenario)
     slot = memo.get(key)
     if slot is None or slot[0]() is not scenario:
@@ -241,7 +265,11 @@ def _opening_trees(scenario: Scenario) -> OpeningTrees:
             if key in memo and memo[key][0] is ref:
                 del memo[key]
 
-        slot = memo[key] = (weakref.ref(scenario, forget), {})
+        slot = memo[key] = (weakref.ref(scenario, forget), MemoNode())
+    for other, (__, node) in list(memo.items()):
+        if other != key:
+            node.step = node.child = None
+            node.groups.clear()
     return slot[1]
 
 
@@ -292,11 +320,14 @@ class TreeCache:
     planned at an earlier "now" is carried on its first request in the
     later pass (:meth:`entry_for`).
 
-    A search from a state at its opening is shared with every later run
-    of the same scenario in the process (the module's opening memo): a
-    hit serves the stored projection in a fresh entry, and still counts
-    in ``dijkstra_runs``.  A disabled cache and a traced state neither read
-    nor write the memo, so the oracle and every event stream search.
+    A cache built at its state's opening follows the prefix memo: each
+    replayed booking moves it one node on, and :meth:`advanced` hands
+    the node on.  A memo hit serves the stored projection in a fresh
+    entry, and still counts in ``dijkstra_runs``.  Any other change
+    (:attr:`~repro.core.state.NetworkState.only_booked`) makes the cache
+    leave the memo.  A disabled cache, a traced state, a clone and a
+    faulted state never use it, so the oracle and every event stream
+    search.
 
     Args:
         state: the scheduling state trees are computed against.
@@ -331,6 +362,12 @@ class TreeCache:
         #: Items the replay touched since :meth:`touched`: True where it
         #: released storage, else False (a conflict).
         self._touched: Dict[int, bool] = {}
+        #: The memo node of the state as the replay left it, or None.
+        self._node = (
+            _opening_node(state.scenario)
+            if enabled and not state.tracer.enabled and state.at_opening
+            else None
+        )
 
     @property
     def not_before(self) -> float:
@@ -386,6 +423,7 @@ class TreeCache:
         cache._receiver_index, self._receiver_index = self._receiver_index, {}
         cache._release_index, self._release_index = self._release_index, {}
         cache._replay_position = self._replay_position
+        cache._node, self._node = self._node, None
         return cache
 
     def touched(self) -> Dict[int, bool]:
@@ -423,8 +461,7 @@ class TreeCache:
         """
         state = self._state
         tracer = state.tracer
-        if self._replay_position < state.journal_length():
-            self._replay()
+        node = self._memo()
         cached = self._trees.get(item_id) if self._enabled else None
         if not self._enabled:
             reason = TREE_CACHE_DISABLED
@@ -463,25 +500,43 @@ class TreeCache:
             return cached
         if tracer.enabled:
             tracer.emit("tree_cache", item_id, False, reason)
-        opening = (
-            _opening_trees(state.scenario)
-            if self._enabled and not tracer.enabled and state.at_opening
-            else None
-        )
         key = (item_id, self._not_before)
-        tree = opening.get(key) if opening is not None else None
+        tree = node.trees.get(key) if node is not None else None
         if tree is None:
             targets = deadline_targets(state, item_id)
             tree = compute_shortest_path_tree(
                 state, item_id, targets, not_before=self._not_before
             ).projected(targets)
-            if opening is not None:
-                opening[key] = tree
+            if node is not None:
+                node.trees[key] = tree
         entry = self._snapshot(tree)
         self._stats.dijkstra_runs += 1
         if self._enabled:
             self._store(item_id, entry)
         return entry
+
+    def groups_for(
+        self,
+        entry: CacheEntry,
+        priorities: Priorities = None,
+        request_filter: RequestFilter = None,
+    ) -> Tuple[CandidateGroup, ...]:
+        """The entry's candidate groups, shared through the prefix memo by
+        drains without filters: enumeration reads only destination paths,
+        and there an entry's tree equals a fresh search."""
+        tree, state = entry.tree, self._state
+        unfiltered = priorities is None and request_filter is None
+        node = self._memo() if unfiltered else None
+        key = (tree.item_id, self._not_before)
+        groups = node.groups.get(key) if node is not None else None
+        if groups is None:
+            groups = enumerate_groups(
+                state, tree.item_id, tree, state.scenario.weighting,
+                priorities, request_filter,
+            )
+            if node is not None:
+                node.groups[key] = groups
+        return groups
 
     def rebase(self, item_id: int) -> bool:
         """Carry the item's entry over its own bookings; True on success.
@@ -556,6 +611,15 @@ class TreeCache:
             if copy.release > not_before
         }
 
+    def _memo(self) -> Optional[MemoNode]:
+        """The memo node of the state, replayed to the journal's end;
+        ``None`` from the first change that was not a booking on."""
+        if self._replay_position < self._state.journal_length():
+            self._replay()
+        if not self._state.only_booked:
+            self._node = None
+        return self._node
+
     def _replay(self) -> None:
         """Fold the new journal records into the entries they touch.
 
@@ -569,18 +633,23 @@ class TreeCache:
         (:meth:`_replay_release`), so the verdict is final.  A conflict
         puts the entry's item in :meth:`touched`; a link, cutoff or
         release conflict also replaces a residency one, so the reason
-        does not depend on when the replay ran.
+        does not depend on when the replay ran.  Each booking also moves
+        the cache's memo node on while the state is only booked.
         """
         state = self._state
         link, item = state.scenario.network.link, state.scenario.item
         records = state.journal_since(self._replay_position)
         self._replay_position += len(records)
+        node = self._node if state.only_booked else None
         for record in records:
             if record.kind == MUTATION_LOSS:
                 self._replay_release(record.machine)
                 continue
             link_id = record.link_id
             busy, residency = record.busy, record.residency
+            if node is not None and busy is not None:
+                step = (record.item_id, link_id, busy.start, busy.end)
+                node = node.after(step)
             receiver = link(link_id).destination
             free = state.machine_timeline(receiver).min_free_span
             for entry in self._receiver_index.get(receiver, {}).values():
@@ -604,6 +673,7 @@ class TreeCache:
                 if conflict:
                     entry.conflict = conflict
                     self._touched.setdefault(tree.item_id, False)
+        self._node = node
 
     def _replay_release(self, machine: int) -> None:
         """Fold storage freed at ``machine`` into the entries it touches.
@@ -884,8 +954,8 @@ class StagingHeuristic(abc.ABC):
         """The non-empty payloads of the shortlist's items, in order.
 
         Every item loses its payload when the cache is disabled.  Each
-        item without one is scored now, in order
-        (:meth:`Shortlist.scored`).
+        item without one is scored now, in order, from its groups
+        (:meth:`TreeCache.groups_for`, :meth:`Shortlist.scored`).
         """
         payloads = shortlist.payloads
         if not cache.enabled:
@@ -893,9 +963,8 @@ class StagingHeuristic(abc.ABC):
         for item_id in shortlist.items:
             if item_id not in payloads:
                 entry = cache.entry_for(item_id)
-                payloads[item_id] = self._item_payload(
-                    state, item_id, entry.tree, priorities, request_filter
-                )
+                groups = cache.groups_for(entry, priorities, request_filter)
+                payloads[item_id] = self._item_payload(state, item_id, groups)
                 shortlist.scored(entry)
         return [payloads[i] for i in shortlist.items if payloads[i]]
 
@@ -903,28 +972,13 @@ class StagingHeuristic(abc.ABC):
         self,
         state: NetworkState,
         item_id: int,
-        tree: ShortestPathTree,
-        priorities: Priorities,
-        request_filter: RequestFilter,
+        groups: Tuple[CandidateGroup, ...],
     ) -> Any:
-        """What :meth:`_best_choice` reads per item: here the item's
-        cheapest candidate group under the criterion, as
+        """What :meth:`_best_choice` reads per item, from its candidate
+        groups: here the cheapest group under the criterion, as
         ``(key, group, result)``, or ``None``."""
-        scenario = state.scenario
-        tracer = state.tracer
-        tracing = tracer.enabled
-        candidates = 0
         best: Optional[Tuple[tuple, CandidateGroup, CostResult]] = None
-        for group in enumerate_groups(
-            state,
-            item_id,
-            tree,
-            scenario.weighting,
-            priorities,
-            request_filter,
-        ):
-            if tracing:
-                candidates += 1
+        for group in groups:
             result = self._criterion.evaluate(
                 group.evaluations, self._weights
             )
@@ -933,8 +987,9 @@ class StagingHeuristic(abc.ABC):
             key = (result.cost,) + group.tie_break_key()
             if best is None or key < best[0]:
                 best = (key, group, result)
-        if tracing:
-            tracer.emit("item_scored", item_id, candidates)
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.emit("item_scored", item_id, len(groups))
         return best
 
     def _book_hop(self, state: NetworkState, item_id: int, hop: Hop) -> None:

@@ -16,11 +16,12 @@ that pass a drain's filters (:func:`visible_requests`) contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
+from repro.core.schedule import reduce_by_fields
 from repro.core.state import NetworkState
 from repro.cost.terms import DestinationEvaluation, evaluate_destination
 from repro.errors import SchedulingError
@@ -31,7 +32,7 @@ Priorities = Optional[FrozenSet[int]]
 RequestFilter = Optional[Callable[..., bool]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateGroup:
     """One valid next communication step and the destinations it serves.
 
@@ -42,14 +43,34 @@ class CandidateGroup:
         evaluations: §4.8 terms for every unsatisfied destination whose
             current shortest path starts with ``first_hop`` (the ``Drq[i,r]``
             set), ordered by request id.
-        tree: the tree the step was read from (not part of its identity).
+        tree: the tree the step was read from (not part of its identity:
+            equality and hashing read the other fields).
     """
+
+    # Slotted: the tree caches' prefix memo holds the groups of a run.
+    __slots__ = (
+        "item_id", "next_machine", "first_hop", "evaluations", "tree"
+    )
+    __reduce__ = reduce_by_fields
 
     item_id: int
     next_machine: int
     first_hop: Hop
     evaluations: Tuple[DestinationEvaluation, ...]
-    tree: ShortestPathTree = field(compare=False, repr=False)
+    tree: ShortestPathTree
+
+    def _key(self) -> Tuple[object, ...]:
+        return (
+            self.item_id, self.next_machine, self.first_hop, self.evaluations
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateGroup):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def has_satisfiable_destination(self) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
+from repro.core.schedule import reduce_by_fields
 from repro.core.units import time_eq
 from repro.errors import SchedulingError
 
@@ -33,6 +34,10 @@ class Hop:
         start: planned transfer start time.
         end: planned arrival time at ``receiver``.
     """
+
+    # Slotted, like every type the tree caches' prefix memo holds many of.
+    __slots__ = ("sender", "receiver", "link_id", "start", "end")
+    __reduce__ = reduce_by_fields
 
     sender: int
     receiver: int
@@ -57,6 +62,11 @@ class Path:
     hops: Tuple[Hop, ...]
 
 
+#: Shared by every tree without fallback receivers (most projections):
+#: an empty frozenset is not a singleton.
+_EMPTY: FrozenSet[int] = frozenset()
+
+
 class ShortestPathTree:
     """Earliest-arrival labels plus parent pointers for one data item.
 
@@ -70,6 +80,10 @@ class ShortestPathTree:
     heuristic iterations, cache entries and runs.
     """
 
+    __slots__ = (
+        "_item_id", "_seeds", "_labels", "_parents", "_fallback_receivers"
+    )
+
     def __init__(
         self,
         item_id: int,
@@ -82,7 +96,7 @@ class ShortestPathTree:
         self._seeds = dict(seeds)
         self._labels = dict(labels)
         self._parents = dict(parents)
-        self._fallback_receivers = frozenset(fallback_receivers)
+        self._fallback_receivers = frozenset(fallback_receivers) or _EMPTY
 
     @property
     def item_id(self) -> int:

@@ -45,6 +45,7 @@ from repro.heuristics.base import (
     StagingHeuristic,
     deadline_targets,
 )
+from repro.heuristics.candidates import enumerate_groups
 from repro.heuristics.registry import make_heuristic
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.serialization import document_to_dict, schedule_to_dict
@@ -99,7 +100,16 @@ def _checking_kept(heuristic: str) -> Any:
                     probe, item_id, targets, cache.not_before
                 ).projected(targets)
                 assert not scorer._item_payload(
-                    probe, item_id, tree, None, self._filter
+                    probe,
+                    item_id,
+                    enumerate_groups(
+                        probe,
+                        item_id,
+                        tree,
+                        probe.scenario.weighting,
+                        None,
+                        self._filter,
+                    ),
                 )
 
     return mock.patch.object(RunShortlist, "refresh", checked)

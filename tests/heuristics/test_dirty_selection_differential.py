@@ -60,6 +60,7 @@ from repro.heuristics.base import (
     TreeCache,
     deadline_targets,
 )
+from repro.heuristics.candidates import enumerate_groups
 from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.heuristics.rollout import RolloutScheduler
 from repro.observability.tracer import (
@@ -260,7 +261,16 @@ def checking_kept_payloads(checked: List[int]) -> Iterator[None]:
                         state, item_id, targets, cache.not_before
                     ).projected(targets)
                     assert not self._item_payload(
-                        state, item_id, tree, priorities, request_filter
+                        state,
+                        item_id,
+                        enumerate_groups(
+                            state,
+                            item_id,
+                            tree,
+                            state.scenario.weighting,
+                            priorities,
+                            request_filter,
+                        ),
                     )
                     continue
                 entry = entry_for(cache, item_id)
@@ -272,7 +282,16 @@ def checking_kept_payloads(checked: List[int]) -> Iterator[None]:
                 )
                 tracer.events.clear()
                 fresh = self._item_payload(
-                    state, item_id, entry.tree, priorities, request_filter
+                    state,
+                    item_id,
+                    enumerate_groups(
+                        state,
+                        item_id,
+                        entry.tree,
+                        state.scenario.weighting,
+                        priorities,
+                        request_filter,
+                    ),
                 )
                 assert fresh == shortlist.payloads[item_id]
                 checked.append(item_id)

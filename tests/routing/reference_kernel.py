@@ -35,13 +35,14 @@ def use_reference_kernel() -> Iterator[None]:
     :func:`~repro.routing.dijkstra.compute_shortest_path_tree` looks up
     ``compute_tree_compiled`` in its module namespace at call time, so
     patching that one name reroutes every caller.  The tree caches'
-    opening memo is swapped for an empty one for the duration, so a
-    state at its opening is searched by the reference kernel too instead
-    of being served trees the compiled kernel found earlier.
+    whole prefix memo (every opening node and the chain past it) is
+    swapped for an empty one for the duration, so every state is searched
+    by the reference kernel too instead of being served trees, or groups
+    read from trees, that the compiled kernel found earlier.
     """
     with mock.patch(
         "repro.routing.dijkstra.compute_tree_compiled", reference_tree
-    ), mock.patch.object(base, "_OPENING_MEMO", {}):
+    ), mock.patch.object(base, "_PREFIX_MEMO", {}):
         yield
 
 

@@ -96,14 +96,20 @@ def _unseeded(call: ast.Call) -> bool:
 def _imports(
     tree: ast.Module,
 ) -> Tuple[Dict[str, str], Dict[str, Tuple[str, str]]]:
-    """The module's ``import`` aliases (``np`` -> ``numpy``) and its
+    """The module each ``import`` binds to its name (``np`` -> ``numpy``;
+    ``import numpy.random`` binds ``numpy`` to ``numpy``, ``import
+    numpy.random as npr`` binds ``npr`` to ``numpy.random``) and the
     from-imports (``now`` -> ``("time", "time")``), at any depth."""
     aliases: Dict[str, str] = {}
     imported: Dict[str, Tuple[str, str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = name.name
+                if name.asname:
+                    aliases[name.asname] = name.name
+                else:
+                    top = name.name.split(".")[0]
+                    aliases[top] = top
         elif isinstance(node, ast.ImportFrom) and node.module:
             for name in node.names:
                 imported[name.asname or name.name] = (node.module, name.name)
@@ -120,14 +126,17 @@ def r1(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
             base, attr = node.value.id, node.attr
             module = aliases.get(base, "")
             # `from datetime import datetime` binds the class, not the
-            # module: `datetime.now` reads the clock either way.
-            from_datetime = base in {"datetime", "date"} and (
-                imported.get(base, ("",))[0] == "datetime"
-            )
+            # module, under any name: `datetime.now` and `dt.now` read the
+            # clock either way.
+            from_datetime = imported.get(base) in {
+                ("datetime", "datetime"),
+                ("datetime", "date"),
+            }
             if (
                 (module == "random" and attr in GLOBAL_RNG_FUNCTIONS)
                 or (module == "time" and attr in WALL_CLOCK_TIME_FUNCTIONS)
                 or (module == "numpy" and attr == "random")
+                or module == "numpy.random"
                 or (
                     (module == "datetime" or from_datetime)
                     and attr in WALL_CLOCK_DATETIME_METHODS
@@ -442,6 +451,22 @@ def draws() -> tuple:
     return (Rng(), SystemRandom(), entropy(8), uuid4(), token_bytes(4),
             s.choice("ab"))
 """, ["R1"] * 6),
+    "r1-dotted-import": ("core/entropy.py", """
+import numpy.random
+import os.path
+def draws() -> tuple:
+    return numpy.random.rand(), os.urandom(8), os.path.sep
+""", ["R1"] * 3),
+    "r1-dotted-import-aliased": ("core/entropy.py", """
+import numpy.random as npr
+def draw() -> float:
+    return npr.rand()
+""", ["R1"]),
+    "r1-datetime-class-aliased": ("core/clock.py", """
+from datetime import date as day, datetime as dt
+def stamp() -> tuple:
+    return dt.now(), day.today(), dt.fromtimestamp(0)
+""", ["R1"] * 2),
     "r1-clean": ("core/clock.py", """
 import random, time
 def pick(seed: int, values: list, started: float) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import ClassVar, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.units import duration_is_zero
 
@@ -27,6 +27,10 @@ class Interval:
     Raises:
         ValueError: if ``end`` precedes ``start``.
     """
+
+    #: Written as a ``[start, end]`` row in documents (see
+    #: :mod:`repro.serialization`).
+    ROW: ClassVar[bool] = True
 
     start: float
     end: float

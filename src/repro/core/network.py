@@ -16,7 +16,7 @@ state (busy intervals, free capacity) lives in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.link import PhysicalLink, VirtualLink
 from repro.core.machine import Machine
@@ -36,6 +36,14 @@ class Network:
     Raises:
         ModelError: on any structural inconsistency.
     """
+
+    #: The fields a document writes for a network and their types (see
+    #: :mod:`repro.serialization`): each is a property and a constructor
+    #: argument.
+    FIELDS: ClassVar[Dict[str, Any]] = {
+        "machines": Tuple[Machine, ...],
+        "physical_links": Tuple[PhysicalLink, ...],
+    }
 
     def __init__(
         self,

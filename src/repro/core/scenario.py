@@ -11,7 +11,7 @@ state from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.data import DataItem
 from repro.core.network import Network
@@ -35,9 +35,15 @@ class Scenario:
         horizon: end of the scheduling period in seconds; sources and
             destination copies are held until this time.
         name: optional label used in reports.
+
+    The scenario document (see :mod:`repro.serialization`) writes the
+    network's machines and physical links at its top level and carries
+    no schema version.
     """
 
-    network: Network
+    KIND: ClassVar[str] = "scenario"
+
+    network: Network = field(metadata={"inline": True})
     items: Tuple[DataItem, ...]
     requests: Tuple[Request, ...]
     weighting: PriorityWeighting = WEIGHTING_1_10_100

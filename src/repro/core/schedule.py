@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core import units
 from repro.errors import ModelError
@@ -260,6 +260,18 @@ class Schedule:
         self._arrivals.append(arrival)
         self._hops.append(hops)
 
+    KIND: ClassVar[str] = "schedule"
+
+    #: The schedule document's fields (see :mod:`repro.serialization`):
+    #: the name, then one entry per :meth:`add_step` and
+    #: :meth:`add_delivery` call holding its arguments, so a step is
+    #: written without its ``step_id``.  No schema version is written.
+    FIELDS: ClassVar[Dict[str, Any]] = {
+        "name": str,
+        "steps": add_step,
+        "deliveries": add_delivery,
+    }
+
     def remove_delivery(self, request_id: int) -> None:
         """Retract a delivery record (dynamic copy-loss events only).
 
@@ -299,7 +311,7 @@ class Schedule:
         return sum(self._hops) / len(self._hops)
 
     def extend_from(self, steps: Iterable[CommunicationStep]) -> None:
-        """Re-append foreign steps (renumbering); used by serialization."""
+        """Re-append foreign steps (renumbering), as a copy does."""
         for step in steps:
             self.add_step(
                 item_id=step.item_id,

@@ -56,12 +56,8 @@ from repro.serialization import (
     document_from_dict,
     document_to_dict,
     fault_plan_fingerprint,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
     merge_documents,
     scenario_fingerprint,
-    scenario_to_dict,
-    scenario_from_dict,
 )
 
 logger = logging.getLogger(__name__)
@@ -281,13 +277,13 @@ def _execute_payload(payload: _CellPayload) -> Tuple[int, Dict[str, Any]]:
         faults_doc,
     ) = payload
     cell = SweepCell(
-        scenario=scenario_from_dict(scenario_doc),
+        scenario=document_from_dict(Scenario, scenario_doc),
         heuristic=heuristic,
         criterion=criterion,
         weights=EUWeights(effective=effective, urgency=urgency),
         kind=kind,
         faults=(
-            fault_plan_from_dict(faults_doc)
+            document_from_dict(FaultPlan, faults_doc)
             if faults_doc is not None
             else None
         ),
@@ -497,7 +493,7 @@ class RunCache:
             "heuristic": cell.heuristic,
             "criterion": cell.criterion_name(),
             "cell_kind": cell.kind,
-            "faults": None if plan is None else fault_plan_to_dict(plan),
+            "faults": None if plan is None else document_to_dict(plan),
             "record": document_to_dict(
                 dataclasses.replace(record, cache_hit=False)
             ),
@@ -746,7 +742,7 @@ class SweepExecutor:
         payloads: Dict[int, _CellPayload] = {
             index: (
                 index,
-                scenario_to_dict(cells[index].scenario),
+                document_to_dict(cells[index].scenario),
                 cells[index].heuristic,
                 cells[index].criterion_name(),
                 cells[index].weights.effective,
@@ -755,7 +751,7 @@ class SweepExecutor:
                 self.metrics,
                 self.timeline,
                 (
-                    fault_plan_to_dict(plan)
+                    document_to_dict(plan)
                     if (plan := cells[index].effective_faults()) is not None
                     else None
                 ),

@@ -6,7 +6,6 @@ fault taxonomy, determinism rules, and CLI examples.
 
 from repro.faults.context import current_faults, use_faults
 from repro.faults.plan import (
-    FAULTS_SCHEMA_VERSION,
     BandwidthDegradation,
     CancellationFault,
     FaultPlan,
@@ -15,7 +14,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "FAULTS_SCHEMA_VERSION",
     "BandwidthDegradation",
     "CancellationFault",
     "FaultPlan",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import ClassVar, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -36,9 +36,6 @@ from repro.errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamic -> core)
     from repro.dynamic.events import Event
-
-#: Schema version for the fault-plan JSON codec (see repro.serialization).
-FAULTS_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -146,6 +143,9 @@ class FaultPlan:
     merged — so a zero-intensity plan is *structurally empty* and two
     plans describing the same faults compare and fingerprint equal.
     """
+
+    KIND: ClassVar[str] = "fault_plan"
+    SCHEMA_VERSION: ClassVar[int] = 1
 
     outages: Tuple[OutageWindow, ...] = ()
     degradations: Tuple[BandwidthDegradation, ...] = ()

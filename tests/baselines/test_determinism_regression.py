@@ -16,7 +16,7 @@ from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.baselines.single_dijkstra_random import (
     SingleDijkstraRandomBaseline,
 )
-from repro.serialization import scenario_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 from repro.workload.presets import badd_theater
@@ -54,11 +54,11 @@ def test_generator_is_identical_across_two_calls():
     generator = ScenarioGenerator(GeneratorConfig.tiny())
     first = generator.generate(seed=3)
     second = generator.generate(seed=3)
-    assert scenario_to_dict(first) == scenario_to_dict(second)
+    assert document_to_dict(first) == document_to_dict(second)
 
 
 def test_generator_fresh_instances_agree():
     config = GeneratorConfig.tiny()
     first = ScenarioGenerator(config).generate(seed=3)
     second = ScenarioGenerator(config).generate(seed=3)
-    assert scenario_to_dict(first) == scenario_to_dict(second)
+    assert document_to_dict(first) == document_to_dict(second)

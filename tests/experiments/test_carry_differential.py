@@ -33,7 +33,7 @@ from repro.observability.tracer import (
     RecordingTracer,
     use_tracer,
 )
-from repro.serialization import document_to_dict, schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -69,7 +69,7 @@ def _traced(scale, seed, heuristic, intensity, loss_fraction, reference):
     advance = use_reference_advance() if reference else nullcontext()
     with use_faults(plan), use_tracer(tracer), advance:
         result = driver.run(scenario, events)
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     record = document_to_dict(
         record_result(scenario, result, scheduler=driver.label())
         .without_timing()

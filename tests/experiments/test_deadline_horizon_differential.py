@@ -36,7 +36,7 @@ from repro.heuristics import base
 from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.heuristics.rollout import RolloutScheduler
 from repro.observability.tracer import RecordingTracer, use_tracer
-from repro.serialization import schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -77,7 +77,7 @@ def _traced(run: Callable[[], Any], oracle: bool):
     switch = use_unbounded_targets() if oracle else nullcontext()
     with use_tracer(tracer), switch:
         result = run()
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     stream = [(event.name, neutral_fields(event)) for event in tracer.events]
     return result, schedule, stream
 

@@ -33,7 +33,7 @@ from repro.observability.tracer import (
     RecordingTracer,
     use_tracer,
 )
-from repro.serialization import schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -61,7 +61,7 @@ def _run(scenario, events, plan, heuristic, reference):
     kernel = use_reference_kernel() if reference else nullcontext()
     with use_faults(plan), use_tracer(tracer), kernel:
         result = driver.run(scenario, events)
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     stream = [(event.name, neutral_fields(event)) for event in tracer.events]
     return schedule, stream
 

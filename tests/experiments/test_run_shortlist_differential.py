@@ -48,7 +48,7 @@ from repro.heuristics.base import (
 from repro.heuristics.candidates import enumerate_groups
 from repro.heuristics.registry import make_heuristic
 from repro.routing.dijkstra import compute_shortest_path_tree
-from repro.serialization import document_to_dict, schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -134,7 +134,7 @@ def _run(draw, reference: bool):
         ScheduleValidator(scenario, plan, losses=losses).validate(
             result.schedule
         )
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     record = document_to_dict(
         record_result(scenario, result, scheduler=driver.label())
         .without_timing()

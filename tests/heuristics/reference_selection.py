@@ -49,7 +49,7 @@ from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.core.state import NetworkState
 from repro.heuristics.base import EngineStats, Shortlist, StagingHeuristic
 from repro.observability.tracer import RecordingTracer, use_tracer
-from repro.serialization import schedule_to_dict
+from repro.serialization import document_to_dict
 
 from tests.helpers import neutral_fields
 
@@ -157,7 +157,7 @@ def traced(run: Callable[[], Any], reference: bool) -> Traced:
     selection = use_reference_selection() if reference else nullcontext()
     with use_tracer(tracer), selection:
         result = run()
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     stream = [(event.name, neutral_fields(event)) for event in tracer.events]
     return result, schedule, stream
 

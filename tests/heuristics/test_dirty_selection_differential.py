@@ -70,7 +70,7 @@ from repro.observability.tracer import (
     use_tracer,
 )
 from repro.routing.dijkstra import compute_shortest_path_tree
-from repro.serialization import document_to_dict, schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -159,7 +159,7 @@ def _traced(scenario, run, label, selection):
     tracer = RecordingTracer()
     with use_tracer(tracer), selection:
         result = run()
-    schedule = json.dumps(schedule_to_dict(result.schedule), sort_keys=True)
+    schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
     record = document_to_dict(
         record_result(scenario, result, scheduler=label).without_timing()
     )

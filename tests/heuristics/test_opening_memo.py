@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.priority_tier import PriorityTierScheduler
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
+from repro.core.scenario import Scenario
 from repro.core.state import NetworkState
 from repro.dynamic.driver import DynamicDriver
 from repro.experiments.runner import record_result
@@ -35,10 +36,8 @@ from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.observability.tracer import RecordingTracer
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.serialization import (
+    document_from_dict,
     document_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-    schedule_to_dict,
 )
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
@@ -135,7 +134,7 @@ def _static_outcome(scheduler, scenario):
     result = scheduler.run(scenario)
     record = record_result(scenario, result, scheduler=scheduler.label())
     return (
-        json.dumps(schedule_to_dict(result.schedule), sort_keys=True),
+        json.dumps(document_to_dict(result.schedule), sort_keys=True),
         json.dumps(document_to_dict(record.without_timing()), sort_keys=True),
     )
 
@@ -145,7 +144,7 @@ def _dynamic_outcome(scenario, events):
     stats = asdict(result.stats)
     del stats["elapsed_seconds"]
     return (
-        json.dumps(schedule_to_dict(result.schedule), sort_keys=True),
+        json.dumps(document_to_dict(result.schedule), sort_keys=True),
         stats,
     )
 
@@ -163,8 +162,8 @@ def test_shared_opening_trees_change_no_run(seed):
     own run, and on an equal but distinct scenario; no warm run searches
     or enumerates more than the cold one."""
     scenario = _GENERATOR.generate(seed)
-    twin = scenario_from_dict(scenario_to_dict(scenario))
-    assert scenario_to_dict(twin) == scenario_to_dict(scenario)
+    twin = document_from_dict(Scenario, document_to_dict(scenario))
+    assert document_to_dict(twin) == document_to_dict(scenario)
     events, _static_plan = dynamic_fault_events(scenario, seed, 0.5)
     runs = [
         lambda target, scheduler=scheduler: _static_outcome(scheduler, target)
@@ -205,7 +204,7 @@ def test_a_warm_memo_serves_every_opening_search(memo):
     with mock.patch.object(base, "_PREFIX_MEMO", {}):
         alone, alone_work = _counted(other.run, scenario)
     after, after_work = _counted(other.run, scenario)
-    assert schedule_to_dict(after.schedule) == schedule_to_dict(
+    assert document_to_dict(after.schedule) == document_to_dict(
         alone.schedule
     )
     assert after.stats.dijkstra_runs == alone.stats.dijkstra_runs
@@ -548,7 +547,7 @@ def test_the_ci_ratios_of_one_cell_share_their_work():
                 if mode == "empty":
                     base._PREFIX_MEMO.clear()
                 result, counts = _counted(run, scenario)
-                schedules[mode].append(schedule_to_dict(result.schedule))
+                schedules[mode].append(document_to_dict(result.schedule))
                 totals = [t + c for t, c in zip(totals, counts)]
         measured[mode] = tuple(totals)
     assert schedules["shared"] == schedules["empty"]

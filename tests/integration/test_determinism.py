@@ -10,11 +10,15 @@ import pytest
 from repro.baselines.priority_tier import PriorityTierScheduler
 from repro.baselines.random_dijkstra import RandomDijkstraBaseline
 from repro.baselines.single_dijkstra_random import SingleDijkstraRandomBaseline
+from repro.core.scenario import Scenario
 from repro.dynamic.driver import DynamicDriver, reveal_at_item_start
 from repro.exhaustive.search import ExhaustiveSearch, SearchLimits
 from repro.heuristics.registry import make_heuristic
 from repro.heuristics.rollout import RolloutScheduler
-from repro.serialization import scenario_from_dict, scenario_to_dict
+from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
+)
 
 
 def _steps(schedule):
@@ -58,7 +62,7 @@ class TestSchedulerDeterminism:
 
     def test_identical_across_serialization(self, tiny_scenarios):
         scenario = tiny_scenarios[1]
-        restored = scenario_from_dict(scenario_to_dict(scenario))
+        restored = document_from_dict(Scenario, document_to_dict(scenario))
         a = make_heuristic("full_all", "C4", 2.0).run(scenario)
         b = make_heuristic("full_all", "C4", 2.0).run(restored)
         assert _steps(a.schedule) == _steps(b.schedule)

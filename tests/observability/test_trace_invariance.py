@@ -18,7 +18,7 @@ from repro.observability import (
     TeeTracer,
     use_tracer,
 )
-from repro.serialization import schedule_to_dict
+from repro.serialization import document_to_dict
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
@@ -27,7 +27,7 @@ def _schedule_text(scenario, heuristic, criterion, ratio):
     scheduler = make_heuristic(heuristic, criterion, ratio)
     result = scheduler.run(scenario)
     return json.dumps(
-        schedule_to_dict(result.schedule), sort_keys=True
+        document_to_dict(result.schedule), sort_keys=True
     )
 
 

@@ -370,7 +370,7 @@ class TestErrors:
         assert main(["bounds", str(scenario_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: {scenario_path}: item entry 0 name must be a string"
+            f"error: {scenario_path}: scenario.items[0].name must be a string"
         )
         assert "Traceback" not in err
 
@@ -381,7 +381,9 @@ class TestErrors:
         schedule_path.write_text(
             json.dumps(
                 {
+                    "format_version": 1,
                     "kind": "schedule",
+                    "name": "",
                     "steps": [{"item_id": 0}],
                     "deliveries": [],
                 }
@@ -392,7 +394,8 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: {schedule_path}: step entry 0 is missing key 'source'"
+            f"error: {schedule_path}: schedule.steps[0] is missing field "
+            f"'source'"
         )
         assert "Traceback" not in err
 

@@ -1,8 +1,8 @@
-"""The shared output-document codec, over every document class.
+"""The shared document codec, over every document class.
 
-One codec in :mod:`repro.serialization` derives the JSON form, the
-validation and the fold of every output document from its dataclass
-fields.  These tests pin, for every class at once:
+One codec in :mod:`repro.serialization` derives the JSON form and the
+validation of every document from its fields, and the fold of every
+output document.  These tests pin, for every class at once:
 
 * malformed documents fail with :class:`~repro.errors.ModelError` naming
   the path of the bad value;
@@ -11,12 +11,18 @@ fields.  These tests pin, for every class at once:
 * ``merge_documents`` is associative for the mergeable kinds;
 * each class's field layout is pinned to its ``(KIND, SCHEMA_VERSION)``,
   so changing a document's fields without bumping its version fails.
+
+The input documents (scenario, schedule, fault plan) are drawn from the
+generator and the heuristics, since their constructors check the model.
 """
 
 import copy
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
+import math
 import typing
 from typing import Any, Union
 
@@ -24,9 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scenario import Scenario
+from repro.core.schedule import Schedule
 from repro.errors import ModelError
 from repro.experiments.chaos import ChaosPoint, ChaosReport
 from repro.experiments.runner import RunRecord
+from repro.faults.plan import FaultPlan
+from repro.heuristics.registry import make_heuristic
 from repro.observability import (
     ClassSeries,
     LinkSeries,
@@ -41,9 +51,14 @@ from repro.serialization import (
     document_to_dict,
     merge_documents,
 )
+from repro.workload.config import GeneratorConfig
+from repro.workload.generator import ScenarioGenerator
 
 #: Every top-level output document class.
 DOCUMENTS = (RunRecord, RunMetrics, Timeline, ChaosReport)
+
+#: Every top-level input document class.
+INPUTS = (Scenario, Schedule, FaultPlan)
 
 #: The kinds ``merge_documents`` folds.
 MERGEABLE = (RunMetrics, Timeline)
@@ -284,10 +299,160 @@ def test_malformed_documents_fail_with_a_model_error(cls, corrupt, where):
 
 
 def test_non_object_documents_are_refused():
-    for cls in DOCUMENTS:
+    for cls in DOCUMENTS + INPUTS:
         for document in (None, [], "timeline", 3):
             with pytest.raises(ModelError, match="must be an object"):
                 document_from_dict(cls, document)
+
+
+@functools.lru_cache(maxsize=None)
+def _inputs():
+    """Three generated scenarios, a schedule of each and a fault plan."""
+    generator = ScenarioGenerator(GeneratorConfig.tiny())
+    scenarios = tuple(generator.generate(seed) for seed in range(3))
+    return {
+        Scenario: scenarios,
+        Schedule: tuple(
+            make_heuristic("partial", "C4", 0.0).run(scenario).schedule
+            for scenario in scenarios
+        ),
+        FaultPlan: tuple(
+            FaultPlan.generate(scenario, 0.5, seed=seed, churn=True)
+            for seed, scenario in enumerate(scenarios)
+        ),
+    }
+
+
+def _duplicate_first(key):
+    def corrupt(document):
+        document[key].insert(1, copy.deepcopy(document[key][0]))
+
+    return corrupt
+
+
+#: (class, case id, corruption, the path the error must name).
+INPUT_MALFORMED = [
+    (
+        Scenario,
+        "string-capacity",
+        _set("machines", 0, "capacity", "big"),
+        "scenario.machines[0].capacity must be a number, got 'big'",
+    ),
+    (
+        Scenario,
+        "nan-size",
+        _set("items", 0, "size", math.nan),
+        "scenario.items[0].size must be a number, got nan",
+    ),
+    (
+        Scenario,
+        "wide-window",
+        _set("physical_links", 0, "windows", 0, [0.0, 1.0, 2.0]),
+        "scenario.physical_links[0].windows[0] must be a row of 2 values",
+    ),
+    (
+        Scenario,
+        "refused-window",
+        _set("physical_links", 0, "windows", 0, [2.0, 1.0]),
+        "scenario.physical_links[0].windows[0]: interval end",
+    ),
+    (
+        Scenario,
+        "refused-entry",
+        _set("machines", 0, "capacity", -1.0),
+        "scenario.machines[0]: machine capacity must be >= 0",
+    ),
+    (
+        Scenario,
+        "refused-scenario",
+        _set("requests", 0, "item_id", 99),
+        "scenario: request 0 references unknown item 99",
+    ),
+    (
+        Schedule,
+        "nan-start",
+        _set("steps", 0, "start", math.nan),
+        "schedule.steps[0].start must be a number, got nan",
+    ),
+    (
+        Schedule,
+        "float-hops",
+        _set("deliveries", 0, "hops", 1.0),
+        "schedule.deliveries[0].hops must be an integer",
+    ),
+    (
+        Schedule,
+        "refused-step",
+        _set("steps", 0, "end", -1.0),
+        "schedule.steps[0]: step 0 ends (-1.0) before it starts",
+    ),
+    (
+        Schedule,
+        "refused-delivery",
+        _duplicate_first("deliveries"),
+        "schedule.deliveries[1]: request",
+    ),
+    (
+        FaultPlan,
+        "nan-factor",
+        _set("degradations", 0, "factor", math.nan),
+        "fault_plan.degradations[0].factor must be a number, got nan",
+    ),
+    (
+        FaultPlan,
+        "refused-entry",
+        _set("outages", 0, "start", -1.0),
+        "fault_plan.outages[0]: outage start must be >= 0",
+    ),
+    (
+        FaultPlan,
+        "wrong-schema-version",
+        _set("schema_version", 2),
+        "got 2",
+    ),
+]
+for _cls, _missing in (
+    (Scenario, "physical_links"),
+    (Schedule, "deliveries"),
+    (FaultPlan, "late_arrivals"),
+):
+    INPUT_MALFORMED += [
+        (
+            _cls,
+            "missing-field",
+            _delete(_missing),
+            f"{_cls.KIND} is missing field '{_missing}'",
+        ),
+        (_cls, "wrong-kind", _set("kind", "timeline"), "got 'timeline'"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, corrupt, where",
+    [
+        pytest.param(cls, corrupt, where, id=f"{cls.KIND}-{case}")
+        for cls, case, corrupt, where in INPUT_MALFORMED
+    ],
+)
+def test_malformed_input_documents_fail_with_a_model_error(
+    cls, corrupt, where
+):
+    document = json.loads(json.dumps(document_to_dict(_inputs()[cls][0])))
+    corrupt(document)
+    with pytest.raises(ModelError) as raised:
+        document_from_dict(cls, document)
+    assert where in str(raised.value)
+
+
+@pytest.mark.parametrize("cls", INPUTS, ids=lambda cls: cls.KIND)
+def test_input_round_trip_is_exact_and_json_stable(cls):
+    for value in _inputs()[cls]:
+        document = document_to_dict(value)
+        text = canonical(document)
+        rebuilt = document_from_dict(cls, json.loads(text))
+        assert document_to_dict(rebuilt) == document
+        assert canonical(document_to_dict(rebuilt)) == text
+        assert cls is not FaultPlan or rebuilt == value
 
 
 # -- round trip and merge ----------------------------------------------------
@@ -376,25 +541,51 @@ def test_merge_documents_is_associative(cls, data):
 _CONTAINERS = {dict: "Dict", list: "List", tuple: "Tuple", Union: "Union"}
 
 
+def _written(hint):
+    """``(name, type, mark)`` of each field a class writes: its declared
+    ``FIELDS``, or its dataclass fields, an inline one marked."""
+    declared = getattr(hint, "FIELDS", None)
+    if declared is not None:
+        return [(name, field, "") for name, field in declared.items()]
+    hints = typing.get_type_hints(hint)
+    return [
+        (
+            field.name,
+            hints[field.name],
+            " inline" if field.metadata.get("inline") else "",
+        )
+        for field in dataclasses.fields(hint)
+    ]
+
+
 def layout(hint, top=True):
     """A document type's field-name/type tree as text.
 
     A nested top-level document appears by its kind only: it carries its
-    own stamps, so its layout is pinned under its own version.
+    own stamps, so its layout is pinned under its own version.  A row
+    class is marked ``Row``, and a method (a list of its calls) shows
+    its arguments.
     """
     if hint is Any:
         return "Any"
     if hint is Ellipsis:
         return "..."
-    if dataclasses.is_dataclass(hint):
+    if inspect.isfunction(hint):
+        hints = typing.get_type_hints(hint)
+        arguments = ", ".join(
+            f"{name}: {layout(hints[name], top=False)}"
+            for name in list(inspect.signature(hint).parameters)[1:]
+        )
+        return f"Calls[{hint.__name__}({arguments})]"
+    if dataclasses.is_dataclass(hint) or hasattr(hint, "FIELDS"):
         if not top and hasattr(hint, "KIND"):
             return f"<{hint.KIND}>"
-        hints = typing.get_type_hints(hint)
         fields = ", ".join(
-            f"{field.name}: {layout(hints[field.name], top=False)}"
-            for field in dataclasses.fields(hint)
+            f"{name}{mark}: {layout(field, top=False)}"
+            for name, field, mark in _written(hint)
         )
-        return f"{hint.__name__}({fields})"
+        row = "Row" if getattr(hint, "ROW", False) else ""
+        return f"{row}{hint.__name__}({fields})"
     origin = typing.get_origin(hint)
     if origin in _CONTAINERS:
         args = ", ".join(
@@ -418,12 +609,21 @@ PINNED_LAYOUTS = {
     ("profile", 2): "cb181fa926babca7",
     ("timeline", 1): "470135f541643464",
     ("chaos_report", 1): "3fba92950db94a44",
+    ("scenario", None): "85b4fa9e4612804f",
+    ("schedule", None): "649062745e4d8624",
+    ("fault_plan", 1): "6cd76dbeb2587fab",
 }
 
 
-@pytest.mark.parametrize("cls", DOCUMENTS, ids=lambda cls: cls.KIND)
+@pytest.mark.parametrize(
+    "cls", DOCUMENTS + INPUTS, ids=lambda cls: cls.KIND
+)
 def test_layout_is_pinned_to_its_schema_version(cls):
-    key = (cls.KIND, cls.SCHEMA_VERSION)
+    # Scenarios and schedules carry no schema version, so their pins are
+    # keyed on None: a field change to one fails here until it is
+    # re-pinned, and a scenario's bytes key the run cache, so that change
+    # also bumps CACHE_FORMAT_VERSION.
+    key = (cls.KIND, getattr(cls, "SCHEMA_VERSION", None))
     assert key in PINNED_LAYOUTS, f"pin the layout of {key}"
     assert layout_digest(cls) == PINNED_LAYOUTS[key], (
         f"{cls.__name__}'s fields changed: bump its SCHEMA_VERSION and "

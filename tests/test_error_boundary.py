@@ -7,7 +7,7 @@ exit code 2 and a one-line ``error:`` message, never a traceback.
 
 * A whole-document fuzzer mutates valid documents (drops keys, swaps
   values for ``None``, strings, containers, bools, NaN, infinities,
-  negatives and integers outside 64 bits) and feeds them to the codecs
+  negatives, integers outside 64 bits and past the float range) and feeds them to the codecs
   and, written to files next to invalid-JSON and non-UTF-8 bytes, to
   the seven subcommands that read files.
 * An AST check holds scheduling code to catching what it can recover
@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 import repro
 from repro.cli import main
 from repro.core.intervals import Interval
+from repro.core.scenario import Scenario
+from repro.core.schedule import Schedule
 from repro.errors import DataStagingError
 from repro.faults.plan import (
     BandwidthDegradation,
@@ -48,12 +50,6 @@ from repro.observability.timeline import (
 from repro.serialization import (
     document_from_dict,
     document_to_dict,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
 )
 
 from tests.helpers import make_item, make_link, make_network, make_scenario
@@ -83,11 +79,11 @@ def _scenario():
 
 
 SCENARIO = _scenario()
-SCENARIO_DOC = scenario_to_dict(SCENARIO)
-SCHEDULE_DOC = schedule_to_dict(
+SCENARIO_DOC = document_to_dict(SCENARIO)
+SCHEDULE_DOC = document_to_dict(
     make_heuristic("full_one", "C4", 0.0).run(SCENARIO).schedule
 )
-FAULT_PLAN_DOC = fault_plan_to_dict(
+FAULT_PLAN_DOC = document_to_dict(
     FaultPlan(
         outages=(OutageWindow(1, 10.0, 20.0),),
         degradations=(BandwidthDegradation(2, 0.5),),
@@ -121,18 +117,18 @@ TIMELINE_DOC = document_to_dict(
     )
 )
 
-#: The valid document of each kind and the codec that reads it.
+#: The valid document of each kind and the class it decodes to.
 VALID = {
     "scenario": SCENARIO_DOC,
     "schedule": SCHEDULE_DOC,
     "fault_plan": FAULT_PLAN_DOC,
     "timeline": TIMELINE_DOC,
 }
-DECODE = {
-    "scenario": scenario_from_dict,
-    "schedule": schedule_from_dict,
-    "fault_plan": fault_plan_from_dict,
-    "timeline": lambda document: document_from_dict(Timeline, document),
+CLASSES = {
+    "scenario": Scenario,
+    "schedule": Schedule,
+    "fault_plan": FaultPlan,
+    "timeline": Timeline,
 }
 
 #: A mutation slot's verdict: delete the key or list entry.
@@ -159,6 +155,7 @@ REPLACEMENTS = (
     2**63,
     -(2**63) - 1,
     2**63 - 1,
+    10**400,
 )
 
 
@@ -247,7 +244,7 @@ def _documents():
 def test_codecs_fail_only_with_repro_errors(case):
     kind, document = case
     try:
-        DECODE[kind](document)
+        document_from_dict(CLASSES[kind], document)
     except DataStagingError:
         pass
 
@@ -258,9 +255,19 @@ def test_codecs_refuse_every_single_mutation_cleanly(kind):
     # is tried here, so a lone missing key or wrong type cannot hide.
     for document in single_mutations(VALID[kind]):
         try:
-            DECODE[kind](document)
+            document_from_dict(CLASSES[kind], document)
         except DataStagingError:
             pass
+
+
+@pytest.mark.parametrize("kind", ["fault_plan", "scenario", "schedule"])
+def test_nan_is_refused_anywhere_in_an_input_document(kind):
+    document = VALID[kind]
+    for slot in range(len(list(_slots(document, [document], 0)))):
+        root = [copy.deepcopy(document)]
+        _mutate(root, slot, math.nan)
+        with pytest.raises(DataStagingError):
+            document_from_dict(CLASSES[kind], root[0])
 
 
 # -- the subcommands that read files ----------------------------------------

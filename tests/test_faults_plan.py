@@ -6,6 +6,8 @@ plans must compare, serialize, and fingerprint identically, because the
 run cache keys cells on the plan fingerprint.
 """
 
+import re
+
 import pytest
 
 from repro.errors import ModelError
@@ -17,9 +19,9 @@ from repro.faults import (
     OutageWindow,
 )
 from repro.serialization import (
+    document_from_dict,
+    document_to_dict,
     fault_plan_fingerprint,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
 )
 from tests.helpers import single_item_line_scenario
 
@@ -207,47 +209,47 @@ class TestCodec:
 
     def test_round_trip(self):
         plan = self._sample()
-        assert fault_plan_from_dict(fault_plan_to_dict(plan)) == plan
+        assert document_from_dict(FaultPlan, document_to_dict(plan)) == plan
 
     def test_wrong_kind_rejected(self):
-        document = fault_plan_to_dict(self._sample())
+        document = document_to_dict(self._sample())
         document["kind"] = "scenario"
         with pytest.raises(ModelError):
-            fault_plan_from_dict(document)
+            document_from_dict(FaultPlan, document)
 
     def test_unsupported_schema_version_rejected(self):
-        document = fault_plan_to_dict(self._sample())
+        document = document_to_dict(self._sample())
         document["schema_version"] = 999
         with pytest.raises(ModelError):
-            fault_plan_from_dict(document)
+            document_from_dict(FaultPlan, document)
 
     @pytest.mark.parametrize(
         "corrupt, where",
         [
             (
                 lambda doc: doc["degradations"][0].pop("physical_id"),
-                "degradation entry 0 is missing key 'physical_id'",
+                "fault_plan.degradations[0] is missing field 'physical_id'",
             ),
             (
                 lambda doc: doc["outages"].__setitem__(0, 3),
-                "outage entry 0 must be an object",
+                "fault_plan.outages[0] must be an object",
             ),
-            (lambda doc: doc.update(outages={}), "outages must be a list"),
+            (lambda doc: doc.update(outages={}), "fault_plan.outages must be a list"),
             (
                 lambda doc: doc["cancellations"][0].update(time="soon"),
-                "cancellation entry 0 time must be a number",
+                "fault_plan.cancellations[0].time must be a number",
             ),
             (
                 lambda doc: doc["late_arrivals"][0].update(request_id=4.0),
-                "late arrival entry 0 request_id must be an integer",
+                "fault_plan.late_arrivals[0].request_id must be an integer",
             ),
             (
                 lambda doc: doc["outages"][0].update(start=-1.0),
-                "outage entry 0: outage start must be >= 0",
+                "fault_plan.outages[0]: outage start must be >= 0",
             ),
             (
                 lambda doc: doc.update(name=None),
-                "fault plan name must be a string",
+                "fault_plan.name must be a string",
             ),
         ],
         ids=[
@@ -261,14 +263,14 @@ class TestCodec:
         ],
     )
     def test_malformed_entry_rejected(self, corrupt, where):
-        document = fault_plan_to_dict(self._sample())
+        document = document_to_dict(self._sample())
         corrupt(document)
-        with pytest.raises(ModelError, match=where):
-            fault_plan_from_dict(document)
+        with pytest.raises(ModelError, match=re.escape(where)):
+            document_from_dict(FaultPlan, document)
 
     def test_fingerprint_is_stable_across_round_trips(self):
         plan = self._sample()
-        replayed = fault_plan_from_dict(fault_plan_to_dict(plan))
+        replayed = document_from_dict(FaultPlan, document_to_dict(plan))
         assert fault_plan_fingerprint(plan) == fault_plan_fingerprint(
             replayed
         )

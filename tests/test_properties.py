@@ -202,10 +202,11 @@ def test_random_scenarios_schedule_feasibly_within_bounds(seed, heuristic):
 @settings(deadline=None, max_examples=15)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_serialization_round_trip_for_any_seed(seed):
-    from repro.serialization import scenario_from_dict, scenario_to_dict
+    from repro.core.scenario import Scenario
+    from repro.serialization import document_from_dict, document_to_dict
 
     scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(seed)
-    restored = scenario_from_dict(scenario_to_dict(scenario))
+    restored = document_from_dict(Scenario, document_to_dict(scenario))
     assert restored.requests == scenario.requests
     assert [
         (v.source, v.destination, v.start, v.end, v.bandwidth)

@@ -3,9 +3,10 @@
 The run cache keys every record on content digests
 (:func:`~repro.serialization.scenario_fingerprint`,
 :func:`~repro.serialization.fault_plan_fingerprint`,
-:meth:`~repro.experiments.executor.RunCache.key_for`) built from the
-``*_to_dict`` codecs that also write the saved suites behind the paper's
-"same 40 randomly generated test cases".  The compiled kernel memoizes
+:meth:`~repro.experiments.executor.RunCache.key_for`) built from
+:func:`~repro.serialization.document_to_dict`, the codec that also
+writes the saved suites behind the paper's "same 40 randomly generated
+test cases".  The compiled kernel memoizes
 :func:`~repro.routing.compiled.compile_network` by network identity, and
 the §4.5 tree cache keeps a tree only because its journal replay
 (``TreeCache._replay`` and ``TreeCache._replay_release``) is a function
@@ -57,13 +58,10 @@ from repro.heuristics.base import TreeCache
 from repro.heuristics.registry import make_heuristic
 from repro.routing.compiled import compile_network
 from repro.serialization import (
+    document_from_dict,
     document_to_dict,
     fault_plan_fingerprint,
-    fault_plan_to_dict,
     scenario_fingerprint,
-    scenario_from_dict,
-    scenario_to_dict,
-    schedule_to_dict,
 )
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
@@ -237,7 +235,7 @@ def cases() -> List[Case]:
             _cell(scenario, plan), collect_metrics=True, collect_timeline=True
         )
         assert record.metrics is not None and record.timeline is not None
-        copy = scenario_from_dict(scenario_to_dict(scenario))
+        copy = document_from_dict(Scenario, document_to_dict(scenario))
         built.append(Case(scenario, plan, schedule, record, copy.network))
     return built
 
@@ -245,10 +243,10 @@ def cases() -> List[Case]:
 ENTRY_POINTS = {
     "scenario_fingerprint": lambda case: scenario_fingerprint(case.scenario),
     "fault_plan_fingerprint": lambda case: fault_plan_fingerprint(case.plan),
-    "scenario_to_dict": lambda case: scenario_to_dict(case.scenario),
-    "schedule_to_dict": lambda case: schedule_to_dict(case.schedule),
-    "fault_plan_to_dict": lambda case: fault_plan_to_dict(case.plan),
-    "document_to_dict": lambda case: document_to_dict(case.record),
+    "document_to_dict": lambda case: [
+        document_to_dict(document)
+        for document in (case.scenario, case.schedule, case.plan, case.record)
+    ],
     "RunCache.key_for": lambda case: CACHE.key_for(
         _cell(case.scenario, case.plan)
     ),

@@ -2,34 +2,45 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from repro.core.evaluation import evaluate_schedule
+from repro.core.scenario import Scenario
+from repro.core.schedule import Schedule
 from repro.core.validation import ScheduleValidator
 from repro.errors import ModelError
 from repro.experiments.runner import RunRecord, run_pair
 from repro.heuristics.registry import make_heuristic
 from repro.serialization import (
     canonical_scenario_json,
-    load_scenario,
     document_from_dict,
     document_to_dict,
+    load_scenario,
     load_schedule,
     save_scenario,
     save_schedule,
     scenario_fingerprint,
-    scenario_from_dict,
-    scenario_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
 )
+
+
+def _path(kind, *steps):
+    """The path to a value, as the codec's messages name it."""
+    return kind + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in steps
+    )
+
+
+def _raises_naming(message):
+    """``pytest.raises`` for a :class:`ModelError` naming ``message``."""
+    return pytest.raises(ModelError, match=re.escape(message))
 
 
 class TestScenarioRoundTrip:
     def test_dict_round_trip_preserves_everything(self, tiny_scenarios):
         original = tiny_scenarios[0]
-        restored = scenario_from_dict(scenario_to_dict(original))
+        restored = document_from_dict(Scenario, document_to_dict(original))
         assert restored.name == original.name
         assert restored.gc_delay == original.gc_delay
         assert restored.horizon == original.horizon
@@ -62,7 +73,7 @@ class TestScenarioRoundTrip:
 
     def test_restored_scenario_schedules_identically(self, tiny_scenarios):
         original = tiny_scenarios[2]
-        restored = scenario_from_dict(scenario_to_dict(original))
+        restored = document_from_dict(Scenario, document_to_dict(original))
         h = make_heuristic("full_one", "C4", 0.0)
         a = h.run(original)
         b = h.run(restored)
@@ -73,36 +84,39 @@ class TestScenarioRoundTrip:
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ModelError):
-            scenario_from_dict({"kind": "schedule"})
+            document_from_dict(Scenario, {"kind": "schedule"})
 
     def test_missing_key_rejected(self, tiny_scenarios):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         del document["machines"]
         with pytest.raises(ModelError):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     def test_inverted_window_rejected(self, tiny_scenarios):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         document["physical_links"][2]["windows"] = [[10.0, 5.0]]
-        with pytest.raises(ModelError, match="physical link entry 2"):
-            scenario_from_dict(document)
+        with _raises_naming("scenario.physical_links[2].windows[0]: "):
+            document_from_dict(Scenario, document)
 
     def test_malformed_window_rejected(self, tiny_scenarios):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         document["physical_links"][0]["windows"] = [[1.0, 2.0, 3.0]]
-        with pytest.raises(ModelError, match="physical link entry 0"):
-            scenario_from_dict(document)
+        with _raises_naming(
+            "scenario.physical_links[0].windows[0] must be a row of 2 values"
+        ):
+            document_from_dict(Scenario, document)
 
     def test_link_without_latency_rejected(self, tiny_scenarios):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         del document["physical_links"][1]["latency"]
-        with pytest.raises(
-            ModelError, match="physical link entry 1 is missing key 'latency'"
+        with _raises_naming(
+            "scenario.physical_links[1] is missing field 'latency'"
         ):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     @pytest.mark.parametrize(
-        "path, key, where",
+        # The third value names the entry in the case id.
+        "path, key, entry",
         [
             (("machines", 0), "index", "machine entry 0"),
             (("machines", 1), "capacity", "machine entry 1"),
@@ -125,67 +139,57 @@ class TestScenarioRoundTrip:
         ],
     )
     def test_entry_missing_key_rejected(
-        self, tiny_scenarios, path, key, where
+        self, tiny_scenarios, path, key, entry
     ):
-        document = scenario_to_dict(tiny_scenarios[0])
-        entry = document
+        document = document_to_dict(tiny_scenarios[0])
+        target = document
         for step in path:
-            entry = entry[step]
-        del entry[key]
-        with pytest.raises(
-            ModelError, match=f"{where} is missing key '{key}'"
+            target = target[step]
+        del target[key]
+        with _raises_naming(
+            f"{_path('scenario', *path)} is missing field '{key}'"
         ):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     def test_unsorted_windows_rejected(self, tiny_scenarios):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         entry = document["physical_links"][0]
         entry["windows"] = [[20.0, 30.0], [0.0, 10.0]]
         with pytest.raises(ModelError, match="unsorted"):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     @pytest.mark.parametrize(
         "document, where",
         [
-            (None, "serialized document must be an object"),
-            (3, "serialized document must be an object"),
-            ([], "serialized document must be an object"),
-            ("x", "serialized document must be an object"),
+            (None, "scenario must be an object"),
+            (3, "scenario must be an object"),
+            ([], "scenario must be an object"),
+            ("x", "scenario must be an object"),
         ],
         ids=["none", "int", "list", "str"],
     )
     def test_non_object_document_rejected(self, document, where):
         with pytest.raises(ModelError, match=where):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     @pytest.mark.parametrize(
-        "path, key, value, where",
+        "path, key, value, problem",
         [
-            ((), "machines", 5, "machines must be a list"),
-            (("machines",), 0, 7, "machine entry 0 must be an object"),
-            (("machines", 0), "capacity", "big", "machine entry 0 capacity"),
-            (("requests", 1), "deadline", "soon", "request entry 1 deadline"),
-            ((), "horizon", None, "horizon must be a number"),
-            (
-                ("machines", 1),
-                "capacity",
-                float("nan"),
-                "machine entry 1 capacity",
-            ),
-            (("items", 0), "size", float("nan"), "item entry 0 size"),
-            (
-                ("requests", 2),
-                "deadline",
-                float("nan"),
-                "request entry 2 deadline",
-            ),
-            (("items", 0), "name", {"a": 1}, "item entry 0 name"),
-            (("items", 1), "name", [1], "item entry 1 name"),
-            (("items", 0), "name", 7, "item entry 0 name"),
-            (("machines", 0), "name", 3, "machine entry 0 name"),
-            (("machines", 1), "name", {"a": 1}, "machine entry 1 name"),
-            ((), "name", None, "scenario name"),
-            (("weighting",), "name", 10, "weighting name"),
+            ((), "machines", 5, "must be a list"),
+            (("machines",), 0, 7, "must be an object"),
+            (("machines", 0), "capacity", "big", "must be a number"),
+            (("requests", 1), "deadline", "soon", "must be a number"),
+            ((), "horizon", None, "must be a number"),
+            (("machines", 1), "capacity", float("nan"), "must be a number"),
+            (("items", 0), "size", float("nan"), "must be a number"),
+            (("requests", 2), "deadline", float("nan"), "must be a number"),
+            (("items", 0), "name", {"a": 1}, "must be a string"),
+            (("items", 1), "name", [1], "must be a string"),
+            (("items", 0), "name", 7, "must be a string"),
+            (("machines", 0), "name", 3, "must be a string"),
+            (("machines", 1), "name", {"a": 1}, "must be a string"),
+            ((), "name", None, "must be a string"),
+            (("weighting",), "name", 10, "must be a string"),
         ],
         ids=[
             "machines-not-a-list",
@@ -206,61 +210,30 @@ class TestScenarioRoundTrip:
         ],
     )
     def test_malformed_entry_rejected(
-        self, tiny_scenarios, path, key, value, where
+        self, tiny_scenarios, path, key, value, problem
     ):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         entry = document
         for step in path:
             entry = entry[step]
         entry[key] = value
-        with pytest.raises(ModelError, match=where):
-            scenario_from_dict(document)
-
+        with _raises_naming(f"{_path('scenario', *path, key)} {problem}"):
+            document_from_dict(Scenario, document)
 
     @pytest.mark.parametrize(
-        "path, key, value, where",
+        "path, key, value",
         [
-            (("requests", 0), "priority", 1.5, "request entry 0 priority"),
-            (("requests", 1), "priority", True, "request entry 1 priority"),
-            (
-                ("physical_links", 0),
-                "physical_id",
-                "0",
-                "physical link entry 0 physical_id",
-            ),
-            (("machines", 0), "index", 0.0, "machine entry 0 index"),
-            (
-                ("physical_links", 1),
-                "source",
-                False,
-                "physical link entry 1 source",
-            ),
-            (
-                ("physical_links", 0),
-                "destination",
-                1.0,
-                "physical link entry 0 destination",
-            ),
-            (
-                ("requests", 0),
-                "destination",
-                "1",
-                "request entry 0 destination",
-            ),
-            (("requests", 2), "item_id", 0.0, "request entry 2 item_id"),
-            (
-                ("requests", 0),
-                "request_id",
-                None,
-                "request entry 0 request_id",
-            ),
-            (("items", 0), "item_id", 0.0, "item entry 0 item_id"),
-            (
-                ("items", 0, "sources", 0),
-                "machine",
-                "0",
-                "item entry 0 source 0 machine",
-            ),
+            (("requests", 0), "priority", 1.5),
+            (("requests", 1), "priority", True),
+            (("physical_links", 0), "physical_id", "0"),
+            (("machines", 0), "index", 0.0),
+            (("physical_links", 1), "source", False),
+            (("physical_links", 0), "destination", 1.0),
+            (("requests", 0), "destination", "1"),
+            (("requests", 2), "item_id", 0.0),
+            (("requests", 0), "request_id", None),
+            (("items", 0), "item_id", 0.0),
+            (("items", 0, "sources", 0), "machine", "0"),
         ],
         ids=[
             "priority-float",
@@ -277,28 +250,34 @@ class TestScenarioRoundTrip:
         ],
     )
     def test_non_integer_field_rejected(
-        self, tiny_scenarios, path, key, value, where
+        self, tiny_scenarios, path, key, value
     ):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         entry = document
         for step in path:
             entry = entry[step]
         entry[key] = value
-        with pytest.raises(
-            ModelError, match=f"{where} must be an integer, got"
+        with _raises_naming(
+            f"{_path('scenario', *path, key)} must be an integer, got"
         ):
-            scenario_from_dict(document)
+            document_from_dict(Scenario, document)
 
     @pytest.mark.parametrize(
         "weights, where",
         [
             (
                 [float("nan"), 10.0, 100.0],
-                "weighting weight 0 must be a number",
+                "scenario.weighting.weights[0] must be a number",
             ),
-            ([1.0, "10", 100.0], "weighting weight 1 must be a number"),
-            ([1.0, 10.0, True], "weighting weight 2 must be a number"),
-            (5.0, "weighting weights must be a list"),
+            (
+                [1.0, "10", 100.0],
+                "scenario.weighting.weights[1] must be a number",
+            ),
+            (
+                [1.0, 10.0, True],
+                "scenario.weighting.weights[2] must be a number",
+            ),
+            (5.0, "scenario.weighting.weights must be a list"),
         ],
         ids=[
             "weight-nan",
@@ -308,10 +287,10 @@ class TestScenarioRoundTrip:
         ],
     )
     def test_malformed_weights_rejected(self, tiny_scenarios, weights, where):
-        document = scenario_to_dict(tiny_scenarios[0])
+        document = document_to_dict(tiny_scenarios[0])
         document["weighting"]["weights"] = weights
-        with pytest.raises(ModelError, match=where):
-            scenario_from_dict(document)
+        with _raises_naming(where):
+            document_from_dict(Scenario, document)
 
 
 class TestSuiteRoundTrip:
@@ -371,38 +350,38 @@ class TestScheduleRoundTrip:
         [
             (
                 lambda doc: doc["steps"][0].pop("source"),
-                "step entry 0 is missing key 'source'",
+                "schedule.steps[0] is missing field 'source'",
             ),
             (
                 lambda doc: doc["steps"].__setitem__(0, 7),
-                "step entry 0 must be an object",
+                "schedule.steps[0] must be an object",
             ),
-            (lambda doc: doc.update(steps=5), "steps must be a list"),
+            (lambda doc: doc.update(steps=5), "schedule.steps must be a list"),
             (
                 lambda doc: doc["steps"][0].update(link_id=1.5),
-                "step entry 0 link_id must be an integer",
+                "schedule.steps[0].link_id must be an integer",
             ),
             (
                 lambda doc: doc["steps"][0].update(start=float("nan")),
-                "step entry 0 start must be a number",
+                "schedule.steps[0].start must be a number",
             ),
             (
                 lambda doc: doc["deliveries"][0].update(arrival="soon"),
-                "delivery entry 0 arrival must be a number",
+                "schedule.deliveries[0].arrival must be a number",
             ),
             (
                 lambda doc: doc["deliveries"][0].update(hops=None),
-                "delivery entry 0 hops must be an integer",
+                "schedule.deliveries[0].hops must be an integer",
             ),
             (
                 lambda doc: doc.update(name=3),
-                "schedule name must be a string",
+                "schedule.name must be a string",
             ),
             (
                 lambda doc: doc["steps"][0].update(
                     destination=doc["steps"][0]["source"]
                 ),
-                "step entry 0: step 0 sends item",
+                "schedule.steps[0]: step 0 sends item",
             ),
         ],
         ids=[
@@ -419,19 +398,21 @@ class TestScheduleRoundTrip:
     )
     def test_malformed_entry_rejected(self, tiny_scenarios, corrupt, where):
         result = make_heuristic("partial", "C4", 0.0).run(tiny_scenarios[0])
-        document = schedule_to_dict(result.schedule)
+        document = document_to_dict(result.schedule)
         corrupt(document)
-        with pytest.raises(ModelError, match=where):
-            schedule_from_dict(document)
+        with _raises_naming(where):
+            document_from_dict(Schedule, document)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ModelError):
-            schedule_from_dict({"kind": "scenario"})
+            document_from_dict(Schedule, {"kind": "scenario"})
 
     def test_deliveries_survive(self, tiny_scenarios):
         scenario = tiny_scenarios[0]
         result = make_heuristic("full_all", "C4", 0.0).run(scenario)
-        restored = schedule_from_dict(schedule_to_dict(result.schedule))
+        restored = document_from_dict(
+            Schedule, document_to_dict(result.schedule)
+        )
         for request_id, delivery in result.schedule.deliveries.items():
             other = restored.delivery(request_id)
             assert other.arrival == delivery.arrival
@@ -486,7 +467,7 @@ class TestScenarioFingerprint:
 
     def test_fingerprint_survives_a_round_trip(self, tiny_scenarios):
         original = tiny_scenarios[0]
-        restored = scenario_from_dict(scenario_to_dict(original))
+        restored = document_from_dict(Scenario, document_to_dict(original))
         assert scenario_fingerprint(restored) == scenario_fingerprint(
             original
         )

@@ -16,7 +16,7 @@ state (busy intervals, free capacity) lives in
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Sequence, Set, Tuple
 
 from repro.core.link import PhysicalLink, VirtualLink
 from repro.core.machine import Machine
@@ -234,20 +234,3 @@ def machines_with_uniform_capacity(
 ) -> Tuple[Machine, ...]:
     """Convenience constructor for ``count`` identical machines."""
     return tuple(Machine(index=i, capacity=capacity) for i in range(count))
-
-
-def validate_links_reference_machines(
-    machines: Iterable[Machine], links: Iterable[PhysicalLink]
-) -> None:
-    """Standalone validation used by scenario loaders before construction.
-
-    Raises:
-        ModelError: if any link endpoint is not a known machine index.
-    """
-    known = {mach.index for mach in machines}
-    for plink in links:
-        if plink.source not in known or plink.destination not in known:
-            raise ModelError(
-                f"physical link {plink.physical_id} references unknown "
-                f"machine(s): {plink.source}->{plink.destination}"
-            )

@@ -53,7 +53,17 @@ import logging
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
@@ -353,15 +363,22 @@ class TreeCache:
         self._trees: Dict[int, CacheEntry] = {}
         #: How many journal records the entries' flags already reflect.
         self._replay_position = state.journal_length()
-        #: Receiver index: machine -> {item id: entry whose tree plans a
-        #: hop into the machine}.
-        self._receiver_index: Dict[int, Dict[int, CacheEntry]] = {}
+        #: Receiver index, by machine: link id -> {item id: entry whose
+        #: tree plans a hop into the machine over the link}.
+        self._receiver_index: List[Dict[int, Dict[int, CacheEntry]]] = [
+            {} for _ in range(state.scenario.network.machine_count)
+        ]
         #: Release index: machine -> {item id: entry whose search fell
         #: back to the full storage probe into the machine}.
         self._release_index: Dict[int, Dict[int, CacheEntry]] = {}
         #: Items the replay touched since :meth:`touched`: True where it
         #: released storage, else False (a conflict).
         self._touched: Dict[int, bool] = {}
+        #: Each item's size, by item id, and the largest: a booking that
+        #: leaves that much storage free over its reservation breaks no
+        #: planned residency (:meth:`_replay`).
+        self._sizes = [item.size for item in state.scenario.items]
+        self._largest = max(self._sizes, default=0.0)
         #: The memo node of the state as the replay left it, or None.
         self._node = (
             _opening_node(state.scenario)
@@ -420,7 +437,9 @@ class TreeCache:
             )
         cache = type(self)(self._state, self._stats, self._enabled, now)
         cache._trees, self._trees = self._trees, {}
-        cache._receiver_index, self._receiver_index = self._receiver_index, {}
+        cache._receiver_index, self._receiver_index = (
+            self._receiver_index, cache._receiver_index
+        )
         cache._release_index, self._release_index = self._release_index, {}
         cache._replay_position = self._replay_position
         cache._node, self._node = self._node, None
@@ -557,22 +576,23 @@ class TreeCache:
         if cached is None:
             return False
         state = self._state
-        tracer = state.tracer
-        records = state.journal_since(self._replay_position)
-        seeds = self._seeds(item_id)
         if (
             cached.conflict
-            or not records
             or time_ne(cached.not_before, self._not_before)
-            or state.item_revision(item_id)
-            != cached.item_revision + len(records)
             or state.degradation_epoch != cached.degradation_epoch
-            or any(
-                record.kind != MUTATION_BOOKING
-                or record.item_id != item_id
-                or record.machine not in seeds
-                for record in records
-            )
+        ):
+            return False
+        records = state.journal_since(self._replay_position)
+        if not records or state.item_revision(item_id) != (
+            cached.item_revision + len(records)
+        ):
+            return False
+        seeds = self._seeds(item_id)
+        if any(
+            record.kind != MUTATION_BOOKING
+            or record.item_id != item_id
+            or record.machine not in seeds
+            for record in records
         ):
             return False
         self._replay()
@@ -581,6 +601,7 @@ class TreeCache:
         if tree is None:
             return False
         self._store(item_id, self._snapshot(tree))
+        tracer = state.tracer
         if tracer.enabled:
             tracer.emit("tree_rebased", item_id, len(seeds))
         return True
@@ -627,17 +648,29 @@ class TreeCache:
         link's receiver: a tree plans one hop into each receiver, and a
         link has one receiver, so those are the entries that plan a hop
         over the link or a residency the record's reservation can
-        overlap.  A reservation overlapping a planned residency is settled
-        against the live timeline: reservations only subtract until a
-        release at the machine, which invalidates the entry anyway
-        (:meth:`_replay_release`), so the verdict is final.  A conflict
-        puts the entry's item in :meth:`touched`; a link, cutoff or
-        release conflict also replaces a residency one, so the reason
-        does not depend on when the replay ran.  Each booking also moves
-        the cache's memo node on while the state is only booked.
+        overlap.  A booking probes the receiver's storage once, over its
+        own reservation (its *headroom*).  The kernel plans a hop only
+        where free storage over its residency covers the item, only a
+        release adds storage back (which conflicts the entry anyway,
+        :meth:`_replay_release`), and a reservation lowers free storage
+        only inside its own span.  So when the headroom covers an
+        entry's item, the record breaks none of its residencies: an
+        entry another record of the batch broke fails that record's
+        probe.  When the headroom covers the scenario's largest item
+        (and for every cutoff) the replay visits only the entries that
+        plan a hop over the record's link; otherwise it scans the
+        receiver's entries and settles the residency of each entry whose
+        item the headroom does not cover against the live timeline.
+        The verdict is final, as reservations only subtract until a
+        release.  A conflict puts the entry's item in :meth:`touched`; a
+        link, cutoff or release conflict also replaces a residency one,
+        so the reason does not depend on when the replay ran.  Each
+        booking also moves the cache's memo node on while the state is
+        only booked.
         """
         state = self._state
-        link, item = state.scenario.network.link, state.scenario.item
+        link, sizes = state.scenario.network.link, self._sizes
+        receiver_index = self._receiver_index
         records = state.journal_since(self._replay_position)
         self._replay_position += len(records)
         node = self._node if state.only_booked else None
@@ -651,28 +684,51 @@ class TreeCache:
                 step = (record.item_id, link_id, busy.start, busy.end)
                 node = node.after(step)
             receiver = link(link_id).destination
+            planned = receiver_index[receiver]
+            if not planned:
+                continue
             free = state.machine_timeline(receiver).min_free_span
-            for entry in self._receiver_index.get(receiver, {}).values():
-                if entry.conflict not in ("", TREE_CACHE_RESIDENCY_CONFLICT):
-                    continue
-                tree = entry.tree
-                __, planned_link, start, end = tree.planned_hops[receiver]
-                conflict = ""
-                if planned_link == link_id:
-                    if busy is not None and _overlaps(busy, start, end):
-                        conflict = TREE_CACHE_LINK_CONFLICT
-                    elif record.cutoff < end:  # +inf unless a cutoff
-                        conflict = TREE_CACHE_CUTOFF_TIGHTENED
-                if not (conflict or entry.conflict) and residency is not None:
-                    item_id = tree.item_id
-                    release = state.release_time_at(item_id, receiver)
-                    if _overlaps(residency, start, release) and not (
-                        free(start, release) >= item(item_id).size
+            headroom = (
+                free(residency.start, residency.end)
+                if residency is not None
+                else float("inf")
+            )
+            slots: Iterable[Tuple[int, Dict[int, CacheEntry]]]
+            if headroom < self._largest:
+                slots = planned.items()
+            elif link_id in planned:
+                slots = ((link_id, planned[link_id]),)
+            else:
+                continue
+            for planned_link, by_item in slots:
+                on_link = planned_link == link_id
+                for item_id, entry in by_item.items():
+                    if entry.conflict not in (
+                        "", TREE_CACHE_RESIDENCY_CONFLICT
                     ):
-                        conflict = TREE_CACHE_RESIDENCY_CONFLICT
-                if conflict:
-                    entry.conflict = conflict
-                    self._touched.setdefault(tree.item_id, False)
+                        continue
+                    size = sizes[item_id]
+                    if not on_link and headroom >= size:
+                        continue
+                    __, __, start, end = entry.tree.planned_hops[receiver]
+                    conflict = ""
+                    if on_link:
+                        if busy is not None and _overlaps(busy, start, end):
+                            conflict = TREE_CACHE_LINK_CONFLICT
+                        elif record.cutoff < end:  # +inf unless a cutoff
+                            conflict = TREE_CACHE_CUTOFF_TIGHTENED
+                    if (
+                        not (conflict or entry.conflict or headroom >= size)
+                        and residency is not None
+                    ):
+                        release = state.release_time_at(item_id, receiver)
+                        if _overlaps(residency, start, release) and not (
+                            free(start, release) >= size
+                        ):
+                            conflict = TREE_CACHE_RESIDENCY_CONFLICT
+                    if conflict:
+                        entry.conflict = conflict
+                        self._touched.setdefault(item_id, False)
         self._node = node
 
     def _replay_release(self, machine: int) -> None:
@@ -687,24 +743,31 @@ class TreeCache:
         already in conflict: a kept empty payload outlives a conflict
         (:meth:`Shortlist.forget`), but not freed storage.
         """
-        for index in (self._receiver_index, self._release_index):
-            for entry in index.get(machine, {}).values():
-                if entry.conflict in ("", TREE_CACHE_RESIDENCY_CONFLICT):
-                    entry.conflict = TREE_CACHE_CAPACITY_RELEASED
-                self._touched[entry.tree.item_id] = True
+        planned = self._receiver_index[machine].values()
+        released = self._release_index.get(machine, {})
+        for entry in chain(
+            *(by_item.values() for by_item in planned), released.values()
+        ):
+            if entry.conflict in ("", TREE_CACHE_RESIDENCY_CONFLICT):
+                entry.conflict = TREE_CACHE_CAPACITY_RELEASED
+            self._touched[entry.tree.item_id] = True
 
     def _store(self, item_id: int, entry: CacheEntry) -> None:
         """Replace the item's entry and move it in both indexes."""
         receivers, releases = self._receiver_index, self._release_index
         old = self._trees.get(item_id)
         if old is not None:
-            for machine in old.tree.planned_hops:
-                del receivers[machine][item_id]
+            for machine, hop in old.tree.planned_hops.items():
+                del receivers[machine][hop[1]][item_id]
             for machine in old.tree.fallback_receivers:
                 del releases[machine][item_id]
         self._trees[item_id] = entry
-        for machine in entry.tree.planned_hops:
-            receivers.setdefault(machine, {})[item_id] = entry
+        for machine, hop in entry.tree.planned_hops.items():
+            by_link = receivers[machine]
+            by_item = by_link.get(hop[1])
+            if by_item is None:
+                by_item = by_link[hop[1]] = {}
+            by_item[item_id] = entry
         for machine in entry.tree.fallback_receivers:
             releases.setdefault(machine, {})[item_id] = entry
 
@@ -933,15 +996,13 @@ class StagingHeuristic(abc.ABC):
     ) -> Optional[Tuple[CandidateGroup, CostResult]]:
         """The cheapest scored candidate over the shortlist; the first
         item in order wins a tie."""
-        best_key = None
-        best: Optional[Tuple[CandidateGroup, CostResult]] = None
-        for key, group, result in self._live_payloads(
+        best: Optional[Tuple[tuple, CandidateGroup, CostResult]] = None
+        for payload in self._live_payloads(
             state, cache, shortlist, priorities, request_filter
         ):
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (group, result)
-        return best
+            if best is None or payload[0] < best[0]:
+                best = payload
+        return None if best is None else (best[1], best[2])
 
     def _live_payloads(
         self,
@@ -950,23 +1011,29 @@ class StagingHeuristic(abc.ABC):
         shortlist: Shortlist,
         priorities: Priorities,
         request_filter: RequestFilter,
-    ) -> List[Any]:
-        """The non-empty payloads of the shortlist's items, in order.
+    ) -> Iterator[Any]:
+        """The non-empty payloads of the shortlist's items, in order, each
+        scored as the walk reaches it.
 
         Every item loses its payload when the cache is disabled.  Each
-        item without one is scored now, in order, from its groups
+        item without one is scored, in order, from its groups
         (:meth:`TreeCache.groups_for`, :meth:`Shortlist.scored`).
         """
         payloads = shortlist.payloads
         if not cache.enabled:
             payloads.clear()
         for item_id in shortlist.items:
-            if item_id not in payloads:
+            if item_id in payloads:
+                payload = payloads[item_id]
+            else:
                 entry = cache.entry_for(item_id)
                 groups = cache.groups_for(entry, priorities, request_filter)
-                payloads[item_id] = self._item_payload(state, item_id, groups)
+                payload = payloads[item_id] = self._item_payload(
+                    state, item_id, groups
+                )
                 shortlist.scored(entry)
-        return [payloads[i] for i in shortlist.items if payloads[i]]
+            if payload:
+                yield payload
 
     def _item_payload(
         self,

@@ -17,7 +17,16 @@ that pass a drain's filters (:func:`visible_requests`) contribute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
@@ -138,9 +147,14 @@ def enumerate_groups(
     seeds = tree.seed_machines()
     grouped: Dict[int, List[DestinationEvaluation]] = {}
     first_hops: Dict[int, Hop] = {}
-    for request in visible_requests(
-        state, item_id, priorities, request_filter
-    ):
+    # In request-id order (a scenario's ids are dense and in order), so
+    # each group's evaluations are too.
+    requests: Iterable[Request] = (
+        state.unsatisfied_requests_for_item(item_id)
+        if priorities is None and request_filter is None
+        else visible_requests(state, item_id, priorities, request_filter)
+    )
+    for request in requests:
         receiver, sender = None, request.destination
         if not tree.is_reachable(sender):
             continue
@@ -162,19 +176,15 @@ def enumerate_groups(
         grouped.setdefault(receiver, []).append(evaluation)
     groups = []
     for next_machine in sorted(grouped):
-        evaluations = tuple(
-            sorted(
-                grouped[next_machine],
-                key=lambda e: e.request.request_id,
+        evaluations = grouped[next_machine]
+        if any(evaluation.satisfiable for evaluation in evaluations):
+            groups.append(
+                CandidateGroup(
+                    item_id=item_id,
+                    next_machine=next_machine,
+                    first_hop=first_hops[next_machine],
+                    evaluations=tuple(evaluations),
+                    tree=tree,
+                )
             )
-        )
-        group = CandidateGroup(
-            item_id=item_id,
-            next_machine=next_machine,
-            first_hop=first_hops[next_machine],
-            evaluations=evaluations,
-            tree=tree,
-        )
-        if group.has_satisfiable_destination:
-            groups.append(group)
     return tuple(groups)

@@ -31,44 +31,92 @@ decisions (pinned by a property test).
 Where the time goes is measured from outside the program:
 ``bench/layers.py`` wraps the hot entry points and reports per-layer call
 counts and self times.
+
+The names below load their submodule on first use (PEP 562): the
+scheduler core imports only :mod:`repro.observability.tracer`, and the
+exporters load only when a report is written.
 """
 
-from repro.observability.metrics import (
-    MetricsCollector,
-    RunMetrics,
-    TimingStat,
-)
-from repro.observability.export import (
-    chrome_trace_events,
-    render_html_report,
-    write_chrome_trace,
-    write_html_report,
-)
-from repro.observability.report import (
-    render_link_utilization,
-    render_run_metrics,
-    render_scheduler_summaries,
-    render_timeline,
-)
-from repro.observability.timeline import (
-    ClassSeries,
-    LinkSeries,
-    RequestForensics,
-    StorageSeries,
-    Timeline,
-    TimelineCollector,
-)
-from repro.observability.tracer import (
-    NULL_TRACER,
-    JsonlTracer,
-    NullTracer,
-    RecordingTracer,
-    TeeTracer,
-    TraceEvent,
-    Tracer,
-    current_tracer,
-    use_tracer,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+
+if TYPE_CHECKING:
+    from repro.observability.metrics import (
+        MetricsCollector,
+        RunMetrics,
+        TimingStat,
+    )
+    from repro.observability.export import (
+        chrome_trace_events,
+        render_html_report,
+        write_chrome_trace,
+        write_html_report,
+    )
+    from repro.observability.report import (
+        render_link_utilization,
+        render_run_metrics,
+        render_scheduler_summaries,
+        render_timeline,
+    )
+    from repro.observability.timeline import (
+        ClassSeries,
+        LinkSeries,
+        RequestForensics,
+        StorageSeries,
+        Timeline,
+        TimelineCollector,
+    )
+    from repro.observability.tracer import (
+        NULL_TRACER,
+        JsonlTracer,
+        NullTracer,
+        RecordingTracer,
+        TeeTracer,
+        TraceEvent,
+        Tracer,
+        current_tracer,
+        use_tracer,
+    )
+
+#: Each submodule and the names it exports here.
+_SUBMODULES: Dict[str, Tuple[str, ...]] = {
+    "metrics": ("MetricsCollector", "RunMetrics", "TimingStat"),
+    "export": (
+        "chrome_trace_events", "render_html_report", "write_chrome_trace",
+        "write_html_report",
+    ),
+    "report": (
+        "render_link_utilization", "render_run_metrics",
+        "render_scheduler_summaries", "render_timeline",
+    ),
+    "timeline": (
+        "ClassSeries", "LinkSeries", "RequestForensics", "StorageSeries",
+        "Timeline", "TimelineCollector",
+    ),
+    "tracer": (
+        "NULL_TRACER", "JsonlTracer", "NullTracer", "RecordingTracer",
+        "TeeTracer", "TraceEvent", "Tracer", "current_tracer", "use_tracer",
+    ),
+}
+
+#: Each exported name and the submodule that defines it.
+_HOMES = {
+    name: module for module, names in _SUBMODULES.items() for name in names
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "MetricsCollector",

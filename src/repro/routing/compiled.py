@@ -1,4 +1,4 @@
-"""Array-compiled scenario kernel for the §4.2 shortest-path search.
+"""Compiled scenario kernel for the §4.2 shortest-path search.
 
 This is the only search behind
 :func:`~repro.routing.dijkstra.compute_shortest_path_tree`.  A loop over
@@ -6,12 +6,15 @@ This is the only search behind
 Python-object by Python-object on every edge relaxation; this module
 compiles the scenario once into flat columns so the hot loop is a pure
 index-and-float affair.  :class:`CompiledScenario` is the virtual-link
-multigraph flattened into CSR adjacency: a per-machine offset array plus
-parallel ``array('l')`` / ``array('d')`` columns (``link_id``,
-``destination``, window start / end, latency, run end) in exactly the
-order :meth:`~repro.core.network.Network.outgoing` yields edges, so the
-compiled search relaxes edges — and therefore probes, books, and
-tie-breaks — in the reference order.
+multigraph flattened into CSR adjacency: a per-machine offset list plus
+parallel per-edge columns (``link_id``, window start / end) in exactly
+the order :meth:`~repro.core.network.Network.outgoing` yields edges, so
+the compiled search relaxes edges — and therefore probes, books, and
+tie-breaks — in the reference order.  The columns are plain lists that
+hold the links' own ``int`` and ``float`` objects: an ``array`` would
+store each number again, and ``list(array)`` would box every entry into
+a second object.  Beside them, a per-machine run table holds one tuple
+per physical-link run (below).
 
 :func:`compile_network` is a pure function of the network, which
 ``tests/test_purity.py`` pins by calling it under a guard; the memo layer
@@ -24,15 +27,17 @@ enters a run, so a bandwidth degradation needs no invalidation here.
 
 The windows of one :class:`~repro.core.link.PhysicalLink` are one
 contiguous *run* of edges (consecutive link ids, kept adjacent by the
-CSR order), and the kernel walks each run as a unit.  Along a run the
-receiver, the duration and both residency bounds are constant, and the
-window start strictly increases (the physical link keeps its windows
-sorted and disjoint; every window is non-empty), so an edge's prune
-floor ``max(Lst, label) + duration`` never decreases while the
-receiver's label never rises.  The first pruned edge of a run therefore
-ends the run, and so does an ``already_at_destination`` rejection or a
-``window_closed`` rejection caused by the residency bounds — those two
-only when tracing is off, since each rejected edge emits its own events.
+CSR order), and the kernel walks each run as a unit, reading its edge
+range, receiver, first link and latency from one run-table tuple.
+Along a run the receiver, the duration and both residency bounds are
+constant, and the window start strictly increases (the physical link
+keeps its windows sorted and disjoint; every window is non-empty), so
+an edge's prune floor ``max(Lst, label) + duration`` never decreases
+while the receiver's label never rises.  The first pruned edge of a
+run therefore ends the run, and so does an ``already_at_destination``
+rejection or a ``window_closed`` rejection caused by the residency
+bounds — those two only when tracing is off, since each rejected edge
+emits its own events.
 
 The kernel is **behaviorally invisible**: it performs the same float
 computations in the same order as the object-walking reference search
@@ -56,7 +61,6 @@ the reference sequence, and its receiver joins the tree's
 from __future__ import annotations
 
 import heapq
-from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain, groupby
 from operator import attrgetter
@@ -72,6 +76,10 @@ from repro.observability.tracer import (
 )
 from repro.routing.paths import ShortestPathTree
 
+#: One physical-link run of a machine's edges: ``(start, end, receiver,
+#: first_link, latency)`` (see :attr:`CompiledScenario.runs`).
+Run = Tuple[int, int, int, int, float]
+
 
 class CompiledScenario:
     """CSR-flattened virtual-link adjacency of one :class:`Network`.
@@ -83,48 +91,48 @@ class CompiledScenario:
     what makes the compiled search tie-break identically.  It also keeps
     the windows of each physical link adjacent, as one run of edges.
 
+    The columns are plain lists holding the links' own ``int`` and
+    ``float`` objects, so a compiled network adds one pointer per edge
+    and column, and no number of its own.
+
     Attributes:
         machine_count: number of machines (``len(offsets) - 1``).
         offsets: CSR row offsets, one per machine plus a terminator.
         link_ids: virtual-link id per edge.
-        destinations: receiving machine per edge.
         window_starts: window start (``Lst``) per edge.
         window_ends: window end (``Let``) per edge.
-        latencies: link latency per edge.
-        run_ends: per edge, the index one past the last edge of the same
-            physical link's run.
+        runs: per machine, one ``(start, end, receiver, first_link,
+            latency)`` tuple per physical-link run: its edges are
+            ``start`` up to ``end``, its windows lead to ``receiver`` with
+            the same ``latency``, and ``first_link`` is the virtual link
+            of its first window (whose bandwidth the run's duration
+            reads).
     """
 
     __slots__ = (
         "machine_count",
         "offsets",
         "link_ids",
-        "destinations",
         "window_starts",
         "window_ends",
-        "latencies",
-        "run_ends",
+        "runs",
     )
 
     def __init__(
         self,
         machine_count: int,
-        offsets: "array[int]",
-        link_ids: "array[int]",
-        destinations: "array[int]",
-        window_starts: "array[float]",
-        window_ends: "array[float]",
-        latencies: "array[float]",
-        run_ends: "array[int]",
+        offsets: List[int],
+        link_ids: List[int],
+        window_starts: List[float],
+        window_ends: List[float],
+        runs: List[Tuple[Run, ...]],
     ) -> None:
         self.machine_count = machine_count
         self.offsets = offsets
         self.link_ids = link_ids
-        self.destinations = destinations
         self.window_starts = window_starts
         self.window_ends = window_ends
-        self.latencies = latencies
-        self.run_ends = run_ends
+        self.runs = runs
 
     @property
     def edge_count(self) -> int:
@@ -138,36 +146,40 @@ def compile_network(network: Network) -> CompiledScenario:
     A pure function of the (immutable) network — called once per network
     by :func:`compiled_for` and memoized there.
     """
-    offsets = array("l", [0])
-    link_ids = array("l")
-    destinations = array("l")
-    window_starts = array("d")
-    window_ends = array("d")
-    latencies = array("d")
-    run_ends = array("l")
+    offsets = [0]
+    link_ids: List[int] = []
+    window_starts: List[float] = []
+    window_ends: List[float] = []
+    runs: List[Tuple[Run, ...]] = []
     for machine in range(network.machine_count):
+        row: List[Run] = []
         for _, windows in groupby(
             network.outgoing(machine), key=attrgetter("physical_id")
         ):
             run = tuple(windows)
-            run_end = len(link_ids) + len(run)
+            first = run[0]
+            row.append(
+                (
+                    len(link_ids),
+                    len(link_ids) + len(run),
+                    first.destination,
+                    first.link_id,
+                    first.latency,
+                )
+            )
             for link in run:
                 link_ids.append(link.link_id)
-                destinations.append(link.destination)
                 window_starts.append(link.start)
                 window_ends.append(link.end)
-                latencies.append(link.latency)
-                run_ends.append(run_end)
+        runs.append(tuple(row))
         offsets.append(len(link_ids))
     return CompiledScenario(
         machine_count=network.machine_count,
         offsets=offsets,
         link_ids=link_ids,
-        destinations=destinations,
         window_starts=window_starts,
         window_ends=window_ends,
-        latencies=latencies,
-        run_ends=run_ends,
+        runs=runs,
     )
 
 
@@ -201,13 +213,14 @@ def compute_tree_compiled(
     the exact-equality hazards rule R2 exists to catch); finalization is
     a byte array plus a counter.
 
-    A popped machine's edges are walked one physical-link run at a time
-    (see the module docstring).  The receiver, its ``finalized`` byte,
-    its label, its residency bound and whether it holds the item are read
-    once per run, and the duration is computed once per run, with the
-    reference expression ``item_size / bandwidth + latency`` over the
-    run's first edge; a finalized receiver skips the whole run.  The walk
-    leaves a run early at three exits:
+    A popped machine's edges are walked one physical-link run at a time,
+    over its run table (see the module docstring).  The receiver, its
+    ``finalized`` byte, its label, its residency bound and whether it
+    holds the item are read once per run, and the duration is computed
+    once per run, with the reference expression ``item_size / bandwidth
+    + latency`` over the run's first edge; a finalized receiver skips
+    the whole run, and so does a pruned first edge, before the rest of
+    the run's set-up.  The walk leaves a run early at three exits:
 
     * the first pruned edge — one whose floor ``max(Lst, label) +
       duration`` reaches the receiver's label or passes the horizon
@@ -276,14 +289,11 @@ def compute_tree_compiled(
     pruned = 0
     item_size = state.scenario.item(item_id).size
     bandwidths = state.effective_bandwidths()
-    latencies = compiled.latencies
     links = network.virtual_links
-    offsets = compiled.offsets
+    runs = compiled.runs
     link_ids = compiled.link_ids
-    destinations = compiled.destinations
     window_starts = compiled.window_starts
     window_ends = compiled.window_ends
-    run_ends = compiled.run_ends
     release_row = state.release_row(item_id)
     cutoffs = state.link_cutoffs()
     busy_columns, timeline_columns = state.probe_columns()
@@ -310,21 +320,24 @@ def compute_tree_compiled(
                 break
             horizon = max(pending_targets.values())
         sender_release = release_row[machine]
-        run_start = offsets[machine]
-        row_end = offsets[machine + 1]
-        while run_start < row_end:
-            run_end = run_ends[run_start]
-            receiver = destinations[run_start]
+        for run_start, run_end, receiver, first_link, latency in runs[
+            machine
+        ]:
             if finalized[receiver]:
-                run_start = run_end
                 continue
             receiver_label = (
                 labels_list[receiver] if discovered[receiver] else infinity
             )
-            duration = (
-                item_size / bandwidths[link_ids[run_start]]
-                + latencies[run_start]
-            )
+            duration = item_size / bandwidths[first_link] + latency
+            # The run's first edge has its lowest prune floor: when that
+            # edge is pruned, so is the run, before any per-run set-up.
+            window_start = window_starts[run_start]
+            start_floor = label if label > window_start else window_start
+            finish_floor = start_floor + duration
+            if finish_floor >= receiver_label or finish_floor > horizon:
+                if tracing:
+                    pruned += run_end - run_start
+                continue
             receiver_release = release_row[receiver]
             release_end = (
                 sender_release
@@ -414,7 +427,6 @@ def compute_tree_compiled(
                         order.append(receiver)
                     parents[receiver] = (machine, link_id, start, plan_end)
                     heapq.heappush(heap, (plan_end, receiver))
-            run_start = run_end
 
     # Rebuild the labels dict in the reference insertion order — seeds
     # first, then non-seeds by first discovery.  A targeted search drops
@@ -439,4 +451,6 @@ def compute_tree_compiled(
             "dijkstra",
             item_id, relaxations, pruned, finalized_count, len(seeds)
         )
-    return ShortestPathTree(item_id, seeds, labels, parents, fallbacks)
+    return ShortestPathTree._owning(
+        item_id, seeds, labels, parents, frozenset(fallbacks)
+    )

@@ -98,6 +98,26 @@ class ShortestPathTree:
         self._parents = dict(parents)
         self._fallback_receivers = frozenset(fallback_receivers) or _EMPTY
 
+    @classmethod
+    def _owning(
+        cls,
+        item_id: int,
+        seeds: Dict[int, float],
+        labels: Dict[int, float],
+        parents: Dict[int, Tuple[int, int, float, float]],
+        fallback_receivers: FrozenSet[int],
+    ) -> "ShortestPathTree":
+        """A tree that takes ownership of its arguments, copying nothing:
+        for the kernel and the tree's own transforms, which build them
+        fresh (or share a tree's own, which no tree mutates)."""
+        tree = cls.__new__(cls)
+        tree._item_id = item_id
+        tree._seeds = seeds
+        tree._labels = labels
+        tree._parents = parents
+        tree._fallback_receivers = fallback_receivers or _EMPTY
+        return tree
+
     @property
     def item_id(self) -> int:
         """The data item this tree routes."""
@@ -173,7 +193,7 @@ class ShortestPathTree:
         return Path(item_id=self._item_id, origin=cursor, hops=tuple(hops))
 
     def rebased(
-        self, seeds: Mapping[int, float], targets: Mapping[int, float]
+        self, seeds: Dict[int, float], targets: Mapping[int, float]
     ) -> Optional["ShortestPathTree"]:
         """This tree once the item also sits on some of its machines.
 
@@ -185,7 +205,8 @@ class ShortestPathTree:
         keeps its label and parent.  The result keeps each reachable
         target's path from its last seed (``targets`` are the search's,
         with their deadlines), and reports a seed target past its
-        deadline unreachable, as the search does.
+        deadline unreachable, as the search does.  The result holds
+        ``seeds`` itself, so the caller must not change it afterwards.
         """
         if any(machine not in seeds for machine in self._seeds):
             return None
@@ -199,7 +220,7 @@ class ShortestPathTree:
 
     def carried(
         self,
-        seeds: Mapping[int, float],
+        seeds: Dict[int, float],
         targets: Mapping[int, float],
         now: float,
     ) -> Optional["ShortestPathTree"]:
@@ -216,6 +237,7 @@ class ShortestPathTree:
         pops in the same order as before, so each reachable target keeps
         its label and path; the result is :meth:`projected` at the new
         seeds, provided nothing else changed since this tree's search.
+        Like :meth:`rebased`, the result holds ``seeds`` itself.
         """
         if any(machine not in self._seeds for machine in seeds):
             return None
@@ -240,7 +262,7 @@ class ShortestPathTree:
         return self._keeping(self._seeds, targets)
 
     def _keeping(
-        self, seeds: Mapping[int, float], targets: Mapping[int, float]
+        self, seeds: Dict[int, float], targets: Mapping[int, float]
     ) -> "ShortestPathTree":
         """The tree from ``seeds`` that keeps each reachable target's
         path from its last seed (see :meth:`rebased`)."""
@@ -260,7 +282,7 @@ class ShortestPathTree:
                 if cursor in self._labels:
                     labels[cursor] = self._labels[cursor]
                 cursor = parent[0]
-        return ShortestPathTree(
+        return ShortestPathTree._owning(
             self._item_id, seeds, labels, parents, self._fallback_receivers
         )
 

@@ -448,7 +448,8 @@ def _object_decoder(
             raise _Malformed(f"must be an object, got {_shown(value)}")
         for stamp, expected in stamps:
             found = value.get(stamp)
-            if found != expected:
+            # The exact type too: ``True == 1`` and ``1.0 == 1``.
+            if type(found) is not type(expected) or found != expected:
                 raise _Malformed(
                     f"must be a {kind} document: expected {stamp} "
                     f"{expected!r}, got {found!r}"

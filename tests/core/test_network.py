@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.intervals import Interval
 from repro.core.machine import Machine
-from repro.core.network import (
-    Network,
-    machines_with_uniform_capacity,
-    validate_links_reference_machines,
-)
+from repro.core.network import Network, machines_with_uniform_capacity
 from repro.errors import ModelError
 
 from tests.helpers import line_network, make_link, make_network
@@ -36,8 +32,18 @@ class TestConstruction:
             )
 
     def test_link_to_unknown_machine_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="unknown machine 5"):
             make_network(2, [make_link(0, 0, 5)])
+        with pytest.raises(ModelError, match="unknown machine 2"):
+            make_network(2, [make_link(0, 2, 1)])
+
+    def test_link_to_negative_machine_rejected(self):
+        # Network.__init__ bounds endpoints from above; the virtual link
+        # it derives refuses a negative one.
+        with pytest.raises(ModelError, match="negative endpoint"):
+            make_network(2, [make_link(0, 0, -1)])
+        with pytest.raises(ModelError, match="negative endpoint"):
+            make_network(2, [make_link(0, -1, 1)])
 
     def test_virtual_link_ids_are_dense(self):
         link_a = make_link(
@@ -139,9 +145,3 @@ class TestHelpers:
         machines = machines_with_uniform_capacity(4, 123.0)
         assert len(machines) == 4
         assert all(m.capacity == 123.0 for m in machines)
-
-    def test_validate_links_reference_machines(self):
-        machines = machines_with_uniform_capacity(2, 1.0)
-        validate_links_reference_machines(machines, [make_link(0, 0, 1)])
-        with pytest.raises(ModelError):
-            validate_links_reference_machines(machines, [make_link(0, 0, 9)])

@@ -134,6 +134,34 @@ class TestDeterminism:
         ]
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_groups_evaluations_are_in_request_id_order(self, seed):
+        # Enumeration does not sort a group: requests reach it in id
+        # order, since a scenario's request ids are dense and in order.
+        scenario = ScenarioGenerator(GeneratorConfig.reduced()).generate(seed)
+        state = NetworkState(scenario)
+        shared = 0
+        for priorities, request_filter in (
+            (None, None),
+            (frozenset({0, 2}), None),
+            (None, lambda request: request.request_id % 3 != 1),
+        ):
+            for item_id in scenario.requested_item_ids():
+                tree = compute_shortest_path_tree(state, item_id)
+                for group in enumerate_groups(
+                    state,
+                    item_id,
+                    tree,
+                    scenario.weighting,
+                    priorities,
+                    request_filter,
+                ):
+                    ids = [e.request.request_id for e in group.evaluations]
+                    assert ids == sorted(ids)
+                    shared += len(ids) > 1
+        assert shared
+
+
 class TestFirstHopWalk:
     """Groups read their first hop off the tree's parent tuples; each must
     be the first hop of the destination's ``path_to`` path, and the walk

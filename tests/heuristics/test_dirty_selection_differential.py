@@ -41,7 +41,7 @@ candidate.
 """
 
 import json
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Iterator, List, Tuple
 from unittest import mock
 
@@ -55,11 +55,7 @@ from repro.dynamic.driver import DynamicDriver
 from repro.experiments.runner import record_result
 from repro.faults.context import use_faults
 from repro.faults.plan import FaultPlan
-from repro.heuristics.base import (
-    StagingHeuristic,
-    TreeCache,
-    deadline_targets,
-)
+from repro.heuristics.base import TreeCache, deadline_targets
 from repro.heuristics.candidates import enumerate_groups
 from repro.heuristics.registry import make_heuristic, paper_pairings
 from repro.heuristics.rollout import RolloutScheduler
@@ -77,6 +73,7 @@ from repro.workload.generator import ScenarioGenerator
 from tests.helpers import dynamic_fault_events, neutral_fields
 from tests.heuristics.reference_advance import use_reference_advance
 from tests.heuristics.reference_selection import (
+    CHOOSERS,
     assert_skips_only_searches,
     rescore_shortlist,
     use_reference_selection,
@@ -232,8 +229,11 @@ def checking_kept_payloads(checked: List[int]) -> Iterator[None]:
     request: the entry must read ``clean`` or ``revalidated`` (no
     search), and its tree must score to the kept payload.  An item kept
     without a candidate must have none in a fresh search either.  Each
-    checked item id is appended to ``checked``."""
-    live_payloads = StagingHeuristic._live_payloads
+    checked item id is appended to ``checked``.
+
+    Each chooser's ``_best_choice`` is wrapped: it scores the items it
+    walks and compares their payloads in one pass, so only its return
+    marks the end of a selection."""
     entry_for = TreeCache.entry_for
     requested: List[int] = []
 
@@ -241,15 +241,23 @@ def checking_kept_payloads(checked: List[int]) -> Iterator[None]:
         requested.append(item_id)
         return entry_for(self, item_id)
 
-    def checked_live_payloads(
-        self, state, cache, shortlist, priorities, request_filter
-    ):
-        requested.clear()
-        live = live_payloads(
-            self, state, cache, shortlist, priorities, request_filter
-        )
-        if not cache.enabled:
-            return live
+    def checking(best_choice):
+        def checked_best_choice(
+            self, state, cache, shortlist, priorities=None, request_filter=None
+        ):
+            requested.clear()
+            choice = best_choice(
+                self, state, cache, shortlist, priorities, request_filter
+            )
+            if cache.enabled:
+                check(
+                    self, state, cache, shortlist, priorities, request_filter
+                )
+            return choice
+
+        return checked_best_choice
+
+    def check(self, state, cache, shortlist, priorities, request_filter):
         tracer = RecordingTracer()
         with mock.patch.object(state, "_tracer", tracer):
             for item_id in shortlist.items:
@@ -295,11 +303,17 @@ def checking_kept_payloads(checked: List[int]) -> Iterator[None]:
                 )
                 assert fresh == shortlist.payloads[item_id]
                 checked.append(item_id)
-        return live
 
-    with mock.patch.object(TreeCache, "entry_for", spy), mock.patch.object(
-        StagingHeuristic, "_live_payloads", checked_live_payloads
-    ):
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(TreeCache, "entry_for", spy))
+        for owner in CHOOSERS:
+            stack.enter_context(
+                mock.patch.object(
+                    owner,
+                    "_best_choice",
+                    checking(owner.__dict__["_best_choice"]),
+                )
+            )
         yield
 
 

@@ -17,15 +17,18 @@ reopens a request of its own.
 """
 
 import random
+from collections import Counter
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import units
-from repro.core.state import NetworkState, TransferPlan
+from repro.core.state import MUTATION_BOOKING, NetworkState, TransferPlan
 from repro.heuristics.base import EngineStats, TreeCache
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.observability.tracer import (
+    TREE_CACHE_CAPACITY_RELEASED,
     TREE_CACHE_CUTOFF_TIGHTENED,
     TREE_CACHE_LINK_CONFLICT,
     TREE_CACHE_RESIDENCY_CONFLICT,
@@ -239,4 +242,45 @@ def test_seeded_sequences_reach_every_replay_verdict():
         TREE_CACHE_LINK_CONFLICT,
         TREE_CACHE_CUTOFF_TIGHTENED,
         TREE_CACHE_RESIDENCY_CONFLICT,
+    } <= reached
+
+
+def test_seeded_sequences_take_both_replay_paths():
+    """A booking's replay visits only the entries planned over its link
+    when the receiver's free storage over the booking's reservation
+    covers the scenario's largest item, and scans every entry planned
+    into the receiver otherwise.  On the tight-storage draws both paths
+    run, with entries to visit, while the differential above holds and
+    every conflict verdict is still reached."""
+    paths = Counter()
+    replay = TreeCache._replay
+
+    def classified(cache):
+        state = cache._state
+        records = state.journal_since(cache._replay_position)
+        replay(cache)
+        network = state.scenario.network
+        for record in records:
+            if record.kind != MUTATION_BOOKING:
+                continue
+            receiver = network.link(record.link_id).destination
+            slots = cache._receiver_index[receiver]
+            headroom = state.machine_timeline(receiver).min_free_span(
+                record.residency.start, record.residency.end
+            )
+            if headroom >= cache._largest:
+                paths["link"] += bool(slots.get(record.link_id))
+            else:
+                paths["scan"] += any(slots.values())
+
+    reached = set()
+    with mock.patch.object(TreeCache, "_replay", classified):
+        for seed in range(12):
+            reached.update(_run(seed, _seeded_operations(seed, 120)))
+    assert paths["link"] > 0 and paths["scan"] > 0, paths
+    assert {
+        TREE_CACHE_LINK_CONFLICT,
+        TREE_CACHE_CUTOFF_TIGHTENED,
+        TREE_CACHE_RESIDENCY_CONFLICT,
+        TREE_CACHE_CAPACITY_RELEASED,
     } <= reached

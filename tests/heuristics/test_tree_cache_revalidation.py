@@ -392,17 +392,31 @@ class TestTransferProbes:
 
 def _assert_index_exact(cache, release=False):
     """Each non-empty slot of the receiver index holds exactly the live
-    entries whose trees plan a hop into its machine, and each such entry
-    is in the slot: a stale slot would only waste replay time, so no
-    differential of decisions can catch it.  With ``release``, the same
-    for the release index and the trees' fallback receivers."""
+    entries whose trees plan a hop into its machine over its link, and
+    each such entry is in the slot: a stale slot would only waste replay
+    time, so no differential of decisions can catch it.  With
+    ``release``, the same for the release index (by machine alone) and
+    the trees' fallback receivers."""
     expected = {}
     for item_id, entry in cache._trees.items():
         tree = entry.tree
-        machines = tree.fallback_receivers if release else tree.planned_hops
-        for receiver in machines:
-            expected.setdefault(receiver, {})[item_id] = entry
-    index = cache._release_index if release else cache._receiver_index
+        if release:
+            slots = tree.fallback_receivers
+        else:
+            slots = [
+                (receiver, hop[1])
+                for receiver, hop in tree.planned_hops.items()
+            ]
+        for slot in slots:
+            expected.setdefault(slot, {})[item_id] = entry
+    if release:
+        index = cache._release_index
+    else:
+        index = {
+            (receiver, link_id): by_item
+            for receiver, by_link in enumerate(cache._receiver_index)
+            for link_id, by_item in by_link.items()
+        }
     actual = {receiver: slot for receiver, slot in index.items() if slot}
     assert actual.keys() == expected.keys()
     for receiver, slot in actual.items():

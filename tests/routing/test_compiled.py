@@ -1,4 +1,4 @@
-"""Unit tests for the array-compiled routing kernel.
+"""Unit tests for the compiled routing kernel.
 
 The differential suite (``tests/experiments/test_compiled_differential``)
 pins whole-schedule equivalence; these tests pin the compiled artifacts
@@ -71,11 +71,19 @@ class TestCompileNetwork:
             assert hi - lo == len(reference)
             for slot, link in enumerate(reference):
                 edge = lo + slot
-                assert compiled.link_ids[edge] == link.link_id
-                assert compiled.destinations[edge] == link.destination
-                assert compiled.window_starts[edge] == link.start
-                assert compiled.window_ends[edge] == link.end
-                assert compiled.latencies[edge] == link.latency
+                # The link's own objects, not copies of their values.
+                assert compiled.link_ids[edge] is link.link_id
+                assert compiled.window_starts[edge] is link.start
+                assert compiled.window_ends[edge] is link.end
+            # Each run's receiver and latency are its links'.
+            for start, end, receiver, first_link, latency in compiled.runs[
+                machine
+            ]:
+                assert first_link == compiled.link_ids[start]
+                for link_id in compiled.link_ids[start:end]:
+                    link = network.virtual_links[link_id]
+                    assert link.destination == receiver
+                    assert link.latency == latency
 
     def test_run_ends_group_each_physical_links_windows(self):
         network = _windowed_network()
@@ -83,7 +91,11 @@ class TestCompileNetwork:
         # Machine 0: physical 0 (one window, edge 0) and physical 1 (two
         # windows, edges 1-2) join the same pair but form two runs; the
         # one-window links of machines 1 and 2 are runs of one.
-        assert list(compiled.run_ends) == [1, 3, 3, 4, 5]
+        assert compiled.runs == [
+            ((0, 1, 1, 0, 0.5), (1, 3, 1, 1, 0.0)),
+            ((3, 4, 2, 3, 0.0),),
+            ((4, 5, 0, 4, 0.0),),
+        ]
         physical = [
             network.virtual_links[link_id].physical_id
             for link_id in compiled.link_ids
@@ -97,10 +109,9 @@ class TestCompileNetwork:
             runs = {}
             for machine in range(network.machine_count):
                 edge = compiled.offsets[machine]
-                while edge < compiled.offsets[machine + 1]:
-                    run_end = compiled.run_ends[edge]
+                for start, run_end, _, _, _ in compiled.runs[machine]:
+                    assert start == edge
                     assert edge < run_end <= compiled.offsets[machine + 1]
-                    assert set(compiled.run_ends[edge:run_end]) == {run_end}
                     links = [
                         network.virtual_links[link_id]
                         for link_id in compiled.link_ids[edge:run_end]
@@ -109,6 +120,7 @@ class TestCompileNetwork:
                     assert physical_id not in runs
                     runs[physical_id] = [link.start for link in links]
                     edge = run_end
+                assert edge == compiled.offsets[machine + 1]
             # Every run holds all of its facility's windows, in order.
             assert runs == {
                 plink.physical_id: [window.start for window in plink.windows]

@@ -424,6 +424,19 @@ for _cls, _missing in (
             f"{_cls.KIND} is missing field '{_missing}'",
         ),
         (_cls, "wrong-kind", _set("kind", "timeline"), "got 'timeline'"),
+        # ``True == 1`` and ``1.0 == 1``: a stamp must have the exact type.
+        (
+            _cls,
+            "bool-format-version",
+            _set("format_version", True),
+            "expected format_version 1, got True",
+        ),
+        (
+            _cls,
+            "float-format-version",
+            _set("format_version", 1.0),
+            "expected format_version 1, got 1.0",
+        ),
     ]
 
 

@@ -31,7 +31,7 @@ from repro.cli import main
 from repro.core.intervals import Interval
 from repro.core.scenario import Scenario
 from repro.core.schedule import Schedule
-from repro.errors import DataStagingError
+from repro.errors import DataStagingError, ModelError
 from repro.faults.plan import (
     BandwidthDegradation,
     CancellationFault,
@@ -268,6 +268,19 @@ def test_nan_is_refused_anywhere_in_an_input_document(kind):
         _mutate(root, slot, math.nan)
         with pytest.raises(DataStagingError):
             document_from_dict(CLASSES[kind], root[0])
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_a_stamp_of_another_type_is_refused(kind, value):
+    # ``True == 1`` and ``1.0 == 1``, so only the type tells them apart.
+    stamps = [key for key in VALID[kind] if key.endswith("_version")]
+    assert "format_version" in stamps
+    for stamp in stamps:
+        with pytest.raises(ModelError, match=f"expected {stamp} "):
+            document_from_dict(
+                CLASSES[kind], _with(VALID[kind], (stamp,), value)
+            )
 
 
 # -- the subcommands that read files ----------------------------------------

@@ -165,15 +165,20 @@ class IntervalSet:
         Raises:
             ValueError: if the interval overlaps an existing member.
         """
-        if interval.is_empty():
-            return
         if not self.is_free(interval):
             raise ValueError(
                 f"{interval!r} overlaps an existing interval in {self!r}"
             )
-        idx = bisect.bisect_left(self._starts, interval.start)
-        self._starts.insert(idx, interval.start)
-        self._ends.insert(idx, interval.end)
+        self.insert_free(interval.start, interval.end)
+
+    def insert_free(self, start: float, end: float) -> None:
+        """Float-core of :meth:`add` for a span the caller has already
+        found free (:meth:`span_is_free`); it is not checked again.  An
+        empty span is not inserted."""
+        if end > start:
+            idx = bisect.bisect_left(self._starts, start)
+            self._starts.insert(idx, start)
+            self._ends.insert(idx, end)
 
     def remove(self, interval: Interval) -> None:
         """Remove an exact member interval.

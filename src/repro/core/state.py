@@ -26,8 +26,7 @@ resulting deliveries — to the state's :class:`~repro.core.schedule.Schedule`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.link import VirtualLink
@@ -55,8 +54,7 @@ from repro.faults.context import current_faults
 from repro.faults.plan import FaultPlan
 
 
-@dataclass(frozen=True)
-class CopyRecord:
+class CopyRecord(NamedTuple):
     """One copy of a data item residing on a machine.
 
     Attributes:
@@ -91,8 +89,7 @@ MUTATION_CUTOFF = "cutoff"
 MUTATION_LOSS = "loss"
 
 
-@dataclass(frozen=True)
-class MutationRecord:
+class MutationRecord(NamedTuple):
     """One journalled state mutation, for lazy cache revalidation.
 
     Bookings (link busy time plus a storage reservation at the receiver)
@@ -126,8 +123,7 @@ class MutationRecord:
     item_id: int = -1
 
 
-@dataclass(frozen=True)
-class TransferPlan:
+class TransferPlan(NamedTuple):
     """A feasible (but not yet booked) transfer found by :meth:`earliest_transfer`.
 
     Attributes:
@@ -145,8 +141,7 @@ class TransferPlan:
     release: float
 
 
-@dataclass(frozen=True)
-class BookingResult:
+class BookingResult(NamedTuple):
     """Outcome of a booked transfer.
 
     Attributes:
@@ -212,10 +207,7 @@ class NetworkState:
         for item in scenario.items:
             for src in item.sources:
                 self._copies[item.item_id][src.machine] = CopyRecord(
-                    machine=src.machine,
-                    available_from=src.available_from,
-                    release=scenario.horizon,
-                    hops=0,
+                    src.machine, src.available_from, scenario.horizon, 0
                 )
         self._satisfied: Dict[int, float] = {}
         self._open_requests: List[int] = [
@@ -631,11 +623,7 @@ class NetworkState:
                 )
             if timeline.can_reserve_span(item_size, start, release):
                 return TransferPlan(
-                    item_id=item_id,
-                    link=link,
-                    start=start,
-                    end=start + duration,
-                    release=release,
+                    item_id, link, start, start + duration, release
                 )
             next_start = timeline.next_sufficient_start(
                 item_size, start, release
@@ -714,14 +702,16 @@ class NetworkState:
                 f"released at {sender_copy.release}",
             )
         busy_interval = Interval(plan.start, plan.end)
-        if not self._busy.get(link.link_id, _IDLE).is_free(busy_interval):
+        busy = self._busy.get(link.link_id, _IDLE)
+        if not busy.is_free(busy_interval):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
                 REASON_LINK_BUSY,
                 f"link {link.link_id} is busy during {busy_interval!r}",
             )
-        if not link.window.contains_interval(busy_interval):
+        # link.window.contains_interval(busy_interval), building no window.
+        if not (link.start <= plan.start and plan.end <= link.end):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
@@ -740,7 +730,7 @@ class NetworkState:
             )
         residency = Interval(plan.start, plan.release)
         timeline = self._timelines[link.destination]
-        if not timeline.can_reserve(item.size, residency):
+        if not timeline.can_reserve_span(item.size, plan.start, plan.release):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
@@ -748,9 +738,11 @@ class NetworkState:
                 f"machine {link.destination} lacks {item.size} bytes over "
                 f"{residency!r}",
             )
-        # All checks passed; mutate.
-        self._busy_set(link.link_id).add(busy_interval)
-        timeline.reserve(item.size, residency)
+        # All checks passed; mutate, without checking again.
+        if busy is _IDLE:
+            busy = self._busy_set(link.link_id)
+        busy.insert_free(plan.start, plan.end)
+        timeline.subtract_free(item.size, plan.start, plan.release)
         if self._tracer.enabled:
             self._tracer.emit(
                 "storage_reserved",
@@ -761,21 +753,14 @@ class NetworkState:
                 plan.release,
             )
         copy = CopyRecord(
-            machine=link.destination,
-            available_from=plan.end,
-            release=plan.release,
-            hops=sender_copy.hops + 1,
+            link.destination, plan.end, plan.release, sender_copy.hops + 1
         )
         self._copies[plan.item_id][link.destination] = copy
         self._item_revision[plan.item_id] += 1
         self._journal.append(
             MutationRecord(
-                kind=MUTATION_BOOKING,
-                link_id=link.link_id,
-                busy=busy_interval,
-                machine=link.destination,
-                residency=residency,
-                item_id=plan.item_id,
+                MUTATION_BOOKING, link.link_id, busy_interval,
+                link.destination, residency, float("inf"), plan.item_id,
             )
         )
         step_id = self._schedule.add_step(
@@ -793,17 +778,13 @@ class NetworkState:
                 link.link_id,
                 plan.start,
                 plan.end,
-                link.window.end - link.window.start,
+                link.end - link.start,
             )
         # Deliveries are recorded (and their satisfaction events emitted)
         # after the booking event: the transfer that causes a
         # satisfaction precedes it in every trace.
         satisfied = self._record_deliveries(plan.item_id, copy)
-        return BookingResult(
-            step_id=step_id,
-            copy=copy,
-            satisfied_request_ids=satisfied,
-        )
+        return BookingResult(step_id, copy, satisfied)
 
     # -- dynamic-simulation surgery ---------------------------------------------
 

@@ -148,10 +148,18 @@ class CapacityTimeline:
                 f"cannot reserve {amount} bytes over {interval!r}: "
                 f"minimum free is {self.min_free(interval)}"
             )
-        self._ensure_breakpoint(interval.start)
-        self._ensure_breakpoint(interval.end)
-        lo = bisect.bisect_left(self._times, interval.start)
-        hi = bisect.bisect_left(self._times, interval.end)
+        self.subtract_free(amount, interval.start, interval.end)
+
+    def subtract_free(self, amount: float, start: float, end: float) -> None:
+        """Float-core of :meth:`reserve` for a span the caller has already
+        found free enough (:meth:`can_reserve_span`); it is not checked
+        again.  A zero amount or an empty span changes nothing."""
+        if size_is_zero(amount) or end <= start:
+            return
+        self._ensure_breakpoint(start)
+        self._ensure_breakpoint(end)
+        lo = bisect.bisect_left(self._times, start)
+        hi = bisect.bisect_left(self._times, end)
         for idx in range(lo, hi):
             self._values[idx] -= amount
 
@@ -175,8 +183,10 @@ class CapacityTimeline:
         self._ensure_breakpoint(interval.end)
         lo = bisect.bisect_left(self._times, interval.start)
         hi = bisect.bisect_left(self._times, interval.end)
+        # Reserving then releasing can round past capacity by its ulp.
+        limit = self._capacity * (1.0 + 1e-12) + 1e-6
         for idx in range(lo, hi):
-            if self._values[idx] + amount > self._capacity + 1e-6:
+            if self._values[idx] + amount > limit:
                 raise ValueError(
                     "release exceeds total capacity: unmatched release of "
                     f"{amount} bytes over {interval!r}"

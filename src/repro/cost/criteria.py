@@ -24,16 +24,18 @@ Unsatisfiable destinations contribute zero to every sum (their ``Efp`` and
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, NamedTuple, Optional, Tuple, Type
 
-from repro.cost.terms import DestinationEvaluation, most_urgent_satisfiable
+from repro.cost.terms import (
+    DestinationEvaluation,
+    most_urgent_satisfiable,
+    sums_and_most_urgent,
+)
 from repro.cost.weights import EUWeights
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class CostResult:
+class CostResult(NamedTuple):
     """A criterion's verdict on one candidate communication step.
 
     Attributes:
@@ -45,6 +47,10 @@ class CostResult:
 
     cost: float
     selected: Optional[DestinationEvaluation]
+
+
+#: The verdict on a candidate without a satisfiable destination.
+_UNSELECTED = CostResult(float("inf"), None)
 
 
 class CostCriterion(abc.ABC):
@@ -107,8 +113,8 @@ class Cost1(CostCriterion):
                 best_cost = cost
                 best = evaluation
         if best is None:
-            return CostResult(cost=float("inf"), selected=None)
-        return CostResult(cost=best_cost, selected=best)
+            return _UNSELECTED
+        return CostResult(best_cost, best)
 
 
 class Cost2(CostCriterion):
@@ -122,15 +128,14 @@ class Cost2(CostCriterion):
         weights: EUWeights,
     ) -> CostResult:
         """``-W_E·ΣEfp − W_U·(most urgent satisfiable urgency)``."""
-        most_urgent = most_urgent_satisfiable(evaluations)
+        efp_sum, __, most_urgent = sums_and_most_urgent(evaluations)
         if most_urgent is None:
-            return CostResult(cost=float("inf"), selected=None)
-        efp_sum = sum(e.effective_priority for e in evaluations)
+            return _UNSELECTED
         cost = (
             -weights.effective * efp_sum
             - weights.urgency * most_urgent.urgency
         )
-        return CostResult(cost=cost, selected=most_urgent)
+        return CostResult(cost, most_urgent)
 
 
 class Cost3(CostCriterion):
@@ -152,7 +157,7 @@ class Cost3(CostCriterion):
         """``Σ Efp/Urgency`` over satisfiable destinations (weights-free)."""
         most_urgent = most_urgent_satisfiable(evaluations)
         if most_urgent is None:
-            return CostResult(cost=float("inf"), selected=None)
+            return _UNSELECTED
         cost = sum(
             e.effective_priority / e.guarded_urgency
             for e in evaluations
@@ -172,15 +177,15 @@ class Cost4(CostCriterion):
         weights: EUWeights,
     ) -> CostResult:
         """``-W_E·ΣEfp − W_U·ΣUrgency`` over the whole group."""
-        most_urgent = most_urgent_satisfiable(evaluations)
+        efp_sum, urgency_sum, most_urgent = sums_and_most_urgent(
+            evaluations
+        )
         if most_urgent is None:
-            return CostResult(cost=float("inf"), selected=None)
-        efp_sum = sum(e.effective_priority for e in evaluations)
-        urgency_sum = sum(e.urgency for e in evaluations)
+            return _UNSELECTED
         cost = (
             -weights.effective * efp_sum - weights.urgency * urgency_sum
         )
-        return CostResult(cost=cost, selected=most_urgent)
+        return CostResult(cost, most_urgent)
 
 
 _CRITERIA: Dict[str, Type[CostCriterion]] = {

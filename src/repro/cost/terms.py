@@ -12,12 +12,10 @@ request for that item is evaluated against its predicted arrival ``A_T``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
-from repro.core.schedule import reduce_by_fields
 from repro.routing.paths import ShortestPathTree
 
 #: Guard against division by zero in ``Cost3`` when slack is exactly zero;
@@ -25,8 +23,7 @@ from repro.routing.paths import ShortestPathTree
 URGENCY_EPSILON = 1e-3
 
 
-@dataclass(frozen=True)
-class DestinationEvaluation:
+class DestinationEvaluation(NamedTuple):
     """The §4.8 terms for one request given the current tree.
 
     Attributes:
@@ -37,12 +34,6 @@ class DestinationEvaluation:
         effective_priority: ``Efp`` — 0 when unsatisfiable.
         urgency: the (non-positive) urgency term — 0 when unsatisfiable.
     """
-
-    # Slotted: the tree caches' prefix memo holds the groups of a run.
-    __slots__ = (
-        "request", "arrival", "satisfiable", "effective_priority", "urgency"
-    )
-    __reduce__ = reduce_by_fields
 
     request: Request
     arrival: float
@@ -84,11 +75,7 @@ def evaluate_destination(
         effective_priority = 0.0
         urgency = 0.0
     return DestinationEvaluation(
-        request=request,
-        arrival=arrival,
-        satisfiable=satisfiable,
-        effective_priority=effective_priority,
-        urgency=urgency,
+        request, arrival, satisfiable, effective_priority, urgency
     )
 
 
@@ -100,11 +87,22 @@ def most_urgent_satisfiable(
     Ties break on request id for determinism.  Returns ``None`` when no
     evaluation is satisfiable.
     """
+    return sums_and_most_urgent(evaluations)[2]
+
+
+def sums_and_most_urgent(
+    evaluations: Tuple[DestinationEvaluation, ...]
+) -> Tuple[float, float, Optional[DestinationEvaluation]]:
+    """``ΣEfp``, ``ΣUrgency`` and :func:`most_urgent_satisfiable`, in one
+    pass: each sum adds up in evaluation order from the integer 0, as
+    ``sum`` does."""
+    efp_sum: float = 0
+    urgency_sum: float = 0
     best: Optional[DestinationEvaluation] = None
     for evaluation in evaluations:
-        if not evaluation.satisfiable:
-            continue
-        if (
+        efp_sum += evaluation.effective_priority
+        urgency_sum += evaluation.urgency
+        if evaluation.satisfiable and (
             best is None
             or evaluation.urgency > best.urgency
             or (
@@ -113,4 +111,4 @@ def most_urgent_satisfiable(
             )
         ):
             best = evaluation
-    return best
+    return efp_sum, urgency_sum, best

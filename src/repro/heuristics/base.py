@@ -223,12 +223,18 @@ class CacheEntry:
             found, else ``""``.
     """
 
+    # Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = (
+        "tree", "item_revision", "journal_position", "not_before",
+        "degradation_epoch", "conflict",
+    )
+
     tree: ShortestPathTree
     item_revision: int
     journal_position: int
     not_before: float
-    degradation_epoch: int = 0
-    conflict: str = ""
+    degradation_epoch: int
+    conflict: str
 
 
 class MemoNode:
@@ -465,11 +471,11 @@ class TreeCache:
         The search targets the item's unsatisfied destinations, each
         bounded by its deadline (:func:`deadline_targets`): it
         stops once no pending target can still meet its deadline, and a
-        target that misses it is reported unreachable.  The entry keeps
-        the tree projected onto those targets: labels for other machines
-        are never consulted (candidate enumeration and booking only walk
-        destination paths), and a missed destination has ``Sat = 0``, so
-        it contributes nothing to any decision.
+        target that misses it is reported unreachable.  The search
+        answers its tree projected onto those targets: labels for other
+        machines are never consulted (candidate enumeration and booking
+        only walk destination paths), and a missed destination has
+        ``Sat = 0``, so it contributes nothing to any decision.
 
         An entry planned at an earlier "now" that the replay left without
         a conflict is carried: re-seeded at this cache's "now"
@@ -522,10 +528,10 @@ class TreeCache:
         key = (item_id, self._not_before)
         tree = node.trees.get(key) if node is not None else None
         if tree is None:
-            targets = deadline_targets(state, item_id)
             tree = compute_shortest_path_tree(
-                state, item_id, targets, not_before=self._not_before
-            ).projected(targets)
+                state, item_id, deadline_targets(state, item_id),
+                self._not_before,
+            )
             if node is not None:
                 node.trees[key] = tree
         entry = self._snapshot(tree)
@@ -776,11 +782,8 @@ class TreeCache:
         at the replay position and this cache's "now"."""
         state = self._state
         return CacheEntry(
-            tree=tree,
-            item_revision=state.item_revision(tree.item_id),
-            journal_position=self._replay_position,
-            not_before=self._not_before,
-            degradation_epoch=state.degradation_epoch,
+            tree, state.item_revision(tree.item_id), self._replay_position,
+            self._not_before, state.degradation_epoch, "",
         )
 
 
@@ -1063,11 +1066,11 @@ class StagingHeuristic(abc.ABC):
         """Book one tree hop exactly at its planned times."""
         link = state.scenario.network.link(hop.link_id)
         plan = TransferPlan(
-            item_id=item_id,
-            link=link,
-            start=hop.start,
-            end=hop.end,
-            release=state.release_time_at(item_id, hop.receiver),
+            item_id,
+            link,
+            hop.start,
+            hop.end,
+            state.release_time_at(item_id, hop.receiver),
         )
         state.book_transfer(plan)
 

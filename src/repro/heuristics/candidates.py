@@ -16,7 +16,6 @@ that pass a drain's filters (:func:`visible_requests`) contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -24,13 +23,14 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
+    Set,
     Tuple,
 )
 
 from repro.core.priority import PriorityWeighting
 from repro.core.request import Request
-from repro.core.schedule import reduce_by_fields
 from repro.core.state import NetworkState
 from repro.cost.terms import DestinationEvaluation, evaluate_destination
 from repro.errors import SchedulingError
@@ -41,8 +41,7 @@ Priorities = Optional[FrozenSet[int]]
 RequestFilter = Optional[Callable[..., bool]]
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateGroup:
+class CandidateGroup(NamedTuple):
     """One valid next communication step and the destinations it serves.
 
     Attributes:
@@ -56,30 +55,24 @@ class CandidateGroup:
             equality and hashing read the other fields).
     """
 
-    # Slotted: the tree caches' prefix memo holds the groups of a run.
-    __slots__ = (
-        "item_id", "next_machine", "first_hop", "evaluations", "tree"
-    )
-    __reduce__ = reduce_by_fields
-
     item_id: int
     next_machine: int
     first_hop: Hop
     evaluations: Tuple[DestinationEvaluation, ...]
     tree: ShortestPathTree
 
-    def _key(self) -> Tuple[object, ...]:
-        return (
-            self.item_id, self.next_machine, self.first_hop, self.evaluations
-        )
-
+    # Identity is every field but the tree, the last one.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CandidateGroup):
             return NotImplemented
-        return self._key() == other._key()
+        return self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self[:4])
 
     @property
     def has_satisfiable_destination(self) -> bool:
@@ -147,6 +140,8 @@ def enumerate_groups(
     seeds = tree.seed_machines()
     grouped: Dict[int, List[DestinationEvaluation]] = {}
     first_hops: Dict[int, Hop] = {}
+    # The next machines with a satisfiable destination, noted as grouped.
+    satisfiable: Set[int] = set()
     # In request-id order (a scenario's ids are dense and in order), so
     # each group's evaluations are too.
     requests: Iterable[Request] = (
@@ -174,17 +169,15 @@ def enumerate_groups(
             first_hops[receiver] = Hop(sender, receiver, link_id, start, end)
         evaluation = evaluate_destination(request, tree, weighting)
         grouped.setdefault(receiver, []).append(evaluation)
-    groups = []
-    for next_machine in sorted(grouped):
-        evaluations = grouped[next_machine]
-        if any(evaluation.satisfiable for evaluation in evaluations):
-            groups.append(
-                CandidateGroup(
-                    item_id=item_id,
-                    next_machine=next_machine,
-                    first_hop=first_hops[next_machine],
-                    evaluations=tuple(evaluations),
-                    tree=tree,
-                )
-            )
-    return tuple(groups)
+        if evaluation.satisfiable:
+            satisfiable.add(receiver)
+    return tuple(
+        CandidateGroup(
+            item_id,
+            next_machine,
+            first_hops[next_machine],
+            tuple(grouped[next_machine]),
+            tree,
+        )
+        for next_machine in sorted(satisfiable)
+    )

@@ -6,15 +6,15 @@ This is the only search behind
 Python-object by Python-object on every edge relaxation; this module
 compiles the scenario once into flat columns so the hot loop is a pure
 index-and-float affair.  :class:`CompiledScenario` is the virtual-link
-multigraph flattened into CSR adjacency: a per-machine offset list plus
-parallel per-edge columns (``link_id``, window start / end) in exactly
-the order :meth:`~repro.core.network.Network.outgoing` yields edges, so
-the compiled search relaxes edges — and therefore probes, books, and
-tie-breaks — in the reference order.  The columns are plain lists that
-hold the links' own ``int`` and ``float`` objects: an ``array`` would
-store each number again, and ``list(array)`` would box every entry into
-a second object.  Beside them, a per-machine run table holds one tuple
-per physical-link run (below).
+multigraph flattened into CSR adjacency: parallel per-edge columns
+(``link_id``, window start / end), each machine's edges one slice, in
+exactly the order :meth:`~repro.core.network.Network.outgoing` yields
+edges, so the compiled search relaxes edges — and therefore probes,
+books, and tie-breaks — in the reference order.  The columns are plain
+lists that hold the links' own ``int`` and ``float`` objects: an
+``array`` would store each number again, and ``list(array)`` would box
+every entry into a second object.  Beside them, a per-machine run table
+holds one tuple per physical-link run (below).
 
 :func:`compile_network` is a pure function of the network, which
 ``tests/test_purity.py`` pins by calling it under a guard; the memo layer
@@ -84,8 +84,8 @@ Run = Tuple[int, int, int, int, float]
 class CompiledScenario:
     """CSR-flattened virtual-link adjacency of one :class:`Network`.
 
-    Edge ``e`` of machine ``m`` lives at index ``offsets[m] + e`` of each
-    parallel column; ``offsets[m + 1]`` bounds the slice.  The edge order
+    A machine's edges are one contiguous slice of each parallel column,
+    split into the physical-link runs of its run table.  The edge order
     within a machine equals :meth:`Network.outgoing` order (``link_id``
     ascending), which the reference search iterates — identical order is
     what makes the compiled search tie-break identically.  It also keeps
@@ -96,8 +96,7 @@ class CompiledScenario:
     and column, and no number of its own.
 
     Attributes:
-        machine_count: number of machines (``len(offsets) - 1``).
-        offsets: CSR row offsets, one per machine plus a terminator.
+        machine_count: number of machines.
         link_ids: virtual-link id per edge.
         window_starts: window start (``Lst``) per edge.
         window_ends: window end (``Let``) per edge.
@@ -111,7 +110,6 @@ class CompiledScenario:
 
     __slots__ = (
         "machine_count",
-        "offsets",
         "link_ids",
         "window_starts",
         "window_ends",
@@ -121,23 +119,16 @@ class CompiledScenario:
     def __init__(
         self,
         machine_count: int,
-        offsets: List[int],
         link_ids: List[int],
         window_starts: List[float],
         window_ends: List[float],
         runs: List[Tuple[Run, ...]],
     ) -> None:
         self.machine_count = machine_count
-        self.offsets = offsets
         self.link_ids = link_ids
         self.window_starts = window_starts
         self.window_ends = window_ends
         self.runs = runs
-
-    @property
-    def edge_count(self) -> int:
-        """Total number of compiled edges (= virtual links)."""
-        return len(self.link_ids)
 
 
 def compile_network(network: Network) -> CompiledScenario:
@@ -146,7 +137,6 @@ def compile_network(network: Network) -> CompiledScenario:
     A pure function of the (immutable) network — called once per network
     by :func:`compiled_for` and memoized there.
     """
-    offsets = [0]
     link_ids: List[int] = []
     window_starts: List[float] = []
     window_ends: List[float] = []
@@ -172,10 +162,8 @@ def compile_network(network: Network) -> CompiledScenario:
                 window_starts.append(link.start)
                 window_ends.append(link.end)
         runs.append(tuple(row))
-        offsets.append(len(link_ids))
     return CompiledScenario(
         machine_count=network.machine_count,
-        offsets=offsets,
         link_ids=link_ids,
         window_starts=window_starts,
         window_ends=window_ends,
@@ -249,9 +237,13 @@ def compute_tree_compiled(
     not yet finalized: the search stops at the first popped label past
     it, or once every target is finalized.  No skipped relaxation could
     produce a label at or below the horizon, so every finalized label
-    and its parent equal the unbounded search's.  Unfinalized machines,
-    and targets finalized past their own deadline, are reported
-    unreachable; a missed target keeps its parent, so paths through it
+    and its parent equal the unbounded search's.  A targeted search
+    returns its tree already projected onto ``targets``
+    (:meth:`~repro.routing.paths.ShortestPathTree.projected`), walking
+    the target paths straight from the label arrays: the seeds, each
+    target that meets its deadline and the machines on the paths to
+    those.  A target finalized past its own deadline reads unreachable;
+    when it lies on a kept path it keeps its parent, so paths through it
     still resolve.  ``targets=None`` searches the whole graph.
     """
     network = state.scenario.network
@@ -428,29 +420,36 @@ def compute_tree_compiled(
                     parents[receiver] = (machine, link_id, start, plan_end)
                     heapq.heappush(heap, (plan_end, receiver))
 
-    # Rebuild the labels dict in the reference insertion order — seeds
-    # first, then non-seeds by first discovery.  A targeted search drops
-    # unfinalized machines (their values may not be exact) and targets
-    # that miss their deadline; a missed target keeps its parent, so the
-    # paths through it still resolve.
-    labels: Dict[int, float] = {}
-    for machine in chain(seeds, order):
-        if targets is None or (
-            finalized[machine]
-            and not labels_list[machine] > targets.get(machine, infinity)
-        ):
-            labels[machine] = labels_list[machine]
-    if targets is not None:
-        parents = {
-            machine: parent
-            for machine, parent in parents.items()
-            if finalized[machine]
-        }
     if tracing:
         tracer.emit(
             "dijkstra",
             item_id, relaxations, pruned, finalized_count, len(seeds)
         )
+    if targets is None:
+        # The reference insertion order: seeds, then first discoveries.
+        labels = {
+            machine: labels_list[machine] for machine in chain(seeds, order)
+        }
+    else:
+        # The projection (ShortestPathTree.projected), off the arrays:
+        # the seeds, and each target meeting its deadline with its path,
+        # every machine of which was finalized before the target.
+        labels = {
+            machine: available
+            for machine, available in seeds.items()
+            if not available > targets.get(machine, infinity)
+        }
+        kept: Dict[int, Tuple[int, int, float, float]] = {}
+        for target, deadline in targets.items():
+            if not finalized[target] or labels_list[target] > deadline:
+                continue
+            cursor = target
+            while cursor not in seeds and cursor not in kept:
+                parent = kept[cursor] = parents[cursor]
+                if not labels_list[cursor] > targets.get(cursor, infinity):
+                    labels[cursor] = labels_list[cursor]
+                cursor = parent[0]
+        parents = kept
     return ShortestPathTree._owning(
         item_id, seeds, labels, parents, frozenset(fallbacks)
     )

@@ -46,17 +46,20 @@ def compute_shortest_path_tree(
         targets: optional target machines, each mapped to its latest
             useful arrival (its deadline; ``math.inf`` for none).  The
             search stops once every target is finalized or the next label
-            is past every pending target's deadline.  Labels of finalized
-            machines are still exact; unfinalized machines, and targets
-            whose arrival misses their deadline, are reported
-            unreachable, so only pass ``targets`` when paths to other
-            machines are genuinely not needed.
+            is past every pending target's deadline.  The tree returned
+            is then already projected onto the targets
+            (:meth:`~repro.routing.paths.ShortestPathTree.projected`):
+            it holds the seeds and the exact paths to the targets that
+            meet their deadlines, and every other machine, a missed
+            target included, reads unreachable, so only pass ``targets``
+            when paths to other machines are genuinely not needed.
         not_before: wall-clock lower bound on every planned transfer start
             (the "now" of a dynamic re-scheduling pass).  Copies whose
             release precedes it cannot seed the search.
 
     Returns:
         The :class:`~repro.routing.paths.ShortestPathTree` with exact
-        earliest arrivals for every reachable machine.
+        earliest arrivals for every reachable machine; for a targeted
+        search, its projection onto ``targets``.
     """
     return compute_tree_compiled(state, item_id, targets, not_before)

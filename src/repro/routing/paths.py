@@ -4,27 +4,33 @@ The adapted Dijkstra of §4.2 produces, for one requested data item, the
 earliest time a copy could reach every machine (the ``A_T`` values of §4.8)
 together with parent pointers.  :class:`ShortestPathTree` packages those
 labels and reconstructs hop-by-hop :class:`Path` objects toward requesting
-destinations.  A tree projected onto its search's targets
-(:meth:`ShortestPathTree.projected`) holds only the hops of its target
-paths, so its parent tuples are the planned link occupations and storage
-residencies its labels rest on: the heuristics' tree cache reads them
-straight from :attr:`ShortestPathTree.planned_hops`, and reads the
-machines where freed storage could change the search from
+destinations.  A targeted search answers its tree projected onto its
+targets (:meth:`ShortestPathTree.projected`): it holds only the hops of
+its target paths, so its parent tuples are the planned link occupations
+and storage residencies its labels rest on.  The heuristics' tree cache
+reads them from :attr:`ShortestPathTree.planned_hops`, and the machines
+where freed storage could change the search from
 :attr:`ShortestPathTree.fallback_receivers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
-from repro.core.schedule import reduce_by_fields
 from repro.core.units import time_eq
 from repro.errors import SchedulingError
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One planned transfer along a shortest path.
 
     Attributes:
@@ -34,10 +40,6 @@ class Hop:
         start: planned transfer start time.
         end: planned arrival time at ``receiver``.
     """
-
-    # Slotted, like every type the tree caches' prefix memo holds many of.
-    __slots__ = ("sender", "receiver", "link_id", "start", "end")
-    __reduce__ = reduce_by_fields
 
     sender: int
     receiver: int

@@ -120,6 +120,18 @@ class TestRelease:
         assert timeline.free_at(5) == 60.0
         assert timeline.free_at(15) == 100.0
 
+    def test_a_matched_release_on_a_large_machine_is_accepted(self):
+        # Reserving then releasing these rounds 3.8e-6 bytes past the
+        # capacity (one unit in the last place at this scale).
+        capacity, amount = 18956299369.01491, 60072207.25532341
+        assert (capacity - amount) + amount > capacity + 1e-6
+        timeline = CapacityTimeline(capacity)
+        timeline.reserve(amount, Interval(0, 20))
+        timeline.release(amount, Interval(10, 20))
+        assert timeline.free_at(15) > capacity
+        with pytest.raises(ValueError):
+            timeline.release(1.0, Interval(10, 20))
+
 
 class TestCopy:
     def test_copy_is_independent(self):

@@ -59,7 +59,9 @@ def reference_tree(
     every edge that survives the prune test.  Same signature and result
     as :func:`~repro.routing.compiled.compute_tree_compiled`, including
     the receivers whose relaxation the compiled kernel hands to
-    ``earliest_transfer`` (:func:`falls_back`).
+    ``earliest_transfer`` (:func:`falls_back`).  A targeted search
+    searches, then projects (:meth:`ShortestPathTree.projected`), so
+    the differentials compare the kernel's own projection with it.
     """
     network = state.scenario.network
     item_size = state.scenario.item(item_id).size
@@ -146,7 +148,8 @@ def reference_tree(
 
     # A targeted search drops labels of machines that were discovered but
     # never finalized (their values may not be exact), and of targets that
-    # miss their deadline.  Finalized machines keep their parents.
+    # miss their deadline.  Finalized machines keep their parents, and
+    # the search answers the tree's projection onto its targets.
     if targets is not None:
         labels = {
             machine: value
@@ -164,7 +167,8 @@ def reference_tree(
             "dijkstra",
             item_id, relaxations, pruned, len(finalized), len(seeds)
         )
-    return ShortestPathTree(item_id, seeds, labels, parents, fallbacks)
+    tree = ShortestPathTree(item_id, seeds, labels, parents, fallbacks)
+    return tree if targets is None else tree.projected(targets)
 
 
 def falls_back(

@@ -56,17 +56,27 @@ def _windowed_network():
     )
 
 
+def _edge_range(compiled, machine, first):
+    """The machine's edges ``[first, hi)``, read off its run table: its
+    runs are contiguous, the first starting at ``first`` (where the
+    machine before it ended)."""
+    hi = first
+    for start, end, *_ in compiled.runs[machine]:
+        assert start == hi
+        hi = end
+    return first, hi
+
+
 class TestCompileNetwork:
     def test_csr_mirrors_outgoing_order(self):
         network = _windowed_network()
         compiled = compile_network(network)
         assert compiled.machine_count == network.machine_count
-        assert len(compiled.offsets) == network.machine_count + 1
-        assert compiled.offsets[0] == 0
-        assert compiled.edge_count == len(network.virtual_links)
+        assert len(compiled.runs) == network.machine_count
+        assert len(compiled.link_ids) == len(network.virtual_links)
+        hi = 0
         for machine in range(network.machine_count):
-            lo = compiled.offsets[machine]
-            hi = compiled.offsets[machine + 1]
+            lo, hi = _edge_range(compiled, machine, hi)
             reference = network.outgoing(machine)
             assert hi - lo == len(reference)
             for slot, link in enumerate(reference):
@@ -84,6 +94,7 @@ class TestCompileNetwork:
                     link = network.virtual_links[link_id]
                     assert link.destination == receiver
                     assert link.latency == latency
+        assert hi == len(network.virtual_links)
 
     def test_run_ends_group_each_physical_links_windows(self):
         network = _windowed_network()
@@ -107,11 +118,14 @@ class TestCompileNetwork:
             network = scenario.network
             compiled = compile_network(network)
             runs = {}
+            edge = 0
             for machine in range(network.machine_count):
-                edge = compiled.offsets[machine]
+                machine_start, machine_end = _edge_range(
+                    compiled, machine, edge
+                )
                 for start, run_end, _, _, _ in compiled.runs[machine]:
                     assert start == edge
-                    assert edge < run_end <= compiled.offsets[machine + 1]
+                    assert edge < run_end <= machine_end
                     links = [
                         network.virtual_links[link_id]
                         for link_id in compiled.link_ids[edge:run_end]
@@ -120,7 +134,11 @@ class TestCompileNetwork:
                     assert physical_id not in runs
                     runs[physical_id] = [link.start for link in links]
                     edge = run_end
-                assert edge == compiled.offsets[machine + 1]
+                assert edge == machine_end
+                assert machine_end - machine_start == len(
+                    network.outgoing(machine)
+                )
+            assert edge == len(compiled.link_ids)
             # Every run holds all of its facility's windows, in order.
             assert runs == {
                 plink.physical_id: [window.start for window in plink.windows]

@@ -325,8 +325,11 @@ class TestDeadlineHorizon:
 
     def test_empty_targets_search_nothing(self):
         tree, event = _traced_search(_line_item(), {})
-        assert tree.reachable_machines() == ()
+        # The projection keeps the unpopped seed; no other machine reads
+        # reachable, and the search popped nothing.
+        assert tree.reachable_machines() == (0,)
         assert tree.seed_machines() == (0,)
+        assert tree.planned_hops == {}
         assert (event["relaxations"], event["finalized"]) == (0, 0)
 
     def test_a_seed_past_the_horizon_is_never_expanded(self):
@@ -334,16 +337,18 @@ class TestDeadlineHorizon:
         tree, event = _traced_search(scenario, {1: 10.0, 3: 20.0})
         assert tree.arrival(1) == 1.0
         # Machine 3 is reachable only through the seed at 2, which is
-        # ready at 50: past every pending deadline, so never popped.
+        # ready at 50: past every pending deadline, so never popped (the
+        # projection still lists the seed itself).
         assert not tree.is_reachable(3)
-        assert not tree.is_reachable(2)
         assert tree.seed_machines() == (0, 2)
-        assert event["finalized"] == 2
+        assert tree.reachable_machines() == (0, 1, 2)
+        assert (event["finalized"], event["seeds"]) == (2, 2)
 
     def test_deadlines_before_not_before_search_nothing(self):
         tree, event = _traced_search(_line_item(), {2: 5.0}, not_before=10.0)
-        assert tree.reachable_machines() == ()
-        assert event["finalized"] == 0
+        assert tree.reachable_machines() == (0,)
+        assert not tree.is_reachable(2)
+        assert (event["relaxations"], event["finalized"]) == (0, 0)
         later = compute_shortest_path_tree(
             NetworkState(_line_item()), 0, {2: math.inf}, not_before=10.0
         )

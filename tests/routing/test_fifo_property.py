@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.state import NetworkState, TransferPlan
 from repro.heuristics.base import deadline_targets
+from repro.observability.tracer import RecordingTracer
 from repro.routing.dijkstra import compute_shortest_path_tree
 from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
@@ -174,13 +175,16 @@ def test_a_reopen_puts_a_destination_back_in_the_search():
         [make_item(0, 1000.0, [(0, 0.0)])],
         [(0, 1, 2, 50.0), (0, 3, 2, 60.0)],
     )
-    state = NetworkState(scenario)
+    tracer = RecordingTracer()
+    state = NetworkState(scenario, tracer=tracer)
     for _ in range(3):
         assert _book_a_first_hop(state, 0, 0, 0.0)
     assert state.is_satisfied(1)
+    searches = len(tracer.named("dijkstra"))
     bounded = compute_shortest_path_tree(
         state, 0, deadline_targets(state, 0)
     )
+    (searched,) = tracer.named("dijkstra")[searches:]
     revision = state.item_revision(0)
 
     state.remove_copy(0, 3, 3.5)
@@ -189,5 +193,10 @@ def test_a_reopen_puts_a_destination_back_in_the_search():
     reopened = compute_shortest_path_tree(
         state, 0, deadline_targets(state, 0)
     )
-    assert not bounded.is_reachable(3)
+    # With no target the search popped nothing and planned no hop; the
+    # reopened destination, no longer a seed, is reached by a path.
+    assert (searched["relaxations"], searched["finalized"]) == (0, 0)
+    assert bounded.planned_hops == {}
+    assert 3 not in reopened.seed_machines()
     assert reopened.arrival(3) < math.inf
+    assert 3 in reopened.planned_hops

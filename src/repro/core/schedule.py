@@ -291,12 +291,6 @@ class Schedule:
         for column in (self._request_ids, self._arrivals, self._hops):
             del column[row]
 
-    def steps_for_item(self, item_id: int) -> Tuple[CommunicationStep, ...]:
-        """All steps transferring one data item, in scheduling order."""
-        return tuple(
-            step for step in self.steps if step.item_id == item_id
-        )
-
     def total_bytes_transferred(self, item_sizes: Mapping[int, float]) -> float:
         """Total bytes moved, given a map from item id to size."""
         return sum(item_sizes[item_id] for item_id in self._item_ids)

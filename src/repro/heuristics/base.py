@@ -70,7 +70,6 @@ from repro.core.scenario import Scenario
 from repro.core.schedule import Schedule
 from repro.core.units import time_ne
 from repro.core.state import (
-    MUTATION_BOOKING,
     MUTATION_LOSS,
     NetworkState,
     TransferPlan,
@@ -314,8 +313,9 @@ class TreeCache:
     covers, only the paths that can still satisfy a request.
 
     An item's own planned bookings cost no search either: the drain
-    calls :meth:`rebase` after each decision, which carries the tree
-    over the new copies exactly as a search would now find it.
+    calls :meth:`rebase` after each decision, which carries the tree of
+    an item with an open request left over the new copies exactly as a
+    search would now find it.
 
     Each record is replayed once per cache, through two indexes from
     machines to entries: the receiver index (the entries whose trees plan
@@ -569,22 +569,33 @@ class TreeCache:
         Called right after the engine booked hops of the item's cached
         tree: §4.5 makes each receiver an additional source, and a search
         would now find the cached tree rebased onto the new copies
-        (:meth:`~repro.routing.paths.ShortestPathTree.rebased`).  The new
-        entry is current at the journal's end, so the next request reads
-        ``clean``.  The next request searches instead after a disabled
-        cache, a conflict, an entry planned at an earlier "now", a
-        journal record since the replay position that is not a booking of
-        this item (an entry without a conflict is valid there, however far
-        its ``journal_position`` lags), any other revision change, a moved
-        degradation epoch, or seeds the tree cannot vouch for.
+        (:meth:`~repro.routing.paths.ShortestPathTree.rebased`).  Each
+        journal record since the replay position must be a booking of
+        this item over a planned hop's link at its planned times, and
+        its receiver joins the seeds at its arrival.  The entry is
+        refreshed in place, current at the journal's end, so the next
+        request reads ``clean``; only the new seeds leave the receiver
+        index, as every other planned hop keeps its parent tuple.
+
+        An item left without an open request is not rebased: only a
+        reopen brings it back, and a reopen moves its revision, so its
+        next request reads ``item_changed`` whatever its entry holds.
+        The next request also searches after a disabled cache, a
+        conflict, an entry planned at an earlier "now", any other journal
+        record since the replay position (an entry without a conflict is
+        valid there, however far its ``journal_position`` lags), any
+        other revision change or a moved degradation epoch.
         """
+        state = self._state
+        if not state.open_request_counts()[item_id]:
+            return False
         cached = self._trees.get(item_id) if self._enabled else None
         if cached is None:
             return False
-        state = self._state
+        not_before = self._not_before
         if (
             cached.conflict
-            or time_ne(cached.not_before, self._not_before)
+            or time_ne(cached.not_before, not_before)
             or state.degradation_epoch != cached.degradation_epoch
         ):
             return False
@@ -593,23 +604,36 @@ class TreeCache:
             cached.item_revision + len(records)
         ):
             return False
-        seeds = self._seeds(item_id)
-        if any(
-            record.kind != MUTATION_BOOKING
-            or record.item_id != item_id
-            or record.machine not in seeds
-            for record in records
-        ):
-            return False
+        tree = cached.tree
+        planned = tree.planned_hops
+        arrivals: Dict[int, float] = {}
+        for record in records:
+            hop = planned.get(record.machine)
+            busy, residency = record.busy, record.residency
+            if (
+                busy is None  # only a booking has a busy interval
+                or residency is None
+                or record.item_id != item_id
+                or hop is None
+                or hop[1] != record.link_id
+                or time_ne(hop[2], busy.start)
+                or time_ne(hop[3], busy.end)
+                or not residency.end > not_before
+            ):
+                return False
+            arrivals[record.machine] = max(busy.end, not_before)
         self._replay()
-        targets = deadline_targets(state, item_id)
-        tree = cached.tree.rebased(seeds, targets)
-        if tree is None:
-            return False
-        self._store(item_id, self._snapshot(tree))
+        cached.tree = tree.rebased(arrivals, deadline_targets(state, item_id))
+        cached.item_revision = state.item_revision(item_id)
+        cached.journal_position = self._replay_position
+        cached.conflict = ""  # put there by replaying its own bookings
+        for machine in arrivals:
+            del self._receiver_index[machine][planned[machine][1]][item_id]
         tracer = state.tracer
         if tracer.enabled:
-            tracer.emit("tree_rebased", item_id, len(seeds))
+            tracer.emit(
+                "tree_rebased", item_id, len(cached.tree.seed_machines())
+            )
         return True
 
     def _carried(self, cached: CacheEntry) -> Optional[CacheEntry]:

@@ -74,11 +74,6 @@ class CandidateGroup(NamedTuple):
     def __hash__(self) -> int:
         return hash(self[:4])
 
-    @property
-    def has_satisfiable_destination(self) -> bool:
-        """True when scheduling this step can help at least one request."""
-        return any(e.satisfiable for e in self.evaluations)
-
     def satisfiable_evaluations(self) -> Tuple[DestinationEvaluation, ...]:
         """The subset of evaluations with ``Sat = 1``."""
         return tuple(e for e in self.evaluations if e.satisfiable)

@@ -26,7 +26,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.units import time_eq
 from repro.errors import SchedulingError
 
 
@@ -195,29 +194,23 @@ class ShortestPathTree:
         return Path(item_id=self._item_id, origin=cursor, hops=tuple(hops))
 
     def rebased(
-        self, seeds: Dict[int, float], targets: Mapping[int, float]
-    ) -> Optional["ShortestPathTree"]:
-        """This tree once the item also sits on some of its machines.
+        self, arrivals: Mapping[int, float], targets: Mapping[int, float]
+    ) -> "ShortestPathTree":
+        """This tree once the item also sits on some of its receivers.
 
-        ``seeds`` must keep every seed of this tree at its availability
-        and add only machines this tree finalized, each available at its
-        label here; otherwise the answer is ``None``.  A search from those
+        ``arrivals`` maps each new seed to its availability; the caller
+        proves that each is a receiver of :attr:`planned_hops`, booked
+        over its planned hop, so available at its label here, and that
+        this tree's seeds hold.  A search from the seeds and the new
         seeds pops the same ``(label, machine)`` sequence, and only the
         relaxations into the new seeds change, so every other machine
         keeps its label and parent.  The result keeps each reachable
         target's path from its last seed (``targets`` are the search's,
         with their deadlines), and reports a seed target past its
-        deadline unreachable, as the search does.  The result holds
-        ``seeds`` itself, so the caller must not change it afterwards.
+        deadline unreachable, as the search does.
         """
-        if any(machine not in seeds for machine in self._seeds):
-            return None
-        for machine, available in seeds.items():
-            known = self._seeds.get(machine)
-            if known is None and machine in self._parents:
-                known = self._parents[machine][3]
-            if known is None or not time_eq(known, available):
-                return None
+        seeds = dict(self._seeds)
+        seeds.update(arrivals)
         return self._keeping(seeds, targets)
 
     def carried(
@@ -239,7 +232,8 @@ class ShortestPathTree:
         pops in the same order as before, so each reachable target keeps
         its label and path; the result is :meth:`projected` at the new
         seeds, provided nothing else changed since this tree's search.
-        Like :meth:`rebased`, the result holds ``seeds`` itself.
+        The result holds ``seeds`` itself, so the caller must not change
+        it afterwards.
         """
         if any(machine not in self._seeds for machine in seeds):
             return None

@@ -136,14 +136,6 @@ class TestSchedule:
         with pytest.raises(ModelError):
             schedule.remove_delivery(7)
 
-    def test_steps_for_item(self):
-        schedule = Schedule()
-        schedule.add_step(0, 0, 1, 0, 0.0, 1.0)
-        schedule.add_step(1, 0, 1, 0, 1.0, 2.0)
-        schedule.add_step(0, 1, 2, 1, 2.0, 3.0)
-        assert len(schedule.steps_for_item(0)) == 2
-        assert len(schedule.steps_for_item(1)) == 1
-
     def test_total_bytes_transferred(self):
         schedule = Schedule()
         schedule.add_step(0, 0, 1, 0, 0.0, 1.0)

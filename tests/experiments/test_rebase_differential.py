@@ -1,8 +1,9 @@
 """Differential property: rebasing the booked item's tree changes no decision.
 
-After each booking a drain rebases the booked item's cached tree onto its
-new copies (:meth:`~repro.heuristics.base.TreeCache.rebase`) instead of
-leaving the next request to search the item again.  :func:`no_rebase` is
+After each decision that leaves its item an open request, a drain
+rebases the booked item's cached tree onto its new copies
+(:meth:`~repro.heuristics.base.TreeCache.rebase`) instead of leaving the
+next request to search the item again.  :func:`no_rebase` is
 the oracle: every rebase declines, so that request searches.  Against
 it every schedule must be byte-identical in canonical JSON, the event
 streams must be equal once search events and ``tree_rebased`` are
@@ -10,8 +11,7 @@ dropped, and no run may compute more trees.
 """
 
 import json
-from contextlib import nullcontext
-from typing import Any, Callable
+from typing import Any, Callable, List
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -51,9 +51,22 @@ def no_rebase():
     )
 
 
+def _counting(left_open: List[bool]):
+    """Let every rebase run, recording for each decision whether its
+    item kept an open request."""
+    rebase = TreeCache.rebase
+
+    def counted(self, item_id):
+        left_open.append(self._state.open_request_counts()[item_id] > 0)
+        return rebase(self, item_id)
+
+    return mock.patch.object(TreeCache, "rebase", counted)
+
+
 def _traced(run: Callable[[], Any], oracle: bool):
     tracer = RecordingTracer()
-    switch = no_rebase() if oracle else nullcontext()
+    left_open: List[bool] = []
+    switch = no_rebase() if oracle else _counting(left_open)
     with use_tracer(tracer), switch:
         result = run()
     schedule = json.dumps(document_to_dict(result.schedule), sort_keys=True)
@@ -63,19 +76,23 @@ def _traced(run: Callable[[], Any], oracle: bool):
         if event.name not in _REBASE_EVENTS
     ]
     rebases = len(tracer.named("tree_rebased"))
-    return result, schedule, stream, rebases
+    return result, schedule, stream, rebases, left_open
 
 
 def _assert_same_decisions(run: Callable[[], Any]):
-    """Run under the oracle and with rebases; return both runs' results
-    and the number of rebases."""
-    oracle_result, oracle_schedule, oracle, none = _traced(run, oracle=True)
-    result, schedule, stream, rebases = _traced(run, oracle=False)
+    """Run under the oracle and with rebases; return both runs' results,
+    the number of rebases and, per decision, whether its item kept an
+    open request."""
+    oracle_result, oracle_schedule, oracle, none, _ = _traced(
+        run, oracle=True
+    )
+    result, schedule, stream, rebases, left_open = _traced(run, oracle=False)
     assert none == 0
     assert schedule == oracle_schedule
     assert stream == oracle
     assert result.stats.dijkstra_runs <= oracle_result.stats.dijkstra_runs
-    return oracle_result, result, rebases
+    assert len(left_open) == result.stats.iterations
+    return oracle_result, result, rebases, left_open
 
 
 @given(
@@ -139,14 +156,16 @@ def test_priority_tiers_and_the_random_baseline_decide_the_same(
 
 def test_the_rebase_saves_searches_on_the_pinned_draws():
     """The two runs pinned in ``TestPinnedEventStream`` decide the same,
-    and rebase after every decision there, so they compute fewer trees —
-    else the properties above would pass vacuously."""
+    and rebase after every decision that leaves its item an open request
+    there (and only after those), so they compute fewer trees — else the
+    properties above would pass vacuously."""
     scenario = ScenarioGenerator(GeneratorConfig.reduced()).generate(0)
     scheduler = make_heuristic("full_one", "C4", 2.0)
-    oracle, result, rebases = _assert_same_decisions(
+    oracle, result, rebases, left_open = _assert_same_decisions(
         lambda: scheduler.run(scenario)
     )
-    assert rebases == result.stats.iterations > 0
+    assert rebases == sum(left_open) > 0
+    assert not all(left_open)
     assert result.stats.dijkstra_runs < oracle.stats.dijkstra_runs
 
     scenario = _GENERATOR.generate(0)
@@ -156,6 +175,6 @@ def test_the_rebase_saves_searches_on_the_pinned_draws():
         with use_faults(plan):
             return DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
-    oracle, result, rebases = _assert_same_decisions(dynamic)
-    assert rebases == result.stats.iterations > 0
+    oracle, result, rebases, left_open = _assert_same_decisions(dynamic)
+    assert rebases == sum(left_open) > 0
     assert result.stats.dijkstra_runs < oracle.stats.dijkstra_runs

@@ -25,6 +25,7 @@ from repro.core.timeline import CapacityTimeline
 from repro.dynamic.driver import reveal_at_item_start
 from repro.dynamic.events import CopyLoss, Event, LinkOutage
 from repro.faults.plan import FaultPlan
+from repro.heuristics.base import EngineStats, TreeCache
 from repro.observability.tracer import TraceEvent
 
 #: Convenient always-open window for tests that don't exercise windows.
@@ -232,3 +233,54 @@ def unbounded_storage_outside(
             clone._timelines[machine] = unbounded
             clone._timeline_columns[machine] = unbounded.columns()
     return clone
+
+
+#: ``TreeCache._store`` as defined, for tests that patch it.
+_STORE = TreeCache._store
+
+
+def _index_slots(cache: TreeCache, release: bool) -> Dict[Any, Dict[int, Any]]:
+    """The cache's non-empty receiver-index slots, by ``(receiver,
+    link_id)``, or with ``release`` its release-index slots, by machine."""
+    if release:
+        index: Dict[Any, Dict[int, Any]] = cache._release_index
+    else:
+        index = {
+            (receiver, link_id): by_item
+            for receiver, by_link in enumerate(cache._receiver_index)
+            for link_id, by_item in by_link.items()
+        }
+    return {slot: by_item for slot, by_item in index.items() if by_item}
+
+
+def assert_index_exact(cache: TreeCache, release: bool = False) -> None:
+    """Each non-empty slot of the receiver index holds exactly the live
+    entries whose trees plan a hop into its machine over its link, and
+    each such entry is in the slot: a stale slot would only waste replay
+    time, so no differential of decisions can catch it.  With
+    ``release``, the same for the release index (by machine alone) and
+    the trees' fallback receivers.  Either index must also equal the one
+    ``TreeCache._store`` builds from scratch for the live entries, so an
+    entry refreshed in place leaves its slots as a store would."""
+    expected: Dict[Any, Dict[int, Any]] = {}
+    for item_id, entry in cache._trees.items():
+        tree = entry.tree
+        if release:
+            slots: Any = tree.fallback_receivers
+        else:
+            slots = [
+                (receiver, hop[1])
+                for receiver, hop in tree.planned_hops.items()
+            ]
+        for slot in slots:
+            expected.setdefault(slot, {})[item_id] = entry
+    scratch = TreeCache(cache._state, EngineStats(), enabled=False)
+    for item_id, entry in cache._trees.items():
+        _STORE(scratch, item_id, entry)
+    actual = _index_slots(cache, release)
+    for built in (expected, _index_slots(scratch, release)):
+        assert actual.keys() == built.keys()
+        for slot, by_item in actual.items():
+            assert by_item.keys() == built[slot].keys()
+            for item_id, entry in by_item.items():
+                assert entry is built[slot][item_id]

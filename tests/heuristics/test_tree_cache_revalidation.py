@@ -49,6 +49,7 @@ from repro.workload.config import GeneratorConfig
 from repro.workload.generator import ScenarioGenerator
 
 from tests.helpers import (
+    assert_index_exact,
     dynamic_fault_events,
     make_item,
     make_link,
@@ -390,41 +391,6 @@ class TestTransferProbes:
 # -- the receiver index -------------------------------------------------------
 
 
-def _assert_index_exact(cache, release=False):
-    """Each non-empty slot of the receiver index holds exactly the live
-    entries whose trees plan a hop into its machine over its link, and
-    each such entry is in the slot: a stale slot would only waste replay
-    time, so no differential of decisions can catch it.  With
-    ``release``, the same for the release index (by machine alone) and
-    the trees' fallback receivers."""
-    expected = {}
-    for item_id, entry in cache._trees.items():
-        tree = entry.tree
-        if release:
-            slots = tree.fallback_receivers
-        else:
-            slots = [
-                (receiver, hop[1])
-                for receiver, hop in tree.planned_hops.items()
-            ]
-        for slot in slots:
-            expected.setdefault(slot, {})[item_id] = entry
-    if release:
-        index = cache._release_index
-    else:
-        index = {
-            (receiver, link_id): by_item
-            for receiver, by_link in enumerate(cache._receiver_index)
-            for link_id, by_item in by_link.items()
-        }
-    actual = {receiver: slot for receiver, slot in index.items() if slot}
-    assert actual.keys() == expected.keys()
-    for receiver, slot in actual.items():
-        assert slot.keys() == expected[receiver].keys()
-        for item_id, entry in slot.items():
-            assert entry is expected[receiver][item_id]
-
-
 def _index_checked_runs(seed, release=False, fallbacks=None):
     """Static drains and a dynamic run under churn, losses and an outage,
     with the index checked after every store; ``fallbacks`` collects how
@@ -436,7 +402,7 @@ def _index_checked_runs(seed, release=False, fallbacks=None):
 
     def checked_store(cache, item_id, entry):
         store(cache, item_id, entry)
-        _assert_index_exact(cache, release)
+        assert_index_exact(cache, release)
         stores.append(item_id)
         if fallbacks is not None:
             fallbacks.append(len(entry.tree.fallback_receivers))
@@ -452,8 +418,8 @@ def _index_checked_runs(seed, release=False, fallbacks=None):
 @pytest.mark.parametrize("seed", range(4))
 def test_the_receiver_index_lists_exactly_the_live_receivers(seed):
     stores = _index_checked_runs(seed)
-    # Entries are replaced (searches after a conflict, rebases), not only
-    # added, so stale slots had a chance to appear.
+    # Entries are replaced (searches after a conflict), not only added,
+    # so stale slots had a chance to appear.
     assert len(stores) > len(set(stores))
 
 

@@ -3,7 +3,8 @@
 After a booking, :meth:`~repro.heuristics.base.TreeCache.rebase` carries
 the booked item's cached tree over the copies the booking placed, instead
 of leaving the next request to search again.  The property below checks,
-after every booking of a drain, that the rebased tree answers
+after every decision of a drain, that it rebased if and only if its item
+keeps an open request, and that each rebased tree answers
 ``is_reachable``, ``arrival`` and ``path_to`` for every unsatisfied
 destination exactly like a fresh
 :func:`~repro.routing.dijkstra.compute_shortest_path_tree` on the
@@ -23,6 +24,7 @@ from repro.faults.plan import FaultPlan
 from repro.heuristics.base import EngineStats, TreeCache, deadline_targets
 from repro.heuristics.registry import make_heuristic
 from repro.observability.tracer import (
+    NULL_TRACER,
     TREE_CACHE_CLEAN,
     TREE_CACHE_DISABLED,
     TREE_CACHE_ITEM_CHANGED,
@@ -66,30 +68,32 @@ def _assert_like_a_search(state, cache, item_id):
         assert tree.path_to(destination) == fresh.path_to(destination)
 
 
-def _drain_checked(scenario, heuristic, plan=None):
-    """Drain ``scenario`` with every rebase checked against a search;
-    return the state, the stats and the steps each rebase followed."""
-    with use_faults(plan):
+def _drain_checked(scenario, heuristic, plan=None, tracer=None):
+    """Drain ``scenario`` (traced into ``tracer``, if given): each decision
+    must rebase exactly when its item keeps an open request, and each
+    rebase is checked against a search.  Return the state, the cache, the
+    stats, the steps each decision booked and whether each rebased."""
+    with use_faults(plan), use_tracer(tracer or NULL_TRACER):
         state = NetworkState(scenario)
-        stats = EngineStats()
-        cache = TreeCache(state, stats)
-        steps_per_rebase = []
+    stats = EngineStats()
+    cache = TreeCache(state, stats)
+    steps, rebases = [], []
 
-        def checked(self, item_id):
-            rebased = _rebase(self, item_id)
-            assert rebased
-            steps_per_rebase.append(
-                state.schedule.step_count - sum(steps_per_rebase)
-            )
+    def checked(self, item_id):
+        rebased = _rebase(self, item_id)
+        assert rebased == (state.open_request_counts()[item_id] > 0)
+        steps.append(state.schedule.step_count - sum(steps))
+        rebases.append(rebased)
+        if rebased:
             runs = stats.dijkstra_runs
             _assert_like_a_search(state, self, item_id)
             assert stats.dijkstra_runs == runs
-            return rebased
+        return rebased
 
-        with mock.patch.object(TreeCache, "rebase", checked):
-            make_heuristic(heuristic, "C4", 2.0).drain(state, cache, stats)
-    assert len(steps_per_rebase) == stats.iterations
-    return state, stats, steps_per_rebase
+    with mock.patch.object(TreeCache, "rebase", checked):
+        make_heuristic(heuristic, "C4", 2.0).drain(state, cache, stats)
+    assert len(steps) == stats.iterations
+    return state, cache, stats, steps, rebases
 
 
 @given(
@@ -130,17 +134,18 @@ def _late_relay_scenario():
 
 @pytest.mark.parametrize("heuristic", ["partial", "full_one"])
 def test_a_booked_destination_past_its_deadline_stays_unreachable(heuristic):
-    state, _, steps = _drain_checked(_late_relay_scenario(), heuristic)
+    state, _, _, steps, _ = _drain_checked(_late_relay_scenario(), heuristic)
     assert state.holds(0, 1)
     assert not state.is_satisfied(0) and state.is_satisfied(1)
     assert sum(steps) == 2
 
 
-def _fan_out_scenario():
+def _fan_out_scenario(stranded=False):
     """Machine 0 feeds 2 and 3 through 1 (links 0-2) and 4 directly
-    (link 3); item 0 at 0 is wanted at 2 and 3 urgently, at 4 later."""
+    (link 3); item 0 at 0 is wanted at 2 and 3 urgently, at 4 later, and
+    with ``stranded`` also at 5, which no link reaches."""
     network = make_network(
-        5,
+        6 if stranded else 5,
         [
             make_link(0, 0, 1),
             make_link(1, 1, 2),
@@ -148,17 +153,37 @@ def _fan_out_scenario():
             make_link(3, 0, 4, bandwidth=100.0),
         ],
     )
-    return make_scenario(
-        network,
-        [make_item(0, 1000.0, [(0, 0.0)])],
-        [(0, 2, 2, 10.0), (0, 3, 2, 10.0), (0, 4, 0, 100.0)],
-    )
+    requests = [(0, 2, 2, 10.0), (0, 3, 2, 10.0), (0, 4, 0, 100.0)]
+    if stranded:
+        requests.append((0, 5, 0, 100.0))
+    return make_scenario(network, [make_item(0, 1000.0, [(0, 0.0)])], requests)
 
 
 def test_a_full_all_multi_path_booking_rebases():
-    state, _, steps = _drain_checked(_fan_out_scenario(), "full_all")
-    assert steps[0] == 3  # 0 -> 1, 1 -> 2 and 1 -> 3 in one decision
+    state, _, _, steps, rebases = _drain_checked(
+        _fan_out_scenario(stranded=True), "full_all"
+    )
+    assert steps == [3, 1]  # 0 -> 1, 1 -> 2 and 1 -> 3 in one decision
+    assert rebases == [True, True]  # the request at 5 stays open
     assert all(state.is_satisfied(request) for request in (0, 1, 2))
+    assert not state.is_satisfied(3)
+
+
+def test_a_finished_item_is_not_rebased_and_a_reopen_searches_it():
+    tracer = RecordingTracer()
+    state, cache, stats, steps, rebases = _drain_checked(
+        _fan_out_scenario(), "full_all", tracer=tracer
+    )
+    assert steps == [3, 1]
+    assert rebases == [True, False]  # the last decision satisfies all
+    assert len(tracer.named("tree_rebased")) == 1
+    arrival = state.copy_at(0, 4).available_from
+    state.remove_copy(0, 4, arrival)
+    state.reopen_request(2)
+    runs = stats.dijkstra_runs
+    cache.entry_for(0)
+    assert _last_probe(tracer) == (False, TREE_CACHE_ITEM_CHANGED)
+    assert stats.dijkstra_runs == runs + 1
 
 
 # -- fallbacks -------------------------------------------------------------

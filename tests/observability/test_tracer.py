@@ -561,6 +561,15 @@ class TestPinnedEventStream:
     17 -> 15; only search events went.
     ``tests/experiments/test_run_shortlist_differential.py`` checks the
     kept shortlist against per-drain shortlists.
+
+    Both digests were re-pinned again (static 1,225 -> 1,207 events,
+    faulted dynamic 215 -> 212) when a decision that leaves its item no
+    open request stopped rebasing the item's tree.  Exactly the
+    ``tree_rebased`` events of those decisions went (18 of 55 static
+    decisions, 3 of 14 dynamic ones) and nothing else moved;
+    ``tests/experiments/test_rebase_refresh_differential.py`` checks
+    every rebase and every finished decision against the rebase it
+    replaced.
     """
 
     def test_static_ci_scale_heuristic_run(self):
@@ -571,8 +580,8 @@ class TestPinnedEventStream:
             )
 
         assert _stream_digest(run) == (
-            1225,
-            "12efc0a6c014e9f78cbd6dfc60178ec6447741116195376cb9d5528828efef17",
+            1207,
+            "73aa5313eead2df44577708d542332f245777d1f3c1d9d8d457757c9dcae29a1",
         )
 
     def test_faulted_dynamic_run_with_churn_and_losses(self):
@@ -583,6 +592,6 @@ class TestPinnedEventStream:
                 DynamicDriver("partial", "C4", 2.0).run(scenario, events)
 
         assert _stream_digest(run) == (
-            215,
-            "85e2abffa6cd07e6e5fb8eeea19788a09fce377dc7e8588feec82c43427ac08e",
+            212,
+            "d055cc3935d9770a4a523f532d8ce75a5ae92c0bf0d9772cc4ffbdb66ec499ce",
         )
